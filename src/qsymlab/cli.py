@@ -79,6 +79,8 @@ def _parse_input_spec(spec: str, entry: zoo.ZooEntry, rng: np.random.Generator) 
         return core.InputString(n, M, (0,) * (n - n // 2) + (1,) * (n // 2))
     if spec.startswith("one-hot:"):
         i = int(spec.split(":", 1)[1])
+        if not 0 <= i < n:
+            raise ValueError(f"one-hot index {i} outside [0, {n})")
         values = [0] * n
         values[i] = 1
         return core.InputString(n, M, tuple(values))
@@ -97,6 +99,8 @@ def _cmd_compile_run(args) -> int:
         return _usage_error(f"input {x.values} is outside the promise domain of {args.zoo}")
     if not 1 <= args.r <= args.n:
         return _usage_error(f"--r must lie in [1, {args.n}]")
+    if args.trials < 0:
+        return _usage_error("--trials must be >= 0")
     expected = entry.function.value(x)
 
     results: dict = {
@@ -108,7 +112,10 @@ def _cmd_compile_run(args) -> int:
         "r": args.r,
     }
     if args.exact:
-        results["exact_success"] = compiler.exact_success(entry.algorithm, x, expected, args.r)
+        try:
+            results["exact_success"] = compiler.exact_success(entry.algorithm, x, expected, args.r)
+        except ValueError as exc:  # enumeration over budget
+            return _usage_error(str(exc))
     if args.trials > 0:
         estimate = compiler.estimate_success(
             entry.algorithm, x, expected, args.r, args.trials, rng, jobs=args.jobs
@@ -204,12 +211,12 @@ def _check_gadget_exactness() -> None:
         g = core.IndexFunction(n, tuple(rng.integers(0, n, size=n)))
         cases.append((x, g))
     for x, g in cases:
-        comp = oracles.composed_oracle(oracles.standard_oracle(x), oracles.standard_oracle(g), 2)
+        comp = oracles.ComposedOracle(oracles.standard_oracle(x), oracles.standard_oracle(g), 2)
         expected = np.kron(oracles.standard_oracle(core.compose_input(x, g)).matrix(), np.eye(n))
         for i in range(n):
             for j in range(M):
                 state = statevector.basis_state(layout, (i, j, 0))
-                got = comp.apply(state, 0, 1).amplitudes
+                got = comp.apply_tensor(state, layout, 0, 1).reshape(-1)
                 col = int(np.ravel_multi_index((i, j, 0), layout.dims))
                 if np.max(np.abs(got - expected[:, col])) > statevector.EXACT_ATOL:
                     raise AssertionError(f"gadget mismatch at x={x.values}, g={g.values}")
@@ -219,9 +226,9 @@ def _check_gadget_counters() -> None:
     n, M = 4, 3
     x = core.InputString(n, M, (0, 1, 2, 0))
     g = core.IndexFunction(n, (1, 1, 3, 3))
-    comp = oracles.composed_oracle(oracles.standard_oracle(x), oracles.standard_oracle(g), 2)
-    state = statevector.new_basis_state(statevector.RegisterLayout((n, M, n)))
-    comp.apply(state, 0, 1)
+    comp = oracles.ComposedOracle(oracles.standard_oracle(x), oracles.standard_oracle(g), 2)
+    layout = statevector.RegisterLayout((n, M, n))
+    comp.apply_tensor(statevector.basis_state(layout), layout, 0, 1)
     if comp.query_counts != {"x_queries": 1, "g_queries": 2}:
         raise AssertionError(f"counters read {comp.query_counts}")
 
@@ -331,7 +338,7 @@ def _check_composed_counter_law() -> None:
     x = core.InputString(4, 2, (0, 1, 1, 0))
     g = core.IndexFunction(4, (1, 0, 3, 3))
     rewritten, anc = compiler.with_gadget_ancilla(compiler.amplify_majority3(entry.algorithm), 4)
-    comp = oracles.composed_oracle(oracles.standard_oracle(x), oracles.standard_oracle(g), anc)
+    comp = oracles.ComposedOracle(oracles.standard_oracle(x), oracles.standard_oracle(g), anc)
     statevector.run(rewritten, comp)
     if comp.query_counts != {"x_queries": 3, "g_queries": 6}:
         raise AssertionError(f"counter law broken: {comp.query_counts}")

@@ -32,7 +32,7 @@ from .distributions import (
     is_injective,
     sample_small_range,
 )
-from .oracles import classical_oracle, oracle_from_partial
+from .oracles import ClassicalOracle, oracle_from_partial
 from .statevector import QueryAlgorithm, RegisterLayout, run
 
 Z_95 = 1.959963984540054
@@ -57,6 +57,11 @@ def amplify_majority3(alg: QueryAlgorithm) -> QueryAlgorithm:
     if alg.repeats != 1:
         raise ValueError("algorithm is already amplified")
     return replace(alg, repeats=3)
+
+
+def _amplified(alg: QueryAlgorithm) -> QueryAlgorithm:
+    # build the amplified form once per run: every build revalidates all steps
+    return amplify_majority3(alg) if alg.repeats == 1 else alg
 
 
 def r_from_q(q: int, lambda_const) -> int:
@@ -125,11 +130,10 @@ def compiled_distribution(
 
     Amplifies internally unless the algorithm already is.
     """
-    reader = classical_oracle(x)
+    reader = ClassicalOracle(x.values)
     known = {i: reader.lookup(i) for i in sorted(image(index_map))}
     oracle = oracle_from_partial(known, index_map, value_dim=x.M)
-    amplified = amplify_majority3(alg) if alg.repeats == 1 else alg
-    return run(amplified, oracle), reader.queries
+    return run(_amplified(alg), oracle), reader.queries
 
 
 def compile_and_run_once(
@@ -214,6 +218,7 @@ def estimate_success(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    alg = _amplified(alg)
     seeds = [int(rng.integers(0, 2**63)) for _ in range(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -239,6 +244,7 @@ def exact_success(alg: QueryAlgorithm, x: InputString, expected_bit: int, r: int
     if not 1 <= r <= x.n:
         raise ValueError(f"r outside [1, {x.n}]: {r}")
     support = enumerate_small_range_support(SmallRangeParams(x.n, r))
+    alg = _amplified(alg)
     terms = []
     for index_map, weight in support.entries:
         dist, _ = compiled_distribution(alg, x, index_map)

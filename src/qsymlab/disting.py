@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .compiler import Z_95
 from .core import IndexFunction
 from .distributions import (
     SmallRangeParams,
@@ -28,8 +29,6 @@ from .distributions import (
 )
 from .oracles import standard_oracle
 from .statevector import QueryAlgorithm, run
-
-Z_95 = 1.959963984540054
 
 CSV_COLUMNS = ("n", "r", "method", "adv", "ci_low", "ci_high", "samples", "seed")
 

@@ -13,8 +13,10 @@ Three variants:
   by two g-queries and one x-query. The ancilla must enter in |0> and is
   checked to leave in |0>.
 
-Each oracle instance owns its query counters; share the underlying tables,
-not the instances.
+Quantum oracles act on amplitude tensors shaped like the register layout
+(`apply_tensor`); build them with `standard_oracle(table)` or the
+constructors directly. Each oracle instance owns its query counters; share
+the underlying tables, not the instances.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .core import IndexFunction, InputString
-from .statevector import EXACT_ATOL, RegisterLayout, State
+from .statevector import EXACT_ATOL, RegisterLayout, basis_state
 
 Table = Union[InputString, IndexFunction]
 
@@ -77,11 +79,6 @@ class StandardOracle:
         self.queries += 1
         sign = -1 if inverse else 1
         return _shift_along_value_axis(tensor, index_reg, value_reg, self._table, sign)
-
-    def apply(self, state: State, index_reg: int, value_reg: int, inverse: bool = False) -> State:
-        tensor = state.amplitudes.reshape(state.layout.dims)
-        out = self.apply_tensor(tensor, state.layout, index_reg, value_reg, inverse=inverse)
-        return State(state.layout, out.reshape(-1))
 
     def matrix(self) -> np.ndarray:
         """Permutation matrix on the (index, value) product space, index-major."""
@@ -160,11 +157,6 @@ class ComposedOracle:
             )
         return tensor
 
-    def apply(self, state: State, index_reg: int, value_reg: int) -> State:
-        tensor = state.amplitudes.reshape(state.layout.dims)
-        out = self.apply_tensor(tensor, state.layout, index_reg, value_reg)
-        return State(state.layout, out.reshape(-1))
-
 
 def standard_oracle(table: Table) -> StandardOracle:
     """Additive-shift oracle for an input table (values in [M]) or an index map."""
@@ -173,16 +165,6 @@ def standard_oracle(table: Table) -> StandardOracle:
     if isinstance(table, IndexFunction):
         return StandardOracle(table.values, table.n, table.n)
     raise TypeError(f"cannot build an oracle from {type(table)!r}")
-
-
-def classical_oracle(x: InputString) -> ClassicalOracle:
-    return ClassicalOracle(x.values)
-
-
-def composed_oracle(
-    x_oracle: StandardOracle, index_oracle: StandardOracle, ancilla: int
-) -> ComposedOracle:
-    return ComposedOracle(x_oracle, index_oracle, ancilla)
 
 
 def oracle_from_partial(
@@ -211,8 +193,7 @@ def oracle_full_matrix(oracle, layout: RegisterLayout, index_reg: int, value_reg
     dim = layout.total_dim
     out = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        tensor = np.zeros(layout.dims, dtype=complex)
-        tensor[np.unravel_index(col, layout.dims)] = 1.0
+        tensor = basis_state(layout, np.unravel_index(col, layout.dims))
         result = oracle.apply_tensor(tensor, layout, index_reg, value_reg)
         out[:, col] = result.reshape(-1)
     return out

@@ -8,6 +8,11 @@ output rule mapping measured basis outcomes of designated registers to a
 bit. Probabilities are computed exactly from the final state; nothing here
 samples.
 
+A state is a plain complex amplitude tensor shaped like the layout's dims,
+one axis per register; there is no separate state object. `apply_unitary`
+checks its matrix and targets on every call, while `run` skips those checks
+because `QueryAlgorithm` validates its steps once at construction.
+
 Amplified algorithms (repeats = 3) are executed as three independent passes
 whose single-bit outcomes are combined by majority at the harness level, so
 register count stays fixed while query accounting triples.
@@ -43,45 +48,14 @@ class RegisterLayout:
         return math.prod(self.dims)
 
 
-@dataclass(frozen=True, eq=False)
-class State:
-    """Normalized amplitude vector over a register layout."""
+def basis_state(layout: RegisterLayout, indices: tuple[int, ...] | None = None) -> np.ndarray:
+    """Amplitude tensor of the basis state with the given digit per register.
 
-    layout: RegisterLayout
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != self.layout.total_dim:
-            raise ValueError(
-                f"amplitude count {amps.size} does not match layout dimension "
-                f"{self.layout.total_dim}"
-            )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > VALIDITY_ATOL:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {VALIDITY_ATOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-def new_basis_state(layout: RegisterLayout) -> State:
-    """The all-zeros computational basis state."""
-    if layout.total_dim < 1:
-        raise ValueError("zero-dimensional layout")
-    amps = np.zeros(layout.total_dim, dtype=complex)
-    amps[0] = 1.0
-    return State(layout, amps)
-
-
-def basis_state(layout: RegisterLayout, indices: tuple[int, ...]) -> State:
-    """Basis state with the given digit per register."""
-    flat = int(np.ravel_multi_index(indices, layout.dims))
-    amps = np.zeros(layout.total_dim, dtype=complex)
-    amps[flat] = 1.0
-    return State(layout, amps)
+    Defaults to the all-zeros state every simulation starts from.
+    """
+    tensor = np.zeros(layout.dims, dtype=complex)
+    tensor.flat[0 if indices is None else np.ravel_multi_index(indices, layout.dims)] = 1.0
+    return tensor
 
 
 def require_unitary(matrix: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarray:
@@ -95,7 +69,10 @@ def require_unitary(matrix: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarr
     return matrix
 
 
-def _normalize_targets(targets: Union[int, tuple[int, ...]], n_regs: int) -> tuple[int, ...]:
+def _check_unitary_step(
+    dims: tuple[int, ...], matrix: np.ndarray, targets: Union[int, tuple[int, ...]]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Validated (matrix, targets) of a unitary acting on registers of the given dims."""
     if isinstance(targets, int):
         targets = (targets,)
     targets = tuple(int(t) for t in targets)
@@ -104,9 +81,16 @@ def _normalize_targets(targets: Union[int, tuple[int, ...]], n_regs: int) -> tup
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target registers: {targets}")
     for t in targets:
-        if not 0 <= t < n_regs:
-            raise ValueError(f"target register {t} outside layout of {n_regs} registers")
-    return targets
+        if not 0 <= t < len(dims):
+            raise ValueError(f"target register {t} outside layout of {len(dims)} registers")
+    matrix = np.asarray(matrix, dtype=complex)
+    side = math.prod(dims[t] for t in targets)
+    if matrix.shape != (side, side):
+        raise ValueError(
+            f"dimension mismatch: unitary on targets {targets} must have side {side}, "
+            f"got shape {matrix.shape}"
+        )
+    return require_unitary(matrix), targets
 
 
 def _apply_unitary_tensor(
@@ -121,19 +105,11 @@ def _apply_unitary_tensor(
 
 
 def apply_unitary(
-    state: State, matrix: np.ndarray, targets: Union[int, tuple[int, ...]]
-) -> State:
-    """Apply a dense unitary to the targeted registers, identity elsewhere."""
-    targets = _normalize_targets(targets, len(state.layout.dims))
-    matrix = require_unitary(matrix)
-    side = math.prod(state.layout.dims[t] for t in targets)
-    if matrix.shape != (side, side):
-        raise ValueError(
-            f"dimension mismatch: matrix side {matrix.shape[0]} but targets span {side}"
-        )
-    tensor = state.amplitudes.reshape(state.layout.dims)
-    out = _apply_unitary_tensor(tensor, matrix, targets)
-    return State(state.layout, out.reshape(-1))
+    tensor: np.ndarray, matrix: np.ndarray, targets: Union[int, tuple[int, ...]]
+) -> np.ndarray:
+    """Apply a dense unitary to the targeted registers of a tensor, identity elsewhere."""
+    matrix, targets = _check_unitary_step(tensor.shape, matrix, targets)
+    return _apply_unitary_tensor(tensor, matrix, targets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,14 +180,7 @@ class QueryAlgorithm:
         dims = self.layout.dims
         for step in self.steps:
             if isinstance(step, Unitary):
-                targets = _normalize_targets(step.targets, len(dims))
-                side = math.prod(dims[t] for t in targets)
-                if step.matrix.shape != (side, side):
-                    raise ValueError(
-                        f"unitary on targets {targets} must have side {side}, "
-                        f"got shape {step.matrix.shape}"
-                    )
-                require_unitary(step.matrix)
+                _check_unitary_step(dims, step.matrix, step.targets)
             elif isinstance(step, OracleCall):
                 if step.index_reg == step.value_reg:
                     raise ValueError("oracle call needs two distinct registers")
@@ -247,9 +216,7 @@ def _output_probability_one(tensor: np.ndarray, rule: OutputRule) -> float:
 
 
 def _simulate_once(alg: QueryAlgorithm, oracle) -> float:
-    dims = alg.layout.dims
-    tensor = np.zeros(dims, dtype=complex)
-    tensor[(0,) * len(dims)] = 1.0
+    tensor = basis_state(alg.layout)
     for step in alg.steps:
         if isinstance(step, OracleCall):
             if oracle is None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -201,48 +202,49 @@ def zero_query_probe(n: int) -> Distinguisher:
     return Distinguisher("zero-query", alg)
 
 
-ZOO_IDS = ("dj", "grover", "const0", "const1")
-DISTINGUISHER_IDS = ("collision-sniffer", "zero-query")
+class _CatalogRow(NamedTuple):
+    kind: str
+    constraints: str
+    queries: str
+    build: Callable  # (n, iterations) -> ZooEntry or Distinguisher
+
+
+# the one registry: builders, id tuples and the catalog listing derive from it
+_CATALOG = {
+    "dj": _CatalogRow("decision", "n power of two, M = 2", "1", lambda n, k: deutsch_jozsa(n)),
+    "grover": _CatalogRow(
+        "decision",
+        "n power of two, M = 2",
+        "iterations + 1",
+        lambda n, k: grover_unique_or(n, optimal_grover_iterations(n) if k is None else k),
+    ),
+    "const0": _CatalogRow("decision", "any n, M = 2", "0", lambda n, k: constant_function(0, n=n)),
+    "const1": _CatalogRow("decision", "any n, M = 2", "0", lambda n, k: constant_function(1, n=n)),
+    "collision-sniffer": _CatalogRow(
+        "distinguisher", "n >= 2", "1", lambda n, k: collision_sniffer(n)
+    ),
+    "zero-query": _CatalogRow("distinguisher", "n >= 1", "0", lambda n, k: zero_query_probe(n)),
+}
+
+ZOO_IDS = tuple(i for i, row in _CATALOG.items() if row.kind == "decision")
+DISTINGUISHER_IDS = tuple(i for i, row in _CATALOG.items() if row.kind == "distinguisher")
 
 
 def build_zoo_entry(zoo_id: str, n: int, iterations: int | None = None) -> ZooEntry:
-    if zoo_id == "dj":
-        return deutsch_jozsa(n)
-    if zoo_id == "grover":
-        k = optimal_grover_iterations(n) if iterations is None else iterations
-        return grover_unique_or(n, k)
-    if zoo_id == "const0":
-        return constant_function(0, n=n)
-    if zoo_id == "const1":
-        return constant_function(1, n=n)
-    raise ValueError(f"unknown zoo id {zoo_id!r}; known: {', '.join(ZOO_IDS)}")
+    if zoo_id not in ZOO_IDS:
+        raise ValueError(f"unknown zoo id {zoo_id!r}; known: {', '.join(ZOO_IDS)}")
+    return _CATALOG[zoo_id].build(n, iterations)
 
 
 def build_distinguisher(algo_id: str, n: int) -> Distinguisher:
-    if algo_id == "collision-sniffer":
-        return collision_sniffer(n)
-    if algo_id == "zero-query":
-        return zero_query_probe(n)
-    raise ValueError(f"unknown distinguisher {algo_id!r}; known: {', '.join(DISTINGUISHER_IDS)}")
+    if algo_id not in DISTINGUISHER_IDS:
+        raise ValueError(f"unknown distinguisher {algo_id!r}; known: {', '.join(DISTINGUISHER_IDS)}")
+    return _CATALOG[algo_id].build(n, None)
 
 
 def zoo_catalog() -> list[dict]:
     """Rows for the catalog listing: id, kind, constraints, query count."""
     return [
-        {"id": "dj", "kind": "decision", "constraints": "n power of two, M = 2", "queries": "1"},
-        {
-            "id": "grover",
-            "kind": "decision",
-            "constraints": "n power of two, M = 2",
-            "queries": "iterations + 1",
-        },
-        {"id": "const0", "kind": "decision", "constraints": "any n, M = 2", "queries": "0"},
-        {"id": "const1", "kind": "decision", "constraints": "any n, M = 2", "queries": "0"},
-        {
-            "id": "collision-sniffer",
-            "kind": "distinguisher",
-            "constraints": "n >= 2",
-            "queries": "1",
-        },
-        {"id": "zero-query", "kind": "distinguisher", "constraints": "n >= 1", "queries": "0"},
+        {"id": i, "kind": row.kind, "constraints": row.constraints, "queries": row.queries}
+        for i, row in _CATALOG.items()
     ]

@@ -85,6 +85,53 @@ class TestCompileRun:
         )
         assert code == 2
 
+    def test_exact_over_budget_is_usage_error(self, capsys):
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "8",
+                "--input", "balanced",
+                "--r", "8",
+                "--exact",
+                "--trials", "0",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err
+        assert len(err.splitlines()) == 1
+
+    def test_negative_one_hot_index_rejected(self, capsys):
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "grover",
+                "--n", "4",
+                "--input", "one-hot:-1",
+                "--r", "2",
+                "--trials", "3",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: one-hot index -1 outside [0, 4)\n"
+
+    def test_negative_trials_rejected(self, capsys):
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "grover",
+                "--n", "4",
+                "--input", "one-hot:1",
+                "--r", "2",
+                "--trials", "-5",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --trials must be >= 0\n"
+        assert captured.out == ""
+
     def test_reproducible_payload(self, tmp_path):
         args = [
             "compile-run",
@@ -255,6 +302,17 @@ class TestZooListing:
         out = capsys.readouterr().out
         for zoo_id in ("dj", "grover", "const0", "const1", "collision-sniffer", "zero-query"):
             assert zoo_id in out
+
+    def test_listing_bytes(self, capsys):
+        assert cli.main(["zoo", "list"]) == 0
+        assert capsys.readouterr().out == (
+            "dj                 decision       queries: 1                 n power of two, M = 2\n"
+            "grover             decision       queries: iterations + 1    n power of two, M = 2\n"
+            "const0             decision       queries: 0                 any n, M = 2\n"
+            "const1             decision       queries: 0                 any n, M = 2\n"
+            "collision-sniffer  distinguisher  queries: 1                 n >= 2\n"
+            "zero-query         distinguisher  queries: 0                 n >= 1\n"
+        )
 
     def test_stdout_report_when_no_out(self, capsys):
         code = cli.main(

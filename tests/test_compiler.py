@@ -16,7 +16,7 @@ from qsymlab.compiler import (
     with_gadget_ancilla,
 )
 from qsymlab.core import IndexFunction, InputString, compose_input, image
-from qsymlab.oracles import composed_oracle, standard_oracle
+from qsymlab.oracles import ComposedOracle, standard_oracle
 from qsymlab.statevector import (
     OutputRule,
     QueryAlgorithm,
@@ -257,7 +257,7 @@ class TestGadgetRewrite:
         g = IndexFunction(4, (1, 0, 3, 3))
         rewritten, anc = with_gadget_ancilla(entry.algorithm, 4)
         assert anc == 2
-        comp = composed_oracle(standard_oracle(x), standard_oracle(g), anc)
+        comp = ComposedOracle(standard_oracle(x), standard_oracle(g), anc)
         via_gadget = run(rewritten, comp)
         direct = run(entry.algorithm, standard_oracle(compose_input(x, g)))
         assert via_gadget[1] == pytest.approx(direct[1], abs=1e-12)
@@ -267,7 +267,7 @@ class TestGadgetRewrite:
         x = InputString(4, 2, (0, 1, 1, 0))
         g = IndexFunction(4, (2, 2, 1, 0))
         rewritten, anc = with_gadget_ancilla(amplify_majority3(entry.algorithm), 4)
-        comp = composed_oracle(standard_oracle(x), standard_oracle(g), anc)
+        comp = ComposedOracle(standard_oracle(x), standard_oracle(g), anc)
         run(rewritten, comp)
         assert comp.query_counts == {"x_queries": 3, "g_queries": 6}
 

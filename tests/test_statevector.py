@@ -10,13 +10,11 @@ from qsymlab.statevector import (
     OutputRule,
     QueryAlgorithm,
     RegisterLayout,
-    State,
     Unitary,
     algorithm_from_json,
     algorithm_to_json,
     apply_unitary,
     basis_state,
-    new_basis_state,
     query_count,
     run,
 )
@@ -32,42 +30,38 @@ def haar_unitary(dim, seed):
 
 class TestStates:
     def test_single_register(self):
-        state = new_basis_state(RegisterLayout((2,)))
-        assert np.allclose(state.amplitudes, [1, 0])
+        state = basis_state(RegisterLayout((2,)))
+        assert np.allclose(state, [1, 0])
 
     def test_mixed_dims(self):
-        state = new_basis_state(RegisterLayout((2, 3)))
-        assert state.amplitudes.shape == (6,)
-        assert state.amplitudes[0] == 1
+        state = basis_state(RegisterLayout((2, 3)))
+        assert state.shape == (2, 3)
+        assert state[0, 0] == 1
 
     def test_dim_four(self):
-        assert np.allclose(new_basis_state(RegisterLayout((4,))).amplitudes, [1, 0, 0, 0])
+        assert np.allclose(basis_state(RegisterLayout((4,))), [1, 0, 0, 0])
 
     def test_empty_layout_rejected(self):
         with pytest.raises(ValueError):
             RegisterLayout(())
 
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError, match="norm"):
-            State(RegisterLayout((2,)), np.array([1.0, 1.0]))
-
 
 class TestApplyUnitary:
     def test_hadamard_analog(self):
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        out = apply_unitary(new_basis_state(RegisterLayout((2,))), h, 0)
-        assert np.allclose(out.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+        out = apply_unitary(basis_state(RegisterLayout((2,))), h, 0)
+        assert np.allclose(out, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
     def test_identity(self):
-        state = apply_unitary(new_basis_state(RegisterLayout((3, 2))), fourier_matrix(3), 0)
+        state = apply_unitary(basis_state(RegisterLayout((3, 2))), fourier_matrix(3), 0)
         same = apply_unitary(state, np.eye(2), 1)
-        assert np.allclose(same.amplitudes, state.amplitudes)
+        assert np.allclose(same, state)
 
     def test_unitary_then_adjoint_restores(self):
         u = haar_unitary(6, 9)
-        state = apply_unitary(new_basis_state(RegisterLayout((6,))), fourier_matrix(6), 0)
+        state = apply_unitary(basis_state(RegisterLayout((6,))), fourier_matrix(6), 0)
         round_trip = apply_unitary(apply_unitary(state, u, 0), u.conj().T, 0)
-        assert np.max(np.abs(round_trip.amplitudes - state.amplitudes)) <= 1e-12
+        assert np.max(np.abs(round_trip - state)) <= 1e-12
 
     def test_two_register_target_matches_kron_embedding(self):
         u = haar_unitary(6, 3)
@@ -75,20 +69,20 @@ class TestApplyUnitary:
         full = np.kron(u, np.eye(2))
         for col in range(layout.total_dim):
             start = basis_state(layout, np.unravel_index(col, layout.dims))
-            got = apply_unitary(start, u, (0, 1)).amplitudes
+            got = apply_unitary(start, u, (0, 1)).reshape(-1)
             assert np.allclose(got, full[:, col], atol=1e-12)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            apply_unitary(new_basis_state(RegisterLayout((2,))), np.array([[1, 0], [1, 1]]), 0)
+            apply_unitary(basis_state(RegisterLayout((2,))), np.array([[1, 0], [1, 1]]), 0)
 
     def test_rejects_wrong_side(self):
         with pytest.raises(ValueError, match="mismatch"):
-            apply_unitary(new_basis_state(RegisterLayout((3,))), np.eye(2), 0)
+            apply_unitary(basis_state(RegisterLayout((3,))), np.eye(2), 0)
 
     def test_rejects_duplicate_targets(self):
         with pytest.raises(ValueError, match="duplicate"):
-            apply_unitary(new_basis_state(RegisterLayout((2, 2))), np.eye(4), (0, 0))
+            apply_unitary(basis_state(RegisterLayout((2, 2))), np.eye(4), (0, 0))
 
 
 def constant_alg(bit):
