@@ -13,6 +13,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -101,6 +102,8 @@ def _cmd_compile_run(args) -> int:
         return _usage_error(f"--r must lie in [1, {args.n}]")
     if args.trials < 0:
         return _usage_error("--trials must be >= 0")
+    if args.jobs < 1:
+        return _usage_error("--jobs must be >= 1")
     expected = entry.function.value(x)
 
     results: dict = {
@@ -354,6 +357,71 @@ def _check_oracle_is_permutation() -> None:
             raise AssertionError(f"oracle for {values} is not a basis permutation")
 
 
+def _dense_embedding(
+    dims: tuple[int, ...], matrix: np.ndarray, targets: tuple[int, ...]
+) -> np.ndarray:
+    """Full-space matrix of `matrix` on the targeted registers, entry by entry."""
+    tdims = tuple(dims[t] for t in targets)
+    basis = list(itertools.product(*(range(d) for d in dims)))
+    full = np.zeros((len(basis), len(basis)), dtype=complex)
+    for col, c in enumerate(basis):
+        for row, r in enumerate(basis):
+            if all(r[a] == c[a] for a in range(len(dims)) if a not in targets):
+                full[row, col] = matrix[
+                    np.ravel_multi_index(tuple(r[t] for t in targets), tdims),
+                    np.ravel_multi_index(tuple(c[t] for t in targets), tdims),
+                ]
+    return full
+
+
+def _check_kernel_dense_reference() -> None:
+    rng = np.random.default_rng(13)
+    dims = (3, 3, 2, 3)
+    layout = statevector.RegisterLayout(dims)
+
+    def random_unitary(targets):
+        side = math.prod(dims[t] for t in targets)
+        z = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        return statevector.Unitary(np.linalg.qr(z)[0], targets)
+
+    # one 3x3 oracle on three register pairs: value before and after index,
+    # and one index register feeding two value registers
+    steps = (
+        random_unitary((3, 0)),
+        random_unitary((2,)),
+        statevector.OracleCall(3, 0),
+        random_unitary((3, 2, 1)),
+        statevector.OracleCall(3, 1),
+        random_unitary((1, 0)),
+        statevector.OracleCall(0, 3),
+        random_unitary((2, 3)),
+    )
+    table = (2, 0, 1)
+    ones = frozenset({(0, 1), (1, 2), (2, 0), (2, 2)})
+    alg = statevector.QueryAlgorithm(layout, steps, statevector.OutputRule((3, 1), ones))
+
+    expected = statevector.basis_state(layout).reshape(-1)
+    tensor = statevector.basis_state(layout)
+    oracle = oracles.StandardOracle(table, 3, 3)
+    for step in steps:
+        if isinstance(step, statevector.OracleCall):
+            targets = (step.index_reg, step.value_reg)
+            full = _dense_embedding(dims, oracle.matrix(), targets)
+            tensor = oracle.apply_tensor(tensor, layout, *targets)
+        else:
+            targets = step.targets
+            full = _dense_embedding(dims, step.matrix, targets)
+            tensor = statevector.apply_unitary(tensor, step.matrix, targets)
+        expected = full @ expected
+        if np.max(np.abs(tensor.reshape(-1) - expected)) > statevector.EXACT_ATOL:
+            raise AssertionError(f"step on registers {targets} deviates from the dense matrix")
+    probs = np.abs(expected.reshape(dims)) ** 2
+    p_one = sum(probs[:, b, :, a].sum() for a, b in ones)
+    got = statevector.run(alg, oracles.StandardOracle(table, 3, 3))[1]
+    if abs(got - p_one) > statevector.EXACT_ATOL:
+        raise AssertionError(f"run gives {got}, dense reference {p_one}")
+
+
 VERIFY_CHECKS = (
     ("gadget exactness (n=4, M=3)", _check_gadget_exactness),
     ("gadget counters x:1 g:2 per call", _check_gadget_counters),
@@ -367,6 +435,7 @@ VERIFY_CHECKS = (
     ("compiled constant-input success 1", _check_compiled_constant_success),
     ("composed counter law x:3q g:6q", _check_composed_counter_law),
     ("standard oracle is a basis permutation", _check_oracle_is_permutation),
+    ("simulator kernel equals dense reference (mixed dims, unsorted targets)", _check_kernel_dense_reference),
 )
 
 

@@ -4,7 +4,10 @@ Three variants:
 
 * StandardOracle: the additive-shift unitary |i>|j> -> |i>|j + t(i) mod d>
   for a table t. Its inverse is the same oracle with subtraction, so every
-  application stays an exact permutation of the computational basis.
+  application stays an exact permutation of the computational basis. That
+  permutation is computed once per tensor shape, register pair and
+  direction, as a flat source-index array the oracle keeps; each call is
+  then one gather from the flattened tensor.
 * ClassicalOracle: a counted plain lookup i -> t(i).
 * ComposedOracle: the three-call gadget realizing the oracle of x composed
   with an index map g out of the oracles for x and g. One composed call
@@ -57,6 +60,8 @@ class StandardOracle:
         self.value_dim = int(value_dim)
         self.queries = 0
         self._table = np.array(values, dtype=np.intp)
+        # (shape, index_reg, value_reg, inverse) -> flat source index of each amplitude
+        self._sources: dict[tuple, np.ndarray] = {}
 
     def _check_arity(self, layout: RegisterLayout, index_reg: int, value_reg: int) -> None:
         if index_reg == value_reg:
@@ -77,8 +82,15 @@ class StandardOracle:
     ) -> np.ndarray:
         self._check_arity(layout, index_reg, value_reg)
         self.queries += 1
-        sign = -1 if inverse else 1
-        return _shift_along_value_axis(tensor, index_reg, value_reg, self._table, sign)
+        key = (tensor.shape, index_reg, value_reg, inverse)
+        source = self._sources.get(key)
+        if source is None:
+            # shifting the flat positions themselves gives each amplitude's source
+            positions = np.arange(tensor.size).reshape(tensor.shape)
+            sign = -1 if inverse else 1
+            shifted = _shift_along_value_axis(positions, index_reg, value_reg, self._table, sign)
+            source = self._sources[key] = np.ascontiguousarray(shifted).reshape(-1)
+        return tensor.reshape(-1)[source].reshape(tensor.shape)
 
     def matrix(self) -> np.ndarray:
         """Permutation matrix on the (index, value) product space, index-major."""

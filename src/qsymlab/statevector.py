@@ -9,9 +9,14 @@ bit. Probabilities are computed exactly from the final state; nothing here
 samples.
 
 A state is a plain complex amplitude tensor shaped like the layout's dims,
-one axis per register; there is no separate state object. `apply_unitary`
-checks its matrix and targets on every call, while `run` skips those checks
-because `QueryAlgorithm` validates its steps once at construction.
+one axis per register; there is no separate state object. One kernel
+applies every dense step: transpose the targets to the front, multiply the
+matrix into the `(side, -1)` reshaped tensor, and transpose back. The axis
+plan it follows (transpose order, result shape, inverse order) depends only
+on the dims and the targets. `QueryAlgorithm` validates its steps and builds
+their plans, and the output rule's axis order, once at construction, so
+`run` does no per-call axis bookkeeping. `apply_unitary` checks its matrix
+and targets and builds a plan on every call.
 
 Amplified algorithms (repeats = 3) are executed as three independent passes
 whose single-bit outcomes are combined by majority at the harness level, so
@@ -21,7 +26,7 @@ register count stays fixed while query accounting triples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 import numpy as np
@@ -93,15 +98,26 @@ def _check_unitary_step(
     return require_unitary(matrix), targets
 
 
-def _apply_unitary_tensor(
-    tensor: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]
-) -> np.ndarray:
-    dims = tensor.shape
-    tdims = tuple(dims[t] for t in targets)
-    k = len(targets)
-    reshaped = matrix.reshape(tdims + tdims)
-    moved = np.tensordot(reshaped, tensor, axes=(tuple(range(k, 2 * k)), targets))
-    return np.moveaxis(moved, tuple(range(k)), targets)
+AxisPlan = tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]
+
+
+def _axis_plan(dims: tuple[int, ...], targets: tuple[int, ...]) -> AxisPlan:
+    """(order, side, shape, inverse) of a unitary on the targeted registers.
+
+    `order` puts the targets first, in the given order, so the matrix's row
+    index runs row-major over the target digits; `shape` is the tensor's
+    shape in that order and `inverse` undoes the transpose.
+    """
+    order = targets + tuple(a for a in range(len(dims)) if a not in targets)
+    side = math.prod(dims[t] for t in targets)
+    inverse = tuple(order.index(a) for a in range(len(dims)))
+    return order, side, tuple(dims[a] for a in order), inverse
+
+
+def _contract(tensor: np.ndarray, matrix: np.ndarray, plan: AxisPlan) -> np.ndarray:
+    order, side, shape, inverse = plan
+    flat = tensor.transpose(order).reshape(side, -1)
+    return np.dot(matrix, flat).reshape(shape).transpose(inverse)
 
 
 def apply_unitary(
@@ -109,7 +125,7 @@ def apply_unitary(
 ) -> np.ndarray:
     """Apply a dense unitary to the targeted registers of a tensor, identity elsewhere."""
     matrix, targets = _check_unitary_step(tensor.shape, matrix, targets)
-    return _apply_unitary_tensor(tensor, matrix, targets)
+    return _contract(tensor, matrix, _axis_plan(tensor.shape, targets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,21 +188,28 @@ class QueryAlgorithm:
     steps: tuple[Step, ...]
     output_rule: OutputRule
     repeats: int = 1
+    # per step: its axis plan for a Unitary, None for an OracleCall
+    _plans: tuple[Union[AxisPlan, None], ...] = field(init=False, repr=False)
+    # output registers first, then the rest, and the axes to sum away
+    _output_axes: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
         if self.repeats not in (1, 3):
             raise ValueError(f"repeats must be 1 or 3, got {self.repeats}")
         dims = self.layout.dims
+        plans = []
         for step in self.steps:
             if isinstance(step, Unitary):
                 _check_unitary_step(dims, step.matrix, step.targets)
+                plans.append(_axis_plan(dims, step.targets))
             elif isinstance(step, OracleCall):
                 if step.index_reg == step.value_reg:
                     raise ValueError("oracle call needs two distinct registers")
                 for reg in (step.index_reg, step.value_reg):
                     if not 0 <= reg < len(dims):
                         raise ValueError(f"oracle call register {reg} outside layout")
+                plans.append(None)
             else:
                 raise TypeError(f"unknown step type {type(step)!r}")
         for reg in self.output_rule.registers:
@@ -196,6 +219,10 @@ class QueryAlgorithm:
             for reg, v in zip(self.output_rule.registers, outcome):
                 if not 0 <= v < dims[reg]:
                     raise ValueError(f"outcome digit {v} outside register {reg}")
+        registers = self.output_rule.registers
+        order = registers + tuple(a for a in range(len(dims)) if a not in registers)
+        object.__setattr__(self, "_plans", tuple(plans))
+        object.__setattr__(self, "_output_axes", (order, tuple(range(len(registers), len(dims)))))
 
 
 def query_count(alg: QueryAlgorithm) -> int:
@@ -203,31 +230,30 @@ def query_count(alg: QueryAlgorithm) -> int:
     return alg.repeats * sum(1 for s in alg.steps if isinstance(s, OracleCall))
 
 
-def _output_probability_one(tensor: np.ndarray, rule: OutputRule) -> float:
-    probs = np.abs(tensor) ** 2
-    k = len(rule.registers)
-    moved = np.moveaxis(probs, rule.registers, tuple(range(k)))
-    marginal = moved.sum(axis=tuple(range(k, probs.ndim)))
+def _output_probability_one(tensor: np.ndarray, alg: QueryAlgorithm) -> float:
+    order, summed = alg._output_axes
+    marginal = (np.abs(tensor) ** 2).transpose(order).sum(axis=summed)
     total = float(marginal.sum())
     if abs(total - 1.0) > VALIDITY_ATOL:
         raise RuntimeError(f"output distribution sums to {total}, not 1")
-    p_one = float(math.fsum(float(marginal[o]) for o in rule.ones))
-    return p_one
+    p_one = float(math.fsum(float(marginal[o]) for o in alg.output_rule.ones))
+    # rounding can carry a Born probability an ulp outside [0, 1]
+    return min(max(p_one, 0.0), 1.0)
 
 
 def _simulate_once(alg: QueryAlgorithm, oracle) -> float:
     tensor = basis_state(alg.layout)
-    for step in alg.steps:
-        if isinstance(step, OracleCall):
+    for step, plan in zip(alg.steps, alg._plans):
+        if plan is None:
             if oracle is None:
                 raise ValueError("algorithm performs oracle calls but no oracle was given")
             tensor = oracle.apply_tensor(tensor, alg.layout, step.index_reg, step.value_reg)
         else:
-            tensor = _apply_unitary_tensor(tensor, step.matrix, step.targets)
-        norm = np.linalg.norm(tensor.ravel())
+            tensor = _contract(tensor, step.matrix, plan)
+        norm = math.sqrt(np.vdot(tensor, tensor).real)
         if abs(norm - 1.0) > VALIDITY_ATOL:
             raise RuntimeError(f"state norm drifted to {norm}")
-    return _output_probability_one(tensor, alg.output_rule)
+    return _output_probability_one(tensor, alg)
 
 
 def run(alg: QueryAlgorithm, oracle=None) -> dict[int, float]:

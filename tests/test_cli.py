@@ -132,6 +132,24 @@ class TestCompileRun:
         assert captured.err == "error: --trials must be >= 0\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "4",
+                "--input", "balanced",
+                "--r", "2",
+                "--trials", "3",
+                "--jobs", jobs,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --jobs must be >= 1\n"
+        assert captured.out == ""
+
     def test_reproducible_payload(self, tmp_path):
         args = [
             "compile-run",
@@ -231,6 +249,16 @@ class TestDistinguish:
         sampled = read_report(mc_out)["results"]["reports"][0]
         se = (sampled["ci_high"] - sampled["ci_low"]) / (2 * 1.959963984540054)
         assert abs(sampled["advantage"] - exact["advantage"]) <= max(4 * se, 1e-12)
+
+    def test_constant_map_probabilities_stay_in_unit_interval(self, capsys):
+        # r = 1 makes every small-range map constant; rounding once put the
+        # sniffer's Born probability an ulp above 1
+        code = cli.main(
+            ["distinguish", "--algo", "collision-sniffer", "--n", "3", "--r-list", "1", "--exact"]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)["results"]["reports"][0]
+        assert report["smallrange_prob"] == {"0": 0.0, "1": 1.0}
 
     def test_csv_emitted(self, tmp_path):
         csv_path = tmp_path / "curve.csv"

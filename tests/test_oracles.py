@@ -96,6 +96,20 @@ class TestStandardOracle:
         embedded = apply_unitary(tensor, oracle.matrix(), (index_reg, value_reg))
         assert np.max(np.abs(got - embedded)) <= 1e-12
 
+    def test_one_oracle_on_several_register_pairs(self):
+        layout = RegisterLayout((3, 4, 4))
+        rng = np.random.default_rng(4)
+        tensor = rng.normal(size=layout.dims) + 1j * rng.normal(size=layout.dims)
+        oracle = StandardOracle((1, 3, 2), 3, 4)
+        for value_reg, inverse in ((1, False), (2, False), (1, True)):
+            got = oracle.apply_tensor(tensor, layout, 0, value_reg, inverse=inverse)
+            fresh = StandardOracle((1, 3, 2), 3, 4).apply_tensor(
+                tensor, layout, 0, value_reg, inverse=inverse
+            )
+            assert np.array_equal(got, fresh)
+            tensor = got
+        assert oracle.queries == 3
+
 
 class TestClassicalOracle:
     def test_lookup_and_count(self):

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsymlab.core import InputString
-from qsymlab.oracles import standard_oracle
+from qsymlab.core import IndexFunction, InputString
+from qsymlab.oracles import StandardOracle, standard_oracle
 from qsymlab.statevector import (
     OracleCall,
     OutputRule,
@@ -18,7 +20,7 @@ from qsymlab.statevector import (
     query_count,
     run,
 )
-from qsymlab.zoo import deutsch_jozsa, fourier_matrix, grover_unique_or
+from qsymlab.zoo import collision_sniffer, deutsch_jozsa, fourier_matrix, grover_unique_or
 
 
 def haar_unitary(dim, seed):
@@ -135,6 +137,100 @@ class TestRun:
         entry = deutsch_jozsa(4)
         with pytest.raises(ValueError, match="arity"):
             run(entry.algorithm, standard_oracle(InputString(4, 3, (0, 1, 2, 0))))
+
+    @pytest.mark.parametrize("value", [0, 1, 2])
+    def test_born_probabilities_stay_in_unit_interval(self, value):
+        # a constant map collides everywhere, so the sniffer outputs 1 with
+        # certainty; rounding once carried p_one an ulp above 1
+        dist = run(collision_sniffer(3).algorithm, standard_oracle(IndexFunction(3, (value,) * 3)))
+        assert 0.0 <= dist[0] <= 1.0 and 0.0 <= dist[1] <= 1.0
+        assert dist[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def full_space_matrix(dims, matrix, targets):
+    """Matrix on the whole layout of `matrix` acting on the targets, entry by entry."""
+    basis = list(itertools.product(*(range(d) for d in dims)))
+    tdims = [dims[t] for t in targets]
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for col, c in enumerate(basis):
+        for row, r in enumerate(basis):
+            if all(r[a] == c[a] for a in range(len(dims)) if a not in targets):
+                out[row, col] = matrix[
+                    np.ravel_multi_index([r[t] for t in targets], tdims),
+                    np.ravel_multi_index([c[t] for t in targets], tdims),
+                ]
+    return out
+
+
+def full_space_oracle(dims, table, index_reg, value_reg):
+    """Permutation matrix of |i>|j> -> |i>|j + t(i) mod d> on the whole layout."""
+    basis = list(itertools.product(*(range(d) for d in dims)))
+    out = np.zeros((len(basis), len(basis)))
+    for col, c in enumerate(basis):
+        r = list(c)
+        r[value_reg] = (c[value_reg] + table[c[index_reg]]) % dims[value_reg]
+        out[np.ravel_multi_index(r, dims), col] = 1.0
+    return out
+
+
+class TestKernelAgainstDenseReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_run_and_apply_unitary_match_full_space_matrices(self, data):
+        k = data.draw(st.integers(1, 4), label="registers")
+        dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k), label="dims"))
+        layout = RegisterLayout(dims)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # one oracle fitted to a register pair, callable on every pair of the same dims
+        pairs, oracle_args = [], None
+        if k >= 2:
+            i, v = data.draw(st.permutations(range(k)).map(lambda p: p[:2]), label="oracle (i, v)")
+            n, d = dims[i], dims[v]
+            table = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+            oracle_args = (table, n, d)
+            pairs = [
+                p for p in itertools.permutations(range(k), 2) if (dims[p[0]], dims[p[1]]) == (n, d)
+            ]
+        steps, fulls = [], []
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            if pairs and data.draw(st.booleans(), label="oracle call"):
+                i, v = data.draw(st.sampled_from(pairs), label="oracle pair")
+                steps.append(OracleCall(i, v))
+                fulls.append(full_space_oracle(dims, oracle_args[0], i, v))
+            else:
+                size = data.draw(st.integers(1, k), label="target count")
+                targets = tuple(data.draw(st.permutations(range(k)), label="targets")[:size])
+                side = int(np.prod([dims[t] for t in targets]))
+                z = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+                matrix = np.linalg.qr(z)[0]
+                steps.append(Unitary(matrix, targets))
+                fulls.append(full_space_matrix(dims, matrix, targets))
+
+        tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+        expected = tensor.reshape(-1)
+        oracle = StandardOracle(*oracle_args) if oracle_args else None
+        for step, full in zip(steps, fulls):
+            if isinstance(step, OracleCall):
+                tensor = oracle.apply_tensor(tensor, layout, step.index_reg, step.value_reg)
+            else:
+                tensor = apply_unitary(tensor, step.matrix, step.targets)
+            expected = full @ expected
+            assert np.max(np.abs(tensor.reshape(-1) - expected)) <= 1e-12
+
+        size = data.draw(st.integers(1, k), label="output count")
+        out_regs = tuple(data.draw(st.permutations(range(k)), label="output registers")[:size])
+        outcomes = list(itertools.product(*(range(dims[r]) for r in out_regs)))
+        ones = data.draw(st.frozensets(st.sampled_from(outcomes)), label="ones")
+        alg = QueryAlgorithm(layout, tuple(steps), OutputRule(out_regs, ones))
+        final = basis_state(layout).reshape(-1)
+        for full in fulls:
+            final = full @ final
+        basis = itertools.product(*(range(d) for d in dims))
+        p_one = sum(
+            abs(a) ** 2 for b, a in zip(basis, final) if tuple(b[r] for r in out_regs) in ones
+        )
+        oracle = StandardOracle(*oracle_args) if oracle_args else None
+        assert abs(run(alg, oracle)[1] - p_one) <= 1e-12
 
 
 class TestQueryCount:
