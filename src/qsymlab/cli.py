@@ -133,14 +133,6 @@ def _cmd_compile_run(args) -> int:
         }
         if args.trials <= MAX_EMBEDDED_TRIALS:
             results["trials_detail"] = [t.to_json() for t in estimate.results]
-        if args.csv:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("trial", "output_bit", "classical_queries", "c_injective", "seed"))
-                for idx, t in enumerate(estimate.results):
-                    writer.writerow(
-                        (idx, t.output_bit, t.classical_queries_used, int(t.C_was_injective), t.seed)
-                    )
     params = {
         "zoo": args.zoo,
         "n": args.n,
@@ -151,7 +143,18 @@ def _cmd_compile_run(args) -> int:
         "jobs": args.jobs,
         "iterations": args.iterations,
     }
-    _emit_report(ExperimentReport("compile-run", params, args.seed, results), args.out)
+    try:
+        if args.csv and args.trials > 0:
+            with open(args.csv, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(("trial", "output_bit", "classical_queries", "c_injective", "seed"))
+                for idx, t in enumerate(estimate.results):
+                    writer.writerow(
+                        (idx, t.output_bit, t.classical_queries_used, int(t.C_was_injective), t.seed)
+                    )
+        _emit_report(ExperimentReport("compile-run", params, args.seed, results), args.out)
+    except OSError as exc:
+        return _usage_error(f"cannot write {exc.filename}: {exc.strerror}")
     return 0
 
 
@@ -182,9 +185,12 @@ def _cmd_distinguish(args) -> int:
         "samples": args.samples,
         "exact": args.exact,
     }
-    _emit_report(ExperimentReport("distinguish", params, args.seed, results), args.out)
-    if args.csv:
-        disting.write_csv(reports, args.csv)
+    try:
+        if args.csv:
+            disting.write_csv(reports, args.csv)
+        _emit_report(ExperimentReport("distinguish", params, args.seed, results), args.out)
+    except OSError as exc:
+        return _usage_error(f"cannot write {exc.filename}: {exc.strerror}")
     return 0
 
 

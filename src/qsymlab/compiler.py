@@ -33,19 +33,9 @@ from .distributions import (
     sample_small_range,
 )
 from .oracles import ClassicalOracle, oracle_from_partial
-from .statevector import QueryAlgorithm, RegisterLayout, run
+from .statevector import QueryAlgorithm, RegisterLayout, majority3_prob, run  # noqa: F401 - re-export
 
 Z_95 = 1.959963984540054
-
-
-def majority3_prob(p):
-    """Probability that the majority of three independent p-biased bits is 1.
-
-    Exact for Fraction inputs, float otherwise.
-    """
-    if not 0 <= p <= 1:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return p**3 + 3 * p**2 * (1 - p)
 
 
 def amplify_majority3(alg: QueryAlgorithm) -> QueryAlgorithm:

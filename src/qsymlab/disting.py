@@ -107,12 +107,13 @@ def advantage_exact(
     budget = enumeration_budget()
     if math.factorial(n) > budget:
         raise ValueError(f"enumerating {n}! permutations exceeds budget {budget}")
+    # built first so an over-budget support fails before any simulation
+    support = enumerate_small_range_support(SmallRangeParams(n, r))
     perm_terms = [
         run(algorithm, standard_oracle(IndexFunction(n, p)))[1]
         for p in itertools.permutations(range(n))
     ]
     p_perm = math.fsum(perm_terms) / math.factorial(n)
-    support = enumerate_small_range_support(SmallRangeParams(n, r))
     p_small = math.fsum(
         float(w) * run(algorithm, standard_oracle(g))[1] for g, w in support.entries
     )

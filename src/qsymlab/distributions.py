@@ -2,9 +2,9 @@
 
 The small-range distribution over maps [n] -> [n] with image size at most r
 is sampled as a composition: a uniform function into [r] followed by a
-uniform injection of [r] into [n]. The enumerator walks every such pair and
-aggregates exact rational probabilities, serving as the ground-truth oracle
-for the samplers and for exact expectation sweeps.
+uniform injection of [r] into [n]. The enumerator gives each map with image
+size k <= r its closed-form mass (r)_k (n-k)! / (r^n n!), serving as the
+ground-truth oracle for the samplers and for exact expectation sweeps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
 
 def enumeration_budget() -> int:
-    """Pair budget for exhaustive enumeration; QSYMLAB_BUDGET overrides."""
+    """Budget for exhaustive enumeration and tables; QSYMLAB_BUDGET overrides."""
     return int(os.environ.get("QSYMLAB_BUDGET", DEFAULT_ENUMERATION_BUDGET))
 
 
@@ -98,21 +98,21 @@ def sample_permutation(n: int, rng: np.random.Generator) -> IndexFunction:
 
 
 def enumerate_small_range_support(params: SmallRangeParams) -> WeightedSupport:
-    """Exact distribution of the composed map, aggregated over all pairs."""
+    """Exact law of the composed map: each map with image size <= r, visited once."""
     n, r = params.n, params.r
-    injections = math.factorial(n) // math.factorial(n - r)
-    pairs = r**n * injections
+    visited = sum(math.comb(n, k) * k**n for k in range(1, r + 1))
     budget = enumeration_budget()
-    if pairs > budget:
-        raise ValueError(f"enumeration needs {pairs} pairs, budget is {budget}")
-    weight = Fraction(1, pairs)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for injection in itertools.permutations(range(n), r):
-        for into_range in itertools.product(range(r), repeat=n):
-            composed = tuple(injection[v] for v in into_range)
-            acc[composed] = acc.get(composed, Fraction(0)) + weight
-    entries = tuple((IndexFunction(n, values), acc[values]) for values in sorted(acc))
-    return WeightedSupport(entries)
+    if visited > budget:
+        raise ValueError(f"enumeration visits {visited} maps, budget is {budget}")
+    entries = []
+    for k in range(1, r + 1):
+        # (r)_k (n-k)!/(n-r)! of the r^n n!/(n-r)! (map, injection) pairs give each such map
+        mass = Fraction(math.perm(r, k) * math.factorial(n - k), r**n * math.factorial(n))
+        for cells in itertools.combinations(range(n), k):
+            words = itertools.product(cells, repeat=n)
+            entries.extend((values, mass) for values in words if len(set(values)) == k)
+    entries.sort()
+    return WeightedSupport(tuple((IndexFunction(n, values), p) for values, p in entries))
 
 
 def is_injective(g: IndexFunction) -> bool:

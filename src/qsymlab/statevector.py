@@ -256,6 +256,16 @@ def _simulate_once(alg: QueryAlgorithm, oracle) -> float:
     return _output_probability_one(tensor, alg)
 
 
+def majority3_prob(p):
+    """Probability that the majority of three independent p-biased bits is 1.
+
+    Exact for Fraction inputs, float otherwise.
+    """
+    if not 0 <= p <= 1:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    return p**3 + 3 * p**2 * (1 - p)
+
+
 def run(alg: QueryAlgorithm, oracle=None) -> dict[int, float]:
     """Execute the algorithm against an oracle; exact output distribution.
 
@@ -269,7 +279,7 @@ def run(alg: QueryAlgorithm, oracle=None) -> dict[int, float]:
     else:
         for _ in range(alg.repeats):
             p_one = _simulate_once(alg, oracle)
-        p_one = p_one**3 + 3 * p_one**2 * (1 - p_one)
+        p_one = majority3_prob(p_one)
     return {0: 1.0 - p_one, 1: p_one}
 
 

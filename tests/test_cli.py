@@ -186,6 +186,37 @@ class TestCompileRun:
         assert lines[0] == "trial,output_bit,classical_queries,c_injective,seed"
         assert len(lines) == 51
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "4",
+                "--input", "balanced",
+                "--r", "2",
+                "--trials", "5",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("zoo_id, entries", [("dj", 72), ("const0", 256)])
+    def test_promise_table_over_budget_is_usage_error(self, monkeypatch, capsys, zoo_id, entries):
+        # both tables at n=8 hold more entries than the budget of 50
+        monkeypatch.setenv("QSYMLAB_BUDGET", "50")
+        code = cli.main(
+            ["compile-run", "--zoo", zoo_id, "--n", "8", "--input", "constant0", "--r", "2"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {zoo_id} table exceeds the budget of 50 entries\n"
+        assert captured.out == ""
+
 
 class TestDistinguish:
     def test_zero_query_advantages_vanish(self, tmp_path):
@@ -278,6 +309,24 @@ class TestDistinguish:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("n,r,method,adv")
         assert len(lines) == 4
+
+    def test_unwritable_csv_is_usage_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "curve.csv"
+        code = cli.main(
+            [
+                "distinguish",
+                "--algo", "collision-sniffer",
+                "--n", "4",
+                "--r-list", "1,2",
+                "--samples", "10",
+                "--csv", str(csv_path),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {csv_path}")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     def test_reproducible_payload(self, tmp_path):
         args = [

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from qsymlab import disting
 from qsymlab.disting import (
     advantage_exact,
     advantage_monte_carlo,
@@ -55,6 +56,25 @@ class TestAdvantageExact:
         probe = collision_sniffer(4)
         with pytest.raises(ValueError, match="budget"):
             advantage_exact(probe.algorithm, 4, 2)
+
+    def test_over_budget_support_fails_before_simulating(self, monkeypatch):
+        # 4! = 24 permutations fit in 100, the 424 maps of image size <= 3 do not
+        monkeypatch.setenv("QSYMLAB_BUDGET", "100")
+        calls = []
+        monkeypatch.setattr(disting, "run", lambda *args: calls.append(args) or {0: 0.0, 1: 1.0})
+        probe = collision_sniffer(4)
+        with pytest.raises(ValueError, match="budget"):
+            advantage_exact(probe.algorithm, 4, 3)
+        assert calls == []
+
+    def test_full_range_within_small_budget(self, monkeypatch):
+        # r = n = 4 visits 680 maps (6,144 map-injection pairs); E[sum of
+        # squared preimage sizes]/n^2 is 7/16 against 1/4 for permutations
+        monkeypatch.setenv("QSYMLAB_BUDGET", "1000")
+        probe = collision_sniffer(4)
+        report = advantage_exact(probe.algorithm, 4, 4)
+        assert report.smallrange_prob[1] == pytest.approx(7 / 16, abs=1e-12)
+        assert report.advantage == pytest.approx(3 / 16, abs=1e-12)
 
 
 class TestAdvantageMonteCarlo:

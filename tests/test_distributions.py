@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,17 @@ from qsymlab.distributions import (
     sample_permutation,
     sample_small_range,
 )
+
+
+def _pair_walk(n, r):
+    """Reference law: every (map into [r], injection of [r] into [n]) pair, summed."""
+    pairs = r**n * math.perm(n, r)
+    acc = {}
+    for injection in itertools.permutations(range(n), r):
+        for into_range in itertools.product(range(r), repeat=n):
+            composed = tuple(injection[v] for v in into_range)
+            acc[composed] = acc.get(composed, Fraction(0)) + Fraction(1, pairs)
+    return [(values, acc[values]) for values in sorted(acc)]
 
 
 class TestSampleSmallRange:
@@ -105,6 +117,21 @@ class TestEnumerator:
     def test_image_bound_in_support(self):
         support = enumerate_small_range_support(SmallRangeParams(4, 2))
         assert all(len(image(g)) <= 2 for g, _ in support.entries)
+
+    @pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 6) for r in range(1, n + 1)])
+    def test_closed_form_equals_pair_walk(self, n, r):
+        support = enumerate_small_range_support(SmallRangeParams(n, r))
+        assert [(g.values, p) for g, p in support.entries] == _pair_walk(n, r)
+
+    def test_budget_counts_maps_visited(self, monkeypatch):
+        # n = r = 4: 4 + 96 + 324 + 256 = 680 maps, but 4^4 * 4! = 6,144 pairs
+        monkeypatch.setenv("QSYMLAB_BUDGET", "1000")
+        support = enumerate_small_range_support(SmallRangeParams(4, 4))
+        assert len(support) == 4**4
+        assert support.probability_of(IndexFunction.identity(4)) == Fraction(1, 4**4)
+        monkeypatch.setenv("QSYMLAB_BUDGET", "679")
+        with pytest.raises(ValueError, match="680 maps"):
+            enumerate_small_range_support(SmallRangeParams(4, 4))
 
     def test_budget_enforced(self, monkeypatch):
         monkeypatch.setenv("QSYMLAB_BUDGET", "10")
