@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import itertools
 import json
 import math
+import os
 import sys
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -66,6 +69,25 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _unwritable(*paths: str | None) -> str | None:
+    """Why one of the given output paths cannot be written, checked before any
+    work; the write itself still catches what this cannot see."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if not os.path.exists(parent):
+            code = errno.ENOENT
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        return f"cannot write {path}: {os.strerror(code)}"
+    return None
+
+
 def _parse_input_spec(spec: str, entry: zoo.ZooEntry, rng: np.random.Generator) -> core.InputString:
     n, M = entry.function.n, entry.function.M
     if spec == "random-promise":
@@ -90,6 +112,8 @@ def _parse_input_spec(spec: str, entry: zoo.ZooEntry, rng: np.random.Generator) 
 
 
 def _cmd_compile_run(args) -> int:
+    if args.seed < 0:
+        return _usage_error("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     try:
         entry = zoo.build_zoo_entry(args.zoo, args.n, args.iterations)
@@ -104,6 +128,9 @@ def _cmd_compile_run(args) -> int:
         return _usage_error("--trials must be >= 0")
     if args.jobs < 1:
         return _usage_error("--jobs must be >= 1")
+    unwritable = _unwritable(args.out, args.csv if args.trials > 0 else None)
+    if unwritable:
+        return _usage_error(unwritable)
     expected = entry.function.value(x)
 
     results: dict = {
@@ -159,6 +186,11 @@ def _cmd_compile_run(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
+    if args.seed < 0:
+        return _usage_error("--seed must be >= 0")
+    unwritable = _unwritable(args.out, args.csv)
+    if unwritable:
+        return _usage_error(unwritable)
     try:
         r_values = [int(v) for v in args.r_list.split(",")]
         probe = zoo.build_distinguisher(args.algo, args.n)
@@ -225,7 +257,7 @@ def _check_gadget_exactness() -> None:
         for i in range(n):
             for j in range(M):
                 state = statevector.basis_state(layout, (i, j, 0))
-                got = comp.apply_tensor(state, layout, 0, 1).reshape(-1)
+                got = comp.apply_tensor(state, 0, 1).reshape(-1)
                 col = int(np.ravel_multi_index((i, j, 0), layout.dims))
                 if np.max(np.abs(got - expected[:, col])) > statevector.EXACT_ATOL:
                     raise AssertionError(f"gadget mismatch at x={x.values}, g={g.values}")
@@ -237,7 +269,7 @@ def _check_gadget_counters() -> None:
     g = core.IndexFunction(n, (1, 1, 3, 3))
     comp = oracles.ComposedOracle(oracles.standard_oracle(x), oracles.standard_oracle(g), 2)
     layout = statevector.RegisterLayout((n, M, n))
-    comp.apply_tensor(statevector.basis_state(layout), layout, 0, 1)
+    comp.apply_tensor(statevector.basis_state(layout), 0, 1)
     if comp.query_counts != {"x_queries": 1, "g_queries": 2}:
         raise AssertionError(f"counters read {comp.query_counts}")
 
@@ -413,7 +445,7 @@ def _check_kernel_dense_reference() -> None:
         if isinstance(step, statevector.OracleCall):
             targets = (step.index_reg, step.value_reg)
             full = _dense_embedding(dims, oracle.matrix(), targets)
-            tensor = oracle.apply_tensor(tensor, layout, *targets)
+            tensor = oracle.apply_tensor(tensor, *targets)
         else:
             targets = step.targets
             full = _dense_embedding(dims, step.matrix, targets)
@@ -449,13 +481,14 @@ def _cmd_verify(args) -> int:
     failures = 0
     width = max(len(name) for name, _ in VERIFY_CHECKS)
     for name, check in VERIFY_CHECKS:
+        start = time.perf_counter()
         try:
             check()
         except Exception as exc:  # noqa: BLE001 - any failure fails the suite
             failures += 1
-            print(f"FAIL  {name:<{width}}  {exc}")
+            print(f"FAIL  {name:<{width}}  {exc}  ({time.perf_counter() - start:.3f} s)")
         else:
-            print(f"PASS  {name:<{width}}")
+            print(f"PASS  {name:<{width}}  ({time.perf_counter() - start:.3f} s)")
     print(f"{len(VERIFY_CHECKS) - failures}/{len(VERIFY_CHECKS)} checks passed")
     return 1 if failures else 0
 

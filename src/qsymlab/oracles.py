@@ -4,10 +4,10 @@ Three variants:
 
 * StandardOracle: the additive-shift unitary |i>|j> -> |i>|j + t(i) mod d>
   for a table t. Its inverse is the same oracle with subtraction, so every
-  application stays an exact permutation of the computational basis. That
-  permutation is computed once per tensor shape, register pair and
-  direction, as a flat source-index array the oracle keeps; each call is
-  then one gather from the flattened tensor.
+  application stays an exact permutation of the computational basis: one
+  gather, with source positions computed from digit arrays of the tensor
+  shape and register pair. Those are cached per process, not per oracle,
+  since the compiled pipeline builds a fresh oracle for every sampled map.
 * ClassicalOracle: a counted plain lookup i -> t(i).
 * ComposedOracle: the three-call gadget realizing the oracle of x composed
   with an index map g out of the oracles for x and g. One composed call
@@ -17,13 +17,15 @@ Three variants:
   checked to leave in |0>.
 
 Quantum oracles act on amplitude tensors shaped like the register layout
-(`apply_tensor`); build them with `standard_oracle(table)` or the
-constructors directly. Each oracle instance owns its query counters; share
-the underlying tables, not the instances.
+(`apply_tensor` reads the register dims from the tensor); build them with
+`standard_oracle(table)` or the constructors directly. Each oracle instance
+owns its query counters; share the underlying tables, not the instances.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Mapping, Union
 
 import numpy as np
@@ -34,16 +36,25 @@ from .statevector import EXACT_ATOL, RegisterLayout, basis_state
 Table = Union[InputString, IndexFunction]
 
 
-def _shift_along_value_axis(
-    tensor: np.ndarray, index_axis: int, value_axis: int, table: np.ndarray, sign: int
+@functools.lru_cache(maxsize=64)
+def _digit_arrays(shape: tuple[int, ...], index_reg: int, value_reg: int):
+    """Read-only, per flat position: the position with its value digit zeroed,
+    the index digit and the value digit; plus the value register's stride."""
+    positions = np.arange(math.prod(shape))
+    digits = np.unravel_index(positions, shape)
+    stride = math.prod(shape[value_reg + 1 :])
+    arrays = (positions - stride * digits[value_reg], digits[index_reg], digits[value_reg])
+    for array in arrays:
+        array.flags.writeable = False
+    return (*arrays, stride)
+
+
+def _gather_source(
+    shape: tuple[int, ...], index_reg: int, value_reg: int, table: np.ndarray, sign: int
 ) -> np.ndarray:
-    # gather: new[i, j, ...] = old[i, (j - sign*t(i)) mod d, ...]
-    moved = np.moveaxis(tensor, (index_axis, value_axis), (0, 1))
-    n, d = moved.shape[0], moved.shape[1]
-    rows = np.arange(n)[:, None]
-    cols = (np.arange(d)[None, :] - sign * table[:, None]) % d
-    gathered = moved[rows, cols]
-    return np.moveaxis(gathered, (0, 1), (index_axis, value_axis))
+    # new[.., i, .., j, ..] = old[.., i, .., (j - sign*t(i)) mod d, ..]
+    base, i, j, stride = _digit_arrays(shape, index_reg, value_reg)
+    return base + stride * ((j - (sign * table)[i]) % shape[value_reg])
 
 
 class StandardOracle:
@@ -60,36 +71,25 @@ class StandardOracle:
         self.value_dim = int(value_dim)
         self.queries = 0
         self._table = np.array(values, dtype=np.intp)
-        # (shape, index_reg, value_reg, inverse) -> flat source index of each amplitude
-        self._sources: dict[tuple, np.ndarray] = {}
 
-    def _check_arity(self, layout: RegisterLayout, index_reg: int, value_reg: int) -> None:
+    def _check_arity(self, shape: tuple[int, ...], index_reg: int, value_reg: int) -> None:
         if index_reg == value_reg:
             raise ValueError("oracle needs two distinct registers")
-        if layout.dims[index_reg] != self.index_dim or layout.dims[value_reg] != self.value_dim:
+        if not (0 <= index_reg < len(shape) and 0 <= value_reg < len(shape)):
+            raise ValueError(f"oracle registers outside a tensor of {len(shape)} registers")
+        if shape[index_reg] != self.index_dim or shape[value_reg] != self.value_dim:
             raise ValueError(
                 f"incompatible oracle arity: oracle is {self.index_dim}x{self.value_dim}, "
-                f"registers are {layout.dims[index_reg]}x{layout.dims[value_reg]}"
+                f"registers are {shape[index_reg]}x{shape[value_reg]}"
             )
 
     def apply_tensor(
-        self,
-        tensor: np.ndarray,
-        layout: RegisterLayout,
-        index_reg: int,
-        value_reg: int,
-        inverse: bool = False,
+        self, tensor: np.ndarray, index_reg: int, value_reg: int, inverse: bool = False
     ) -> np.ndarray:
-        self._check_arity(layout, index_reg, value_reg)
+        self._check_arity(tensor.shape, index_reg, value_reg)
         self.queries += 1
-        key = (tensor.shape, index_reg, value_reg, inverse)
-        source = self._sources.get(key)
-        if source is None:
-            # shifting the flat positions themselves gives each amplitude's source
-            positions = np.arange(tensor.size).reshape(tensor.shape)
-            sign = -1 if inverse else 1
-            shifted = _shift_along_value_axis(positions, index_reg, value_reg, self._table, sign)
-            source = self._sources[key] = np.ascontiguousarray(shifted).reshape(-1)
+        sign = -1 if inverse else 1
+        source = _gather_source(tensor.shape, index_reg, value_reg, self._table, sign)
         return tensor.reshape(-1)[source].reshape(tensor.shape)
 
     def matrix(self) -> np.ndarray:
@@ -143,25 +143,23 @@ class ComposedOracle:
     def query_counts(self) -> dict[str, int]:
         return {"x_queries": self.x_oracle.queries, "g_queries": self.index_oracle.queries}
 
-    def apply_tensor(
-        self, tensor: np.ndarray, layout: RegisterLayout, index_reg: int, value_reg: int
-    ) -> np.ndarray:
+    def apply_tensor(self, tensor: np.ndarray, index_reg: int, value_reg: int) -> np.ndarray:
         anc = self.ancilla
         if anc in (index_reg, value_reg):
             raise ValueError("ancilla register collides with the oracle-call registers")
-        if not 0 <= anc < len(layout.dims):
+        if not 0 <= anc < tensor.ndim:
             raise ValueError(f"ancilla register {anc} outside layout")
-        if layout.dims[anc] != self.index_oracle.value_dim:
+        if tensor.shape[anc] != self.index_oracle.value_dim:
             raise ValueError(
                 f"ancilla register must have dimension {self.index_oracle.value_dim}, "
-                f"got {layout.dims[anc]}"
+                f"got {tensor.shape[anc]}"
             )
-        tensor = self.index_oracle.apply_tensor(tensor, layout, index_reg, anc)
-        tensor = self.x_oracle.apply_tensor(tensor, layout, anc, value_reg)
-        tensor = self.index_oracle.apply_tensor(tensor, layout, index_reg, anc, inverse=True)
+        tensor = self.index_oracle.apply_tensor(tensor, index_reg, anc)
+        tensor = self.x_oracle.apply_tensor(tensor, anc, value_reg)
+        tensor = self.index_oracle.apply_tensor(tensor, index_reg, anc, inverse=True)
         self.calls += 1
-        probs = np.abs(np.moveaxis(tensor, anc, 0)) ** 2
-        leakage = float(probs.sum() - probs[0].sum())
+        probs = np.abs(tensor) ** 2
+        leakage = float(probs.sum() - probs.take(0, axis=anc).sum())
         if leakage > EXACT_ATOL:
             raise AssertionError(
                 f"gadget ancilla did not return to |0> (leakage {leakage:g}); "
@@ -206,6 +204,6 @@ def oracle_full_matrix(oracle, layout: RegisterLayout, index_reg: int, value_reg
     out = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
         tensor = basis_state(layout, np.unravel_index(col, layout.dims))
-        result = oracle.apply_tensor(tensor, layout, index_reg, value_reg)
+        result = oracle.apply_tensor(tensor, index_reg, value_reg)
         out[:, col] = result.reshape(-1)
     return out

@@ -247,7 +247,7 @@ def _simulate_once(alg: QueryAlgorithm, oracle) -> float:
         if plan is None:
             if oracle is None:
                 raise ValueError("algorithm performs oracle calls but no oracle was given")
-            tensor = oracle.apply_tensor(tensor, alg.layout, step.index_reg, step.value_reg)
+            tensor = oracle.apply_tensor(tensor, step.index_reg, step.value_reg)
         else:
             tensor = _contract(tensor, step.matrix, plan)
         norm = math.sqrt(np.vdot(tensor, tensor).real)

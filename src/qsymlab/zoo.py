@@ -62,10 +62,11 @@ def _require_power_of_two(n: int) -> None:
         raise ValueError(f"n must be a power of two, got {n}")
 
 
-def _require_table_in_budget(name: str, size: Callable[[], int], min_log2: int) -> None:
-    # size() >= 2**min_log2, so a huge n fails before its exact size is computed
+def _require_table_in_budget(name: str, n: int, strings: Callable[[], int], min_log2: int) -> None:
+    # the budget counts cells, n per string, since building checks every cell;
+    # strings() >= 2**min_log2, so a huge n fails before its exact size is computed
     budget = enumeration_budget()
-    if min_log2 >= budget.bit_length() or size() > budget:
+    if min_log2 >= budget.bit_length() or n * strings() > budget:
         raise ValueError(f"{name} table exceeds the budget of {budget} entries")
 
 
@@ -96,7 +97,7 @@ def deutsch_jozsa(n: int) -> ZooEntry:
     the index register reads "constant".
     """
     _require_power_of_two(n)
-    _require_table_in_budget("dj", lambda: math.comb(n, n // 2) + 2, n // 2)
+    _require_table_in_budget("dj", n, lambda: math.comb(n, n // 2) + 2, n // 2)
     outputs = {tuple([b] * n): 0 for b in (0, 1)}
     for ones in itertools.combinations(range(n), n // 2):
         values = [0] * n
@@ -161,7 +162,7 @@ def constant_function(bit: int, n: int = 4, M: int = 2) -> ZooEntry:
     """Zero-query baseline: fixed output, total domain."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    _require_table_in_budget(f"const{bit}", lambda: M**n, n if M > 1 else 0)
+    _require_table_in_budget(f"const{bit}", n, lambda: M**n, n if M > 1 else 0)
     outputs = {values: bit for values in itertools.product(range(M), repeat=n)}
     function = BooleanFunctionTable(n, M, outputs)
     ones = frozenset({()}) if bit else frozenset()

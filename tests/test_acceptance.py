@@ -74,7 +74,7 @@ def test_criterion_1_gadget_exactness():
         expected = np.kron(standard_oracle(compose_input(x, g)).matrix(), np.eye(n))
         for col in anc_zero_cols:
             start = basis_state(layout, np.unravel_index(col, layout.dims))
-            got = gadget.apply_tensor(start, layout, 0, 1).reshape(-1)
+            got = gadget.apply_tensor(start, 0, 1).reshape(-1)
             worst = max(worst, float(np.max(np.abs(got - expected[:, col]))))
     assert worst <= 1e-12
 
@@ -83,7 +83,7 @@ def test_criterion_1_gadget_exactness():
         standard_oracle(IndexFunction(n, (1, 1, 3, 3))),
         2,
     )
-    single.apply_tensor(basis_state(layout, (0, 0, 0)), layout, 0, 1)
+    single.apply_tensor(basis_state(layout, (0, 0, 0)), 0, 1)
     assert single.query_counts == {"x_queries": 1, "g_queries": 2}
     report(1, "gadget matches the rebuilt-table oracle on 1050 pairs at 1e-12")
 

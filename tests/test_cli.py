@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qsymlab import cli, oracles
+from qsymlab import cli, compiler, disting, oracles
 
 
 def read_report(path):
@@ -205,6 +205,47 @@ class TestCompileRun:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    def test_negative_seed_rejected(self, capsys):
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "4",
+                "--input", "balanced",
+                "--r", "2",
+                "--trials", "3",
+                "--seed", "-1",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0\n"
+        assert captured.out == ""
+
+    def test_unwritable_out_fails_before_computing(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("exact_success ran before the output path was checked")
+
+        monkeypatch.setattr(compiler, "exact_success", never)
+        out = tmp_path / "missing" / "r.json"
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "4",
+                "--input", "balanced",
+                "--r", "2",
+                "--trials", "0",
+                "--exact",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        assert captured.out == ""
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("zoo_id, entries", [("dj", 72), ("const0", 256)])
     def test_promise_table_over_budget_is_usage_error(self, monkeypatch, capsys, zoo_id, entries):
         # both tables at n=8 hold more entries than the budget of 50
@@ -216,6 +257,15 @@ class TestCompileRun:
         captured = capsys.readouterr()
         assert captured.err == f"error: {zoo_id} table exceeds the budget of 50 entries\n"
         assert captured.out == ""
+
+    def test_promise_table_budget_counts_cells(self, monkeypatch, capsys):
+        # 32 strings of 5 cells: within a budget of 100 strings, not of 100 cells
+        monkeypatch.setenv("QSYMLAB_BUDGET", "100")
+        code = cli.main(
+            ["compile-run", "--zoo", "const0", "--n", "5", "--input", "constant0", "--r", "2"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: const0 table exceeds the budget of 100 entries\n"
 
 
 class TestDistinguish:
@@ -328,6 +378,43 @@ class TestDistinguish:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    def test_negative_seed_rejected(self, capsys):
+        code = cli.main(
+            [
+                "distinguish",
+                "--algo", "collision-sniffer",
+                "--n", "4",
+                "--r-list", "1,2",
+                "--seed", "-5",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0\n"
+        assert captured.out == ""
+
+    def test_unwritable_out_fails_before_computing(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("sweep_r ran before the output path was checked")
+
+        monkeypatch.setattr(disting, "sweep_r", never)
+        out = tmp_path / "missing" / "a.json"
+        code = cli.main(
+            [
+                "distinguish",
+                "--algo", "collision-sniffer",
+                "--n", "4",
+                "--r-list", "1,2",
+                "--samples", "10",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        assert captured.out == ""
+        assert not out.parent.exists()
+
     def test_reproducible_payload(self, tmp_path):
         args = [
             "distinguish",
@@ -353,19 +440,19 @@ class TestVerify:
     def test_injected_gadget_bug_fails(self, capsys, monkeypatch):
         # off-by-one in the oracle shift arithmetic: a mutation the suite
         # must catch against the independently built permutation matrix
-        original = oracles._shift_along_value_axis
+        original = oracles._gather_source
 
-        def broken(tensor, index_axis, value_axis, table, sign):
-            return original(tensor, index_axis, value_axis, table + 1, sign)
+        def broken(shape, index_reg, value_reg, table, sign):
+            return original(shape, index_reg, value_reg, table + 1, sign)
 
-        monkeypatch.setattr(oracles, "_shift_along_value_axis", broken)
+        monkeypatch.setattr(oracles, "_gather_source", broken)
         assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_broken_gadget_application_fails(self, capsys, monkeypatch):
-        def skip_uncompute(self, tensor, layout, index_reg, value_reg):
-            tensor = self.index_oracle.apply_tensor(tensor, layout, index_reg, self.ancilla)
-            tensor = self.x_oracle.apply_tensor(tensor, layout, self.ancilla, value_reg)
+        def skip_uncompute(self, tensor, index_reg, value_reg):
+            tensor = self.index_oracle.apply_tensor(tensor, index_reg, self.ancilla)
+            tensor = self.x_oracle.apply_tensor(tensor, self.ancilla, value_reg)
             self.calls += 1
             return tensor
 

@@ -27,7 +27,7 @@ class TestStandardOracle:
         x = InputString(3, 3, (0, 1, 2))
         oracle = standard_oracle(x)
         layout = RegisterLayout((3, 3))
-        out = oracle.apply_tensor(basis_state(layout, (2, 1)), layout, 0, 1)
+        out = oracle.apply_tensor(basis_state(layout, (2, 1)), 0, 1)
         # (1 + 2) mod 3 = 0
         assert out[2, 0] == 1
 
@@ -43,15 +43,15 @@ class TestStandardOracle:
         layout = RegisterLayout((2, 3))
         state = basis_state(layout, (1, 1))
         for _ in range(3):
-            state = oracle.apply_tensor(state, layout, 0, 1)
+            state = oracle.apply_tensor(state, 0, 1)
         assert state[1, 1] == 1
 
     def test_inverse_undoes(self):
         oracle = standard_oracle(IndexFunction(4, (3, 1, 0, 2)))
         layout = RegisterLayout((4, 4))
         state = basis_state(layout, (0, 2))
-        forward = oracle.apply_tensor(state, layout, 0, 1)
-        back = oracle.apply_tensor(forward, layout, 0, 1, inverse=True)
+        forward = oracle.apply_tensor(state, 0, 1)
+        back = oracle.apply_tensor(forward, 0, 1, inverse=True)
         assert np.array_equal(back, state)
 
     def test_basis_permutation_exhaustive(self):
@@ -74,7 +74,7 @@ class TestStandardOracle:
         oracle = standard_oracle(InputString(3, 3, (0, 1, 2)))
         layout = RegisterLayout((3, 4))
         with pytest.raises(ValueError, match="arity"):
-            oracle.apply_tensor(basis_state(layout, (0, 0)), layout, 0, 1)
+            oracle.apply_tensor(basis_state(layout, (0, 0)), 0, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -90,11 +90,24 @@ class TestStandardOracle:
         layout = RegisterLayout(tuple(dims))
         values = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
         oracle = StandardOracle(tuple(values), n, d)
+        inverse = data.draw(st.booleans(), label="inverse")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         tensor = rng.normal(size=layout.dims) + 1j * rng.normal(size=layout.dims)
-        got = oracle.apply_tensor(tensor, layout, index_reg, value_reg)
-        embedded = apply_unitary(tensor, oracle.matrix(), (index_reg, value_reg))
+        got = oracle.apply_tensor(tensor, index_reg, value_reg, inverse=inverse)
+        matrix = oracle.matrix().conj().T if inverse else oracle.matrix()
+        embedded = apply_unitary(tensor, matrix, (index_reg, value_reg))
         assert np.max(np.abs(got - embedded)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dims, index_reg, value_reg",
+        [((3, 3), 0, -1), ((3, 3), -1, 1), ((3, 3, 3), 0, 3), ((3, 3), 2, 0), ((3, 4, 3), 0, 1)],
+    )
+    def test_registers_must_fit_the_tensor(self, dims, index_reg, value_reg):
+        # registers are read against tensor.ndim: -1 is not wrapped around
+        oracle = StandardOracle((0, 1, 2), 3, 3)
+        with pytest.raises(ValueError):
+            oracle.apply_tensor(np.zeros(dims, dtype=complex), index_reg, value_reg)
+        assert oracle.queries == 0
 
     def test_one_oracle_on_several_register_pairs(self):
         layout = RegisterLayout((3, 4, 4))
@@ -102,9 +115,9 @@ class TestStandardOracle:
         tensor = rng.normal(size=layout.dims) + 1j * rng.normal(size=layout.dims)
         oracle = StandardOracle((1, 3, 2), 3, 4)
         for value_reg, inverse in ((1, False), (2, False), (1, True)):
-            got = oracle.apply_tensor(tensor, layout, 0, value_reg, inverse=inverse)
+            got = oracle.apply_tensor(tensor, 0, value_reg, inverse=inverse)
             fresh = StandardOracle((1, 3, 2), 3, 4).apply_tensor(
-                tensor, layout, 0, value_reg, inverse=inverse
+                tensor, 0, value_reg, inverse=inverse
             )
             assert np.array_equal(got, fresh)
             tensor = got
@@ -137,7 +150,7 @@ class TestClassicalOracle:
 
     def test_not_applicable_to_states(self):
         with pytest.raises(TypeError):
-            ClassicalOracle(InputString(2, 2, (0, 1)).values).apply_tensor(None, None, 0, 1)
+            ClassicalOracle(InputString(2, 2, (0, 1)).values).apply_tensor(None, 0, 1)
 
 
 class TestComposedOracle:
@@ -150,7 +163,7 @@ class TestComposedOracle:
         for i in range(n):
             for j in range(m):
                 col = int(np.ravel_multi_index((i, j, 0), layout.dims))
-                got = comp.apply_tensor(basis_state(layout, (i, j, 0)), layout, 0, 1).reshape(-1)
+                got = comp.apply_tensor(basis_state(layout, (i, j, 0)), 0, 1).reshape(-1)
                 worst = max(worst, float(np.max(np.abs(got - expected[:, col]))))
         assert worst <= 1e-12
 
@@ -171,9 +184,9 @@ class TestComposedOracle:
         g = IndexFunction(4, (1, 1, 3, 3))
         layout = gadget_layout(4, 3)
         comp = ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
-        comp.apply_tensor(basis_state(layout, (0, 0, 0)), layout, 0, 1)
+        comp.apply_tensor(basis_state(layout, (0, 0, 0)), 0, 1)
         assert comp.query_counts == {"x_queries": 1, "g_queries": 2}
-        comp.apply_tensor(basis_state(layout, (1, 2, 0)), layout, 0, 1)
+        comp.apply_tensor(basis_state(layout, (1, 2, 0)), 0, 1)
         assert comp.query_counts == {"x_queries": 2, "g_queries": 4}
 
     def test_ancilla_restored(self):
@@ -181,7 +194,7 @@ class TestComposedOracle:
         g = IndexFunction(4, (0, 3, 2, 1))
         layout = gadget_layout(4, 3)
         comp = ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
-        out = comp.apply_tensor(basis_state(layout, (3, 1, 0)), layout, 0, 1)
+        out = comp.apply_tensor(basis_state(layout, (3, 1, 0)), 0, 1)
         assert np.abs(out[:, :, 1:]).max() == 0
 
     def test_dirty_ancilla_trips_assertion(self):
@@ -191,7 +204,7 @@ class TestComposedOracle:
         comp = ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
         dirty = basis_state(layout, (0, 0, 1))
         with pytest.raises(AssertionError, match="ancilla"):
-            comp.apply_tensor(dirty, layout, 0, 1)
+            comp.apply_tensor(dirty, 0, 1)
 
     def test_wrong_ancilla_dim(self):
         x = InputString(4, 3, (0, 2, 2, 1))
@@ -199,7 +212,7 @@ class TestComposedOracle:
         comp = ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
         bad_layout = RegisterLayout((4, 3, 3))
         with pytest.raises(ValueError, match="ancilla"):
-            comp.apply_tensor(basis_state(bad_layout, (0, 0, 0)), bad_layout, 0, 1)
+            comp.apply_tensor(basis_state(bad_layout, (0, 0, 0)), 0, 1)
 
     def test_inner_oracles_must_chain(self):
         x = InputString(3, 2, (0, 1, 1))

@@ -211,7 +211,7 @@ class TestKernelAgainstDenseReference:
         oracle = StandardOracle(*oracle_args) if oracle_args else None
         for step, full in zip(steps, fulls):
             if isinstance(step, OracleCall):
-                tensor = oracle.apply_tensor(tensor, layout, step.index_reg, step.value_reg)
+                tensor = oracle.apply_tensor(tensor, step.index_reg, step.value_reg)
             else:
                 tensor = apply_unitary(tensor, step.matrix, step.targets)
             expected = full @ expected
