@@ -69,6 +69,13 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _reason(exc: Exception) -> str:
+    """The one-line message of a caught error; numpy's MemoryError may have none."""
+    if isinstance(exc, MemoryError):
+        return f"out of memory: {exc}" if str(exc) else "out of memory"
+    return str(exc)
+
+
 def _unwritable(*paths: str | None) -> str | None:
     """Why one of the given output paths cannot be written, checked before any
     work; the write itself still catches what this cannot see."""
@@ -118,8 +125,8 @@ def _cmd_compile_run(args) -> int:
     try:
         entry = zoo.build_zoo_entry(args.zoo, args.n, args.iterations)
         x = _parse_input_spec(args.input, entry, rng)
-    except (ValueError, IndexError) as exc:
-        return _usage_error(str(exc))
+    except (ValueError, IndexError, MemoryError) as exc:
+        return _usage_error(_reason(exc))
     if x not in entry.function:
         return _usage_error(f"input {x.values} is outside the promise domain of {args.zoo}")
     if not 1 <= args.r <= args.n:
@@ -144,8 +151,8 @@ def _cmd_compile_run(args) -> int:
     if args.exact:
         try:
             results["exact_success"] = compiler.exact_success(entry.algorithm, x, expected, args.r)
-        except ValueError as exc:  # enumeration over budget
-            return _usage_error(str(exc))
+        except (ValueError, MemoryError) as exc:  # enumeration over budget, or no memory
+            return _usage_error(_reason(exc))
     if args.trials > 0:
         estimate = compiler.estimate_success(
             entry.algorithm, x, expected, args.r, args.trials, rng, jobs=args.jobs
@@ -194,8 +201,8 @@ def _cmd_distinguish(args) -> int:
     try:
         r_values = [int(v) for v in args.r_list.split(",")]
         probe = zoo.build_distinguisher(args.algo, args.n)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    except (ValueError, MemoryError) as exc:
+        return _usage_error(_reason(exc))
     rng = np.random.default_rng(args.seed)
     try:
         reports = disting.sweep_r(
@@ -207,8 +214,8 @@ def _cmd_distinguish(args) -> int:
             exact=args.exact,
             algorithm_id=probe.id,
         )
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    except (ValueError, MemoryError) as exc:
+        return _usage_error(_reason(exc))
     results = {"algorithm_id": probe.id, "reports": [rep.to_json() for rep in reports]}
     params = {
         "algo": args.algo,

@@ -8,6 +8,9 @@ Three variants:
   gather, with source positions computed from digit arrays of the tensor
   shape and register pair. Those are cached per process, not per oracle,
   since the compiled pipeline builds a fresh oracle for every sampled map.
+  Each oracle keeps the source positions it has computed, per tensor shape,
+  register pair and direction, because an amplified run repeats the same
+  calls in each of its passes; the memo lives and dies with the oracle.
 * ClassicalOracle: a counted plain lookup i -> t(i).
 * ComposedOracle: the three-call gadget realizing the oracle of x composed
   with an index map g out of the oracles for x and g. One composed call
@@ -71,6 +74,9 @@ class StandardOracle:
         self.value_dim = int(value_dim)
         self.queries = 0
         self._table = np.array(values, dtype=np.intp)
+        # gather source per (shape, index_reg, value_reg, inverse): each pass of
+        # an amplified run repeats the calls of the first
+        self._sources: dict = {}
 
     def _check_arity(self, shape: tuple[int, ...], index_reg: int, value_reg: int) -> None:
         if index_reg == value_reg:
@@ -88,8 +94,12 @@ class StandardOracle:
     ) -> np.ndarray:
         self._check_arity(tensor.shape, index_reg, value_reg)
         self.queries += 1
-        sign = -1 if inverse else 1
-        source = _gather_source(tensor.shape, index_reg, value_reg, self._table, sign)
+        key = (tensor.shape, index_reg, value_reg, inverse)
+        source = self._sources.get(key)
+        if source is None:
+            sign = -1 if inverse else 1
+            source = _gather_source(tensor.shape, index_reg, value_reg, self._table, sign)
+            self._sources[key] = source
         return tensor.reshape(-1)[source].reshape(tensor.shape)
 
     def matrix(self) -> np.ndarray:

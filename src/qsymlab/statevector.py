@@ -13,9 +13,13 @@ one axis per register; there is no separate state object. One kernel
 applies every dense step: transpose the targets to the front, multiply the
 matrix into the `(side, -1)` reshaped tensor, and transpose back. The axis
 plan it follows (transpose order, result shape, inverse order) depends only
-on the dims and the targets. `QueryAlgorithm` validates its steps and builds
-their plans, and the output rule's axis order, once at construction, so
-`run` does no per-call axis bookkeeping. `apply_unitary` checks its matrix
+on the dims and the targets; when the targets already lead, the plan says
+so once and the kernel skips both transposes. `QueryAlgorithm` validates
+its steps and builds their plans, and the output rule's axis order, once at
+construction, so `run` does no per-call axis bookkeeping. It also applies
+the leading oracle-free steps to `|0...0>` once, with the same kernel and
+norm check, and keeps the result as a read-only start state: every pass
+begins there, at the first oracle call. `apply_unitary` checks its matrix
 and targets and builds a plan on every call.
 
 Amplified algorithms (repeats = 3) are executed as three independent passes
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -98,7 +102,7 @@ def _check_unitary_step(
     return require_unitary(matrix), targets
 
 
-AxisPlan = tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]
+AxisPlan = tuple[Union[tuple[int, ...], None], int, tuple[int, ...], tuple[int, ...]]
 
 
 def _axis_plan(dims: tuple[int, ...], targets: tuple[int, ...]) -> AxisPlan:
@@ -106,16 +110,20 @@ def _axis_plan(dims: tuple[int, ...], targets: tuple[int, ...]) -> AxisPlan:
 
     `order` puts the targets first, in the given order, so the matrix's row
     index runs row-major over the target digits; `shape` is the tensor's
-    shape in that order and `inverse` undoes the transpose.
+    shape in that order and `inverse` undoes the transpose. `order` is None
+    when the targets already lead, and then no transpose is needed.
     """
     order = targets + tuple(a for a in range(len(dims)) if a not in targets)
     side = math.prod(dims[t] for t in targets)
     inverse = tuple(order.index(a) for a in range(len(dims)))
-    return order, side, tuple(dims[a] for a in order), inverse
+    shape = tuple(dims[a] for a in order)
+    return (None if order == tuple(range(len(dims))) else order), side, shape, inverse
 
 
 def _contract(tensor: np.ndarray, matrix: np.ndarray, plan: AxisPlan) -> np.ndarray:
     order, side, shape, inverse = plan
+    if order is None:
+        return np.dot(matrix, tensor.reshape(side, -1)).reshape(shape)
     flat = tensor.transpose(order).reshape(side, -1)
     return np.dot(matrix, flat).reshape(shape).transpose(inverse)
 
@@ -188,8 +196,11 @@ class QueryAlgorithm:
     steps: tuple[Step, ...]
     output_rule: OutputRule
     repeats: int = 1
-    # per step: its axis plan for a Unitary, None for an OracleCall
-    _plans: tuple[Union[AxisPlan, None], ...] = field(init=False, repr=False)
+    # read-only state after the leading oracle-free steps, which are the
+    # same in every pass; then each step left with its axis plan (None for
+    # an OracleCall)
+    _start: np.ndarray = field(init=False, repr=False)
+    _rest: tuple[tuple[Step, Union[AxisPlan, None]], ...] = field(init=False, repr=False)
     # output registers first, then the rest, and the axes to sum away
     _output_axes: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False)
 
@@ -221,7 +232,14 @@ class QueryAlgorithm:
                     raise ValueError(f"outcome digit {v} outside register {reg}")
         registers = self.output_rule.registers
         order = registers + tuple(a for a in range(len(dims)) if a not in registers)
-        object.__setattr__(self, "_plans", tuple(plans))
+        start, first = basis_state(self.layout), 0
+        while first < len(plans) and plans[first] is not None:
+            start = _contract(start, self.steps[first].matrix, plans[first])
+            _require_norm(start)
+            first += 1
+        start.flags.writeable = False
+        object.__setattr__(self, "_start", start)
+        object.__setattr__(self, "_rest", tuple(zip(self.steps, plans))[first:])
         object.__setattr__(self, "_output_axes", (order, tuple(range(len(registers), len(dims)))))
 
 
@@ -241,18 +259,22 @@ def _output_probability_one(tensor: np.ndarray, alg: QueryAlgorithm) -> float:
     return min(max(p_one, 0.0), 1.0)
 
 
+def _require_norm(tensor: np.ndarray) -> None:
+    norm = math.sqrt(np.vdot(tensor, tensor).real)
+    if abs(norm - 1.0) > VALIDITY_ATOL:
+        raise RuntimeError(f"state norm drifted to {norm}")
+
+
 def _simulate_once(alg: QueryAlgorithm, oracle) -> float:
-    tensor = basis_state(alg.layout)
-    for step, plan in zip(alg.steps, alg._plans):
+    tensor = alg._start
+    for step, plan in alg._rest:
         if plan is None:
             if oracle is None:
                 raise ValueError("algorithm performs oracle calls but no oracle was given")
             tensor = oracle.apply_tensor(tensor, step.index_reg, step.value_reg)
         else:
             tensor = _contract(tensor, step.matrix, plan)
-        norm = math.sqrt(np.vdot(tensor, tensor).real)
-        if abs(norm - 1.0) > VALIDITY_ATOL:
-            raise RuntimeError(f"state norm drifted to {norm}")
+        _require_norm(tensor)
     return _output_probability_one(tensor, alg)
 
 
@@ -281,62 +303,3 @@ def run(alg: QueryAlgorithm, oracle=None) -> dict[int, float]:
             p_one = _simulate_once(alg, oracle)
         p_one = majority3_prob(p_one)
     return {0: 1.0 - p_one, 1: p_one}
-
-
-# JSON wire format -----------------------------------------------------------
-
-
-def _matrix_to_json(matrix: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in matrix.reshape(-1)]
-
-
-def _matrix_from_json(pairs: list) -> np.ndarray:
-    side = math.isqrt(len(pairs))
-    if side * side != len(pairs):
-        raise ValueError(f"matrix entry count {len(pairs)} is not a square")
-    flat = np.array([complex(re, im) for re, im in pairs])
-    return flat.reshape(side, side)
-
-
-def algorithm_to_json(alg: QueryAlgorithm) -> dict:
-    steps = []
-    for step in alg.steps:
-        if isinstance(step, OracleCall):
-            steps.append({"oracle": {"index_reg": step.index_reg, "value_reg": step.value_reg}})
-        else:
-            steps.append(
-                {
-                    "unitary": {
-                        "targets": list(step.targets),
-                        "matrix": _matrix_to_json(step.matrix),
-                    }
-                }
-            )
-    return {
-        "registers": list(alg.layout.dims),
-        "steps": steps,
-        "output": {
-            "registers": list(alg.output_rule.registers),
-            "map": [{"outcome": list(o), "bit": 1} for o in sorted(alg.output_rule.ones)],
-        },
-        "repeats": alg.repeats,
-    }
-
-
-def algorithm_from_json(obj: Mapping) -> QueryAlgorithm:
-    layout = RegisterLayout(tuple(obj["registers"]))
-    steps: list[Step] = []
-    for entry in obj["steps"]:
-        if "oracle" in entry:
-            spec = entry["oracle"]
-            steps.append(OracleCall(int(spec["index_reg"]), int(spec["value_reg"])))
-        elif "unitary" in entry:
-            spec = entry["unitary"]
-            steps.append(Unitary(_matrix_from_json(spec["matrix"]), tuple(spec["targets"])))
-        else:
-            raise ValueError(f"unknown step entry {entry!r}")
-    ones = frozenset(
-        tuple(e["outcome"]) for e in obj["output"]["map"] if int(e.get("bit", 0)) == 1
-    )
-    rule = OutputRule(tuple(obj["output"]["registers"]), ones)
-    return QueryAlgorithm(layout, tuple(steps), rule, repeats=int(obj.get("repeats", 1)))

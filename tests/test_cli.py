@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qsymlab import cli, compiler, disting, oracles
+from qsymlab import cli, compiler, disting, oracles, zoo
 
 
 def read_report(path):
@@ -12,6 +12,13 @@ def read_report(path):
 
 def payload_bytes(report):
     return json.dumps(report["results"], sort_keys=True).encode()
+
+
+NUMPY_OOM = "Unable to allocate 16.0 TiB for an array with shape (1048576, 1048576)"
+
+
+def raise_memory_error(*args, **kwargs):
+    raise MemoryError(NUMPY_OOM)
 
 
 class TestCompileRun:
@@ -267,6 +274,20 @@ class TestCompileRun:
         assert code == 2
         assert capsys.readouterr().err == "error: const0 table exceeds the budget of 100 entries\n"
 
+    @pytest.mark.parametrize("message", [NUMPY_OOM, ""], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_usage_error(self, monkeypatch, capsys, message):
+        def raise_memory_error(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(zoo, "fourier_matrix", raise_memory_error)
+        code = cli.main(
+            ["compile-run", "--zoo", "grover", "--n", "8", "--input", "constant0", "--r", "2"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: out of memory" + (f": {message}" if message else "") + "\n")
+        assert captured.out == ""
+
 
 class TestDistinguish:
     def test_zero_query_advantages_vanish(self, tmp_path):
@@ -414,6 +435,14 @@ class TestDistinguish:
         assert captured.err == f"error: cannot write {out}: No such file or directory\n"
         assert captured.out == ""
         assert not out.parent.exists()
+
+    def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(zoo, "fourier_matrix", raise_memory_error)
+        code = cli.main(["distinguish", "--algo", "collision-sniffer", "--n", "4", "--r-list", "1,2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out of memory: {NUMPY_OOM}\n"
+        assert captured.out == ""
 
     def test_reproducible_payload(self, tmp_path):
         args = [

@@ -124,6 +124,22 @@ class TestStandardOracle:
         assert oracle.queries == 3
 
 
+    def test_memoized_source_still_bills_and_checks_every_call(self):
+        oracle = StandardOracle((1, 3, 2), 3, 4)
+        rng = np.random.default_rng(5)
+        tensor = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        expected = StandardOracle((1, 3, 2), 3, 4).apply_tensor(tensor, 0, 1)
+        for queries in (1, 2, 3):
+            assert np.array_equal(oracle.apply_tensor(tensor, 0, 1), expected)
+            assert oracle.queries == queries
+        with pytest.raises(ValueError, match="arity"):
+            oracle.apply_tensor(np.zeros((3, 3), dtype=complex), 0, 1)
+        assert oracle.queries == 3
+        # same registers on a larger tensor: the memo is keyed by shape too
+        wider = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+        fresh = StandardOracle((1, 3, 2), 3, 4).apply_tensor(wider, 0, 1)
+        assert np.array_equal(oracle.apply_tensor(wider, 0, 1), fresh)
+
 class TestClassicalOracle:
     def test_lookup_and_count(self):
         oracle = ClassicalOracle(InputString(3, 5, (4, 1, 2)).values)

@@ -13,14 +13,18 @@ from qsymlab.statevector import (
     QueryAlgorithm,
     RegisterLayout,
     Unitary,
-    algorithm_from_json,
-    algorithm_to_json,
     apply_unitary,
     basis_state,
     query_count,
     run,
 )
-from qsymlab.zoo import collision_sniffer, deutsch_jozsa, fourier_matrix, grover_unique_or
+from qsymlab.zoo import (
+    collision_sniffer,
+    constant_function,
+    deutsch_jozsa,
+    fourier_matrix,
+    grover_unique_or,
+)
 
 
 def haar_unitary(dim, seed):
@@ -233,6 +237,81 @@ class TestKernelAgainstDenseReference:
         assert abs(run(alg, oracle)[1] - p_one) <= 1e-12
 
 
+def stepwise_p_one(alg, oracle):
+    """p_one from |0...0> with every step applied by apply_unitary or apply_tensor."""
+    tensor = basis_state(alg.layout)
+    for step in alg.steps:
+        if isinstance(step, OracleCall):
+            tensor = oracle.apply_tensor(tensor, step.index_reg, step.value_reg)
+        else:
+            tensor = apply_unitary(tensor, step.matrix, step.targets)
+    probs = np.abs(tensor) ** 2
+    regs, ones = alg.output_rule.registers, alg.output_rule.ones
+    return sum(probs[b] for b in np.ndindex(probs.shape) if tuple(b[r] for r in regs) in ones)
+
+
+def oracle_first_alg():
+    steps = (
+        OracleCall(0, 1),
+        Unitary(haar_unitary(6, 1), (1, 0)),
+        OracleCall(0, 1),
+        Unitary(haar_unitary(3, 2), (0,)),
+    )
+    return QueryAlgorithm(RegisterLayout((3, 2)), steps, OutputRule((0, 1), frozenset({(1, 0), (2, 1)})))
+
+
+def oracle_free_alg():
+    steps = (
+        Unitary(haar_unitary(6, 3), (1, 0)),
+        Unitary(haar_unitary(2, 4), (1,)),
+        Unitary(haar_unitary(3, 5), (0,)),
+    )
+    return QueryAlgorithm(RegisterLayout((3, 2)), steps, OutputRule((1,), frozenset({(1,)})))
+
+
+class TestStartState:
+    @pytest.mark.parametrize(
+        "alg, table",
+        [
+            (oracle_first_alg(), (1, 0, 1)),
+            (oracle_free_alg(), None),
+            (constant_function(0).algorithm, None),
+        ],
+        ids=["oracle-first", "oracle-free", "const0"],
+    )
+    def test_run_matches_stepwise_reference(self, alg, table):
+        reference = stepwise_p_one(alg, StandardOracle(table, 3, 2) if table else None)
+        oracle = StandardOracle(table, 3, 2) if table else None
+        assert abs(run(alg, oracle)[1] - reference) <= 1e-12
+
+    def test_start_state_is_read_only_and_unchanged_by_runs(self):
+        alg = grover_unique_or(8, 2).algorithm  # two unitaries, then the first query
+        prefix = basis_state(alg.layout)
+        for step in alg.steps[:2]:
+            prefix = apply_unitary(prefix, step.matrix, step.targets)
+        assert not alg._start.flags.writeable
+        assert np.array_equal(alg._start, prefix)
+        for hot in range(8):
+            x = InputString(8, 2, tuple(int(i == hot) for i in range(8)))
+            run(alg, standard_oracle(x))
+            assert np.array_equal(alg._start, prefix)
+
+    @pytest.mark.parametrize("targets", [(0,), (0, 1), (1, 0), (0, 2), (2, 1)])
+    def test_leading_and_permuted_targets_match_dense_reference(self, targets):
+        dims = (2, 3, 2)
+        side = int(np.prod([dims[t] for t in targets]))
+        matrix = haar_unitary(side, 6)
+        rng = np.random.default_rng(7)
+        tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+        expected = full_space_matrix(dims, matrix, targets) @ tensor.reshape(-1)
+        got = apply_unitary(tensor, matrix, targets)
+        assert got.shape == dims
+        assert np.max(np.abs(got.reshape(-1) - expected)) <= 1e-12
+        alg = QueryAlgorithm(RegisterLayout(dims), (Unitary(matrix, targets),), OutputRule((0,), frozenset({(1,)})))
+        reference = full_space_matrix(dims, matrix, targets)[:, 0].reshape(dims)
+        assert abs(run(alg)[1] - np.sum(np.abs(reference[1]) ** 2)) <= 1e-12
+
+
 class TestQueryCount:
     def test_zero_steps(self):
         assert query_count(constant_alg(1)) == 0
@@ -282,23 +361,3 @@ class TestAlgorithmValidation:
                 OutputRule((0,), frozenset({(5,)})),
             )
 
-
-class TestSerialization:
-    def test_round_trip_preserves_behavior(self):
-        entry = deutsch_jozsa(4)
-        rebuilt = algorithm_from_json(algorithm_to_json(entry.algorithm))
-        x = InputString(4, 2, (0, 1, 1, 0))
-        assert run(rebuilt, standard_oracle(x)) == run(entry.algorithm, standard_oracle(x))
-        assert query_count(rebuilt) == query_count(entry.algorithm)
-
-    def test_round_trip_is_stable(self):
-        alg = grover_unique_or(4, 1).algorithm
-        once = algorithm_to_json(alg)
-        twice = algorithm_to_json(algorithm_from_json(once))
-        assert once == twice
-
-    def test_repeats_survive(self):
-        from qsymlab.compiler import amplify_majority3
-
-        alg = amplify_majority3(deutsch_jozsa(4).algorithm)
-        assert algorithm_from_json(algorithm_to_json(alg)).repeats == 3
