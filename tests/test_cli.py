@@ -438,7 +438,9 @@ class TestDistinguish:
 
     def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setattr(zoo, "fourier_matrix", raise_memory_error)
-        code = cli.main(["distinguish", "--algo", "collision-sniffer", "--n", "4", "--r-list", "1,2"])
+        code = cli.main(
+            ["distinguish", "--algo", "collision-sniffer", "--n", "4", "--r-list", "1,2"]
+        )
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: out of memory: {NUMPY_OOM}\n"

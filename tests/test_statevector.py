@@ -257,7 +257,8 @@ def oracle_first_alg():
         OracleCall(0, 1),
         Unitary(haar_unitary(3, 2), (0,)),
     )
-    return QueryAlgorithm(RegisterLayout((3, 2)), steps, OutputRule((0, 1), frozenset({(1, 0), (2, 1)})))
+    rule = OutputRule((0, 1), frozenset({(1, 0), (2, 1)}))
+    return QueryAlgorithm(RegisterLayout((3, 2)), steps, rule)
 
 
 def oracle_free_alg():
@@ -280,9 +281,10 @@ class TestStartState:
         ids=["oracle-first", "oracle-free", "const0"],
     )
     def test_run_matches_stepwise_reference(self, alg, table):
-        reference = stepwise_p_one(alg, StandardOracle(table, 3, 2) if table else None)
-        oracle = StandardOracle(table, 3, 2) if table else None
-        assert abs(run(alg, oracle)[1] - reference) <= 1e-12
+        def oracle():
+            return StandardOracle(table, 3, 2) if table else None
+
+        assert abs(run(alg, oracle())[1] - stepwise_p_one(alg, oracle())) <= 1e-12
 
     def test_start_state_is_read_only_and_unchanged_by_runs(self):
         alg = grover_unique_or(8, 2).algorithm  # two unitaries, then the first query
@@ -303,13 +305,15 @@ class TestStartState:
         matrix = haar_unitary(side, 6)
         rng = np.random.default_rng(7)
         tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-        expected = full_space_matrix(dims, matrix, targets) @ tensor.reshape(-1)
+        full = full_space_matrix(dims, matrix, targets)
         got = apply_unitary(tensor, matrix, targets)
         assert got.shape == dims
-        assert np.max(np.abs(got.reshape(-1) - expected)) <= 1e-12
-        alg = QueryAlgorithm(RegisterLayout(dims), (Unitary(matrix, targets),), OutputRule((0,), frozenset({(1,)})))
-        reference = full_space_matrix(dims, matrix, targets)[:, 0].reshape(dims)
-        assert abs(run(alg)[1] - np.sum(np.abs(reference[1]) ** 2)) <= 1e-12
+        assert np.max(np.abs(got.reshape(-1) - full @ tensor.reshape(-1))) <= 1e-12
+        # the whole circuit is the start state: P(register 0 reads 1) from column 0
+        rule = OutputRule((0,), frozenset({(1,)}))
+        alg = QueryAlgorithm(RegisterLayout(dims), (Unitary(matrix, targets),), rule)
+        p_one = np.sum(np.abs(full[:, 0].reshape(dims)[1]) ** 2)
+        assert abs(run(alg)[1] - p_one) <= 1e-12
 
 
 class TestQueryCount:
