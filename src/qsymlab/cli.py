@@ -1,10 +1,11 @@
 """Experiment runner: compiled-pipeline estimates, distinguishing sweeps, a
 one-shot invariant suite, and the algorithm catalog.
 
-Exit codes: 0 success, 1 failed property or assertion, 2 usage error.
-Reports are JSON (plus CSV for curves); rerunning a command with the same
-flags and seed reproduces the results payload byte for byte (timestamps
-live outside the payload).
+Exit codes: 0 success, 1 failed property or assertion, 2 usage error; `main`
+turns any ValueError, IndexError or MemoryError into exit 2 and one `error:`
+line. Reports are JSON (plus CSV for curves) whose `params` echo the flags;
+rerunning a command with the same flags and seed reproduces the results
+payload byte for byte (timestamps live outside the payload).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -29,39 +29,35 @@ from . import __version__, compiler, core, disting, distributions, oracles, stat
 MAX_EMBEDDED_TRIALS = 10_000
 
 
-@dataclass
-class ExperimentReport:
-    """Reproducible record: kind + parameter echo + seed determine results."""
-
-    kind: str
-    params: dict
-    seed: int
-    results: dict
-    artifact_version: str = __version__
-    created: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "artifact_version": self.artifact_version,
-            "created": self.created,
-            "params": self.params,
-            "seed": self.seed,
-            "results": self.results,
-        }
-
-    def payload_bytes(self) -> bytes:
-        """Canonical bytes of the results payload, timestamps excluded."""
-        return json.dumps(self.results, sort_keys=True).encode()
+# not echoed in params: the seed has its own key, the rest pick the command or the output
+_NOT_PARAMS = frozenset({"command", "func", "seed", "out", "csv"})
 
 
-def _emit_report(report: ExperimentReport, out_path: str | None) -> None:
-    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit_report(kind: str, args, results: dict, write_csv=None) -> int:
+    """Write `write_csv(args.csv)` if both are set, then the JSON report whose
+    `params` echo the other flags; a failed write names the path it was on."""
+    report = {
+        "kind": kind,
+        "artifact_version": __version__,
+        "created": datetime.now(timezone.utc).isoformat(),
+        "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
+        "seed": args.seed,
+        "results": results,
+    }
+    text = json.dumps(report, indent=2, sort_keys=True)
+    path = args.csv
+    try:
+        if write_csv and args.csv:
+            write_csv(args.csv)
+        path = args.out or "<stdout>"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+    except OSError as exc:
+        return _usage_error(f"cannot write {path}: {exc.strerror}")
+    return 0
 
 
 def _usage_error(message: str) -> int:
@@ -122,11 +118,8 @@ def _cmd_compile_run(args) -> int:
     if args.seed < 0:
         return _usage_error("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
-    try:
-        entry = zoo.build_zoo_entry(args.zoo, args.n, args.iterations)
-        x = _parse_input_spec(args.input, entry, rng)
-    except (ValueError, IndexError, MemoryError) as exc:
-        return _usage_error(_reason(exc))
+    entry = zoo.build_zoo_entry(args.zoo, args.n, args.iterations)
+    x = _parse_input_spec(args.input, entry, rng)
     if x not in entry.function:
         return _usage_error(f"input {x.values} is outside the promise domain of {args.zoo}")
     if not 1 <= args.r <= args.n:
@@ -149,47 +142,33 @@ def _cmd_compile_run(args) -> int:
         "r": args.r,
     }
     if args.exact:
-        try:
-            results["exact_success"] = compiler.exact_success(entry.algorithm, x, expected, args.r)
-        except (ValueError, MemoryError) as exc:  # enumeration over budget, or no memory
-            return _usage_error(_reason(exc))
-    if args.trials > 0:
-        estimate = compiler.estimate_success(
-            entry.algorithm, x, expected, args.r, args.trials, rng, jobs=args.jobs
-        )
-        results["estimate"] = estimate.to_json()
-        # quantum-side counters are zero by construction: the compiled path
-        # only ever touches x through the classical lookups of step 2
-        results["counters"] = {
-            "x_queries": 0,
-            "g_queries": 0,
-            "classical_queries": sum(t.classical_queries_used for t in estimate.results),
-        }
-        if args.trials <= MAX_EMBEDDED_TRIALS:
-            results["trials_detail"] = [t.to_json() for t in estimate.results]
-    params = {
-        "zoo": args.zoo,
-        "n": args.n,
-        "input": args.input,
-        "r": args.r,
-        "trials": args.trials,
-        "exact": args.exact,
-        "jobs": args.jobs,
-        "iterations": args.iterations,
+        results["exact_success"] = compiler.exact_success(entry.algorithm, x, expected, args.r)
+    if args.trials == 0:
+        return _emit_report("compile-run", args, results)
+    estimate = compiler.estimate_success(
+        entry.algorithm, x, expected, args.r, args.trials, rng, jobs=args.jobs
+    )
+    results["estimate"] = estimate.to_json()
+    # quantum-side counters are zero by construction: the compiled path
+    # only ever touches x through the classical lookups of step 2
+    results["counters"] = {
+        "x_queries": 0,
+        "g_queries": 0,
+        "classical_queries": sum(t.classical_queries_used for t in estimate.results),
     }
-    try:
-        if args.csv and args.trials > 0:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("trial", "output_bit", "classical_queries", "c_injective", "seed"))
-                for idx, t in enumerate(estimate.results):
-                    writer.writerow(
-                        (idx, t.output_bit, t.classical_queries_used, int(t.C_was_injective), t.seed)
-                    )
-        _emit_report(ExperimentReport("compile-run", params, args.seed, results), args.out)
-    except OSError as exc:
-        return _usage_error(f"cannot write {exc.filename}: {exc.strerror}")
-    return 0
+    if args.trials <= MAX_EMBEDDED_TRIALS:
+        results["trials_detail"] = [t.to_json() for t in estimate.results]
+
+    def write_csv(path: str) -> None:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("trial", "output_bit", "classical_queries", "c_injective", "seed"))
+            for idx, t in enumerate(estimate.results):
+                writer.writerow(
+                    (idx, t.output_bit, t.classical_queries_used, int(t.C_was_injective), t.seed)
+                )
+
+    return _emit_report("compile-run", args, results, write_csv)
 
 
 def _cmd_distinguish(args) -> int:
@@ -198,39 +177,20 @@ def _cmd_distinguish(args) -> int:
     unwritable = _unwritable(args.out, args.csv)
     if unwritable:
         return _usage_error(unwritable)
-    try:
-        r_values = [int(v) for v in args.r_list.split(",")]
-        probe = zoo.build_distinguisher(args.algo, args.n)
-    except (ValueError, MemoryError) as exc:
-        return _usage_error(_reason(exc))
+    r_values = [int(v) for v in args.r_list.split(",")]
+    probe = zoo.build_distinguisher(args.algo, args.n)
     rng = np.random.default_rng(args.seed)
-    try:
-        reports = disting.sweep_r(
-            probe.algorithm,
-            args.n,
-            r_values,
-            args.samples,
-            rng,
-            exact=args.exact,
-            algorithm_id=probe.id,
-        )
-    except (ValueError, MemoryError) as exc:
-        return _usage_error(_reason(exc))
+    reports = disting.sweep_r(
+        probe.algorithm,
+        args.n,
+        r_values,
+        args.samples,
+        rng,
+        exact=args.exact,
+        algorithm_id=probe.id,
+    )
     results = {"algorithm_id": probe.id, "reports": [rep.to_json() for rep in reports]}
-    params = {
-        "algo": args.algo,
-        "n": args.n,
-        "r_list": args.r_list,
-        "samples": args.samples,
-        "exact": args.exact,
-    }
-    try:
-        if args.csv:
-            disting.write_csv(reports, args.csv)
-        _emit_report(ExperimentReport("distinguish", params, args.seed, results), args.out)
-    except OSError as exc:
-        return _usage_error(f"cannot write {exc.filename}: {exc.strerror}")
-    return 0
+    return _emit_report("distinguish", args, results, lambda path: disting.write_csv(reports, path))
 
 
 def _cmd_zoo(args) -> int:
@@ -547,9 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, IndexError, MemoryError) as exc:  # bad input or no memory
+        return _usage_error(_reason(exc))
 
 
 if __name__ == "__main__":

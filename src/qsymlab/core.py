@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 FIRST_TYPE_GUARD = 8
 SECOND_TYPE_GUARD = 6
@@ -41,19 +41,6 @@ class InputString:
             if not 0 <= v < self.M:
                 raise ValueError(f"entry {v} outside [0, {self.M})")
 
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "M": self.M, "values": list(self.values)}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "InputString":
-        return cls(int(obj["n"]), int(obj["M"]), tuple(obj["values"]))
-
 
 @dataclass(frozen=True)
 class IndexFunction:
@@ -72,22 +59,9 @@ class IndexFunction:
             if not 0 <= v < self.n:
                 raise ValueError(f"entry {v} outside [0, {self.n})")
 
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return self.n
-
     @classmethod
     def identity(cls, n: int) -> "IndexFunction":
         return cls(n, tuple(range(n)))
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "values": list(self.values)}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "IndexFunction":
-        return cls(int(obj["n"]), tuple(obj["values"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +94,6 @@ class BooleanFunctionTable:
     def __contains__(self, x: InputString) -> bool:
         return x.values in self.outputs
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BooleanFunctionTable):
-            return NotImplemented
-        return (self.n, self.M, self.outputs) == (other.n, other.M, other.outputs)
-
     def value(self, x: InputString) -> int:
         if x.n != self.n or x.M != self.M:
             raise ValueError("input shape does not match function table")
@@ -133,32 +102,12 @@ class BooleanFunctionTable:
         except KeyError:
             raise KeyError(f"input {x.values} is outside the function domain") from None
 
-    def domain(self) -> Iterator[InputString]:
-        for key in sorted(self.outputs):
-            yield InputString(self.n, self.M, key)
-
-    def to_json(self) -> dict:
-        entries = [{"x": list(k), "f": self.outputs[k]} for k in sorted(self.outputs)]
-        return {"n": self.n, "M": self.M, "entries": entries}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "BooleanFunctionTable":
-        outputs = {tuple(e["x"]): int(e["f"]) for e in obj["entries"]}
-        return cls(int(obj["n"]), int(obj["M"]), outputs)
-
 
 def compose_input(x: InputString, g: IndexFunction) -> InputString:
     """Table of x after g: result[i] = x[g(i)]."""
     if x.n != g.n:
         raise ValueError(f"dimension mismatch: input has n={x.n}, index map has n={g.n}")
     return InputString(x.n, x.M, tuple(x.values[g.values[i]] for i in range(x.n)))
-
-
-def compose_index(g: IndexFunction, h: IndexFunction) -> IndexFunction:
-    """Index map of g after h: result[i] = g[h(i)]."""
-    if g.n != h.n:
-        raise ValueError(f"dimension mismatch: n={g.n} vs n={h.n}")
-    return IndexFunction(g.n, tuple(g.values[h.values[i]] for i in range(g.n)))
 
 
 def image(g: IndexFunction) -> frozenset[int]:

@@ -63,17 +63,6 @@ class WeightedSupport:
                 return p
         return Fraction(0)
 
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "values": list(g.values),
-                    "prob": {"num": p.numerator, "den": p.denominator},
-                }
-                for g, p in self.entries
-            ]
-        }
-
 
 def _injection_prefix(n: int, r: int, rng: np.random.Generator) -> list[int]:
     # partial Fisher-Yates: the first r cells of a uniform shuffle of [n]

@@ -125,9 +125,6 @@ class ClassicalOracle:
         self.queries += 1
         return self.values[i]
 
-    def apply_tensor(self, *args, **kwargs):
-        raise TypeError("classical oracle cannot be applied to a quantum state")
-
 
 class ComposedOracle:
     """Oracle of (x after g) realized from the oracles of x and g.

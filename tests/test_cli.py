@@ -1,4 +1,7 @@
+import csv
+import errno
 import json
+import os
 
 import pytest
 
@@ -19,6 +22,14 @@ NUMPY_OOM = "Unable to allocate 16.0 TiB for an array with shape (1048576, 10485
 
 def raise_memory_error(*args, **kwargs):
     raise MemoryError(NUMPY_OOM)
+
+
+def disk_full_writer(*args, **kwargs):
+    # a write that fails on flush: the OSError carries no filename
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+REPORT_KEYS = ["artifact_version", "created", "kind", "params", "results", "seed"]
 
 
 class TestCompileRun:
@@ -274,12 +285,20 @@ class TestCompileRun:
         assert code == 2
         assert capsys.readouterr().err == "error: const0 table exceeds the budget of 100 entries\n"
 
-    @pytest.mark.parametrize("message", [NUMPY_OOM, ""], ids=["numpy-message", "bare"])
-    def test_out_of_memory_is_usage_error(self, monkeypatch, capsys, message):
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("qsymlab.zoo.fourier_matrix", NUMPY_OOM),
+            ("qsymlab.zoo.fourier_matrix", ""),
+            ("qsymlab.compiler.estimate_success", NUMPY_OOM),
+        ],
+        ids=["numpy-message", "bare", "estimate_success"],
+    )
+    def test_out_of_memory_is_usage_error(self, monkeypatch, capsys, target, message):
         def raise_memory_error(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(zoo, "fourier_matrix", raise_memory_error)
+        monkeypatch.setattr(target, raise_memory_error)
         code = cli.main(
             ["compile-run", "--zoo", "grover", "--n", "8", "--input", "constant0", "--r", "2"]
         )
@@ -287,6 +306,56 @@ class TestCompileRun:
         captured = capsys.readouterr()
         assert captured.err == ("error: out of memory" + (f": {message}" if message else "") + "\n")
         assert captured.out == ""
+
+    def test_write_error_names_its_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(csv, "writer", disk_full_writer)
+        csv_path = tmp_path / "trials.csv"
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "4",
+                "--input", "balanced",
+                "--r", "4",
+                "--trials", "2",
+                "--csv", str(csv_path),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {csv_path}: No space left on device\n"
+        assert captured.out == ""
+
+    def test_params_echo_the_flags(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "4",
+                "--input", "balanced",
+                "--r", "3",
+                "--trials", "2",
+                "--seed", "4",
+                "--out", str(out),
+                "--csv", str(tmp_path / "trials.csv"),
+            ]
+        )
+        assert code == 0
+        report = read_report(out)
+        assert sorted(report) == REPORT_KEYS
+        assert report["kind"] == "compile-run"
+        assert report["seed"] == 4
+        assert report["params"] == {
+            "zoo": "dj",
+            "n": 4,
+            "input": "balanced",
+            "r": 3,
+            "trials": 2,
+            "exact": False,
+            "jobs": 1,
+            "iterations": None,
+        }
 
 
 class TestDistinguish:
@@ -445,6 +514,52 @@ class TestDistinguish:
         captured = capsys.readouterr()
         assert captured.err == f"error: out of memory: {NUMPY_OOM}\n"
         assert captured.out == ""
+
+    def test_write_error_names_its_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(csv, "writer", disk_full_writer)
+        csv_path = tmp_path / "curve.csv"
+        code = cli.main(
+            [
+                "distinguish",
+                "--algo", "collision-sniffer",
+                "--n", "4",
+                "--r-list", "1,2",
+                "--samples", "10",
+                "--csv", str(csv_path),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {csv_path}: No space left on device\n"
+        assert captured.out == ""
+
+    def test_params_echo_the_flags(self, tmp_path):
+        out = tmp_path / "adv.json"
+        code = cli.main(
+            [
+                "distinguish",
+                "--algo", "collision-sniffer",
+                "--n", "4",
+                "--r-list", "1,2",
+                "--samples", "10",
+                "--seed", "6",
+                "--exact",
+                "--out", str(out),
+                "--csv", str(tmp_path / "curve.csv"),
+            ]
+        )
+        assert code == 0
+        report = read_report(out)
+        assert sorted(report) == REPORT_KEYS
+        assert report["kind"] == "distinguish"
+        assert report["seed"] == 6
+        assert report["params"] == {
+            "algo": "collision-sniffer",
+            "n": 4,
+            "r_list": "1,2",
+            "samples": 10,
+            "exact": True,
+        }
 
     def test_reproducible_payload(self, tmp_path):
         args = [

@@ -8,7 +8,6 @@ from qsymlab.core import (
     BooleanFunctionTable,
     IndexFunction,
     InputString,
-    compose_index,
     compose_input,
     first_type_asymmetry_witness,
     image,
@@ -54,7 +53,8 @@ class TestCompose:
         x = InputString(n, m, tuple(data.draw(st.integers(0, m - 1)) for _ in range(n)))
         g = IndexFunction(n, tuple(data.draw(st.integers(0, n - 1)) for _ in range(n)))
         h = IndexFunction(n, tuple(data.draw(st.integers(0, n - 1)) for _ in range(n)))
-        assert compose_input(compose_input(x, g), h) == compose_input(x, compose_index(g, h))
+        g_after_h = IndexFunction(n, tuple(g.values[v] for v in h.values))
+        assert compose_input(compose_input(x, g), h) == compose_input(x, g_after_h)
 
 
 class TestImage:
@@ -162,17 +162,3 @@ class TestSecondTypeSymmetry:
         for f in tables:
             if is_symmetric_second_type(f):
                 assert is_symmetric_first_type(f)
-
-
-class TestSerialization:
-    def test_input_round_trip(self):
-        x = InputString(3, 4, (0, 3, 2))
-        assert InputString.from_json(x.to_json()) == x
-
-    def test_index_round_trip(self):
-        g = IndexFunction(4, (1, 1, 3, 0))
-        assert IndexFunction.from_json(g.to_json()) == g
-
-    def test_table_round_trip(self):
-        f = or_table(3)
-        assert BooleanFunctionTable.from_json(f.to_json()) == f

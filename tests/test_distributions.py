@@ -161,9 +161,3 @@ class TestIsInjective:
 
     def test_constant(self):
         assert not is_injective(IndexFunction(3, (1, 1, 1)))
-
-    def test_serialization(self):
-        support = enumerate_small_range_support(SmallRangeParams(2, 2))
-        blob = support.to_json()
-        total = sum(Fraction(e["prob"]["num"], e["prob"]["den"]) for e in blob["entries"])
-        assert total == 1

@@ -164,10 +164,6 @@ class TestClassicalOracle:
         with pytest.raises(IndexError):
             ClassicalOracle(InputString(2, 2, (0, 1)).values).lookup(2)
 
-    def test_not_applicable_to_states(self):
-        with pytest.raises(TypeError):
-            ClassicalOracle(InputString(2, 2, (0, 1)).values).apply_tensor(None, 0, 1)
-
 
 class TestComposedOracle:
     def assert_matches_standard(self, x, g):
