@@ -3,15 +3,17 @@ one-shot invariant suite, and the algorithm catalog.
 
 Exit codes: 0 success, 1 failed property or assertion, 2 usage error; `main`
 turns any ValueError, IndexError or MemoryError into exit 2 and one `error:`
-line. Reports are JSON (plus CSV for curves) whose `params` echo the flags;
-rerunning a command with the same flags and seed reproduces the results
-payload byte for byte (timestamps live outside the payload).
+line. This module alone owns the report format: JSON (plus CSV with `--csv`)
+built from the plain records of `compiler` and `disting`, whose `params`
+echo the flags; rerunning a command with the same flags and seed reproduces
+the results payload byte for byte (timestamps live outside the payload).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import errno
 import itertools
 import json
@@ -33,9 +35,9 @@ MAX_EMBEDDED_TRIALS = 10_000
 _NOT_PARAMS = frozenset({"command", "func", "seed", "out", "csv"})
 
 
-def _emit_report(kind: str, args, results: dict, write_csv=None) -> int:
-    """Write `write_csv(args.csv)` if both are set, then the JSON report whose
-    `params` echo the other flags; a failed write names the path it was on."""
+def _emit_report(kind: str, args, results: dict, csv_rows=None) -> int:
+    """Write `csv_rows` (header first) to `args.csv` if it is set, then the JSON
+    report whose `params` echo the other flags; a failed write names its path."""
     report = {
         "kind": kind,
         "artifact_version": __version__,
@@ -47,8 +49,9 @@ def _emit_report(kind: str, args, results: dict, write_csv=None) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     path = args.csv
     try:
-        if write_csv and args.csv:
-            write_csv(args.csv)
+        if args.csv:
+            with open(args.csv, "w", newline="") as fh:
+                csv.writer(fh).writerows(csv_rows)
         path = args.out or "<stdout>"
         if args.out:
             with open(args.out, "w") as fh:
@@ -72,10 +75,12 @@ def _reason(exc: Exception) -> str:
     return str(exc)
 
 
-def _unwritable(*paths: str | None) -> str | None:
-    """Why one of the given output paths cannot be written, checked before any
-    work; the write itself still catches what this cannot see."""
-    for path in filter(None, paths):
+def _unwritable(args) -> str | None:
+    """Why the `--out` and `--csv` paths cannot both be written, checked before
+    any work; the write itself still catches what this cannot see."""
+    if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
+        return f"--out and --csv name the same file {args.csv}"
+    for path in filter(None, (args.out, args.csv)):
         parent = os.path.dirname(path) or "."
         if not os.path.exists(parent):
             code = errno.ENOENT
@@ -128,7 +133,9 @@ def _cmd_compile_run(args) -> int:
         return _usage_error("--trials must be >= 0")
     if args.jobs < 1:
         return _usage_error("--jobs must be >= 1")
-    unwritable = _unwritable(args.out, args.csv if args.trials > 0 else None)
+    if args.csv and args.trials == 0:
+        return _usage_error("--csv has no trials to write with --trials 0")
+    unwritable = _unwritable(args)
     if unwritable:
         return _usage_error(unwritable)
     expected = entry.function.value(x)
@@ -148,33 +155,42 @@ def _cmd_compile_run(args) -> int:
     estimate = compiler.estimate_success(
         entry.algorithm, x, expected, args.r, args.trials, rng, jobs=args.jobs
     )
-    results["estimate"] = estimate.to_json()
+    runs = estimate.results
+    results["estimate"] = {
+        **{k: v for k, v in vars(estimate).items() if k != "results"},
+        "classical_queries_max": max(t.classical_queries_used for t in runs),
+        "injective_fraction": sum(t.C_was_injective for t in runs) / estimate.trials,
+    }
     # quantum-side counters are zero by construction: the compiled path
     # only ever touches x through the classical lookups of step 2
     results["counters"] = {
         "x_queries": 0,
         "g_queries": 0,
-        "classical_queries": sum(t.classical_queries_used for t in estimate.results),
+        "classical_queries": sum(t.classical_queries_used for t in runs),
     }
     if args.trials <= MAX_EMBEDDED_TRIALS:
-        results["trials_detail"] = [t.to_json() for t in estimate.results]
-
-    def write_csv(path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("trial", "output_bit", "classical_queries", "c_injective", "seed"))
-            for idx, t in enumerate(estimate.results):
-                writer.writerow(
-                    (idx, t.output_bit, t.classical_queries_used, int(t.C_was_injective), t.seed)
-                )
-
-    return _emit_report("compile-run", args, results, write_csv)
+        results["trials_detail"] = [
+            {
+                "output_bit": t.output_bit,
+                "classical_queries": t.classical_queries_used,
+                "C": list(t.sampled_C.values),
+                "C_injective": t.C_was_injective,
+                "seed": t.seed,
+            }
+            for t in runs
+        ]
+    rows = [("trial", "output_bit", "classical_queries", "c_injective", "seed")]
+    rows += [
+        (idx, t.output_bit, t.classical_queries_used, int(t.C_was_injective), t.seed)
+        for idx, t in enumerate(runs)
+    ]
+    return _emit_report("compile-run", args, results, rows)
 
 
 def _cmd_distinguish(args) -> int:
     if args.seed < 0:
         return _usage_error("--seed must be >= 0")
-    unwritable = _unwritable(args.out, args.csv)
+    unwritable = _unwritable(args)
     if unwritable:
         return _usage_error(unwritable)
     r_values = [int(v) for v in args.r_list.split(",")]
@@ -189,8 +205,13 @@ def _cmd_distinguish(args) -> int:
         exact=args.exact,
         algorithm_id=probe.id,
     )
-    results = {"algorithm_id": probe.id, "reports": [rep.to_json() for rep in reports]}
-    return _emit_report("distinguish", args, results, lambda path: disting.write_csv(reports, path))
+    results = {"algorithm_id": probe.id, "reports": [dataclasses.asdict(rep) for rep in reports]}
+    rows = [("n", "r", "method", "adv", "ci_low", "ci_high", "samples", "seed")]
+    rows += [
+        (rep.n, rep.r, rep.method, rep.advantage, rep.ci_low, rep.ci_high, rep.samples, rep.seed)
+        for rep in reports
+    ]
+    return _emit_report("distinguish", args, results, rows)
 
 
 def _cmd_zoo(args) -> int:

@@ -103,15 +103,6 @@ class CompiledRunResult:
                 f"image size {len(image(self.sampled_C))}"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "output_bit": self.output_bit,
-            "classical_queries": self.classical_queries_used,
-            "C": list(self.sampled_C.values),
-            "C_injective": self.C_was_injective,
-            "seed": self.seed,
-        }
-
 
 def compiled_distribution(
     alg: QueryAlgorithm, x: InputString, index_map: IndexFunction
@@ -163,6 +154,8 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
 
 @dataclass(frozen=True)
 class SuccessEstimate:
+    """Monte Carlo success count over independent compiled trials."""
+
     expected_bit: int
     r: int
     trials: int
@@ -171,20 +164,6 @@ class SuccessEstimate:
     ci_low: float
     ci_high: float
     results: tuple[CompiledRunResult, ...]
-
-    def to_json(self) -> dict:
-        payload = {
-            "expected_bit": self.expected_bit,
-            "r": self.r,
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "classical_queries_max": max(t.classical_queries_used for t in self.results),
-            "injective_fraction": sum(t.C_was_injective for t in self.results) / self.trials,
-        }
-        return payload
 
 
 def _seeded_trial(args) -> CompiledRunResult:

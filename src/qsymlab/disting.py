@@ -4,16 +4,16 @@ small-range index maps.
 Expectations are taken over the oracle draw only; per-oracle output
 probabilities come exactly from the simulator, so Monte Carlo noise enters
 through the draw alone. The hardness bound's absolute constant is unknown,
-so nothing here asserts a bound value; the probe reports curves.
+so nothing here asserts a bound value; the probe reports curves. Reports
+are plain records: the CLI turns their fields into JSON entries and CSV rows.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,74 +30,35 @@ from .distributions import (
 from .oracles import standard_oracle
 from .statevector import QueryAlgorithm, run
 
-CSV_COLUMNS = ("n", "r", "method", "adv", "ci_low", "ci_high", "samples", "seed")
-
 
 @dataclass(frozen=True)
 class AdvantageReport:
-    """Advantage of one algorithm at one (n, r), exact or sampled."""
+    """Advantage of one algorithm at one (n, r), exact or sampled, derived from
+    the acceptance probabilities `p_perm` and `p_small`."""
 
     n: int
     r: int
     algorithm_id: str
     method: str
-    perm_prob: dict[int, float]
-    smallrange_prob: dict[int, float]
-    advantage: float
+    p_perm: InitVar[float]
+    p_small: InitVar[float]
     samples: Optional[int]
     ci_low: float
     ci_high: float
     seed: Optional[int]
+    perm_prob: dict[int, float] = field(init=False)
+    smallrange_prob: dict[int, float] = field(init=False)
+    advantage: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.advantage <= 1.0:
-            raise ValueError(f"advantage {self.advantage} outside [0, 1]")
-
-    def csv_row(self) -> tuple:
-        return (
-            self.n,
-            self.r,
-            self.method,
-            self.advantage,
-            self.ci_low,
-            self.ci_high,
-            self.samples if self.samples is not None else "",
-            self.seed if self.seed is not None else "",
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "algorithm_id": self.algorithm_id,
-            "method": self.method,
-            "perm_prob": {str(b): p for b, p in self.perm_prob.items()},
-            "smallrange_prob": {str(b): p for b, p in self.smallrange_prob.items()},
-            "advantage": self.advantage,
-            "samples": self.samples,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-        }
-
-
-def _report(n, r, algorithm_id, method, p_perm, p_small, samples, ci, seed) -> AdvantageReport:
-    # per-b probabilities stored as exact complements so both |differences|
-    # coincide bit for bit
-    advantage = abs(p_perm - p_small)
-    return AdvantageReport(
-        n=n,
-        r=r,
-        algorithm_id=algorithm_id,
-        method=method,
-        perm_prob={1: p_perm, 0: 1.0 - p_perm},
-        smallrange_prob={1: p_small, 0: 1.0 - p_small},
-        advantage=advantage,
-        samples=samples,
-        ci_low=ci[0],
-        ci_high=ci[1],
-        seed=seed,
-    )
+    def __post_init__(self, p_perm: float, p_small: float) -> None:
+        advantage = abs(p_perm - p_small)
+        if not 0.0 <= advantage <= 1.0:
+            raise ValueError(f"advantage {advantage} outside [0, 1]")
+        # per-b probabilities stored as exact complements so both |differences|
+        # coincide bit for bit
+        object.__setattr__(self, "perm_prob", {1: p_perm, 0: 1.0 - p_perm})
+        object.__setattr__(self, "smallrange_prob", {1: p_small, 0: 1.0 - p_small})
+        object.__setattr__(self, "advantage", advantage)
 
 
 def advantage_exact(
@@ -118,7 +79,7 @@ def advantage_exact(
         float(w) * run(algorithm, standard_oracle(g))[1] for g, w in support.entries
     )
     adv = abs(p_perm - p_small)
-    return _report(n, r, algorithm_id, "exact", p_perm, p_small, None, (adv, adv), None)
+    return AdvantageReport(n, r, algorithm_id, "exact", p_perm, p_small, None, adv, adv, None)
 
 
 def advantage_monte_carlo(
@@ -152,7 +113,7 @@ def advantage_monte_carlo(
         se = 0.0
     adv = abs(p_perm - p_small)
     ci = (max(0.0, adv - Z_95 * se), min(1.0, adv + Z_95 * se))
-    return _report(n, r, algorithm_id, "monte-carlo", p_perm, p_small, samples, ci, seed)
+    return AdvantageReport(n, r, algorithm_id, "monte-carlo", p_perm, p_small, samples, *ci, seed)
 
 
 def sweep_r(
@@ -183,11 +144,3 @@ def sweep_r(
                 advantage_monte_carlo(algorithm, n, r, samples, rng, algorithm_id=algorithm_id)
             )
     return reports
-
-
-def write_csv(reports: Sequence[AdvantageReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for report in reports:
-            writer.writerow(report.csv_row())

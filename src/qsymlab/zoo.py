@@ -72,12 +72,11 @@ def _require_table_in_budget(name: str, n: int, strings: Callable[[], int], min_
 
 @dataclass(frozen=True)
 class ZooEntry:
-    """A promise function, an exact algorithm for it, and its success story."""
+    """A promise function and a query algorithm that decides it."""
 
     id: str
     function: BooleanFunctionTable
     algorithm: QueryAlgorithm
-    known_success: str
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class Distinguisher:
 
 
 def deutsch_jozsa(n: int) -> ZooEntry:
-    """Constant-vs-balanced decision in one query.
+    """Constant-vs-balanced decision in one query, exact on the promise.
 
     The promise domain holds the two constant strings (output 0) and all
     balanced strings (output 1) over M = 2. Uniform superposition on the
@@ -116,7 +115,7 @@ def deutsch_jozsa(n: int) -> ZooEntry:
         ),
         output_rule=OutputRule((0,), frozenset((k,) for k in range(1, n))),
     )
-    return ZooEntry("dj", function, alg, "exact: correct with probability 1 on every promise input")
+    return ZooEntry("dj", function, alg)
 
 
 def optimal_grover_iterations(n: int) -> int:
@@ -132,7 +131,8 @@ def grover_unique_or(n: int, iterations: int) -> ZooEntry:
     uniform state; a final verification query writes the input's bit at the
     (superposed) index into a fresh output register, which also makes the
     circuit's output well defined off the promise. Query count is
-    iterations + 1.
+    iterations + 1; with k iterations the output is 1 with probability
+    sin^2((2k+1) asin(sqrt(1/n))) on unique-marked inputs, 0 on all-zeros.
     """
     _require_power_of_two(n)
     if iterations < 0:
@@ -154,8 +154,7 @@ def grover_unique_or(n: int, iterations: int) -> ZooEntry:
         steps=tuple(steps),
         output_rule=OutputRule((2,), frozenset({(1,)})),
     )
-    success = "sin^2((2k+1) asin(sqrt(1/n))) on unique-marked inputs; 0 on all-zeros"
-    return ZooEntry("grover", function, alg, success)
+    return ZooEntry("grover", function, alg)
 
 
 def constant_function(bit: int, n: int = 4, M: int = 2) -> ZooEntry:
@@ -171,7 +170,7 @@ def constant_function(bit: int, n: int = 4, M: int = 2) -> ZooEntry:
         steps=(),
         output_rule=OutputRule((), ones),
     )
-    return ZooEntry(f"const{bit}", function, alg, f"exact: outputs {bit} with probability 1")
+    return ZooEntry(f"const{bit}", function, alg)
 
 
 def collision_sniffer(n: int, queries: int = 1) -> Distinguisher:

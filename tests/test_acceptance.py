@@ -213,7 +213,7 @@ def test_criterion_6_end_to_end_pipeline():
 
 
 def test_criterion_7_distinguisher_sanity(tmp_path):
-    from qsymlab.disting import advantage_exact, advantage_monte_carlo, sweep_r, write_csv
+    from qsymlab.disting import advantage_exact, advantage_monte_carlo
 
     zero = zero_query_probe(8)
     assert advantage_exact(zero.algorithm, 8, 1).advantage == 0.0
@@ -233,16 +233,20 @@ def test_criterion_7_distinguisher_sanity(tmp_path):
     assert 0.0 <= sampled.advantage <= 1.0
     assert 0.0 <= exact.advantage <= 1.0
 
-    sixteen = collision_sniffer(16)
-    curve = sweep_r(
-        sixteen.algorithm, 16, [1, 2, 4, 8, 16], 300, np.random.default_rng(14),
-        algorithm_id=sixteen.id,
-    )
-    assert all(0.0 <= rep.advantage <= 1.0 for rep in curve)
     path = tmp_path / "advantage_curve.csv"
-    write_csv(curve, path)
+    curve_args = [
+        "distinguish",
+        "--algo", "collision-sniffer",
+        "--n", "16",
+        "--r-list", "1,2,4,8,16",
+        "--samples", "300",
+        "--seed", "14",
+        "--csv", str(path),
+    ]
+    assert cli.main(curve_args) == 0
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 6  # header + one row per r, reported not asserted
+    assert all(0.0 <= float(line.split(",")[3]) <= 1.0 for line in lines[1:])
     report(7, "zero-query advantage 0; exact/MC agree; n=16 curve emitted as CSV")
 
 

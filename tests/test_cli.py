@@ -357,6 +357,88 @@ class TestCompileRun:
             "iterations": None,
         }
 
+    def test_entry_keys(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "4",
+                "--input", "balanced",
+                "--r", "3",
+                "--trials", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        results = read_report(out)["results"]
+        assert sorted(results["estimate"]) == [
+            "ci_high",
+            "ci_low",
+            "classical_queries_max",
+            "estimate",
+            "expected_bit",
+            "injective_fraction",
+            "r",
+            "successes",
+            "trials",
+        ]
+        assert sorted(results["trials_detail"][0]) == [
+            "C",
+            "C_injective",
+            "classical_queries",
+            "output_bit",
+            "seed",
+        ]
+
+    def test_csv_without_trials_rejected(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("exact_success ran before --csv was checked")
+
+        monkeypatch.setattr(compiler, "exact_success", never)
+        csv_path = tmp_path / "trials.csv"
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "4",
+                "--input", "balanced",
+                "--r", "2",
+                "--trials", "0",
+                "--exact",
+                "--csv", str(csv_path),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --csv has no trials to write with --trials 0\n"
+        assert captured.out == ""
+        assert not csv_path.exists()
+
+    def test_out_and_csv_same_file_rejected(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("estimate_success ran before the output paths were checked")
+
+        monkeypatch.setattr(compiler, "estimate_success", never)
+        path = tmp_path / "report"
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "4",
+                "--input", "balanced",
+                "--r", "2",
+                "--trials", "3",
+                "--out", str(path),
+                "--csv", f"{tmp_path}/./report",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out and --csv name the same file {tmp_path}/./report\n"
+        assert captured.out == ""
+        assert not path.exists()
+
 
 class TestDistinguish:
     def test_zero_query_advantages_vanish(self, tmp_path):
@@ -446,9 +528,10 @@ class TestDistinguish:
             ]
         )
         assert code == 0
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0].startswith("n,r,method,adv")
-        assert len(lines) == 4
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "r", "method", "adv", "ci_low", "ci_high", "samples", "seed"]
+        assert [row[1] for row in rows[1:]] == ["1", "2", "4"]
 
     def test_unwritable_csv_is_usage_error(self, tmp_path, capsys):
         csv_path = tmp_path / "missing" / "curve.csv"
@@ -560,6 +643,63 @@ class TestDistinguish:
             "samples": 10,
             "exact": True,
         }
+
+    def test_exact_entry_keys_and_csv_row(self, tmp_path):
+        out, csv_path = tmp_path / "adv.json", tmp_path / "curve.csv"
+        code = cli.main(
+            [
+                "distinguish",
+                "--algo", "collision-sniffer",
+                "--n", "4",
+                "--r-list", "2",
+                "--exact",
+                "--out", str(out),
+                "--csv", str(csv_path),
+            ]
+        )
+        assert code == 0
+        entry = read_report(out)["results"]["reports"][0]
+        assert sorted(entry) == [
+            "advantage",
+            "algorithm_id",
+            "ci_high",
+            "ci_low",
+            "method",
+            "n",
+            "perm_prob",
+            "r",
+            "samples",
+            "seed",
+            "smallrange_prob",
+        ]
+        assert entry["perm_prob"] == {"0": 0.75, "1": 0.25}
+        with open(csv_path, newline="") as fh:
+            row = list(csv.reader(fh))[1]
+        assert row[:3] == ["4", "2", "exact"]
+        assert row[-2:] == ["", ""]
+
+    def test_out_and_csv_same_file_rejected(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("sweep_r ran before the output paths were checked")
+
+        monkeypatch.setattr(disting, "sweep_r", never)
+        path = tmp_path / "adv"
+        code = cli.main(
+            [
+                "distinguish",
+                "--algo", "collision-sniffer",
+                "--n", "4",
+                "--r-list", "1,2",
+                "--samples", "10",
+                "--out", str(path),
+                "--csv", f"{tmp_path}/./adv",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out and --csv name the same file {tmp_path}/./adv\n"
+        assert captured.out == ""
+        assert not path.exists()
 
     def test_reproducible_payload(self, tmp_path):
         args = [

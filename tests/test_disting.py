@@ -1,15 +1,8 @@
-import csv
-
 import numpy as np
 import pytest
 
 from qsymlab import disting
-from qsymlab.disting import (
-    advantage_exact,
-    advantage_monte_carlo,
-    sweep_r,
-    write_csv,
-)
+from qsymlab.disting import advantage_exact, advantage_monte_carlo, sweep_r
 from qsymlab.zoo import collision_sniffer, zero_query_probe
 
 
@@ -132,14 +125,3 @@ class TestSweep:
         # r = 1 forces constant maps: the probe accepts them always, so the
         # gap to the 1/16 permutation rate is large
         assert reports[0].advantage > 0.5
-
-    def test_csv_round_trip(self, tmp_path):
-        probe = collision_sniffer(4)
-        reports = sweep_r(probe.algorithm, 4, [1, 2], 30, np.random.default_rng(4))
-        path = tmp_path / "curve.csv"
-        write_csv(reports, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "r", "method", "adv", "ci_low", "ci_high", "samples", "seed"]
-        assert len(rows) == 3
-        assert [row[1] for row in rows[1:]] == ["1", "2"]
