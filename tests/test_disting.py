@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from qsymlab import disting
+from qsymlab import cli, disting
 from qsymlab.disting import advantage_exact, advantage_monte_carlo, sweep_r
 from qsymlab.zoo import collision_sniffer, zero_query_probe
 
@@ -125,3 +127,31 @@ class TestSweep:
         # r = 1 forces constant maps: the probe accepts them always, so the
         # gap to the 1/16 permutation rate is large
         assert reports[0].advantage > 0.5
+
+    def test_csv_round_trip(self, tmp_path):
+        # the CLI's CSV of a sweep reads back as the sweep's own reports
+        probe = collision_sniffer(4)
+        reports = sweep_r(probe.algorithm, 4, [1, 2], 30, np.random.default_rng(4))
+        path = tmp_path / "curve.csv"
+        code = cli.main(
+            [
+                "distinguish",
+                "--algo", "collision-sniffer",
+                "--n", "4",
+                "--r-list", "1,2",
+                "--samples", "30",
+                "--seed", "4",
+                "--out", str(tmp_path / "adv.json"),
+                "--csv", str(path),
+            ]
+        )
+        assert code == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "r", "method", "adv", "ci_low", "ci_high", "samples", "seed"]
+        assert len(rows) == 3
+        assert [row[1] for row in rows[1:]] == ["1", "2"]
+        for row, rep in zip(rows[1:], reports):
+            assert (int(row[0]), int(row[1]), row[2]) == (rep.n, rep.r, rep.method)
+            assert [float(v) for v in row[3:6]] == [rep.advantage, rep.ci_low, rep.ci_high]
+            assert (int(row[6]), int(row[7])) == (rep.samples, rep.seed)
