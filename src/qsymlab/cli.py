@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__, compiler, core, disting, distributions, oracles, statevector, zoo
 
 MAX_EMBEDDED_TRIALS = 10_000
+DEFAULT_SAMPLES = 1000
 
 
 # not echoed in params: the seed has its own key, the rest pick the command or the output
@@ -122,6 +123,8 @@ def _parse_input_spec(spec: str, entry: zoo.ZooEntry, rng: np.random.Generator) 
 def _cmd_compile_run(args) -> int:
     if args.seed < 0:
         return _usage_error("--seed must be >= 0")
+    if args.iterations is not None and args.zoo != "grover":
+        return _usage_error("--iterations applies to grover only")
     rng = np.random.default_rng(args.seed)
     entry = zoo.build_zoo_entry(args.zoo, args.n, args.iterations)
     x = _parse_input_spec(args.input, entry, rng)
@@ -190,10 +193,17 @@ def _cmd_compile_run(args) -> int:
 def _cmd_distinguish(args) -> int:
     if args.seed < 0:
         return _usage_error("--seed must be >= 0")
+    if args.exact and args.samples is not None:
+        return _usage_error("--samples does not apply to --exact")
+    if not args.exact and args.samples is None:
+        args.samples = DEFAULT_SAMPLES
+    try:
+        r_values = [int(v) for v in args.r_list.split(",")]
+    except ValueError:
+        return _usage_error(f"--r-list must be comma-separated integers, got {args.r_list!r}")
     unwritable = _unwritable(args)
     if unwritable:
         return _usage_error(unwritable)
-    r_values = [int(v) for v in args.r_list.split(",")]
     probe = zoo.build_distinguisher(args.algo, args.n)
     rng = np.random.default_rng(args.seed)
     reports = disting.sweep_r(
@@ -510,7 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--algo", required=True, choices=zoo.DISTINGUISHER_IDS)
     p_dist.add_argument("--n", type=int, required=True)
     p_dist.add_argument("--r-list", required=True, help="comma-separated r values")
-    p_dist.add_argument("--samples", type=int, default=1000)
+    p_dist.add_argument(
+        "--samples", type=int, default=None, help=f"Monte Carlo draws per r (default {DEFAULT_SAMPLES})"
+    )
     p_dist.add_argument("--seed", type=int, default=0)
     p_dist.add_argument("--out", default=None)
     p_dist.add_argument("--csv", default=None)

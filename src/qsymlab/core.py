@@ -50,14 +50,15 @@ class IndexFunction:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        values = tuple(map(int, self.values))
+        object.__setattr__(self, "values", values)
         if self.n < 1:
             raise ValueError("n must be positive")
-        if len(self.values) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(self.values)}")
-        for v in self.values:
-            if not 0 <= v < self.n:
-                raise ValueError(f"entry {v} outside [0, {self.n})")
+        if len(values) != self.n:
+            raise ValueError(f"expected {self.n} entries, got {len(values)}")
+        if min(values) < 0 or max(values) >= self.n:
+            bad = next(v for v in values if not 0 <= v < self.n)
+            raise ValueError(f"entry {bad} outside [0, {self.n})")
 
     @classmethod
     def identity(cls, n: int) -> "IndexFunction":

@@ -2,16 +2,21 @@
 
 The small-range distribution over maps [n] -> [n] with image size at most r
 is sampled as a composition: a uniform function into [r] followed by a
-uniform injection of [r] into [n]. The enumerator gives each map with image
+uniform injection of [r] into [n]. Each draw is one generator call against
+a cached array of bounds, which consumes the stream exactly as the scalar
+form (n draws into [r], then one draw into [n - k] per Fisher-Yates swap)
+does, element by element. The enumerator gives each map with image
 size k <= r its closed-form mass (r)_k (n-k)! / (r^n n!), serving as the
 ground-truth oracle for the samplers and for exact expectation sweeps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +52,10 @@ class WeightedSupport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
-        total = sum((p for _, p in self.entries), Fraction(0))
+        # few distinct masses: one exact product per mass, not one add per entry;
+        # keyed by (numerator, denominator), as hashing a Fraction costs a modular inverse
+        masses = Counter((p.numerator, p.denominator) for _, p in self.entries)
+        total = sum((Fraction(*p) * count for p, count in masses.items()), Fraction(0))
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
         seen = {g.values for g, _ in self.entries}
@@ -64,26 +72,37 @@ class WeightedSupport:
         return Fraction(0)
 
 
-def _injection_prefix(n: int, r: int, rng: np.random.Generator) -> list[int]:
-    # partial Fisher-Yates: the first r cells of a uniform shuffle of [n]
+@functools.lru_cache(maxsize=None)
+def _draw_bounds(n: int, r: int) -> np.ndarray:
+    # r repeated n times (the map into [r]), then n, n-1, ..., n-r+1 (the swaps)
+    bounds = np.concatenate(
+        (np.full(n, r, dtype=np.int64), np.arange(n, n - r, -1, dtype=np.int64))
+    )
+    bounds.setflags(write=False)
+    return bounds
+
+
+def _injection_prefix(n: int, swaps: list[int]) -> list[int]:
+    # partial Fisher-Yates: the first len(swaps) cells of a uniform shuffle of [n]
     cells = list(range(n))
-    for k in range(r):
-        swap = k + int(rng.integers(0, n - k))
+    for k, offset in enumerate(swaps):
+        swap = k + offset
         cells[k], cells[swap] = cells[swap], cells[k]
-    return cells[:r]
+    return cells[: len(swaps)]
 
 
 def sample_small_range(params: SmallRangeParams, rng: np.random.Generator) -> IndexFunction:
     """One draw of the small-range distribution; image size is at most r."""
     n, r = params.n, params.r
-    into_range = rng.integers(0, r, size=n)
-    injection = _injection_prefix(n, r, rng)
-    return IndexFunction(n, tuple(injection[v] for v in into_range))
+    draws = rng.integers(0, _draw_bounds(n, r)).tolist()
+    injection = _injection_prefix(n, draws[n:])
+    return IndexFunction(n, tuple(injection[v] for v in draws[:n]))
 
 
 def sample_permutation(n: int, rng: np.random.Generator) -> IndexFunction:
     """Uniform permutation of [n]."""
-    return IndexFunction(n, tuple(_injection_prefix(n, n, rng)))
+    swaps = rng.integers(0, _draw_bounds(n, n)[n:]).tolist()
+    return IndexFunction(n, tuple(_injection_prefix(n, swaps)))
 
 
 def enumerate_small_range_support(params: SmallRangeParams) -> WeightedSupport:

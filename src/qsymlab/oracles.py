@@ -64,11 +64,12 @@ class StandardOracle:
     """Additive-shift query oracle for a fixed table."""
 
     def __init__(self, values: tuple[int, ...], index_dim: int, value_dim: int):
-        values = tuple(int(v) for v in values)
+        values = tuple(map(int, values))
         if len(values) != index_dim:
             raise ValueError(f"table length {len(values)} does not match index dim {index_dim}")
-        if any(not 0 <= v < value_dim for v in values):
-            raise ValueError(f"table entries must lie in [0, {value_dim})")
+        if values and (min(values) < 0 or max(values) >= value_dim):
+            bad = next(v for v in values if not 0 <= v < value_dim)
+            raise ValueError(f"table entries must lie in [0, {value_dim}), got {bad}")
         self.values = values
         self.index_dim = int(index_dim)
         self.value_dim = int(value_dim)

@@ -240,6 +240,47 @@ class TestCompileRun:
         assert captured.err == "error: --seed must be >= 0\n"
         assert captured.out == ""
 
+    def test_iterations_off_grover_rejected_before_building(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the zoo entry was built before --iterations was checked")
+
+        monkeypatch.setattr(zoo, "build_zoo_entry", never)
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "dj",
+                "--n", "4",
+                "--input", "balanced",
+                "--r", "2",
+                "--trials", "2",
+                "--iterations", "3",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --iterations applies to grover only\n"
+        assert captured.out == ""
+
+    def test_iterations_echoed_for_grover(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = cli.main(
+            [
+                "compile-run",
+                "--zoo", "grover",
+                "--n", "4",
+                "--input", "one-hot:1",
+                "--r", "2",
+                "--trials", "0",
+                "--iterations", "0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        report = read_report(out)
+        assert report["params"]["iterations"] == 0
+        # zero iterations: one verification query, no amplification
+        assert report["results"]["quantum_queries_base"] == 1
+
     def test_unwritable_out_fails_before_computing(self, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("exact_success ran before the output path was checked")
@@ -624,7 +665,6 @@ class TestDistinguish:
                 "--algo", "collision-sniffer",
                 "--n", "4",
                 "--r-list", "1,2",
-                "--samples", "10",
                 "--seed", "6",
                 "--exact",
                 "--out", str(out),
@@ -640,9 +680,50 @@ class TestDistinguish:
             "algo": "collision-sniffer",
             "n": 4,
             "r_list": "1,2",
-            "samples": 10,
+            "samples": None,
             "exact": True,
         }
+
+    def test_monte_carlo_samples_default_echoed(self, capsys):
+        code = cli.main(
+            ["distinguish", "--algo", "zero-query", "--n", "2", "--r-list", "1", "--seed", "3"]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["params"]["samples"] == 1000
+        assert report["results"]["reports"][0]["samples"] == 1000
+
+    def test_samples_with_exact_rejected(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("sweep_r ran before --samples was checked")
+
+        monkeypatch.setattr(disting, "sweep_r", never)
+        code = cli.main(
+            [
+                "distinguish",
+                "--algo", "collision-sniffer",
+                "--n", "4",
+                "--r-list", "2",
+                "--samples", "5",
+                "--exact",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --samples does not apply to --exact\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("r_list", ["1,,2", "1,two", ""])
+    def test_malformed_r_list_names_the_flag(self, r_list, capsys):
+        code = cli.main(
+            ["distinguish", "--algo", "collision-sniffer", "--n", "4", "--r-list", r_list]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --r-list must be comma-separated integers, got {r_list!r}\n"
+        )
+        assert captured.out == ""
 
     def test_exact_entry_keys_and_csv_row(self, tmp_path):
         out, csv_path = tmp_path / "adv.json", tmp_path / "curve.csv"

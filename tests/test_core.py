@@ -82,6 +82,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             IndexFunction(3, (0, 1))
 
+    @pytest.mark.parametrize(
+        "values, bad", [((0, 5, -1), 5), ((-1, 5, 0), -1), ((0, 1, 3), 3)]
+    )
+    def test_index_map_names_first_bad_entry(self, values, bad):
+        with pytest.raises(ValueError, match=rf"^entry {bad} outside \[0, 3\)$"):
+            IndexFunction(3, values)
+
     def test_off_domain_lookup_raises(self):
         f = or_table(2)
         probe = InputString(2, 2, (0, 1))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qsymlab.core import IndexFunction, image
 from qsymlab.distributions import (
     SmallRangeParams,
+    WeightedSupport,
     enumerate_small_range_support,
     enumeration_budget,
     is_injective,
@@ -27,6 +28,47 @@ def _pair_walk(n, r):
             composed = tuple(injection[v] for v in into_range)
             acc[composed] = acc.get(composed, Fraction(0)) + Fraction(1, pairs)
     return [(values, acc[values]) for values in sorted(acc)]
+
+
+def _scalar_shuffle_prefix(n, r, rng):
+    # the sampler's former stream: one generator call per Fisher-Yates swap
+    cells = list(range(n))
+    for k in range(r):
+        swap = k + int(rng.integers(0, n - k))
+        cells[k], cells[swap] = cells[swap], cells[k]
+    return cells[:r]
+
+
+def _scalar_small_range(n, r, rng):
+    into_range = rng.integers(0, r, size=n)
+    injection = _scalar_shuffle_prefix(n, r, rng)
+    return tuple(injection[v] for v in into_range)
+
+
+class TestSamplerStream:
+    """One generator call per draw consumes the stream as the scalar form does."""
+
+    SEEDS = (0, 1, 7, 2**31 - 1)
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_small_range_matches_scalar_form(self, n):
+        for seed in self.SEEDS:
+            for r in range(1, n + 1):
+                rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    drawn = sample_small_range(SmallRangeParams(n, r), rng).values
+                    assert drawn == _scalar_small_range(n, r, reference)
+                assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_permutation_matches_scalar_form(self, n):
+        for seed in self.SEEDS:
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                assert sample_permutation(n, rng).values == tuple(
+                    _scalar_shuffle_prefix(n, n, reference)
+                )
+            assert rng.random() == reference.random()
 
 
 class TestSampleSmallRange:
@@ -100,6 +142,16 @@ class TestEnumerator:
     def test_identity_mass_quarter(self):
         support = enumerate_small_range_support(SmallRangeParams(2, 2))
         assert support.probability_of(IndexFunction.identity(2)) == Fraction(1, 4)
+
+    def test_mass_short_of_one_rejected(self):
+        # exact: a float sum would round 1 - 2^-60 to 1
+        short = Fraction(1, 2**60)
+        entries = (
+            (IndexFunction(2, (0, 0)), Fraction(1, 2)),
+            (IndexFunction(2, (1, 1)), Fraction(1, 2) - short),
+        )
+        with pytest.raises(ValueError, match="not 1"):
+            WeightedSupport(entries)
 
     def test_mass_sums_to_one(self):
         for n, r in ((2, 2), (3, 2), (4, 3)):

@@ -70,6 +70,14 @@ class TestStandardOracle:
             oracle_full_matrix(standard_oracle(x), layout, 0, 1),
         )
 
+    @pytest.mark.parametrize("values, bad", [((0, 5, -1), 5), ((-1, 5, 0), -1)])
+    def test_table_names_first_bad_entry(self, values, bad):
+        with pytest.raises(ValueError, match=rf"^table entries must lie in \[0, 3\), got {bad}$"):
+            StandardOracle(values, 3, 3)
+
+    def test_empty_table_accepted(self):
+        assert StandardOracle((), 0, 2).values == ()
+
     def test_arity_mismatch(self):
         oracle = standard_oracle(InputString(3, 3, (0, 1, 2)))
         layout = RegisterLayout((3, 4))
