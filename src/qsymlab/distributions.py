@@ -75,9 +75,7 @@ class WeightedSupport:
 @functools.lru_cache(maxsize=None)
 def _draw_bounds(n: int, r: int) -> np.ndarray:
     # r repeated n times (the map into [r]), then n, n-1, ..., n-r+1 (the swaps)
-    bounds = np.concatenate(
-        (np.full(n, r, dtype=np.int64), np.arange(n, n - r, -1, dtype=np.int64))
-    )
+    bounds = np.array([r] * n + list(range(n, n - r, -1)), dtype=np.int64)
     bounds.setflags(write=False)
     return bounds
 
