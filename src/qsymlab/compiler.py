@@ -18,7 +18,6 @@ not even defined).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -188,8 +187,12 @@ def estimate_success(
     if trials < 1:
         raise ValueError("trials must be positive")
     alg = _amplified(alg)
-    seeds = [int(rng.integers(0, 2**63)) for _ in range(trials)]
+    # one generator call draws the same stream as one scalar draw per trial
+    seeds = rng.integers(0, 2**63, size=trials).tolist()
     if jobs > 1:
+        # imported here: it pulls in multiprocessing, which only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_seeded_trial, [(alg, x, r, s) for s in seeds], chunksize=64))
     else:

@@ -11,6 +11,9 @@ Three variants:
   Each oracle keeps the source positions it has computed, per tensor shape,
   register pair and direction, because an amplified run repeats the same
   calls in each of its passes; the memo lives and dies with the oracle.
+  The registers are checked against the tensor once per memo key, on the
+  miss that computes the source: a hit repeats a check that already passed.
+  Every call, hit or miss, bills one query; a call that fails bills none.
 * ClassicalOracle: a counted plain lookup i -> t(i).
 * ComposedOracle: the three-call gadget realizing the oracle of x composed
   with an index map g out of the oracles for x and g. One composed call
@@ -21,8 +24,12 @@ Three variants:
 
 Quantum oracles act on amplitude tensors shaped like the register layout
 (`apply_tensor` reads the register dims from the tensor); build them with
-`standard_oracle(table)` or the constructors directly. Each oracle instance
-owns its query counters; share the underlying tables, not the instances.
+`standard_oracle(table)` or the constructors directly. A table is validated
+once, by its type: `standard_oracle` trusts the entries that `InputString`
+or `IndexFunction` checked at construction, while `StandardOracle(values,
+...)` and `oracle_from_partial` check the raw values they are given. Each
+oracle instance owns its query counters; share the underlying tables, not
+the instances.
 """
 
 from __future__ import annotations
@@ -55,9 +62,18 @@ def _digit_arrays(shape: tuple[int, ...], index_reg: int, value_reg: int):
 def _gather_source(
     shape: tuple[int, ...], index_reg: int, value_reg: int, table: np.ndarray, sign: int
 ) -> np.ndarray:
-    # new[.., i, .., j, ..] = old[.., i, .., (j - sign*t(i)) mod d, ..]
+    # new[.., i, .., j, ..] = old[.., i, .., (j - sign*t(i)) mod d, ..],
+    # built in one buffer
     base, i, j, stride = _digit_arrays(shape, index_reg, value_reg)
-    return base + stride * ((j - (sign * table)[i]) % shape[value_reg])
+    source = table.take(i)
+    if sign > 0:
+        np.subtract(j, source, source)
+    else:
+        source += j
+    source %= shape[value_reg]
+    source *= stride
+    source += base
+    return source
 
 
 class StandardOracle:
@@ -70,9 +86,19 @@ class StandardOracle:
         if values and (min(values) < 0 or max(values) >= value_dim):
             bad = next(v for v in values if not 0 <= v < value_dim)
             raise ValueError(f"table entries must lie in [0, {value_dim}), got {bad}")
+        self._bind(values, int(index_dim), int(value_dim))
+
+    @classmethod
+    def _of_checked(cls, values: tuple[int, ...], index_dim: int, value_dim: int) -> StandardOracle:
+        """Oracle for a table of ints whose type already checked length and range."""
+        oracle = cls.__new__(cls)
+        oracle._bind(values, int(index_dim), int(value_dim))
+        return oracle
+
+    def _bind(self, values: tuple[int, ...], index_dim: int, value_dim: int) -> None:
         self.values = values
-        self.index_dim = int(index_dim)
-        self.value_dim = int(value_dim)
+        self.index_dim = index_dim
+        self.value_dim = value_dim
         self.queries = 0
         self._table = np.array(values, dtype=np.intp)
         # gather source per (shape, index_reg, value_reg, inverse): each pass of
@@ -93,15 +119,18 @@ class StandardOracle:
     def apply_tensor(
         self, tensor: np.ndarray, index_reg: int, value_reg: int, inverse: bool = False
     ) -> np.ndarray:
-        self._check_arity(tensor.shape, index_reg, value_reg)
-        self.queries += 1
-        key = (tensor.shape, index_reg, value_reg, inverse)
+        shape = tensor.shape
+        key = (shape, index_reg, value_reg, inverse)
         source = self._sources.get(key)
         if source is None:
+            # the key holds the shape and both registers: only a miss needs the check
+            self._check_arity(shape, index_reg, value_reg)
             sign = -1 if inverse else 1
-            source = _gather_source(tensor.shape, index_reg, value_reg, self._table, sign)
+            source = _gather_source(shape, index_reg, value_reg, self._table, sign).reshape(shape)
             self._sources[key] = source
-        return tensor.reshape(-1)[source].reshape(tensor.shape)
+        self.queries += 1
+        # flat gather, shaped like the tensor because the source is
+        return tensor.take(source)
 
     def matrix(self) -> np.ndarray:
         """Permutation matrix on the (index, value) product space, index-major."""
@@ -179,9 +208,9 @@ class ComposedOracle:
 def standard_oracle(table: Table) -> StandardOracle:
     """Additive-shift oracle for an input table (values in [M]) or an index map."""
     if isinstance(table, InputString):
-        return StandardOracle(table.values, table.n, table.M)
+        return StandardOracle._of_checked(table.values, table.n, table.M)
     if isinstance(table, IndexFunction):
-        return StandardOracle(table.values, table.n, table.n)
+        return StandardOracle._of_checked(table.values, table.n, table.n)
     raise TypeError(f"cannot build an oracle from {type(table)!r}")
 
 

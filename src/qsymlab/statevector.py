@@ -15,12 +15,20 @@ matrix into the `(side, -1)` reshaped tensor, and transpose back. The axis
 plan it follows (transpose order, result shape, inverse order) depends only
 on the dims and the targets; when the targets already lead, the plan says
 so once and the kernel skips both transposes. `QueryAlgorithm` validates
-its steps and builds their plans, and the output rule's axis order, once at
-construction, so `run` does no per-call axis bookkeeping. It also applies
-the leading oracle-free steps to `|0...0>` once, with the same kernel and
+its steps once, at construction, and turns them into one tuple of plain
+ops (a matrix with its plan, or an oracle call's register pair), so `run`
+does no per-call axis bookkeeping or attribute lookups. It also applies
+the leading oracle-free steps to `|0...0>` once, with the same ops and
 norm check, and keeps the result as a read-only start state: every pass
 begins there, at the first oracle call. `apply_unitary` checks its matrix
 and targets and builds a plan on every call.
+
+The output rule is precomputed too: the transpose that brings the output
+registers first (None when they already lead), the axes summed away, and
+the flat positions of the outcomes that read 1 in the marginal. After
+every step the squared norm is compared against `(1 +- VALIDITY_ATOL)**2`,
+so no square root is taken unless the check fails. Every validity check is
+written so that a NaN fails it: a non-finite matrix or state raises.
 
 Amplified algorithms (repeats = 3) are executed as three independent passes
 whose single-bit outcomes are combined by majority at the harness level, so
@@ -73,7 +81,7 @@ def require_unitary(matrix: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarr
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     side = matrix.shape[0]
     deviation = np.max(np.abs(matrix.conj().T @ matrix - np.eye(side)))
-    if deviation > atol:
+    if not deviation <= atol:  # NaN fails too
         raise ValueError(f"matrix is not unitary (deviation {deviation:g} > {atol:g})")
     return matrix
 
@@ -197,50 +205,58 @@ class QueryAlgorithm:
     output_rule: OutputRule
     repeats: int = 1
     # read-only state after the leading oracle-free steps, which are the
-    # same in every pass; then each step left with its axis plan (None for
-    # an OracleCall)
+    # same in every pass; then one op per step left: (matrix, order, side,
+    # shape, inverse) for a unitary, its axis plan spelled out, and
+    # (None, index_reg, value_reg, None, None) for an oracle call
     _start: np.ndarray = field(init=False, repr=False)
-    _rest: tuple[tuple[Step, Union[AxisPlan, None]], ...] = field(init=False, repr=False)
-    # output registers first, then the rest, and the axes to sum away
-    _output_axes: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False)
+    _ops: tuple[tuple, ...] = field(init=False, repr=False)
+    # transpose order bringing the output registers first (None when they
+    # lead), the axes to sum away, and the flat marginal positions of `ones`
+    _output: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
         if self.repeats not in (1, 3):
             raise ValueError(f"repeats must be 1 or 3, got {self.repeats}")
         dims = self.layout.dims
-        plans = []
+        ops = []
         for step in self.steps:
             if isinstance(step, Unitary):
                 _check_unitary_step(dims, step.matrix, step.targets)
-                plans.append(_axis_plan(dims, step.targets))
+                ops.append((step.matrix, *_axis_plan(dims, step.targets)))
             elif isinstance(step, OracleCall):
                 if step.index_reg == step.value_reg:
                     raise ValueError("oracle call needs two distinct registers")
                 for reg in (step.index_reg, step.value_reg):
                     if not 0 <= reg < len(dims):
                         raise ValueError(f"oracle call register {reg} outside layout")
-                plans.append(None)
+                ops.append((None, step.index_reg, step.value_reg, None, None))
             else:
                 raise TypeError(f"unknown step type {type(step)!r}")
-        for reg in self.output_rule.registers:
+        registers = self.output_rule.registers
+        for reg in registers:
             if not 0 <= reg < len(dims):
                 raise ValueError(f"output register {reg} outside layout")
+        ones = []
         for outcome in self.output_rule.ones:
-            for reg, v in zip(self.output_rule.registers, outcome):
+            flat = 0
+            for reg, v in zip(registers, outcome):
                 if not 0 <= v < dims[reg]:
                     raise ValueError(f"outcome digit {v} outside register {reg}")
-        registers = self.output_rule.registers
+                flat = flat * dims[reg] + v
+            ones.append(flat)
         order = registers + tuple(a for a in range(len(dims)) if a not in registers)
-        start, first = basis_state(self.layout), 0
-        while first < len(plans) and plans[first] is not None:
-            start = _contract(start, self.steps[first].matrix, plans[first])
-            _require_norm(start)
+        summed = tuple(range(len(registers), len(dims)))
+        first = 0
+        while first < len(ops) and ops[first][0] is not None:
             first += 1
+        start = _evolve(basis_state(self.layout), ops[:first], None)
         start.flags.writeable = False
         object.__setattr__(self, "_start", start)
-        object.__setattr__(self, "_rest", tuple(zip(self.steps, plans))[first:])
-        object.__setattr__(self, "_output_axes", (order, tuple(range(len(registers), len(dims)))))
+        object.__setattr__(self, "_ops", tuple(ops[first:]))
+        if order == tuple(range(len(dims))):
+            order = None
+        object.__setattr__(self, "_output", (order, summed, np.array(ones, dtype=np.intp)))
 
 
 def query_count(alg: QueryAlgorithm) -> int:
@@ -249,33 +265,46 @@ def query_count(alg: QueryAlgorithm) -> int:
 
 
 def _output_probability_one(tensor: np.ndarray, alg: QueryAlgorithm) -> float:
-    order, summed = alg._output_axes
-    marginal = (np.abs(tensor) ** 2).transpose(order).sum(axis=summed)
-    total = float(marginal.sum())
-    if abs(total - 1.0) > VALIDITY_ATOL:
+    order, summed, ones = alg._output
+    probs = np.abs(tensor) ** 2
+    if order is not None:
+        probs = probs.transpose(order)
+    marginal = np.add.reduce(probs, axis=summed)
+    total = float(np.add.reduce(marginal, axis=None))
+    if not abs(total - 1.0) <= VALIDITY_ATOL:  # NaN fails too
         raise RuntimeError(f"output distribution sums to {total}, not 1")
-    p_one = float(math.fsum(float(marginal[o]) for o in alg.output_rule.ones))
+    # fsum rounds correctly, so the order of `ones` does not matter
+    p_one = math.fsum(marginal.take(ones).tolist())
     # rounding can carry a Born probability an ulp outside [0, 1]
     return min(max(p_one, 0.0), 1.0)
 
 
-def _require_norm(tensor: np.ndarray) -> None:
-    norm = math.sqrt(np.vdot(tensor, tensor).real)
-    if abs(norm - 1.0) > VALIDITY_ATOL:
-        raise RuntimeError(f"state norm drifted to {norm}")
+# a state's squared norm must lie in [_NORM_SQ_LOW, _NORM_SQ_HIGH]
+_NORM_SQ_LOW = (1.0 - VALIDITY_ATOL) ** 2
+_NORM_SQ_HIGH = (1.0 + VALIDITY_ATOL) ** 2
+
+
+def _evolve(tensor: np.ndarray, ops: tuple[tuple, ...], oracle) -> np.ndarray:
+    """Apply the ops in turn, checking the norm after each one."""
+    dot, vdot = np.dot, np.vdot
+    for matrix, order, side, shape, inverse in ops:
+        if matrix is None:
+            # an oracle call: `order` and `side` hold its index and value registers
+            if oracle is None:
+                raise ValueError("algorithm performs oracle calls but no oracle was given")
+            tensor = oracle.apply_tensor(tensor, order, side)
+        elif order is None:
+            tensor = dot(matrix, tensor.reshape(side, -1)).reshape(shape)
+        else:
+            tensor = _contract(tensor, matrix, (order, side, shape, inverse))
+        norm_sq = vdot(tensor, tensor).real
+        if not _NORM_SQ_LOW <= norm_sq <= _NORM_SQ_HIGH:  # NaN fails too
+            raise RuntimeError(f"state norm drifted to {math.sqrt(norm_sq)}")
+    return tensor
 
 
 def _simulate_once(alg: QueryAlgorithm, oracle) -> float:
-    tensor = alg._start
-    for step, plan in alg._rest:
-        if plan is None:
-            if oracle is None:
-                raise ValueError("algorithm performs oracle calls but no oracle was given")
-            tensor = oracle.apply_tensor(tensor, step.index_reg, step.value_reg)
-        else:
-            tensor = _contract(tensor, step.matrix, plan)
-        _require_norm(tensor)
-    return _output_probability_one(tensor, alg)
+    return _output_probability_one(_evolve(alg._start, alg._ops, oracle), alg)
 
 
 def majority3_prob(p):

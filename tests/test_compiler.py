@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qsymlab import compiler
 from qsymlab.compiler import (
+    CompiledRunResult,
     amplify_majority3,
     compile_and_run_once,
     compiled_distribution,
@@ -206,6 +212,34 @@ class TestEstimateSuccess:
             entry.algorithm, x, 1, 4, 60, np.random.default_rng(8), jobs=2
         )
         assert serial == parallel
+
+    @pytest.mark.parametrize("trials", [1, 2, 2000])
+    def test_trial_seeds_match_one_draw_per_trial(self, monkeypatch, trials):
+        # the seeds come from one generator call; it must consume the stream
+        # as the former one-call-per-trial loop did
+        def record_seed(alg, x, r, *, seed):
+            return CompiledRunResult(0, 1, IndexFunction(4, (0, 0, 0, 0)), False, seed)
+
+        monkeypatch.setattr(compiler, "compile_and_run_once", record_seed)
+        x = InputString(4, 2, (0, 1, 1, 0))
+        for seed in (0, 1, 8, 2**32 + 5):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            est = estimate_success(deutsch_jozsa(4).algorithm, x, 0, 4, trials, rng)
+            want = [int(reference.integers(0, 2**63)) for _ in range(trials)]
+            assert [t.seed for t in est.results] == want
+            assert all(type(t.seed) is int for t in est.results)
+            assert rng.integers(0, 2**63) == reference.integers(0, 2**63)
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only jobs > 1 needs concurrent.futures.process and multiprocessing
+        code = "import sys, qsymlab; print('concurrent.futures.process' in sys.modules)"
+        src = str(Path(compiler.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_monte_carlo_matches_exact_dj(self):
         entry = deutsch_jozsa(4)

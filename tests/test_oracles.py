@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsymlab import oracles
 from qsymlab.core import IndexFunction, InputString, compose_input
 from qsymlab.oracles import (
     ClassicalOracle,
@@ -147,6 +148,52 @@ class TestStandardOracle:
         wider = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
         fresh = StandardOracle((1, 3, 2), 3, 4).apply_tensor(wider, 0, 1)
         assert np.array_equal(oracle.apply_tensor(wider, 0, 1), fresh)
+
+    @pytest.mark.parametrize(
+        "table",
+        [InputString(4, 3, (2, 0, 1, 2)), IndexFunction(5, (4, 4, 0, 2, 1))],
+        ids=["input", "index-map"],
+    )
+    def test_standard_oracle_equals_checked_constructor(self, table):
+        # standard_oracle skips the entry checks its table's type already made
+        value_dim = table.M if isinstance(table, InputString) else table.n
+        built = standard_oracle(table)
+        direct = StandardOracle(table.values, table.n, value_dim)
+        assert built.values == direct.values
+        assert (built.index_dim, built.value_dim) == (direct.index_dim, direct.value_dim)
+        assert built._table.dtype == direct._table.dtype
+        assert np.array_equal(built._table, direct._table)
+        rng = np.random.default_rng(6)
+        dims = (table.n, value_dim, 2)
+        tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+        for inverse in (False, True):
+            assert np.array_equal(
+                built.apply_tensor(tensor, 0, 1, inverse=inverse),
+                direct.apply_tensor(tensor, 0, 1, inverse=inverse),
+            )
+
+
+def frozen_gather_source(shape, index_reg, value_reg, table, sign):
+    # the shift formula as one expression, before it was built in one buffer
+    base, i, j, stride = oracles._digit_arrays(shape, index_reg, value_reg)
+    return base + stride * ((j - (sign * table)[i]) % shape[value_reg])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "dims, index_reg, value_reg",
+    [((4, 3), 0, 1), ((3, 4), 1, 0), ((4, 2, 3), 0, 2), ((3, 2, 4), 2, 0), ((2, 4, 3), 1, 2)],
+)
+def test_gather_source_matches_frozen_formula(dims, index_reg, value_reg, sign):
+    rng = np.random.default_rng(10)
+    n, d = dims[index_reg], dims[value_reg]
+    for _ in range(10):
+        table = np.array(rng.integers(0, d, n), dtype=np.intp)
+        got = oracles._gather_source(dims, index_reg, value_reg, table, sign)
+        want = frozen_gather_source(dims, index_reg, value_reg, table, sign)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
 
 class TestClassicalOracle:
     def test_lookup_and_count(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsymlab.core import IndexFunction, InputString
+from qsymlab import statevector as sv
 from qsymlab.oracles import StandardOracle, standard_oracle
 from qsymlab.statevector import (
     OracleCall,
@@ -365,3 +367,93 @@ class TestAlgorithmValidation:
                 OutputRule((0,), frozenset({(5,)})),
             )
 
+
+
+class ScalingOracle:
+    """Duck-typed oracle that multiplies the tensor by a constant."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def apply_tensor(self, tensor, index_reg, value_reg):
+        return tensor * self.factor
+
+
+class TestValidityChecks:
+    def test_norm_drift_raises(self):
+        with pytest.raises(RuntimeError, match="state norm drifted to 1.01"):
+            run(deutsch_jozsa(4).algorithm, ScalingOracle(1.01))
+
+    def test_output_sum_checked(self):
+        alg = deutsch_jozsa(4).algorithm
+        tensor = sv._evolve(alg._start, alg._ops, standard_oracle(InputString(4, 2, (0, 1, 1, 0))))
+        assert sv._output_probability_one(tensor, alg) == pytest.approx(1.0)
+        with pytest.raises(RuntimeError, match="output distribution sums to"):
+            sv._output_probability_one(tensor * 1.01, alg)
+
+    def test_nan_matrix_rejected_in_an_algorithm(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            QueryAlgorithm(
+                RegisterLayout((2,)),
+                (Unitary(np.full((2, 2), np.nan), (0,)),),
+                OutputRule((0,), frozenset({(1,)})),
+            )
+
+    def test_nan_matrix_rejected_by_apply_unitary(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_unitary(basis_state(RegisterLayout((2,))), np.full((2, 2), np.nan), 0)
+
+    def test_nan_state_raises(self):
+        with pytest.raises(RuntimeError, match="state norm drifted to nan"):
+            run(collision_sniffer(4).algorithm, ScalingOracle(np.nan))
+
+
+def frozen_output_probability_one(tensor, alg):
+    # the output rule as evaluated before it was precomputed at construction
+    registers = alg.output_rule.registers
+    dims = alg.layout.dims
+    order = registers + tuple(a for a in range(len(dims)) if a not in registers)
+    marginal = (np.abs(tensor) ** 2).transpose(order).sum(axis=tuple(range(len(registers), len(dims))))
+    total = float(marginal.sum())
+    assert abs(total - 1.0) <= 1e-9
+    p_one = float(math.fsum(float(marginal[o]) for o in alg.output_rule.ones))
+    return min(max(p_one, 0.0), 1.0)
+
+
+class TestPrecomputedOutputRule:
+    """The precomputed output rule reproduces the former formula bit for bit."""
+
+    @pytest.mark.parametrize(
+        "alg, table",
+        [
+            (deutsch_jozsa(4).algorithm, lambda rng: InputString(4, 2, rng.integers(0, 2, 4))),
+            # output register last: the transpose path
+            (grover_unique_or(8, 2).algorithm, lambda rng: InputString(8, 2, rng.integers(0, 2, 8))),
+            (collision_sniffer(6).algorithm, lambda rng: IndexFunction(6, rng.integers(0, 6, 6))),
+            (constant_function(1).algorithm, None),
+        ],
+        ids=["dj", "grover", "sniffer", "const1"],
+    )
+    def test_matches_frozen_formula_on_zoo(self, alg, table):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            oracle = standard_oracle(table(rng)) if table else None
+            tensor = sv._evolve(alg._start, alg._ops, oracle)
+            assert sv._output_probability_one(tensor, alg) == frozen_output_probability_one(
+                tensor, alg
+            )
+
+    @pytest.mark.parametrize("registers", [(), (0,), (1,), (2,), (0, 2), (2, 0), (1, 2, 0)])
+    def test_matches_frozen_formula_on_register_orders(self, registers):
+        dims = (3, 2, 4)
+        rng = np.random.default_rng(12)
+        outcomes = list(itertools.product(*(range(dims[r]) for r in registers)))
+        for _ in range(10):
+            picked = [o for o in outcomes if rng.random() < 0.5]
+            rule = OutputRule(registers, frozenset(picked))
+            alg = QueryAlgorithm(RegisterLayout(dims), (), rule)
+            tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+            tensor /= np.linalg.norm(tensor)
+            assert sv._output_probability_one(tensor, alg) == frozen_output_probability_one(
+                tensor, alg
+            )
