@@ -205,9 +205,8 @@ class QueryAlgorithm:
     output_rule: OutputRule
     repeats: int = 1
     # read-only state after the leading oracle-free steps, which are the
-    # same in every pass; then one op per step left: (matrix, order, side,
-    # shape, inverse) for a unitary, its axis plan spelled out, and
-    # (None, index_reg, value_reg, None, None) for an oracle call
+    # same in every pass; then one op per step left: (matrix, plan) for a
+    # unitary and (None, (index_reg, value_reg)) for an oracle call
     _start: np.ndarray = field(init=False, repr=False)
     _ops: tuple[tuple, ...] = field(init=False, repr=False)
     # transpose order bringing the output registers first (None when they
@@ -223,14 +222,14 @@ class QueryAlgorithm:
         for step in self.steps:
             if isinstance(step, Unitary):
                 _check_unitary_step(dims, step.matrix, step.targets)
-                ops.append((step.matrix, *_axis_plan(dims, step.targets)))
+                ops.append((step.matrix, _axis_plan(dims, step.targets)))
             elif isinstance(step, OracleCall):
                 if step.index_reg == step.value_reg:
                     raise ValueError("oracle call needs two distinct registers")
                 for reg in (step.index_reg, step.value_reg):
                     if not 0 <= reg < len(dims):
                         raise ValueError(f"oracle call register {reg} outside layout")
-                ops.append((None, step.index_reg, step.value_reg, None, None))
+                ops.append((None, (step.index_reg, step.value_reg)))
             else:
                 raise TypeError(f"unknown step type {type(step)!r}")
         registers = self.output_rule.registers
@@ -286,18 +285,14 @@ _NORM_SQ_HIGH = (1.0 + VALIDITY_ATOL) ** 2
 
 def _evolve(tensor: np.ndarray, ops: tuple[tuple, ...], oracle) -> np.ndarray:
     """Apply the ops in turn, checking the norm after each one."""
-    dot, vdot = np.dot, np.vdot
-    for matrix, order, side, shape, inverse in ops:
-        if matrix is None:
-            # an oracle call: `order` and `side` hold its index and value registers
-            if oracle is None:
-                raise ValueError("algorithm performs oracle calls but no oracle was given")
-            tensor = oracle.apply_tensor(tensor, order, side)
-        elif order is None:
-            tensor = dot(matrix, tensor.reshape(side, -1)).reshape(shape)
+    for matrix, plan in ops:
+        if matrix is not None:
+            tensor = _contract(tensor, matrix, plan)
+        elif oracle is None:
+            raise ValueError("algorithm performs oracle calls but no oracle was given")
         else:
-            tensor = _contract(tensor, matrix, (order, side, shape, inverse))
-        norm_sq = vdot(tensor, tensor).real
+            tensor = oracle.apply_tensor(tensor, *plan)
+        norm_sq = np.vdot(tensor, tensor).real
         if not _NORM_SQ_LOW <= norm_sq <= _NORM_SQ_HIGH:  # NaN fails too
             raise RuntimeError(f"state norm drifted to {math.sqrt(norm_sq)}")
     return tensor
