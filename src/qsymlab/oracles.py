@@ -24,8 +24,12 @@ Three variants:
 
 Quantum oracles act on amplitude tensors shaped like the register layout
 (`apply_tensor` reads the register dims from the tensor); build them with
-`standard_oracle(table)` or the constructors directly. Each oracle instance
-owns its query counters; share the underlying tables, not the instances.
+`standard_oracle(table)` or the constructors directly. A table is validated
+once, by its type: `standard_oracle` trusts the entries that `InputString`
+or `IndexFunction` checked at construction, while `StandardOracle(values,
+...)` and `oracle_from_partial` check the raw values they are given. Each
+oracle instance owns its query counters; share the underlying tables, not
+the instances.
 """
 
 from __future__ import annotations
@@ -82,9 +86,19 @@ class StandardOracle:
         if values and (min(values) < 0 or max(values) >= value_dim):
             bad = next(v for v in values if not 0 <= v < value_dim)
             raise ValueError(f"table entries must lie in [0, {value_dim}), got {bad}")
+        self._bind(values, int(index_dim), int(value_dim))
+
+    @classmethod
+    def _of_checked(cls, values: tuple[int, ...], index_dim: int, value_dim: int) -> StandardOracle:
+        """Oracle for a table of ints whose type already checked length and range."""
+        oracle = cls.__new__(cls)
+        oracle._bind(values, int(index_dim), int(value_dim))
+        return oracle
+
+    def _bind(self, values: tuple[int, ...], index_dim: int, value_dim: int) -> None:
         self.values = values
-        self.index_dim = int(index_dim)
-        self.value_dim = int(value_dim)
+        self.index_dim = index_dim
+        self.value_dim = value_dim
         self.queries = 0
         self._table = np.array(values, dtype=np.intp)
         # gather source per (shape, index_reg, value_reg, inverse): each pass of
@@ -194,9 +208,9 @@ class ComposedOracle:
 def standard_oracle(table: Table) -> StandardOracle:
     """Additive-shift oracle for an input table (values in [M]) or an index map."""
     if isinstance(table, InputString):
-        return StandardOracle(table.values, table.n, table.M)
+        return StandardOracle._of_checked(table.values, table.n, table.M)
     if isinstance(table, IndexFunction):
-        return StandardOracle(table.values, table.n, table.n)
+        return StandardOracle._of_checked(table.values, table.n, table.n)
     raise TypeError(f"cannot build an oracle from {type(table)!r}")
 
 
