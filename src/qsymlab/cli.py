@@ -432,13 +432,13 @@ def _check_kernel_dense_reference() -> None:
         statevector.OracleCall(0, 3),
         random_unitary((2, 3)),
     )
-    table = (2, 0, 1)
+    table = core.IndexFunction(3, (2, 0, 1))
     ones = frozenset({(0, 1), (1, 2), (2, 0), (2, 2)})
     alg = statevector.QueryAlgorithm(layout, steps, statevector.OutputRule((3, 1), ones))
 
     expected = statevector.basis_state(layout).reshape(-1)
     tensor = statevector.basis_state(layout)
-    oracle = oracles.StandardOracle(table, 3, 3)
+    oracle = oracles.StandardOracle(table)
     for step in steps:
         if isinstance(step, statevector.OracleCall):
             targets = (step.index_reg, step.value_reg)
@@ -453,7 +453,7 @@ def _check_kernel_dense_reference() -> None:
             raise AssertionError(f"step on registers {targets} deviates from the dense matrix")
     probs = np.abs(expected.reshape(dims)) ** 2
     p_one = sum(probs[:, b, :, a].sum() for a, b in ones)
-    got = statevector.run(alg, oracles.StandardOracle(table, 3, 3))[1]
+    got = statevector.run(alg, oracles.StandardOracle(table))[1]
     if abs(got - p_one) > statevector.EXACT_ATOL:
         raise AssertionError(f"run gives {got}, dense reference {p_one}")
 

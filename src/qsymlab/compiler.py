@@ -110,7 +110,7 @@ def compiled_distribution(
 
     Amplifies internally unless the algorithm already is.
     """
-    reader = ClassicalOracle(x.values)
+    reader = ClassicalOracle(x)
     known = {i: reader.lookup(i) for i in sorted(image(index_map))}
     oracle = oracle_from_partial(known, index_map, value_dim=x.M)
     return run(_amplified(alg), oracle), reader.queries
@@ -140,10 +140,11 @@ def compile_and_run_once(
     return CompiledRunResult(bit, used, sampled, is_injective(sampled), seed)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Two-sided Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    z = Z_95
     phat = successes / trials
     denom = 1 + z**2 / trials
     center = (phat + z**2 / (2 * trials)) / denom

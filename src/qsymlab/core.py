@@ -3,9 +3,11 @@ tabulated boolean functions with permutation-symmetry checkers.
 
 Everything here is an immutable table over 0-based indices. An input of
 length n over alphabet size M is a total map [n] -> [M]; index maps send
-[n] -> [n] and double as permutations when injective. Boolean functions are
-stored extensionally on an explicit domain so that partial (promise)
-functions are first-class.
+[n] -> [n] and double as permutations when injective. Both check their
+entries once, at construction, with one shared check, and both expose `n`,
+`M` and `values` (M = n for an index map); the oracles take such a table
+and trust it. Boolean functions are stored extensionally on an explicit
+domain so that partial (promise) functions are first-class.
 
 The symmetry checkers enumerate permutation groups outright and are guarded
 to small n; they are meant as test oracles, not as production paths.
@@ -21,6 +23,19 @@ FIRST_TYPE_GUARD = 8
 SECOND_TYPE_GUARD = 6
 
 
+def _checked_entries(values, n: int, bound: int) -> tuple[int, ...]:
+    """The entries of a table [n] -> [bound] as ints; names the first bad one."""
+    values = tuple(map(int, values))
+    if n < 1:
+        raise ValueError("n must be positive")
+    if len(values) != n:
+        raise ValueError(f"expected {n} entries, got {len(values)}")
+    if min(values) < 0 or max(values) >= bound:
+        bad = next(v for v in values if not 0 <= v < bound)
+        raise ValueError(f"entry {bad} outside [0, {bound})")
+    return values
+
+
 @dataclass(frozen=True)
 class InputString:
     """Total table [n] -> [M]; the object every oracle mediates access to."""
@@ -30,16 +45,9 @@ class InputString:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if self.n < 1:
-            raise ValueError("n must be positive")
         if self.M < 1:
             raise ValueError("M must be positive")
-        if len(self.values) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(self.values)}")
-        for v in self.values:
-            if not 0 <= v < self.M:
-                raise ValueError(f"entry {v} outside [0, {self.M})")
+        object.__setattr__(self, "values", _checked_entries(self.values, self.n, self.M))
 
 
 @dataclass(frozen=True)
@@ -50,15 +58,12 @@ class IndexFunction:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(map(int, self.values))
-        object.__setattr__(self, "values", values)
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if len(values) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(values)}")
-        if min(values) < 0 or max(values) >= self.n:
-            bad = next(v for v in values if not 0 <= v < self.n)
-            raise ValueError(f"entry {bad} outside [0, {self.n})")
+        object.__setattr__(self, "values", _checked_entries(self.values, self.n, self.n))
+
+    @property
+    def M(self) -> int:
+        """Value range: an index map's values are indices, so M = n."""
+        return self.n
 
     @classmethod
     def identity(cls, n: int) -> "IndexFunction":

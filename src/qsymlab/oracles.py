@@ -14,7 +14,7 @@ Three variants:
   The registers are checked against the tensor once per memo key, on the
   miss that computes the source: a hit repeats a check that already passed.
   Every call, hit or miss, bills one query; a call that fails bills none.
-* ClassicalOracle: a counted plain lookup i -> t(i).
+* ClassicalOracle: a counted plain lookup i -> x(i) into an input.
 * ComposedOracle: the three-call gadget realizing the oracle of x composed
   with an index map g out of the oracles for x and g. One composed call
   applies g's oracle onto a dedicated ancilla, x's oracle from the ancilla
@@ -23,27 +23,27 @@ Three variants:
   checked to leave in |0>.
 
 Quantum oracles act on amplitude tensors shaped like the register layout
-(`apply_tensor` reads the register dims from the tensor); build them with
-`standard_oracle(table)` or the constructors directly. A table is validated
-once, by its type: `standard_oracle` trusts the entries that `InputString`
-or `IndexFunction` checked at construction, while `StandardOracle(values,
-...)` and `oracle_from_partial` check the raw values they are given. Each
-oracle instance owns its query counters; share the underlying tables, not
-the instances.
+(`apply_tensor` reads the register dims from the tensor). A table is
+validated once, where it is built: `core.InputString` and
+`core.IndexFunction` check length and range, and every table exposes `n`,
+`M` and `values` (M = n for an index map). `StandardOracle(table)` reads its
+dimensions from such a table and trusts its entries; `standard_oracle`
+is the same constructor behind a type check, and `oracle_from_partial`
+builds an `InputString` of the composed values, so a missing or
+out-of-range entry still fails. Each oracle instance owns its query
+counters; share the underlying tables, not the instances.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
 from .core import IndexFunction, InputString
 from .statevector import EXACT_ATOL, RegisterLayout, basis_state
-
-Table = Union[InputString, IndexFunction]
 
 
 @functools.lru_cache(maxsize=64)
@@ -77,30 +77,15 @@ def _gather_source(
 
 
 class StandardOracle:
-    """Additive-shift query oracle for a fixed table."""
+    """Additive-shift query oracle for a checked table: an `InputString`
+    ([n] -> [M]) or an `IndexFunction` ([n] -> [n])."""
 
-    def __init__(self, values: tuple[int, ...], index_dim: int, value_dim: int):
-        values = tuple(map(int, values))
-        if len(values) != index_dim:
-            raise ValueError(f"table length {len(values)} does not match index dim {index_dim}")
-        if values and (min(values) < 0 or max(values) >= value_dim):
-            bad = next(v for v in values if not 0 <= v < value_dim)
-            raise ValueError(f"table entries must lie in [0, {value_dim}), got {bad}")
-        self._bind(values, int(index_dim), int(value_dim))
-
-    @classmethod
-    def _of_checked(cls, values: tuple[int, ...], index_dim: int, value_dim: int) -> StandardOracle:
-        """Oracle for a table of ints whose type already checked length and range."""
-        oracle = cls.__new__(cls)
-        oracle._bind(values, int(index_dim), int(value_dim))
-        return oracle
-
-    def _bind(self, values: tuple[int, ...], index_dim: int, value_dim: int) -> None:
-        self.values = values
-        self.index_dim = index_dim
-        self.value_dim = value_dim
+    def __init__(self, table: InputString | IndexFunction):
+        self.values = table.values
+        self.index_dim = table.n
+        self.value_dim = table.M
         self.queries = 0
-        self._table = np.array(values, dtype=np.intp)
+        self._table = np.array(self.values, dtype=np.intp)
         # gather source per (shape, index_reg, value_reg, inverse): each pass of
         # an amplified run repeats the calls of the first
         self._sources: dict = {}
@@ -143,10 +128,10 @@ class StandardOracle:
 
 
 class ClassicalOracle:
-    """Counted classical lookup; no memoization, every call is billed."""
+    """Counted classical lookup into an input; no memoization, every call is billed."""
 
-    def __init__(self, values: tuple[int, ...]):
-        self.values = tuple(int(v) for v in values)
+    def __init__(self, x: InputString):
+        self.values = x.values
         self.queries = 0
 
     def lookup(self, i: int) -> int:
@@ -174,7 +159,6 @@ class ComposedOracle:
         self.x_oracle = x_oracle
         self.index_oracle = index_oracle
         self.ancilla = int(ancilla)
-        self.calls = 0
 
     @property
     def query_counts(self) -> dict[str, int]:
@@ -194,7 +178,6 @@ class ComposedOracle:
         tensor = self.index_oracle.apply_tensor(tensor, index_reg, anc)
         tensor = self.x_oracle.apply_tensor(tensor, anc, value_reg)
         tensor = self.index_oracle.apply_tensor(tensor, index_reg, anc, inverse=True)
-        self.calls += 1
         probs = np.abs(tensor) ** 2
         leakage = float(probs.sum() - probs.take(0, axis=anc).sum())
         if leakage > EXACT_ATOL:
@@ -205,13 +188,11 @@ class ComposedOracle:
         return tensor
 
 
-def standard_oracle(table: Table) -> StandardOracle:
+def standard_oracle(table: InputString | IndexFunction) -> StandardOracle:
     """Additive-shift oracle for an input table (values in [M]) or an index map."""
-    if isinstance(table, InputString):
-        return StandardOracle._of_checked(table.values, table.n, table.M)
-    if isinstance(table, IndexFunction):
-        return StandardOracle._of_checked(table.values, table.n, table.n)
-    raise TypeError(f"cannot build an oracle from {type(table)!r}")
+    if not isinstance(table, (InputString, IndexFunction)):
+        raise TypeError(f"cannot build an oracle from {type(table)!r}")
+    return StandardOracle(table)
 
 
 def oracle_from_partial(
@@ -220,15 +201,13 @@ def oracle_from_partial(
     """Standard oracle for (x after index_map) from x known only on the image.
 
     The composed table reads x nowhere else, so the partial knowledge fully
-    determines the oracle.
+    determines the oracle; its values are checked like any input's.
     """
-    composed = []
-    for i in range(index_map.n):
-        j = index_map.values[i]
-        if j not in x_on_image:
-            raise ValueError(f"missing image entry {j}")
-        composed.append(int(x_on_image[j]))
-    return StandardOracle(tuple(composed), index_map.n, value_dim)
+    try:
+        composed = tuple(x_on_image[j] for j in index_map.values)
+    except KeyError as missing:
+        raise ValueError(f"missing image entry {missing.args[0]}") from None
+    return StandardOracle(InputString(index_map.n, value_dim, composed))
 
 
 def oracle_full_matrix(oracle, layout: RegisterLayout, index_reg: int, value_reg: int) -> np.ndarray:

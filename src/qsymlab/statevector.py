@@ -75,14 +75,14 @@ def basis_state(layout: RegisterLayout, indices: tuple[int, ...] | None = None) 
     return tensor
 
 
-def require_unitary(matrix: np.ndarray, atol: float = VALIDITY_ATOL) -> np.ndarray:
+def require_unitary(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     side = matrix.shape[0]
     deviation = np.max(np.abs(matrix.conj().T @ matrix - np.eye(side)))
-    if not deviation <= atol:  # NaN fails too
-        raise ValueError(f"matrix is not unitary (deviation {deviation:g} > {atol:g})")
+    if not deviation <= VALIDITY_ATOL:  # NaN fails too
+        raise ValueError(f"matrix is not unitary (deviation {deviation:g} > {VALIDITY_ATOL:g})")
     return matrix
 
 
@@ -165,6 +165,10 @@ class OracleCall:
 
     index_reg: int
     value_reg: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index_reg", int(self.index_reg))
+        object.__setattr__(self, "value_reg", int(self.value_reg))
 
 
 Step = Union[Unitary, OracleCall]

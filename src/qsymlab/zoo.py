@@ -157,13 +157,13 @@ def grover_unique_or(n: int, iterations: int) -> ZooEntry:
     return ZooEntry("grover", function, alg)
 
 
-def constant_function(bit: int, n: int = 4, M: int = 2) -> ZooEntry:
-    """Zero-query baseline: fixed output, total domain."""
+def constant_function(bit: int, n: int = 4) -> ZooEntry:
+    """Zero-query baseline: fixed output, total domain over M = 2."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    _require_table_in_budget(f"const{bit}", n, lambda: M**n, n if M > 1 else 0)
-    outputs = {values: bit for values in itertools.product(range(M), repeat=n)}
-    function = BooleanFunctionTable(n, M, outputs)
+    _require_table_in_budget(f"const{bit}", n, lambda: 2**n, n)
+    outputs = {values: bit for values in itertools.product(range(2), repeat=n)}
+    function = BooleanFunctionTable(n, 2, outputs)
     ones = frozenset({()}) if bit else frozenset()
     alg = QueryAlgorithm(
         layout=RegisterLayout((1,)),
@@ -173,31 +173,23 @@ def constant_function(bit: int, n: int = 4, M: int = 2) -> ZooEntry:
     return ZooEntry(f"const{bit}", function, alg)
 
 
-def collision_sniffer(n: int, queries: int = 1) -> Distinguisher:
+def collision_sniffer(n: int) -> Distinguisher:
     """Interference probe distinguishing collision-heavy index maps.
 
     Queries the map on a uniform index superposition and measures how much
     amplitude returns to index 0 after the inverse transform: probability
     sum_v (|preimage of v|)^2 / n^2, which is 1/n for permutations and grows
-    with collisions, up to 1 for constant maps. The queries = 0 variant
-    performs no call and outputs 1 always.
+    with collisions, up to 1 for constant maps.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if queries not in (0, 1):
-        raise ValueError("only the 0- and 1-query variants exist")
     f = fourier_matrix(n)
-    steps: list = [Unitary(f, (0,))]
-    if queries:
-        steps.append(OracleCall(0, 1))
-    steps.append(Unitary(f.conj().T, (0,)))
     alg = QueryAlgorithm(
         layout=RegisterLayout((n, n)),
-        steps=tuple(steps),
+        steps=(Unitary(f, (0,)), OracleCall(0, 1), Unitary(f.conj().T, (0,))),
         output_rule=OutputRule((0,), frozenset({(0,)})),
     )
-    suffix = "" if queries else "-0q"
-    return Distinguisher(f"collision-sniffer{suffix}", alg)
+    return Distinguisher("collision-sniffer", alg)
 
 
 def zero_query_probe(n: int) -> Distinguisher:

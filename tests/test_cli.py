@@ -819,9 +819,7 @@ class TestVerify:
     def test_broken_gadget_application_fails(self, capsys, monkeypatch):
         def skip_uncompute(self, tensor, index_reg, value_reg):
             tensor = self.index_oracle.apply_tensor(tensor, index_reg, self.ancilla)
-            tensor = self.x_oracle.apply_tensor(tensor, self.ancilla, value_reg)
-            self.calls += 1
-            return tensor
+            return self.x_oracle.apply_tensor(tensor, self.ancilla, value_reg)
 
         monkeypatch.setattr(oracles.ComposedOracle, "apply_tensor", skip_uncompute)
         assert cli.main(["verify"]) == 1

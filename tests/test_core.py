@@ -89,6 +89,26 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^entry {bad} outside \[0, 3\)$"):
             IndexFunction(3, values)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: InputString(0, 2, ()), lambda: IndexFunction(0, ())],
+        ids=["input", "index-map"],
+    )
+    def test_empty_table_rejected(self, make):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            make()
+
+    @pytest.mark.parametrize("values, bad", [((0, 5, -1), 5), ((-1, 5, 0), -1)])
+    def test_table_names_first_bad_entry(self, values, bad):
+        with pytest.raises(ValueError, match=rf"^entry {bad} outside \[0, 3\)$"):
+            InputString(3, 3, values)
+
+    def test_index_map_values_range_over_n(self):
+        g = IndexFunction(5, (4, 0, 0, 2, 1))
+        assert (g.n, g.M) == (5, 5)
+        with pytest.raises(AttributeError):
+            g.M = 4
+
     def test_off_domain_lookup_raises(self):
         f = or_table(2)
         probe = InputString(2, 2, (0, 1))

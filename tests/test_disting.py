@@ -15,8 +15,10 @@ class TestAdvantageExact:
         assert report.advantage == 0.0
 
     def test_constant_output_rule_is_zero(self):
-        probe = collision_sniffer(4, queries=0)
+        # the zero-query probe outputs 1 on every oracle, so both sides agree
+        probe = zero_query_probe(4)
         report = advantage_exact(probe.algorithm, 4, 2)
+        assert report.perm_prob[1] == report.smallrange_prob[1] == pytest.approx(1.0, abs=1e-12)
         assert report.advantage == 0.0
 
     def test_sniffer_regression_value(self):

@@ -18,6 +18,9 @@ from qsymlab.oracles import (
 from qsymlab.statevector import RegisterLayout, apply_unitary, basis_state
 
 
+TABLE_3X4 = InputString(3, 4, (1, 3, 2))
+
+
 def gadget_layout(n, m):
     # index, value, ancilla
     return RegisterLayout((n, m, n))
@@ -71,13 +74,20 @@ class TestStandardOracle:
             oracle_full_matrix(standard_oracle(x), layout, 0, 1),
         )
 
-    @pytest.mark.parametrize("values, bad", [((0, 5, -1), 5), ((-1, 5, 0), -1)])
-    def test_table_names_first_bad_entry(self, values, bad):
-        with pytest.raises(ValueError, match=rf"^table entries must lie in \[0, 3\), got {bad}$"):
-            StandardOracle(values, 3, 3)
+    @pytest.mark.parametrize(
+        "table, dims",
+        [(InputString(3, 5, (4, 0, 2)), (3, 5)), (IndexFunction(4, (3, 3, 0, 1)), (4, 4))],
+        ids=["input", "index-map"],
+    )
+    def test_dimensions_come_from_the_table(self, table, dims):
+        oracle = StandardOracle(table)
+        assert oracle.values == table.values
+        assert (oracle.index_dim, oracle.value_dim) == dims
 
-    def test_empty_table_accepted(self):
-        assert StandardOracle((), 0, 2).values == ()
+    @pytest.mark.parametrize("raw", [(0, 1, 2), [0, 1, 2], np.array([0, 1, 2])])
+    def test_standard_oracle_needs_a_checked_table(self, raw):
+        with pytest.raises(TypeError, match="cannot build an oracle"):
+            standard_oracle(raw)
 
     def test_arity_mismatch(self):
         oracle = standard_oracle(InputString(3, 3, (0, 1, 2)))
@@ -98,7 +108,7 @@ class TestStandardOracle:
         dims[index_reg], dims[value_reg] = n, d
         layout = RegisterLayout(tuple(dims))
         values = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
-        oracle = StandardOracle(tuple(values), n, d)
+        oracle = StandardOracle(InputString(n, d, values))
         inverse = data.draw(st.booleans(), label="inverse")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         tensor = rng.normal(size=layout.dims) + 1j * rng.normal(size=layout.dims)
@@ -113,7 +123,7 @@ class TestStandardOracle:
     )
     def test_registers_must_fit_the_tensor(self, dims, index_reg, value_reg):
         # registers are read against tensor.ndim: -1 is not wrapped around
-        oracle = StandardOracle((0, 1, 2), 3, 3)
+        oracle = StandardOracle(IndexFunction.identity(3))
         with pytest.raises(ValueError):
             oracle.apply_tensor(np.zeros(dims, dtype=complex), index_reg, value_reg)
         assert oracle.queries == 0
@@ -122,22 +132,21 @@ class TestStandardOracle:
         layout = RegisterLayout((3, 4, 4))
         rng = np.random.default_rng(4)
         tensor = rng.normal(size=layout.dims) + 1j * rng.normal(size=layout.dims)
-        oracle = StandardOracle((1, 3, 2), 3, 4)
+        oracle = StandardOracle(TABLE_3X4)
         for value_reg, inverse in ((1, False), (2, False), (1, True)):
             got = oracle.apply_tensor(tensor, 0, value_reg, inverse=inverse)
-            fresh = StandardOracle((1, 3, 2), 3, 4).apply_tensor(
+            fresh = StandardOracle(TABLE_3X4).apply_tensor(
                 tensor, 0, value_reg, inverse=inverse
             )
             assert np.array_equal(got, fresh)
             tensor = got
         assert oracle.queries == 3
 
-
     def test_memoized_source_still_bills_and_checks_every_call(self):
-        oracle = StandardOracle((1, 3, 2), 3, 4)
+        oracle = StandardOracle(TABLE_3X4)
         rng = np.random.default_rng(5)
         tensor = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        expected = StandardOracle((1, 3, 2), 3, 4).apply_tensor(tensor, 0, 1)
+        expected = StandardOracle(TABLE_3X4).apply_tensor(tensor, 0, 1)
         for queries in (1, 2, 3):
             assert np.array_equal(oracle.apply_tensor(tensor, 0, 1), expected)
             assert oracle.queries == queries
@@ -146,31 +155,8 @@ class TestStandardOracle:
         assert oracle.queries == 3
         # same registers on a larger tensor: the memo is keyed by shape too
         wider = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
-        fresh = StandardOracle((1, 3, 2), 3, 4).apply_tensor(wider, 0, 1)
+        fresh = StandardOracle(TABLE_3X4).apply_tensor(wider, 0, 1)
         assert np.array_equal(oracle.apply_tensor(wider, 0, 1), fresh)
-
-    @pytest.mark.parametrize(
-        "table",
-        [InputString(4, 3, (2, 0, 1, 2)), IndexFunction(5, (4, 4, 0, 2, 1))],
-        ids=["input", "index-map"],
-    )
-    def test_standard_oracle_equals_checked_constructor(self, table):
-        # standard_oracle skips the entry checks its table's type already made
-        value_dim = table.M if isinstance(table, InputString) else table.n
-        built = standard_oracle(table)
-        direct = StandardOracle(table.values, table.n, value_dim)
-        assert built.values == direct.values
-        assert (built.index_dim, built.value_dim) == (direct.index_dim, direct.value_dim)
-        assert built._table.dtype == direct._table.dtype
-        assert np.array_equal(built._table, direct._table)
-        rng = np.random.default_rng(6)
-        dims = (table.n, value_dim, 2)
-        tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-        for inverse in (False, True):
-            assert np.array_equal(
-                built.apply_tensor(tensor, 0, 1, inverse=inverse),
-                direct.apply_tensor(tensor, 0, 1, inverse=inverse),
-            )
 
 
 def frozen_gather_source(shape, index_reg, value_reg, table, sign):
@@ -197,12 +183,12 @@ def test_gather_source_matches_frozen_formula(dims, index_reg, value_reg, sign):
 
 class TestClassicalOracle:
     def test_lookup_and_count(self):
-        oracle = ClassicalOracle(InputString(3, 5, (4, 1, 2)).values)
+        oracle = ClassicalOracle(InputString(3, 5, (4, 1, 2)))
         assert oracle.lookup(1) == 1
         assert oracle.queries == 1
 
     def test_no_memoization(self):
-        oracle = ClassicalOracle(InputString(2, 2, (0, 1)).values)
+        oracle = ClassicalOracle(InputString(2, 2, (0, 1)))
         oracle.lookup(0)
         oracle.lookup(0)
         assert oracle.queries == 2
@@ -210,14 +196,14 @@ class TestClassicalOracle:
     def test_image_sweep_costs_image_size(self):
         x = InputString(6, 2, (0, 1, 0, 1, 1, 0))
         c = IndexFunction(6, (2, 2, 4, 4, 0, 0))
-        oracle = ClassicalOracle(x.values)
+        oracle = ClassicalOracle(x)
         for i in sorted({*c.values}):
             oracle.lookup(i)
         assert oracle.queries == 3
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            ClassicalOracle(InputString(2, 2, (0, 1)).values).lookup(2)
+            ClassicalOracle(InputString(2, 2, (0, 1))).lookup(2)
 
 
 class TestComposedOracle:
@@ -298,6 +284,11 @@ class TestOracleFromPartial:
         c = IndexFunction.identity(3)
         with pytest.raises(ValueError, match="missing image entry"):
             oracle_from_partial({0: 1, 2: 0}, c, value_dim=2)
+
+    def test_out_of_range_value_rejected(self):
+        c = IndexFunction(4, (1, 1, 3, 3))
+        with pytest.raises(ValueError, match=r"^entry 9 outside \[0, 8\)$"):
+            oracle_from_partial({1: 9, 3: 2}, c, value_dim=8)
 
     def test_matches_full_composition(self):
         rng = np.random.default_rng(4)

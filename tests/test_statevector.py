@@ -188,12 +188,12 @@ class TestKernelAgainstDenseReference:
         layout = RegisterLayout(dims)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         # one oracle fitted to a register pair, callable on every pair of the same dims
-        pairs, oracle_args = [], None
+        pairs, table = [], None
         if k >= 2:
             i, v = data.draw(st.permutations(range(k)).map(lambda p: p[:2]), label="oracle (i, v)")
             n, d = dims[i], dims[v]
-            table = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
-            oracle_args = (table, n, d)
+            values = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+            table = InputString(n, d, values)
             pairs = [
                 p for p in itertools.permutations(range(k), 2) if (dims[p[0]], dims[p[1]]) == (n, d)
             ]
@@ -202,7 +202,7 @@ class TestKernelAgainstDenseReference:
             if pairs and data.draw(st.booleans(), label="oracle call"):
                 i, v = data.draw(st.sampled_from(pairs), label="oracle pair")
                 steps.append(OracleCall(i, v))
-                fulls.append(full_space_oracle(dims, oracle_args[0], i, v))
+                fulls.append(full_space_oracle(dims, table.values, i, v))
             else:
                 size = data.draw(st.integers(1, k), label="target count")
                 targets = tuple(data.draw(st.permutations(range(k)), label="targets")[:size])
@@ -214,7 +214,7 @@ class TestKernelAgainstDenseReference:
 
         tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
         expected = tensor.reshape(-1)
-        oracle = StandardOracle(*oracle_args) if oracle_args else None
+        oracle = StandardOracle(table) if table else None
         for step, full in zip(steps, fulls):
             if isinstance(step, OracleCall):
                 tensor = oracle.apply_tensor(tensor, step.index_reg, step.value_reg)
@@ -235,7 +235,7 @@ class TestKernelAgainstDenseReference:
         p_one = sum(
             abs(a) ** 2 for b, a in zip(basis, final) if tuple(b[r] for r in out_regs) in ones
         )
-        oracle = StandardOracle(*oracle_args) if oracle_args else None
+        oracle = StandardOracle(table) if table else None
         assert abs(run(alg, oracle)[1] - p_one) <= 1e-12
 
 
@@ -284,7 +284,7 @@ class TestStartState:
     )
     def test_run_matches_stepwise_reference(self, alg, table):
         def oracle():
-            return StandardOracle(table, 3, 2) if table else None
+            return StandardOracle(InputString(3, 2, table)) if table else None
 
         assert abs(run(alg, oracle())[1] - stepwise_p_one(alg, oracle())) <= 1e-12
 
@@ -358,6 +358,13 @@ class TestAlgorithmValidation:
                 (OracleCall(1, 1),),
                 OutputRule((0,), frozenset()),
             )
+
+    def test_oracle_call_registers_coerced_to_int(self):
+        call = OracleCall(0, 1.0)
+        assert (call.index_reg, call.value_reg) == (0, 1)
+        assert type(call.value_reg) is int
+        alg = QueryAlgorithm(RegisterLayout((2, 2)), (call,), OutputRule((1,), frozenset({(1,)})))
+        assert run(alg, standard_oracle(InputString(2, 2, (1, 0))))[1] == 1.0
 
     def test_outcome_digit_range(self):
         with pytest.raises(ValueError, match="outside register"):

@@ -158,9 +158,9 @@ class TestCollisionSniffer:
         )
 
     def test_zero_query_variant(self):
-        probe = collision_sniffer(4, queries=0)
+        probe = zero_query_probe(4)
         assert query_count(probe.algorithm) == 0
-        assert run(probe.algorithm)[1] == pytest.approx(1.0, abs=1e-12)
+        assert run(probe.algorithm)[1] == 1
 
 
 class TestRegistry:
