@@ -9,6 +9,13 @@ function into a randomized classical procedure. One compiled trial:
 4. simulate the majority-of-three amplified algorithm against that oracle
    exactly, and draw the output bit from the resulting distribution.
 
+The exact average over the whole support (`exact_success`) runs steps 2-4
+for every map, but keeps one dict of oracles by composed table for the
+call: many maps compose x to the same table, and those maps share one
+oracle and its gather sources. Monte Carlo trials build a fresh oracle
+each: at large n sampled maps rarely share a table, and every kept oracle
+would hold its gather sources (128 KB for Grover at n=2048).
+
 The input is never touched outside step 2: no oracle over the raw input
 exists on this path, and the function table is never consulted at all (the
 composed input may leave the function's domain, so evaluating it there is
@@ -104,15 +111,19 @@ class CompiledRunResult:
 
 
 def compiled_distribution(
-    alg: QueryAlgorithm, x: InputString, index_map: IndexFunction
+    alg: QueryAlgorithm,
+    x: InputString,
+    index_map: IndexFunction,
+    oracles: Optional[dict] = None,
 ) -> tuple[dict[int, float], int]:
     """Steps 2-4 for a fixed index map: exact output distribution and lookups.
 
-    Amplifies internally unless the algorithm already is.
+    Amplifies internally unless the algorithm already is. `oracles` is
+    passed to `oracle_from_partial`: calls with the same x may share it.
     """
     reader = ClassicalOracle(x)
     known = {i: reader.lookup(i) for i in sorted(image(index_map))}
-    oracle = oracle_from_partial(known, index_map, value_dim=x.M)
+    oracle = oracle_from_partial(known, index_map, x.M, oracles)
     return run(_amplified(alg), oracle), reader.queries
 
 
@@ -213,13 +224,18 @@ def estimate_success(
 
 
 def exact_success(alg: QueryAlgorithm, x: InputString, expected_bit: int, r: int) -> float:
-    """Success probability averaged exactly over the whole index-map support."""
+    """Success probability averaged exactly over the whole index-map support.
+
+    Maps that compose x to the same table share one oracle; the support
+    holds at least one map per table, so the oracles never outnumber it.
+    """
     if not 1 <= r <= x.n:
         raise ValueError(f"r outside [1, {x.n}]: {r}")
     support = enumerate_small_range_support(SmallRangeParams(x.n, r))
     alg = _amplified(alg)
+    oracles: dict = {}
     terms = []
-    for index_map, weight in support.entries:
-        dist, _ = compiled_distribution(alg, x, index_map)
-        terms.append(float(weight) * dist[expected_bit])
+    for index_map, weight in support.float_entries():
+        dist, _ = compiled_distribution(alg, x, index_map, oracles)
+        terms.append(weight * dist[expected_bit])
     return float(math.fsum(terms))

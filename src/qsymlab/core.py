@@ -4,9 +4,10 @@ tabulated boolean functions with permutation-symmetry checkers.
 Everything here is an immutable table over 0-based indices. An input of
 length n over alphabet size M is a total map [n] -> [M]; index maps send
 [n] -> [n] and double as permutations when injective. Both check their
-entries once, at construction, with one shared check, and both expose `n`,
-`M` and `values` (M = n for an index map); the oracles take such a table
-and trust it. Boolean functions are stored extensionally on an explicit
+entries once, at construction, with one shared check, which rejects a
+non-integral entry rather than truncate it. Both expose `n`, `M` and
+`values` (M = n for an index map); the oracles take such a table and
+trust it. Boolean functions are stored extensionally on an explicit
 domain so that partial (promise) functions are first-class.
 
 The symmetry checkers enumerate permutation groups outright and are guarded
@@ -23,9 +24,33 @@ FIRST_TYPE_GUARD = 8
 SECOND_TYPE_GUARD = 6
 
 
+def _integral(v) -> bool:
+    try:
+        return int(v) == v
+    except (OverflowError, ValueError):  # infinity, NaN or a non-numeric string
+        return False
+
+
+def _as_ints(values, what: str = "entry") -> tuple[int, ...]:
+    """The values as a tuple of ints; names the first one that is not integral.
+
+    Integral floats such as 1.0 pass. A value like 1.7 raises instead of
+    truncating, at the cost of one tuple comparison when every value passes.
+    """
+    values = tuple(values)
+    try:
+        ints = tuple(map(int, values))
+    except (OverflowError, ValueError):
+        ints = None
+    if ints != values:
+        bad = next(v for v in values if not _integral(v))
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    return ints
+
+
 def _checked_entries(values, n: int, bound: int) -> tuple[int, ...]:
     """The entries of a table [n] -> [bound] as ints; names the first bad one."""
-    values = tuple(map(int, values))
+    values = _as_ints(values)
     if n < 1:
         raise ValueError("n must be positive")
     if len(values) != n:

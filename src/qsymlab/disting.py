@@ -76,7 +76,7 @@ def advantage_exact(
     ]
     p_perm = math.fsum(perm_terms) / math.factorial(n)
     p_small = math.fsum(
-        float(w) * run(algorithm, standard_oracle(g))[1] for g, w in support.entries
+        w * run(algorithm, standard_oracle(g))[1] for g, w in support.float_entries()
     )
     adv = abs(p_perm - p_small)
     return AdvantageReport(n, r, algorithm_id, "exact", p_perm, p_small, None, adv, adv, None)

@@ -65,6 +65,21 @@ class WeightedSupport:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def float_entries(self) -> list[tuple[IndexFunction, float]]:
+        """The entries with each mass as a float, converting each distinct mass once.
+
+        Equal masses give equal floats, so this matches `float(p)` per entry.
+        """
+        floats: dict[tuple[int, int], float] = {}
+        out = []
+        for g, p in self.entries:
+            key = (p.numerator, p.denominator)  # cheaper to hash than the Fraction
+            w = floats.get(key)
+            if w is None:
+                w = floats[key] = float(p)
+            out.append((g, w))
+        return out
+
     def probability_of(self, g: IndexFunction) -> Fraction:
         for entry, p in self.entries:
             if entry.values == g.values:

@@ -7,7 +7,8 @@ Three variants:
   application stays an exact permutation of the computational basis: one
   gather, with source positions computed from digit arrays of the tensor
   shape and register pair. Those are cached per process, not per oracle,
-  since the compiled pipeline builds a fresh oracle for every sampled map.
+  since a Monte Carlo compiled trial builds a fresh oracle for every
+  sampled map.
   Each oracle keeps the source positions it has computed, per tensor shape,
   register pair and direction, because an amplified run repeats the same
   calls in each of its passes; the memo lives and dies with the oracle.
@@ -31,14 +32,16 @@ dimensions from such a table and trusts its entries; `standard_oracle`
 is the same constructor behind a type check, and `oracle_from_partial`
 builds an `InputString` of the composed values, so a missing or
 out-of-range entry still fails. Each oracle instance owns its query
-counters; share the underlying tables, not the instances.
+counters. Only the exact compiled sweep shares instances: one oracle per
+distinct composed table serves every map that composes to it, so its
+counter sums over those maps, and nothing reads it there.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -196,18 +199,28 @@ def standard_oracle(table: InputString | IndexFunction) -> StandardOracle:
 
 
 def oracle_from_partial(
-    x_on_image: Mapping[int, int], index_map: IndexFunction, value_dim: int
+    x_on_image: Mapping[int, int],
+    index_map: IndexFunction,
+    value_dim: int,
+    built: Optional[dict[tuple[int, ...], StandardOracle]] = None,
 ) -> StandardOracle:
     """Standard oracle for (x after index_map) from x known only on the image.
 
     The composed table reads x nowhere else, so the partial knowledge fully
     determines the oracle; its values are checked like any input's.
+    `built` holds the oracles already built, by composed table, for one n
+    and value_dim: a hit returns the stored oracle, a miss stores a new one.
     """
     try:
         composed = tuple(x_on_image[j] for j in index_map.values)
     except KeyError as missing:
         raise ValueError(f"missing image entry {missing.args[0]}") from None
-    return StandardOracle(InputString(index_map.n, value_dim, composed))
+    if built is None:
+        built = {}
+    oracle = built.get(composed)
+    if oracle is None:
+        oracle = built[composed] = StandardOracle(InputString(index_map.n, value_dim, composed))
+    return oracle
 
 
 def oracle_full_matrix(oracle, layout: RegisterLayout, index_reg: int, value_reg: int) -> np.ndarray:

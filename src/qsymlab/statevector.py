@@ -32,7 +32,10 @@ written so that a NaN fails it: a non-finite matrix or state raises.
 
 Amplified algorithms (repeats = 3) are executed as three independent passes
 whose single-bit outcomes are combined by majority at the harness level, so
-register count stays fixed while query accounting triples.
+register count stays fixed while query accounting triples. Every pass
+evolves from the start state, calls the oracle and checks the norm at every
+step, but the passes are bit-identical, so the output rule is read once,
+from the last pass's tensor, with its sum-to-1 check.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+
+from .core import _as_ints
 
 VALIDITY_ATOL = 1e-9
 EXACT_ATOL = 1e-12
@@ -54,7 +59,7 @@ class RegisterLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _as_ints(self.dims, "register dimension"))
         if len(self.dims) == 0:
             raise ValueError("layout must declare at least one register")
         if any(d < 1 for d in self.dims):
@@ -92,7 +97,7 @@ def _check_unitary_step(
     """Validated (matrix, targets) of a unitary acting on registers of the given dims."""
     if isinstance(targets, int):
         targets = (targets,)
-    targets = tuple(int(t) for t in targets)
+    targets = _as_ints(targets, "target register")
     if len(targets) == 0:
         raise ValueError("a unitary step needs at least one target register")
     if len(set(targets)) != len(targets):
@@ -156,7 +161,7 @@ class Unitary:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         targets = self.targets if not isinstance(self.targets, int) else (self.targets,)
-        object.__setattr__(self, "targets", tuple(int(t) for t in targets))
+        object.__setattr__(self, "targets", _as_ints(targets, "target register"))
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,9 @@ class OracleCall:
     value_reg: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index_reg", int(self.index_reg))
-        object.__setattr__(self, "value_reg", int(self.value_reg))
+        index_reg, value_reg = _as_ints((self.index_reg, self.value_reg), "oracle register")
+        object.__setattr__(self, "index_reg", index_reg)
+        object.__setattr__(self, "value_reg", value_reg)
 
 
 Step = Union[Unitary, OracleCall]
@@ -185,9 +191,9 @@ class OutputRule:
     ones: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "registers", tuple(int(r) for r in self.registers))
+        object.__setattr__(self, "registers", _as_ints(self.registers, "output register"))
         object.__setattr__(
-            self, "ones", frozenset(tuple(int(v) for v in o) for o in self.ones)
+            self, "ones", frozenset(_as_ints(o, "outcome digit") for o in self.ones)
         )
         if len(set(self.registers)) != len(self.registers):
             raise ValueError("output registers must be distinct")
@@ -302,10 +308,6 @@ def _evolve(tensor: np.ndarray, ops: tuple[tuple, ...], oracle) -> np.ndarray:
     return tensor
 
 
-def _simulate_once(alg: QueryAlgorithm, oracle) -> float:
-    return _output_probability_one(_evolve(alg._start, alg._ops, oracle), alg)
-
-
 def majority3_prob(p):
     """Probability that the majority of three independent p-biased bits is 1.
 
@@ -322,12 +324,12 @@ def run(alg: QueryAlgorithm, oracle=None) -> dict[int, float]:
     Returns {0: p0, 1: p1} computed from the final state, no sampling. Each
     pass applies the oracle once per oracle-call step, advancing its query
     counters; the amplified form runs three passes and combines their
-    (independent, identically distributed) outcomes by majority.
+    (independent, identically distributed) outcomes by majority. The passes
+    are bit-identical, so the output is read once, from the last one.
     """
-    if alg.repeats == 1:
-        p_one = _simulate_once(alg, oracle)
-    else:
-        for _ in range(alg.repeats):
-            p_one = _simulate_once(alg, oracle)
+    for _ in range(alg.repeats):
+        tensor = _evolve(alg._start, alg._ops, oracle)
+    p_one = _output_probability_one(tensor, alg)
+    if alg.repeats != 1:
         p_one = majority3_prob(p_one)
     return {0: 1.0 - p_one, 1: p_one}

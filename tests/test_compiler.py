@@ -1,5 +1,6 @@
 import math
 import os
+from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsymlab import compiler
+from qsymlab import compiler, oracles
 from qsymlab.compiler import (
     CompiledRunResult,
     amplify_majority3,
@@ -22,7 +23,8 @@ from qsymlab.compiler import (
     with_gadget_ancilla,
 )
 from qsymlab.core import IndexFunction, InputString, compose_input, image
-from qsymlab.oracles import ComposedOracle, standard_oracle
+from qsymlab.distributions import SmallRangeParams, enumerate_small_range_support
+from qsymlab.oracles import ClassicalOracle, ComposedOracle, StandardOracle, standard_oracle
 from qsymlab.statevector import (
     OutputRule,
     QueryAlgorithm,
@@ -282,6 +284,68 @@ class TestExactSuccess:
         est = estimate_success(entry.algorithm, x, 1, n, 2000, rng)
         sigma = math.sqrt(expected * (1 - expected) / 2000)
         assert abs(est.estimate - expected) <= 4 * sigma
+
+
+def per_map_exact_success(alg, x, expected_bit, r):
+    """exact_success as a plain per-map loop: a fresh oracle for every map.
+
+    An amplified run's three passes are bit-identical, so one pass of the
+    base algorithm, majority-combined, gives each map's distribution.
+    """
+    support = enumerate_small_range_support(SmallRangeParams(x.n, r))
+    terms = []
+    for index_map, weight in support.entries:
+        reader = ClassicalOracle(x)
+        known = {i: reader.lookup(i) for i in sorted(image(index_map))}
+        composed = InputString(x.n, x.M, tuple(known[j] for j in index_map.values))
+        p_one = majority3_prob(run(alg, StandardOracle(composed))[1])
+        terms.append(float(weight) * {0: 1.0 - p_one, 1: p_one}[expected_bit])
+    return float(math.fsum(terms))
+
+
+class TestExactSuccessSharesOracles:
+    @pytest.mark.parametrize(
+        "entry, x, expected_bit, r_values",
+        [
+            (deutsch_jozsa(4), InputString(4, 2, (0, 1, 1, 0)), 1, (1, 2, 3, 4)),
+            (deutsch_jozsa(4), InputString(4, 2, (1, 1, 1, 1)), 0, (1, 2, 3, 4)),
+            (grover_unique_or(4, 1), InputString(4, 2, (0, 0, 1, 0)), 1, (1, 2)),
+            (grover_unique_or(8, 2), InputString(8, 2, (0, 0, 0, 0, 0, 1, 0, 0)), 1, (1, 2)),
+        ],
+        ids=["dj-balanced", "dj-constant", "grover-4", "grover-8"],
+    )
+    def test_equals_the_per_map_loop(self, entry, x, expected_bit, r_values):
+        for r in r_values:
+            value = exact_success(entry.algorithm, x, expected_bit, r)
+            assert value == per_map_exact_success(entry.algorithm, x, expected_bit, r)
+
+    def test_one_oracle_per_distinct_table(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for cls, method in (
+            (StandardOracle, "__init__"),
+            (StandardOracle, "apply_tensor"),
+            (ClassicalOracle, "lookup"),
+        ):
+            monkeypatch.setattr(cls, method, counting(method, getattr(cls, method)))
+        monkeypatch.setattr(oracles, "_gather_source", counting("source", oracles._gather_source))
+        x = InputString(8, 2, (0, 0, 0, 1, 0, 0, 0, 0))
+        value = exact_success(grover_unique_or(8, 2).algorithm, x, 1, 2)
+        assert value == pytest.approx(1 / 8, abs=1e-9)
+        # 7120 maps compose x to 256 tables; every map still reads and queries
+        assert counts == {
+            "__init__": 256,
+            "source": 512,
+            "lookup": 14_232,
+            "apply_tensor": 64_080,
+        }
 
 
 class TestGadgetRewrite:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,27 @@ class TestValidation:
     def test_table_names_first_bad_entry(self, values, bad):
         with pytest.raises(ValueError, match=rf"^entry {bad} outside \[0, 3\)$"):
             InputString(3, 3, values)
+
+    @pytest.mark.parametrize(
+        "make, bad",
+        [
+            (lambda: InputString(2, 2, (0, 1.7)), "1.7"),
+            (lambda: IndexFunction(2, (0.9, 1.2)), "0.9"),
+            (lambda: InputString(3, 4, (1.0, 2, 2.5)), "2.5"),
+            (lambda: IndexFunction(2, ("1", 0)), "'1'"),
+            (lambda: InputString(2, 2, (0, math.inf)), "inf"),
+            (lambda: InputString(2, 2, (math.nan, 0)), "nan"),
+            (lambda: InputString(2, 2, (0, "one")), "'one'"),
+        ],
+        ids=["input", "index-map", "after-integral-float", "string", "inf", "nan", "word"],
+    )
+    def test_non_integral_entry_rejected_not_truncated(self, make, bad):
+        with pytest.raises(ValueError, match=rf"^entry {re.escape(bad)} is not an integer$"):
+            make()
+
+    def test_integral_floats_become_ints(self):
+        x = InputString(2, 3, (2.0, 1))
+        assert x.values == (2, 1) and all(type(v) is int for v in x.values)
 
     def test_index_map_values_range_over_n(self):
         g = IndexFunction(5, (4, 0, 0, 2, 1))

@@ -134,6 +134,11 @@ class TestSamplePermutation:
 
 
 class TestEnumerator:
+    @pytest.mark.parametrize("n, r", [(3, 2), (4, 4)])
+    def test_float_entries_convert_each_mass_like_float(self, n, r):
+        support = enumerate_small_range_support(SmallRangeParams(n, r))
+        assert support.float_entries() == [(g, float(p)) for g, p in support.entries]
+
     def test_n2_r1_support(self):
         support = enumerate_small_range_support(SmallRangeParams(2, 1))
         masses = {g.values: p for g, p in support.entries}

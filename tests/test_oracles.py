@@ -290,6 +290,27 @@ class TestOracleFromPartial:
         with pytest.raises(ValueError, match=r"^entry 9 outside \[0, 8\)$"):
             oracle_from_partial({1: 9, 3: 2}, c, value_dim=8)
 
+    def test_dict_returns_the_stored_oracle_for_an_equal_table(self):
+        built = {}
+        first = oracle_from_partial({1: 7, 3: 2}, IndexFunction(4, (1, 1, 3, 3)), 8, built)
+        # another map and other known entries, composing to the same table
+        again = oracle_from_partial({1: 7, 2: 7, 3: 2}, IndexFunction(4, (2, 1, 3, 3)), 8, built)
+        other = oracle_from_partial({1: 7, 3: 2}, IndexFunction(4, (3, 1, 3, 3)), 8, built)
+        assert again is first and other is not first
+        assert built == {(7, 7, 2, 2): first, (2, 7, 2, 2): other}
+        fresh = oracle_from_partial({1: 7, 3: 2}, IndexFunction(4, (1, 1, 3, 3)), 8)
+        assert fresh is not first and fresh.values == first.values
+
+    def test_dict_keeps_both_errors(self):
+        built = {}
+        stored = oracle_from_partial({1: 7, 3: 2}, IndexFunction(4, (1, 1, 3, 3)), 8, built)
+        # the map composes to a stored table, but an image entry is unknown
+        with pytest.raises(ValueError, match="^missing image entry 3$"):
+            oracle_from_partial({1: 7}, IndexFunction(4, (1, 1, 3, 3)), 8, built)
+        with pytest.raises(ValueError, match=r"^entry 9 outside \[0, 8\)$"):
+            oracle_from_partial({1: 9, 3: 2}, IndexFunction(4, (1, 1, 3, 3)), 8, built)
+        assert built == {(7, 7, 2, 2): stored}
+
     def test_matches_full_composition(self):
         rng = np.random.default_rng(4)
         x = InputString(4, 3, tuple(rng.integers(0, 3, size=4)))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ class TestRun:
         first = run(entry.algorithm, standard_oracle(x))
         second = run(entry.algorithm, standard_oracle(x))
         assert first == second
+
+    def test_amplified_run_reads_the_output_once(self, monkeypatch):
+        base = grover_unique_or(8, 2).algorithm
+        x = InputString(8, 2, (0, 0, 0, 1, 0, 0, 0, 0))
+        reads = []
+        read = sv._output_probability_one
+        monkeypatch.setattr(
+            sv, "_output_probability_one", lambda tensor, alg: reads.append(alg) or read(tensor, alg)
+        )
+        amplified = replace(base, repeats=3)
+        oracle = standard_oracle(x)
+        dist = run(amplified, oracle)
+        assert reads == [amplified]
+        assert oracle.queries == query_count(amplified) == 9
+        # the three passes are bit-identical, so one pass of the base algorithm gives p
+        p_one = sv.majority3_prob(run(base, standard_oracle(x))[1])
+        assert dist == {0: 1.0 - p_one, 1: p_one}
 
     def test_oracle_required_when_called(self):
         entry = deutsch_jozsa(4)
@@ -365,6 +383,26 @@ class TestAlgorithmValidation:
         assert type(call.value_reg) is int
         alg = QueryAlgorithm(RegisterLayout((2, 2)), (call,), OutputRule((1,), frozenset({(1,)})))
         assert run(alg, standard_oracle(InputString(2, 2, (1, 0))))[1] == 1.0
+
+    @pytest.mark.parametrize(
+        "make, what, bad",
+        [
+            (lambda: OracleCall(0, 1.5), "oracle register", "1.5"),
+            (lambda: Unitary(np.eye(2), (0.5,)), "target register", "0.5"),
+            (lambda: OutputRule((1.2,), frozenset()), "output register", "1.2"),
+            (lambda: OutputRule((0,), frozenset({(0.5,)})), "outcome digit", "0.5"),
+            (lambda: RegisterLayout((2, 2.5)), "register dimension", "2.5"),
+            (
+                lambda: apply_unitary(basis_state(RegisterLayout((2,))), np.eye(2), (0.5,)),
+                "target register",
+                "0.5",
+            ),
+        ],
+        ids=["oracle-call", "unitary", "output-register", "outcome", "layout", "apply-unitary"],
+    )
+    def test_non_integral_register_rejected_not_truncated(self, make, what, bad):
+        with pytest.raises(ValueError, match=rf"^{what} {bad} is not an integer$"):
+            make()
 
     def test_outcome_digit_range(self):
         with pytest.raises(ValueError, match="outside register"):
