@@ -47,7 +47,7 @@ def _emit_report(kind: str, args, results: dict, csv_rows=None) -> int:
         "seed": args.seed,
         "results": results,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _report_text(report)
     path = args.csv
     try:
         if args.csv:
@@ -62,6 +62,25 @@ def _emit_report(kind: str, args, results: dict, csv_rows=None) -> int:
     except OSError as exc:
         return _usage_error(f"cannot write {path}: {exc.strerror}")
     return 0
+
+
+def _report_text(report: dict) -> str:
+    """`report` as JSON with sorted keys, indented by two, except that each
+    `trials_detail` record sits on one line: the indenting encoder is pure
+    Python, and the C encoder writes 2000 records about four times faster."""
+    results = report["results"]
+    if "trials_detail" not in results:
+        return json.dumps(report, indent=2, sort_keys=True)
+    slot = "<trials_detail>"
+    envelope = {**report, "results": {**results, "trials_detail": slot}}
+    text = json.dumps(envelope, indent=2, sort_keys=True)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    records = ",\n      ".join(map(encode, results["trials_detail"]))
+    # only results has a trials_detail key, and a quote inside a string is
+    # always escaped, so nothing else matches
+    return text.replace(
+        f'"trials_detail": "{slot}"', f'"trials_detail": [\n      {records}\n    ]', 1
+    )
 
 
 def _usage_error(message: str) -> int:
@@ -182,11 +201,13 @@ def _cmd_compile_run(args) -> int:
             }
             for t in runs
         ]
-    rows = [("trial", "output_bit", "classical_queries", "c_injective", "seed")]
-    rows += [
-        (idx, t.output_bit, t.classical_queries_used, int(t.C_was_injective), t.seed)
-        for idx, t in enumerate(runs)
-    ]
+    rows = None
+    if args.csv:
+        rows = [("trial", "output_bit", "classical_queries", "c_injective", "seed")]
+        rows += [
+            (idx, t.output_bit, t.classical_queries_used, int(t.C_was_injective), t.seed)
+            for idx, t in enumerate(runs)
+        ]
     return _emit_report("compile-run", args, results, rows)
 
 

@@ -9,12 +9,20 @@ function into a randomized classical procedure. One compiled trial:
 4. simulate the majority-of-three amplified algorithm against that oracle
    exactly, and draw the output bit from the resulting distribution.
 
+Many maps compose x to the same table, and such maps can share one oracle
+and its gather sources; every map is still read, composed and simulated.
 The exact average over the whole support (`exact_success`) runs steps 2-4
-for every map, but keeps one dict of oracles by composed table for the
-call: many maps compose x to the same table, and those maps share one
-oracle and its gather sources. Monte Carlo trials build a fresh oracle
-each: at large n sampled maps rarely share a table, and every kept oracle
-would hold its gather sources (128 KB for Grover at n=2048).
+for every map and keeps one dict of oracles by composed table for the
+call. The Monte Carlo estimate (`estimate_success`, one process) keeps
+such a dict across its trials only when `M^n <= trials`. The rule is a
+worst-case memory bound, not a guess at how often tables repeat. Within
+it there are at most `M^n` composed tables, so at most `min(M^n, trials)`
+oracles are kept, each small at such n. Beyond it only the trial count
+limits the kept oracles: a one-hot Grover input at n=2048 and r=n composes
+10^4 trials to 4,359 distinct tables, and each oracle there holds 128 KB
+of gather sources (about 560 MB in all). So each trial beyond the bound
+builds a fresh oracle, even where most trials share a table (18 tables at
+r=4).
 
 The input is never touched outside step 2: no oracle over the raw input
 exists on this path, and the function table is never consulted at all (the
@@ -134,17 +142,23 @@ def compile_and_run_once(
     rng: Optional[np.random.Generator] = None,
     *,
     seed: Optional[int] = None,
+    oracles: Optional[dict] = None,
 ) -> CompiledRunResult:
-    """One full compiled trial; the recorded seed replays it exactly."""
+    """One full compiled trial; the recorded seed replays it exactly.
+
+    `oracles` is passed to `compiled_distribution`: trials on the same x
+    may share it, and a shared oracle gives the same output as a fresh one.
+    """
     if not 1 <= r <= x.n:
         raise ValueError(f"r outside [1, {x.n}]: {r}")
     if seed is None:
         if rng is None:
             raise ValueError("provide an rng or an explicit seed")
         seed = int(rng.integers(0, 2**63))
-    trial_rng = np.random.default_rng(seed)
+    # exactly the generator default_rng(seed) returns, without its dispatch
+    trial_rng = np.random.Generator(np.random.PCG64(seed))
     sampled = sample_small_range(SmallRangeParams(x.n, r), trial_rng)
-    dist, used = compiled_distribution(alg, x, sampled)
+    dist, used = compiled_distribution(alg, x, sampled, oracles)
     if used > r:
         raise AssertionError(f"classical lookups {used} exceeded budget {r}")
     bit = 1 if trial_rng.random() < dist[1] else 0
@@ -194,7 +208,8 @@ def estimate_success(
     """Monte Carlo success estimate with a 95% Wilson interval.
 
     Per-trial seeds are drawn up front, so results do not depend on worker
-    scheduling when jobs > 1.
+    scheduling when jobs > 1. With one job, trials share one oracle per
+    composed table when `M^n <= trials` (see the module docstring).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -208,7 +223,8 @@ def estimate_success(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_seeded_trial, [(alg, x, r, s) for s in seeds], chunksize=64))
     else:
-        results = [compile_and_run_once(alg, x, r, seed=s) for s in seeds]
+        oracles = {} if x.M**x.n <= trials else None
+        results = [compile_and_run_once(alg, x, r, seed=s, oracles=oracles) for s in seeds]
     successes = sum(1 for t in results if t.output_bit == expected_bit)
     low, high = wilson_interval(successes, trials)
     return SuccessEstimate(

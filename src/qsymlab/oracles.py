@@ -7,8 +7,8 @@ Three variants:
   application stays an exact permutation of the computational basis: one
   gather, with source positions computed from digit arrays of the tensor
   shape and register pair. Those are cached per process, not per oracle,
-  since a Monte Carlo compiled trial builds a fresh oracle for every
-  sampled map.
+  since a Monte Carlo compiled trial above the sharing bound builds a
+  fresh oracle for every sampled map.
   Each oracle keeps the source positions it has computed, per tensor shape,
   register pair and direction, because an amplified run repeats the same
   calls in each of its passes; the memo lives and dies with the oracle.
@@ -32,9 +32,12 @@ dimensions from such a table and trusts its entries; `standard_oracle`
 is the same constructor behind a type check, and `oracle_from_partial`
 builds an `InputString` of the composed values, so a missing or
 out-of-range entry still fails. Each oracle instance owns its query
-counters. Only the exact compiled sweep shares instances: one oracle per
-distinct composed table serves every map that composes to it, so its
-counter sums over those maps, and nothing reads it there.
+counters. The compiled pipeline shares instances through
+`oracle_from_partial`'s dict: the exact sweep for one call, and the Monte
+Carlo trials of one estimate when its input has at most as many possible
+tables as trials. One oracle per distinct composed table then serves every
+map that composes to it, so its counter sums over those maps, and nothing
+reads it there.
 """
 
 from __future__ import annotations

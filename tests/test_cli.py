@@ -29,6 +29,25 @@ def disk_full_writer(*args, **kwargs):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+COMPILE_DJ = [
+    "compile-run", "--zoo", "dj", "--n", "4", "--input", "balanced", "--r", "3", "--seed", "4",
+]  # fmt: skip
+
+
+def written_report(monkeypatch, capsys, argv):
+    """The report dict a command built, and the text it printed."""
+    built = []
+    report_text = cli._report_text
+
+    def recording(report):
+        built.append(report)
+        return report_text(report)
+
+    monkeypatch.setattr(cli, "_report_text", recording)
+    assert cli.main(argv) == 0
+    return built[0], capsys.readouterr().out
+
+
 REPORT_KEYS = ["artifact_version", "created", "kind", "params", "results", "seed"]
 
 
@@ -203,6 +222,27 @@ class TestCompileRun:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "trial,output_bit,classical_queries,c_injective,seed"
         assert len(lines) == 51
+
+    def test_csv_rows_built_only_for_csv(self, tmp_path, monkeypatch):
+        rows_seen = []
+        emit = cli._emit_report
+
+        def recording(kind, args, results, csv_rows=None):
+            rows_seen.append(csv_rows)
+            return emit(kind, args, results, csv_rows)
+
+        monkeypatch.setattr(cli, "_emit_report", recording)
+        out, csv_path = tmp_path / "report.json", tmp_path / "trials.csv"
+        assert cli.main(COMPILE_DJ + ["--trials", "3", "--out", str(out)]) == 0
+        assert rows_seen == [None]
+        assert cli.main(COMPILE_DJ + ["--trials", "3", "--out", str(out), "--csv", str(csv_path)]) == 0
+        detail = read_report(out)["results"]["trials_detail"]
+        rows = "".join(
+            f"{i},{t['output_bit']},{t['classical_queries']},{int(t['C_injective'])},{t['seed']}\r\n"
+            for i, t in enumerate(detail)
+        )
+        header = "trial,output_bit,classical_queries,c_injective,seed\r\n"
+        assert csv_path.read_bytes() == (header + rows).encode()
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
@@ -795,6 +835,64 @@ class TestDistinguish:
         assert cli.main(args + ["--out", str(out_a)]) == 0
         assert cli.main(args + ["--out", str(out_b)]) == 0
         assert payload_bytes(read_report(out_a)) == payload_bytes(read_report(out_b))
+
+
+class TestReportLayout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            COMPILE_DJ + ["--trials", "1"],
+            COMPILE_DJ + ["--trials", "3"],
+            COMPILE_DJ + ["--exact", "--trials", "0"],
+            [
+                "distinguish", "--algo", "collision-sniffer", "--n", "4", "--r-list", "1,2",
+                "--samples", "40",
+            ],  # fmt: skip
+        ],
+        ids=["trials-1", "trials-3", "exact-trials-0", "distinguish"],
+    )
+    def test_parses_like_the_indented_report(self, monkeypatch, capsys, argv):
+        report, text = written_report(monkeypatch, capsys, argv)
+        indented = json.dumps(report, indent=2, sort_keys=True)
+        assert json.loads(text) == json.loads(indented)
+        if "trials_detail" not in report["results"]:
+            assert text == indented + "\n"
+
+    def test_one_line_per_trial_record(self, monkeypatch, capsys):
+        report, text = written_report(monkeypatch, capsys, COMPILE_DJ + ["--trials", "3"])
+        lines = text.splitlines()
+        start = lines.index('    "trials_detail": [')
+        assert lines[start + 4].removesuffix(",") == "    ]"
+        records = [json.loads(line.removesuffix(",")) for line in lines[start + 1 : start + 4]]
+        assert records == report["results"]["trials_detail"]
+        # around the records, the layout is the indented one
+        indented = json.dumps(report, indent=2, sort_keys=True).splitlines()
+        tail = len(lines) - start - 4
+        assert lines[: start + 1] == indented[: start + 1]
+        assert lines[start + 4 :] == indented[-tail:]
+
+    def test_trials_over_the_embedding_limit_keep_the_indented_report(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_EMBEDDED_TRIALS", 2)
+        report, text = written_report(monkeypatch, capsys, COMPILE_DJ + ["--trials", "3"])
+        assert "trials_detail" not in report["results"]
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_strings_like_the_record_slot_are_kept(self):
+        slot = '"trials_detail": "<trials_detail>"'
+        report = {
+            "params": {"input": slot},
+            "results": {
+                "note": slot,
+                "trials_detail": [
+                    {"C": [0], "seed": 1, "note": "}, {"},
+                    {"C": [1], "seed": 2, "note": slot},
+                ],
+            },
+        }
+        text = cli._report_text(report)
+        assert json.loads(text) == report
+        records = [line.strip().removesuffix(",") for line in text.splitlines() if "seed" in line]
+        assert [json.loads(line) for line in records] == report["results"]["trials_detail"]
 
 
 class TestVerify:

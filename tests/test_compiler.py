@@ -45,6 +45,26 @@ def base_two_thirds_alg():
     )
 
 
+def count_calls(monkeypatch, targets):
+    """Count the calls of each (owner, attribute) in `targets`, by attribute name."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return counts
+
+
+def composed_table(x, index_map):
+    return tuple(x.values[j] for j in index_map.values)
+
+
 class TestMajority3:
     def test_two_thirds_rational(self):
         assert majority3_prob(Fraction(2, 3)) == Fraction(20, 27)
@@ -219,7 +239,7 @@ class TestEstimateSuccess:
     def test_trial_seeds_match_one_draw_per_trial(self, monkeypatch, trials):
         # the seeds come from one generator call; it must consume the stream
         # as the former one-call-per-trial loop did
-        def record_seed(alg, x, r, *, seed):
+        def record_seed(alg, x, r, *, seed, oracles=None):
             return CompiledRunResult(0, 1, IndexFunction(4, (0, 0, 0, 0)), False, seed)
 
         monkeypatch.setattr(compiler, "compile_and_run_once", record_seed)
@@ -320,32 +340,134 @@ class TestExactSuccessSharesOracles:
             assert value == per_map_exact_success(entry.algorithm, x, expected_bit, r)
 
     def test_one_oracle_per_distinct_table(self, monkeypatch):
-        counts = Counter()
-
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return counted
-
-        for cls, method in (
-            (StandardOracle, "__init__"),
-            (StandardOracle, "apply_tensor"),
-            (ClassicalOracle, "lookup"),
-        ):
-            monkeypatch.setattr(cls, method, counting(method, getattr(cls, method)))
-        monkeypatch.setattr(oracles, "_gather_source", counting("source", oracles._gather_source))
+        counts = count_calls(
+            monkeypatch,
+            [
+                (StandardOracle, "__init__"),
+                (StandardOracle, "apply_tensor"),
+                (ClassicalOracle, "lookup"),
+                (oracles, "_gather_source"),
+            ],
+        )
         x = InputString(8, 2, (0, 0, 0, 1, 0, 0, 0, 0))
         value = exact_success(grover_unique_or(8, 2).algorithm, x, 1, 2)
         assert value == pytest.approx(1 / 8, abs=1e-9)
         # 7120 maps compose x to 256 tables; every map still reads and queries
         assert counts == {
             "__init__": 256,
-            "source": 512,
+            "_gather_source": 512,
             "lookup": 14_232,
             "apply_tensor": 64_080,
         }
+
+
+class TestEstimateSuccessSharesOracles:
+    def test_one_oracle_per_distinct_table(self, monkeypatch):
+        counts = count_calls(
+            monkeypatch,
+            [
+                (StandardOracle, "__init__"),
+                (StandardOracle, "apply_tensor"),
+                (ClassicalOracle, "lookup"),
+                (compiler, "oracle_from_partial"),
+                (compiler, "sample_small_range"),
+            ],
+        )
+        x = InputString(4, 2, (0, 1, 1, 0))
+        est = estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, 2000, np.random.default_rng(14))
+        tables = {composed_table(x, t.sampled_C) for t in est.results}
+        assert len(tables) <= 16
+        # every trial still samples, reads, composes and runs three passes
+        assert counts == {
+            "__init__": len(tables),
+            "apply_tensor": 6000,
+            "lookup": sum(t.classical_queries_used for t in est.results),
+            "oracle_from_partial": 2000,
+            "sample_small_range": 2000,
+        }
+
+    @pytest.mark.parametrize(
+        "entry, x, trials, built",
+        [
+            (grover_unique_or(16, 3), InputString(16, 2, (0,) * 5 + (1,) + (0,) * 10), 10, 10),
+            (deutsch_jozsa(4), InputString(4, 2, (0, 1, 1, 0)), 15, 15),
+            (deutsch_jozsa(4), InputString(4, 2, (0, 1, 1, 0)), 16, None),
+        ],
+        ids=["grover-16", "dj-below-M^n", "dj-at-M^n"],
+    )
+    def test_shared_only_when_tables_cannot_outnumber_trials(
+        self, monkeypatch, entry, x, trials, built
+    ):
+        counts = count_calls(monkeypatch, [(StandardOracle, "__init__")])
+        est = estimate_success(entry.algorithm, x, 1, 4, trials, np.random.default_rng(15))
+        if built is None:  # M^n <= trials: one oracle per distinct table
+            built = len({composed_table(x, t.sampled_C) for t in est.results})
+            assert built < trials
+        assert counts["__init__"] == built
+
+    @pytest.mark.parametrize("trials", [16, 300])
+    def test_trial_replays_alone(self, trials):
+        entry = deutsch_jozsa(4)
+        x = InputString(4, 2, (1, 0, 0, 1))
+        est = estimate_success(entry.algorithm, x, 1, 3, trials, np.random.default_rng(16))
+        replayed = [compile_and_run_once(entry.algorithm, x, 3, seed=t.seed) for t in est.results]
+        assert replayed == list(est.results)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+    def test_trial_generator_draws_the_default_rng_stream(self, seed):
+        fast, reference = np.random.Generator(np.random.PCG64(seed)), np.random.default_rng(seed)
+        assert fast.bit_generator.state == reference.bit_generator.state
+        bounds = np.array([4] * 8 + [8, 7, 6, 5])
+        for _ in range(20):
+            assert fast.integers(0, bounds).tolist() == reference.integers(0, bounds).tolist()
+        assert fast.random(50).tolist() == reference.random(50).tolist()
+
+
+class TestCompiledTrialStaysOnImage:
+    @pytest.mark.parametrize(
+        "entry, x, r, trials",
+        [
+            (deutsch_jozsa(4), InputString(4, 2, (0, 1, 1, 0)), 3, 200),
+            (grover_unique_or(8, 2), InputString(8, 2, (0, 0, 1, 0, 0, 0, 0, 0)), 3, 300),
+        ],
+        ids=["dj-4", "grover-8"],
+    )
+    def test_lookups_are_the_image_and_off_image_entries_do_not_matter(
+        self, monkeypatch, entry, x, r, trials
+    ):
+        assert x.M**x.n <= trials  # the trials share oracles
+        looked: list[list[int]] = []
+        lookup = ClassicalOracle.lookup
+        single_trial = compiler.compile_and_run_once
+
+        def recording_lookup(self, i):
+            looked[-1].append(i)
+            return lookup(self, i)
+
+        def recording_trial(*args, **kwargs):
+            looked.append([])
+            return single_trial(*args, **kwargs)
+
+        monkeypatch.setattr(ClassicalOracle, "lookup", recording_lookup)
+        monkeypatch.setattr(compiler, "compile_and_run_once", recording_trial)
+        est = estimate_success(entry.algorithm, x, 1, r, trials, np.random.default_rng(17))
+        monkeypatch.undo()
+        assert len(looked) == trials
+        off_image_differs = 0
+        shared_x, shared_y = {}, {}
+        for trial, indices in zip(est.results, looked):
+            cells = image(trial.sampled_C)
+            assert set(indices) <= cells
+            assert len(indices) == len(cells) == trial.classical_queries_used
+            # y agrees with x on the image and differs from it everywhere else
+            y = InputString(
+                x.n, x.M, tuple(v if i in cells else 1 - v for i, v in enumerate(x.values))
+            )
+            off_image_differs += y != x
+            assert compiled_distribution(entry.algorithm, y, trial.sampled_C, shared_y) == (
+                compiled_distribution(entry.algorithm, x, trial.sampled_C, shared_x)
+            )
+        assert off_image_differs > 0
 
 
 class TestGadgetRewrite:
