@@ -6,6 +6,11 @@ probabilities come exactly from the simulator, so Monte Carlo noise enters
 through the draw alone. The hardness bound's absolute constant is unknown,
 so nothing here asserts a bound value; the probe reports curves. Reports
 are plain records: the CLI turns their fields into JSON entries and CSV rows.
+
+An exact sweep checks the n! permutations and the largest r's support
+against the enumeration budget before it builds or simulates anything. It
+builds each permutation's oracle once, for all r, and runs it once per r;
+each r enumerates its own support.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from array import array
 from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
@@ -22,6 +28,7 @@ from .compiler import Z_95
 from .core import IndexFunction
 from .distributions import (
     SmallRangeParams,
+    check_support_budget,
     enumerate_small_range_support,
     enumeration_budget,
     sample_permutation,
@@ -65,21 +72,39 @@ def advantage_exact(
     algorithm: QueryAlgorithm, n: int, r: int, algorithm_id: str = "anonymous"
 ) -> AdvantageReport:
     """Exact advantage: enumerate all permutations and the full support."""
+    return _exact_reports(algorithm, n, [r], algorithm_id)[0]
+
+
+def _exact_reports(
+    algorithm: QueryAlgorithm, n: int, r_values: Sequence[int], algorithm_id: str
+) -> list[AdvantageReport]:
+    if not r_values:
+        return []
+    # both budgets are checked before any build or simulation; the largest r
+    # visits the most maps
     budget = enumeration_budget()
     if math.factorial(n) > budget:
         raise ValueError(f"enumerating {n}! permutations exceeds budget {budget}")
-    # built first so an over-budget support fails before any simulation
-    support = enumerate_small_range_support(SmallRangeParams(n, r))
-    perm_terms = [
-        run(algorithm, standard_oracle(IndexFunction(n, p)))[1]
-        for p in itertools.permutations(range(n))
-    ]
-    p_perm = math.fsum(perm_terms) / math.factorial(n)
-    p_small = math.fsum(
-        w * run(algorithm, standard_oracle(g))[1] for g, w in support.float_entries()
-    )
-    adv = abs(p_perm - p_small)
-    return AdvantageReport(n, r, algorithm_id, "exact", p_perm, p_small, None, adv, adv, None)
+    check_support_budget(SmallRangeParams(n, max(r_values)))
+    # one oracle per permutation, run once per r (perfbench's distinguish-exact
+    # law counts n! runs per r) and dropped before the next; a term takes 8 bytes
+    perm_terms = [array("d") for _ in r_values]
+    for p in itertools.permutations(range(n)):
+        oracle = standard_oracle(IndexFunction(n, p))
+        for terms in perm_terms:
+            terms.append(run(algorithm, oracle)[1])
+    reports = []
+    for r, terms in zip(r_values, perm_terms):
+        support = enumerate_small_range_support(SmallRangeParams(n, r))
+        p_perm = math.fsum(terms) / math.factorial(n)
+        p_small = math.fsum(
+            w * run(algorithm, standard_oracle(g))[1] for g, w in support.float_entries()
+        )
+        adv = abs(p_perm - p_small)
+        reports.append(
+            AdvantageReport(n, r, algorithm_id, "exact", p_perm, p_small, None, adv, adv, None)
+        )
+    return reports
 
 
 def advantage_monte_carlo(
@@ -125,7 +150,8 @@ def sweep_r(
     exact: bool = False,
     algorithm_id: str = "anonymous",
 ) -> list[AdvantageReport]:
-    """One report per r; duplicates are dropped with a warning."""
+    """One report per r; duplicates are dropped with a warning. An exact sweep
+    builds its permutation oracles once for all r."""
     deduped: list[int] = []
     for r in r_values:
         if r in deduped:
@@ -135,12 +161,9 @@ def sweep_r(
     for r in deduped:
         if not 1 <= r <= n:
             raise ValueError(f"r outside [1, {n}]: {r}")
-    reports = []
-    for r in deduped:
-        if exact:
-            reports.append(advantage_exact(algorithm, n, r, algorithm_id=algorithm_id))
-        else:
-            reports.append(
-                advantage_monte_carlo(algorithm, n, r, samples, rng, algorithm_id=algorithm_id)
-            )
-    return reports
+    if exact:
+        return _exact_reports(algorithm, n, deduped, algorithm_id)
+    return [
+        advantage_monte_carlo(algorithm, n, r, samples, rng, algorithm_id=algorithm_id)
+        for r in deduped
+    ]

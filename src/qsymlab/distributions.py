@@ -118,13 +118,20 @@ def sample_permutation(n: int, rng: np.random.Generator) -> IndexFunction:
     return IndexFunction(n, tuple(_injection_prefix(n, swaps)))
 
 
-def enumerate_small_range_support(params: SmallRangeParams) -> WeightedSupport:
-    """Exact law of the composed map: each map with image size <= r, visited once."""
+def check_support_budget(params: SmallRangeParams) -> None:
+    """Fail unless the enumerator's visits for `params` fit the budget; the
+    visits, one per map with image size <= r, grow with r."""
     n, r = params.n, params.r
     visited = sum(math.comb(n, k) * k**n for k in range(1, r + 1))
     budget = enumeration_budget()
     if visited > budget:
         raise ValueError(f"enumeration visits {visited} maps, budget is {budget}")
+
+
+def enumerate_small_range_support(params: SmallRangeParams) -> WeightedSupport:
+    """Exact law of the composed map: each map with image size <= r, visited once."""
+    check_support_budget(params)
+    n, r = params.n, params.r
     entries = []
     for k in range(1, r + 1):
         # (r)_k (n-k)!/(n-r)! of the r^n n!/(n-r)! (map, injection) pairs give each such map

@@ -5,10 +5,15 @@ Three variants:
 * StandardOracle: the additive-shift unitary |i>|j> -> |i>|j + t(i) mod d>
   for a table t. Its inverse is the same oracle with subtraction, so every
   application stays an exact permutation of the computational basis: one
-  gather, with source positions computed from digit arrays of the tensor
-  shape and register pair. Those are cached per process, not per oracle,
-  since a Monte Carlo compiled trial above the sharing bound builds a
-  fresh oracle for every sampled map.
+  gather. A fresh oracle builds its source positions from a shift table
+  whose row v holds the sources for an index with table value v: one
+  `take` of a row per index, plus each index's offset. The tables are
+  cached per tensor shape, register pair and direction, per process and
+  not per oracle, since a distinguish sweep or a Monte Carlo compiled trial
+  above the sharing bound builds a fresh oracle for almost every map. A
+  table holds d*N/n_i entries (value dimension d, state size N, index
+  dimension n_i), so one is kept only when d <= n_i and no cache outgrows
+  the state; otherwise the source comes from cached per-position digits.
   Each oracle keeps the source positions it has computed, per tensor shape,
   register pair and direction, because an amplified run repeats the same
   calls in each of its passes; the memo lives and dies with the oracle.
@@ -65,11 +70,41 @@ def _digit_arrays(shape: tuple[int, ...], index_reg: int, value_reg: int):
     return (*arrays, stride)
 
 
+@functools.lru_cache(maxsize=64)
+def _shift_table(shape: tuple[int, ...], index_reg: int, value_reg: int, sign: int):
+    """Read-only shift table of a layout whose value register is no larger than
+    its index register, and the index digit's offsets.
+
+    With the shape split as (before, index, after), `rows[b, v, a]` is the
+    source position of (b, 0, a) for an index whose table value is v, and
+    `offsets[i]` is i times the index register's stride; so the source of
+    (b, i, a) is `rows[b, t(i), a] + offsets[i]`.
+    """
+    n_i, d = shape[index_reg], shape[value_reg]
+    stride = math.prod(shape[value_reg + 1 :])
+    after = math.prod(shape[index_reg + 1 :])
+    # the positions with index digit 0, as (before, after)
+    positions = np.arange(math.prod(shape)).reshape(-1, n_i, after)[:, 0, :]
+    j = positions // stride % d
+    shifted = (j[:, None, :] - sign * np.arange(d)[:, None]) % d
+    rows = (positions - stride * j)[:, None, :] + stride * shifted
+    offsets = (np.arange(n_i) * after).reshape(n_i, 1)
+    rows.flags.writeable = False
+    offsets.flags.writeable = False
+    return rows, offsets
+
+
 def _gather_source(
     shape: tuple[int, ...], index_reg: int, value_reg: int, table: np.ndarray, sign: int
 ) -> np.ndarray:
-    # new[.., i, .., j, ..] = old[.., i, .., (j - sign*t(i)) mod d, ..],
-    # built in one buffer
+    # new[.., i, .., j, ..] = old[.., i, .., (j - sign*t(i)) mod d, ..]
+    if shape[value_reg] <= shape[index_reg]:
+        # the shift table holds d*N/n_i <= N entries: pick a row per index, add its offset
+        rows, offsets = _shift_table(shape, index_reg, value_reg, sign)
+        source = rows.take(table, axis=1)
+        source += offsets
+        return source.reshape(-1)
+    # a shift table would outgrow the state: digit arithmetic in one buffer
     base, i, j, stride = _digit_arrays(shape, index_reg, value_reg)
     source = table.take(i)
     if sign > 0:

@@ -594,6 +594,18 @@ class TestDistinguish:
         report = json.loads(capsys.readouterr().out)["results"]["reports"][0]
         assert report["smallrange_prob"] == {"0": 0.0, "1": 1.0}
 
+    def test_oversized_exact_sweep_fails_before_simulating(self, monkeypatch, capsys):
+        # r = 1 and 2 fit a budget of 100 at n = 4, but r = 3 visits 424 maps
+        monkeypatch.setenv("QSYMLAB_BUDGET", "100")
+        runs = []
+        monkeypatch.setattr(disting, "run", lambda *args: runs.append(args))
+        code = cli.main(
+            ["distinguish", "--algo", "collision-sniffer", "--n", "4", "--r-list", "1,2,3", "--exact"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: enumeration visits 424 maps, budget is 100\n"
+        assert runs == []
+
     def test_csv_emitted(self, tmp_path):
         csv_path = tmp_path / "curve.csv"
         code = cli.main(
@@ -903,8 +915,8 @@ class TestVerify:
         assert "FAIL" not in captured
 
     def test_injected_gadget_bug_fails(self, capsys, monkeypatch):
-        # off-by-one in the oracle shift arithmetic: a mutation the suite
-        # must catch against the independently built permutation matrix
+        # off-by-one in the oracle shift arithmetic; a value of d reads past the
+        # shift table's last row, so this one fails as an IndexError
         original = oracles._gather_source
 
         def broken(shape, index_reg, value_reg, table, sign):
@@ -913,6 +925,21 @@ class TestVerify:
         monkeypatch.setattr(oracles, "_gather_source", broken)
         assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_in_range_shift_bug_fails(self, capsys, monkeypatch):
+        # the same off-by-one kept inside [0, d): a wrong but valid permutation,
+        # which only the checks against independently built matrices can catch
+        original = oracles._gather_source
+
+        def broken(shape, index_reg, value_reg, table, sign):
+            return original(shape, index_reg, value_reg, (table + 1) % shape[value_reg], sign)
+
+        monkeypatch.setattr(oracles, "_gather_source", broken)
+        assert cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  gadget exactness" in out
+        assert "FAIL  simulator kernel equals dense reference" in out
+        assert "out of bounds" not in out
 
     def test_broken_gadget_application_fails(self, capsys, monkeypatch):
         def skip_uncompute(self, tensor, index_reg, value_reg):

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from qsymlab import cli, disting
+from qsymlab import cli, disting, oracles
 from qsymlab.disting import advantage_exact, advantage_monte_carlo, sweep_r
+from qsymlab.statevector import run
 from qsymlab.zoo import collision_sniffer, zero_query_probe
 
 
@@ -108,6 +110,52 @@ class TestSweep:
     def test_empty_r_list(self):
         probe = collision_sniffer(4)
         assert sweep_r(probe.algorithm, 4, [], 10, np.random.default_rng(0)) == []
+        assert sweep_r(probe.algorithm, 4, [], None, None, exact=True) == []
+
+    def test_exact_sweep_builds_the_permutation_oracles_once(self, monkeypatch):
+        inits = []
+        original = oracles.StandardOracle.__init__
+        monkeypatch.setattr(
+            oracles.StandardOracle,
+            "__init__",
+            lambda self, table: inits.append(table) or original(self, table),
+        )
+        runs = []
+        monkeypatch.setattr(disting, "run", lambda *args: runs.append(args) or run(*args))
+        probe = collision_sniffer(4)
+        reports = sweep_r(probe.algorithm, 4, [3, 1, 2], None, None, exact=True)
+        # 4! permutations once, then the 232, 4 and 88 maps of image size <= 3, 1, 2;
+        # every r still simulates all 24 permutations
+        assert len(inits) == 24 + 232 + 4 + 88
+        assert len(runs) == 3 * 24 + 232 + 4 + 88
+        assert [rep.r for rep in reports] == [3, 1, 2]
+
+    def test_exact_sweep_equals_per_r_reports(self):
+        probe = collision_sniffer(4)
+        reports = sweep_r(probe.algorithm, 4, [3, 1, 2], None, None, exact=True, algorithm_id="s")
+        singles = [advantage_exact(probe.algorithm, 4, r, algorithm_id="s") for r in (3, 1, 2)]
+        assert [dataclasses.asdict(rep) for rep in reports] == [
+            dataclasses.asdict(rep) for rep in singles
+        ]
+
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            # 4! = 24 permutations do not fit
+            ("23", "enumerating 4! permutations exceeds budget 23"),
+            # they do, and r = 1, 2 visit 4 and 100 maps, but r = 3 visits 424
+            ("100", "enumeration visits 424 maps, budget is 100"),
+        ],
+    )
+    def test_over_budget_exact_sweep_fails_before_any_build(self, monkeypatch, budget, message):
+        monkeypatch.setenv("QSYMLAB_BUDGET", budget)
+        calls = []
+        monkeypatch.setattr(disting, "run", lambda *args: calls.append(args))
+        monkeypatch.setattr(disting, "standard_oracle", lambda *args: calls.append(args))
+        probe = collision_sniffer(4)
+        with pytest.raises(ValueError, match=message):
+            sweep_r(probe.algorithm, 4, [1, 2, 3], None, None, exact=True)
+        assert calls == []
 
     def test_duplicates_warn_and_dedupe(self):
         probe = collision_sniffer(4)

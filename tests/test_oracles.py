@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -160,15 +161,29 @@ class TestStandardOracle:
 
 
 def frozen_gather_source(shape, index_reg, value_reg, table, sign):
-    # the shift formula as one expression, before it was built in one buffer
-    base, i, j, stride = oracles._digit_arrays(shape, index_reg, value_reg)
-    return base + stride * ((j - (sign * table)[i]) % shape[value_reg])
+    # the shift formula as one expression over the digits of every position
+    positions = np.arange(math.prod(shape))
+    digits = np.unravel_index(positions, shape)
+    i, j = digits[index_reg], digits[value_reg]
+    stride = math.prod(shape[value_reg + 1 :])
+    return positions + stride * ((j - (sign * table)[i]) % shape[value_reg] - j)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize(
     "dims, index_reg, value_reg",
-    [((4, 3), 0, 1), ((3, 4), 1, 0), ((4, 2, 3), 0, 2), ((3, 2, 4), 2, 0), ((2, 4, 3), 1, 2)],
+    [
+        ((4, 3), 0, 1),
+        ((3, 4), 1, 0),
+        ((4, 2, 3), 0, 2),
+        ((3, 2, 4), 2, 0),
+        ((2, 4, 3), 1, 2),
+        ((2, 5), 0, 1),  # value register larger than the index register: digit arithmetic
+        ((2, 3, 2, 4), 3, 1),  # four registers, index register last
+        ((1, 3), 0, 1),  # a single index
+        ((3, 1, 2), 0, 1),  # a single value
+        ((1, 1), 0, 1),
+    ],
 )
 def test_gather_source_matches_frozen_formula(dims, index_reg, value_reg, sign):
     rng = np.random.default_rng(10)
@@ -179,6 +194,26 @@ def test_gather_source_matches_frozen_formula(dims, index_reg, value_reg, sign):
         want = frozen_gather_source(dims, index_reg, value_reg, table, sign)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def test_shift_tables_are_read_only_and_never_outgrow_the_state():
+    oracles._shift_table.cache_clear()
+    table = np.zeros(5, dtype=np.intp)
+    keys = [
+        (dims, index_reg, value_reg, sign)
+        for dims, index_reg, value_reg in [((5, 5), 0, 1), ((3, 5, 2), 1, 0), ((2, 3, 2, 5), 3, 1)]
+        for sign in (1, -1)
+    ]
+    for dims, index_reg, value_reg, sign in keys:
+        oracles._gather_source(dims, index_reg, value_reg, table, sign)
+    # a value register larger than the index register builds no table
+    oracles._gather_source((2, 5), 0, 1, np.zeros(2, dtype=np.intp), 1)
+    assert oracles._shift_table.cache_info().currsize == len(keys)
+    for key in keys:
+        rows, offsets = oracles._shift_table(*key)
+        assert rows.size <= math.prod(key[0])
+        assert not rows.flags.writeable and not offsets.flags.writeable
+    assert oracles._shift_table.cache_info().misses == len(keys)
 
 
 class TestClassicalOracle:
