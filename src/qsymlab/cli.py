@@ -414,6 +414,13 @@ def _check_oracle_is_permutation() -> None:
             raise AssertionError(f"oracle for {values} is not a basis permutation")
 
 
+def _check_bulk_trial_seeding() -> None:
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 271041745]
+    for seed, state in zip(seeds, compiler._pcg64_states(seeds)):
+        if state != np.random.PCG64(seed).state:
+            raise AssertionError(f"bulk-derived PCG64 state differs from numpy's at seed {seed}")
+
+
 def _dense_embedding(
     dims: tuple[int, ...], matrix: np.ndarray, targets: tuple[int, ...]
 ) -> np.ndarray:
@@ -493,6 +500,7 @@ VERIFY_CHECKS = (
     ("composed counter law x:3q g:6q", _check_composed_counter_law),
     ("standard oracle is a basis permutation", _check_oracle_is_permutation),
     ("simulator kernel equals dense reference (mixed dims, unsorted targets)", _check_kernel_dense_reference),
+    ("bulk trial seeding equals numpy's PCG64 seeding", _check_bulk_trial_seeding),
 )
 
 

@@ -24,6 +24,21 @@ of gather sources (about 560 MB in all). So each trial beyond the bound
 builds a fresh oracle, even where most trials share a table (18 tables at
 r=4).
 
+Each trial draws from its own generator, started from its own seed, so the
+recorded seed replays the trial alone: `compile_and_run_once(seed=s)`
+builds `Generator(PCG64(s))`, numpy's own seeding. Building one costs more
+than a sixth of a DJ n=4 trial, almost all of it in `SeedSequence`'s
+hashing. So `estimate_success` with one job computes every trial's PCG64
+start state `(state, inc)` from the seed vector in one vectorized pass and
+moves one shared generator to each in turn. The pass (`_pcg64_states`)
+reproduces numpy's published seeding: `SeedSequence` mixes the seed's
+little-endian 32-bit words into a pool of four, `generate_state(4,
+uint64)` hashes the pool out, and PCG64's `srandom` makes the start state
+with one 128-bit step. Each trial then draws exactly what
+`default_rng(seed)` draws; the tests compare the states with numpy's on
+10^4 seeds and the edge seeds, and `qsymlab verify` checks a few, so an
+installed numpy that seeds differently fails loudly.
+
 The input is never touched outside step 2: no oracle over the raw input
 exists on this path, and the function table is never consulted at all (the
 composed input may leave the function's domain, so evaluating it there is
@@ -35,21 +50,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .core import IndexFunction, InputString, image
-from .distributions import (
-    SmallRangeParams,
-    enumerate_small_range_support,
-    is_injective,
-    sample_small_range,
-)
+from .distributions import SmallRangeParams, enumerate_small_range_support, sample_small_range
 from .oracles import ClassicalOracle, oracle_from_partial
 from .statevector import QueryAlgorithm, RegisterLayout, majority3_prob, run  # noqa: F401 - re-export
 
 Z_95 = 1.959963984540054
+
+# numpy's seeding constants: SeedSequence's two hashes and its mix, and
+# PCG64's 128-bit multiplier
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32 = 0xFFFFFFFF
 
 
 def amplify_majority3(alg: QueryAlgorithm) -> QueryAlgorithm:
@@ -111,11 +129,6 @@ class CompiledRunResult:
     def __post_init__(self) -> None:
         if self.output_bit not in (0, 1):
             raise ValueError("output bit must be 0 or 1")
-        if self.classical_queries_used != len(image(self.sampled_C)):
-            raise ValueError(
-                f"lookup count {self.classical_queries_used} does not equal the "
-                f"image size {len(image(self.sampled_C))}"
-            )
 
 
 def compiled_distribution(
@@ -128,9 +141,16 @@ def compiled_distribution(
 
     Amplifies internally unless the algorithm already is. `oracles` is
     passed to `oracle_from_partial`: calls with the same x may share it.
+    The lookup count is checked against the image size, so callers may
+    read it as that size.
     """
     reader = ClassicalOracle(x)
-    known = {i: reader.lookup(i) for i in sorted(image(index_map))}
+    cells = sorted(image(index_map))
+    known = {i: reader.lookup(i) for i in cells}
+    if reader.queries != len(cells):
+        raise AssertionError(
+            f"lookup count {reader.queries} does not equal the image size {len(cells)}"
+        )
     oracle = oracle_from_partial(known, index_map, x.M, oracles)
     return run(_amplified(alg), oracle), reader.queries
 
@@ -143,26 +163,103 @@ def compile_and_run_once(
     *,
     seed: Optional[int] = None,
     oracles: Optional[dict] = None,
+    trial_rng: Optional[np.random.Generator] = None,
 ) -> CompiledRunResult:
     """One full compiled trial; the recorded seed replays it exactly.
 
     `oracles` is passed to `compiled_distribution`: trials on the same x
     may share it, and a shared oracle gives the same output as a fresh one.
+    `trial_rng` is a generator already in the state `PCG64(seed)` starts
+    in, which `estimate_success` passes (see the module docstring); without
+    it the trial builds `Generator(PCG64(seed))`, the replay path.
     """
     if not 1 <= r <= x.n:
         raise ValueError(f"r outside [1, {x.n}]: {r}")
     if seed is None:
+        if trial_rng is not None:
+            raise ValueError("a trial_rng needs the seed that started it")
         if rng is None:
             raise ValueError("provide an rng or an explicit seed")
         seed = int(rng.integers(0, 2**63))
-    # exactly the generator default_rng(seed) returns, without its dispatch
-    trial_rng = np.random.Generator(np.random.PCG64(seed))
+    if trial_rng is None:
+        # exactly the generator default_rng(seed) returns, without its dispatch
+        trial_rng = np.random.Generator(np.random.PCG64(seed))
     sampled = sample_small_range(SmallRangeParams(x.n, r), trial_rng)
     dist, used = compiled_distribution(alg, x, sampled, oracles)
     if used > r:
         raise AssertionError(f"classical lookups {used} exceeded budget {r}")
     bit = 1 if trial_rng.random() < dist[1] else 0
-    return CompiledRunResult(bit, used, sampled, is_injective(sampled), seed)
+    # `used` is the image size (compiled_distribution checks it)
+    return CompiledRunResult(bit, used, sampled, used == x.n, seed)
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; its multiplier advances call by call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _LOW32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    """Sum mod 2^128 of two (high, low) pairs of uint64 arrays."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+def _mul128(a: tuple, m: int) -> tuple:
+    """Product mod 2^128 of a (high, low) pair of uint64 arrays and the constant m."""
+    high, low = a
+    m_high, m_low = m >> 64, m & (2**64 - 1)
+    # the high word of low * m_low, from 32-bit halves: numpy has no 128-bit product
+    a1, a0 = low >> 32, low & _LOW32
+    b1, b0 = m_low >> 32, m_low & _LOW32
+    cross1, cross2 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (cross1 & _LOW32) + (cross2 & _LOW32)
+    carry = a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (mid >> 32)
+    return carry + high * m_low + low * m_high, low * m_low
+
+
+def _pcg64_states(seeds: list[int]) -> Iterator[dict]:
+    """`np.random.PCG64(s).state` for each seed s in [0, 2^64), in one vectorized pass.
+
+    Reproduces numpy's seeding (see the module docstring). A seed below
+    2^32 has one entropy word, and the pool then hashes 0 in place of a
+    second; that is its high word, so every seed takes the same steps.
+    """
+    s = np.array(seeds, dtype=np.uint64)
+    low = (s & _LOW32).astype(np.uint32)
+    entropy = (low, (s >> 32).astype(np.uint32), np.zeros_like(low), np.zeros_like(low))
+    hash_a = _hasher(_HASH_INIT_A, _HASH_MULT_A)
+    pool = [hash_a(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hash_a(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    hash_b = _hasher(_HASH_INIT_B, _HASH_MULT_B)
+    out = [hash_b(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    # generate_state(4, uint64): little-endian pairs of the eight 32-bit words
+    seed_high, seed_low, stream_high, stream_low = (out[k] | out[k + 1] << 32 for k in (0, 2, 4, 6))
+    # srandom: inc = 2 * stream + 1, state = (inc + seed) * MULT + inc
+    inc = ((stream_high << 1) | (stream_low >> 63), (stream_low << 1) | 1)
+    state = _add128(_mul128(_add128(inc, (seed_high, seed_low)), _PCG64_MULT), inc)
+    columns = (a.tolist() for a in (*state, *inc))
+    # one state dict alive at a time: the caller assigns each and moves on
+    return (
+        {
+            "bit_generator": "PCG64",
+            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for sh, sl, ih, il in zip(*columns)
+    )
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -209,7 +306,12 @@ def estimate_success(
 
     Per-trial seeds are drawn up front, so results do not depend on worker
     scheduling when jobs > 1. With one job, trials share one oracle per
-    composed table when `M^n <= trials` (see the module docstring).
+    composed table when `M^n <= trials`, and one generator, which is moved
+    to each trial's start state instead of seeded anew: every state comes
+    from one vectorized pass that reproduces numpy's `SeedSequence` and
+    PCG64 seeding (see the module docstring). The tests and `qsymlab
+    verify` check those states against numpy's own, so the draws, the maps
+    and the bits are those of `default_rng(seed)` per trial.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -224,7 +326,15 @@ def estimate_success(
             results = list(pool.map(_seeded_trial, [(alg, x, r, s) for s in seeds], chunksize=64))
     else:
         oracles = {} if x.M**x.n <= trials else None
-        results = [compile_and_run_once(alg, x, r, seed=s, oracles=oracles) for s in seeds]
+        # never drawn from in its own seeding: each trial's state replaces it
+        trial_rng = np.random.Generator(np.random.PCG64(0))
+        bit_generator = trial_rng.bit_generator
+        results = []
+        for seed, state in zip(seeds, _pcg64_states(seeds)):
+            bit_generator.state = state
+            results.append(
+                compile_and_run_once(alg, x, r, seed=seed, oracles=oracles, trial_rng=trial_rng)
+            )
     successes = sum(1 for t in results if t.output_bit == expected_bit)
     low, high = wilson_interval(successes, trials)
     return SuccessEstimate(

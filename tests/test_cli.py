@@ -1,5 +1,6 @@
 import csv
 import errno
+import hashlib
 import json
 import os
 
@@ -90,6 +91,19 @@ class TestCompileRun:
         assert code == 0
         report = read_report(out)
         assert report["results"]["exact_success"] == pytest.approx(51 / 64, abs=1e-9)
+
+    def test_benchmark_payload_is_frozen(self, tmp_path):
+        # the perfbench compile-mc command at seed 1; the digest is the payload
+        # of a tree where every trial still built its own generator
+        out = tmp_path / "report.json"
+        argv = [
+            "compile-run", "--zoo", "dj", "--n", "4", "--input", "0,1,1,0", "--r", "4",
+            "--trials", "2000", "--jobs", "1", "--seed", "271041745", "--out", str(out),
+        ]  # fmt: skip
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(payload_bytes(read_report(out))).hexdigest() == (
+            "1cc17d62ef4a8782b7f7a15a399cf918fdf8a2a78f830e1298b8fd6d9e86d592"
+        )
 
     def test_missing_r_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -913,6 +927,14 @@ class TestVerify:
         captured = capsys.readouterr().out
         assert "amplification 20/27" in captured
         assert "FAIL" not in captured
+
+    def test_seeding_that_differs_from_numpy_fails(self, capsys, monkeypatch):
+        # one wrong mixing constant: every bulk-derived trial state would differ
+        monkeypatch.setattr(compiler, "_MIX_MULT_L", compiler._MIX_MULT_L ^ 1)
+        assert cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  bulk trial seeding equals numpy's PCG64 seeding" in out
+        assert "13/14 checks passed" in out
 
     def test_injected_gadget_bug_fails(self, capsys, monkeypatch):
         # off-by-one in the oracle shift arithmetic; a value of d reads past the

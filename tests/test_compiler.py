@@ -239,7 +239,7 @@ class TestEstimateSuccess:
     def test_trial_seeds_match_one_draw_per_trial(self, monkeypatch, trials):
         # the seeds come from one generator call; it must consume the stream
         # as the former one-call-per-trial loop did
-        def record_seed(alg, x, r, *, seed, oracles=None):
+        def record_seed(alg, x, r, *, seed, oracles=None, trial_rng=None):
             return CompiledRunResult(0, 1, IndexFunction(4, (0, 0, 0, 0)), False, seed)
 
         monkeypatch.setattr(compiler, "compile_and_run_once", record_seed)
@@ -421,6 +421,48 @@ class TestEstimateSuccessSharesOracles:
         for _ in range(20):
             assert fast.integers(0, bounds).tolist() == reference.integers(0, bounds).tolist()
         assert fast.random(50).tolist() == reference.random(50).tolist()
+
+    def test_bulk_states_equal_numpy_seeding(self):
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+        seeds = edges + np.random.default_rng(2024).integers(0, 2**63, size=10**4).tolist()
+        assert list(compiler._pcg64_states(seeds)) == [np.random.PCG64(s).state for s in seeds]
+
+    def test_reseeded_generator_draws_as_default_rng(self):
+        seeds = [0, 1, 2**32, 2**63 - 1] + np.random.default_rng(6).integers(0, 2**63, size=30).tolist()
+        shared = np.random.Generator(np.random.PCG64(0))
+        bounds = np.array([4] * 8 + [8, 7, 6, 5])
+        for seed, state in zip(seeds, compiler._pcg64_states(seeds)):
+            # a 32-bit draw leaves the upper half of a 64-bit word buffered
+            shared.integers(0, 7, dtype=np.uint32)
+            assert shared.bit_generator.state["has_uint32"] == 1
+            shared.bit_generator.state = state
+            reference = np.random.default_rng(seed)
+            for _ in range(3):
+                assert shared.integers(0, bounds).tolist() == reference.integers(0, bounds).tolist()
+                assert shared.random() == reference.random()
+
+    @pytest.mark.parametrize("trials", [1, 17, 600])
+    def test_one_job_builds_at_most_one_generator(self, monkeypatch, trials):
+        built = []
+        pcg64 = np.random.PCG64
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return pcg64(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        x = InputString(4, 2, (0, 1, 1, 0))
+        est = estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, trials, np.random.default_rng(3))
+        assert len(est.results) == trials
+        assert len(built) <= 1
+
+    def test_trial_rng_needs_its_seed(self):
+        x = InputString(4, 2, (0, 1, 1, 0))
+        shared = np.random.Generator(np.random.PCG64(5))
+        with pytest.raises(ValueError, match="seed"):
+            compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, trial_rng=shared)
+        passed = compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5, trial_rng=shared)
+        assert passed == compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5)
 
 
 class TestCompiledTrialStaysOnImage:
