@@ -13,30 +13,27 @@ Many maps compose x to the same table, and such maps can share one oracle
 and its gather sources; every map is still read, composed and simulated.
 The exact average over the whole support (`exact_success`) runs steps 2-4
 for every map and keeps one dict of oracles by composed table for the
-call. The Monte Carlo estimate (`estimate_success`, one process) keeps
-such a dict across its trials only when `M^n <= trials`. The rule is a
-worst-case memory bound, not a guess at how often tables repeat. Within
-it there are at most `M^n` composed tables, so at most `min(M^n, trials)`
-oracles are kept, each small at such n. Beyond it only the trial count
-limits the kept oracles: a one-hot Grover input at n=2048 and r=n composes
-10^4 trials to 4,359 distinct tables, and each oracle there holds 128 KB
-of gather sources (about 560 MB in all). So each trial beyond the bound
-builds a fresh oracle, even where most trials share a table (18 tables at
-r=4).
+call. The Monte Carlo estimate (`estimate_success`) runs its trials
+through `_run_trials`, in this process or once per worker on a contiguous
+slice of the seeds, and each slice keeps such a dict only when `M^n` is at
+most its length. The rule is a worst-case memory bound, not a guess at how
+often tables repeat: within it at most `M^n` small oracles are kept.
+Beyond it only the trial count limits them: a one-hot Grover input at
+n=2048 and r=n composes 10^4 trials to 4,359 distinct tables of 128 KB of
+gather sources each (about 560 MB). So each trial beyond the bound builds
+a fresh oracle, even where most trials share a table (18 tables at r=4).
 
 Each trial draws from its own generator, started from its own seed, so the
 recorded seed replays the trial alone: `compile_and_run_once(seed=s)`
-builds `Generator(PCG64(s))`, numpy's own seeding. Building one costs more
-than a sixth of a DJ n=4 trial, almost all of it in `SeedSequence`'s
-hashing. So `estimate_success` with one job computes every trial's PCG64
-start state `(state, inc)` from the seed vector in one vectorized pass and
-moves one shared generator to each in turn. The pass (`_pcg64_states`)
-reproduces numpy's published seeding: `SeedSequence` mixes the seed's
-little-endian 32-bit words into a pool of four, `generate_state(4,
+builds `Generator(PCG64(s))`, numpy's own seeding, whose `SeedSequence`
+hashing costs more than a sixth of a DJ n=4 trial. So `_run_trials`
+computes every trial's PCG64 start state `(state, inc)` in one vectorized
+pass (`_pcg64_states`) and moves one shared generator to each in turn.
+The pass reproduces numpy's published seeding: `SeedSequence` mixes the
+seed's little-endian 32-bit words into a pool of four, `generate_state(4,
 uint64)` hashes the pool out, and PCG64's `srandom` makes the start state
-with one 128-bit step. Each trial then draws exactly what
-`default_rng(seed)` draws; the tests compare the states with numpy's on
-10^4 seeds and the edge seeds, and `qsymlab verify` checks a few, so an
+with one 128-bit step. The tests compare the states with numpy's on 10^4
+seeds and the edge seeds, and `qsymlab verify` checks a few, so an
 installed numpy that seeds differently fails loudly.
 
 The input is never touched outside step 2: no oracle over the raw input
@@ -48,8 +45,10 @@ not even defined).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -225,7 +224,7 @@ def _mul128(a: tuple, m: int) -> tuple:
     return carry + high * m_low + low * m_high, low * m_low
 
 
-def _pcg64_states(seeds: list[int]) -> Iterator[dict]:
+def _pcg64_states(seeds: np.ndarray | list[int]) -> Iterator[dict]:
     """`np.random.PCG64(s).state` for each seed s in [0, 2^64), in one vectorized pass.
 
     Reproduces numpy's seeding (see the module docstring). A seed below
@@ -288,9 +287,17 @@ class SuccessEstimate:
     results: tuple[CompiledRunResult, ...]
 
 
-def _seeded_trial(args) -> CompiledRunResult:
-    alg, x, r, seed = args
-    return compile_and_run_once(alg, x, r, seed=seed)
+def _run_trials(alg: QueryAlgorithm, x: InputString, r: int, seeds: np.ndarray) -> list:
+    """One compiled trial per seed, in order, with shared oracles and generator."""
+    oracles = {} if x.M**x.n <= len(seeds) else None
+    # never drawn from in its own seeding: each trial's state replaces it
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    results = []
+    for seed, state in zip(seeds.tolist(), _pcg64_states(seeds)):
+        bit_generator.state = state
+        results.append(compile_and_run_once(alg, x, r, seed=seed, oracles=oracles, trial_rng=rng))
+    return results
 
 
 def estimate_success(
@@ -304,37 +311,28 @@ def estimate_success(
 ) -> SuccessEstimate:
     """Monte Carlo success estimate with a 95% Wilson interval.
 
-    Per-trial seeds are drawn up front, so results do not depend on worker
-    scheduling when jobs > 1. With one job, trials share one oracle per
-    composed table when `M^n <= trials`, and one generator, which is moved
-    to each trial's start state instead of seeded anew: every state comes
-    from one vectorized pass that reproduces numpy's `SeedSequence` and
-    PCG64 seeding (see the module docstring). The tests and `qsymlab
-    verify` check those states against numpy's own, so the draws, the maps
-    and the bits are those of `default_rng(seed)` per trial.
+    The seeds are drawn up front. With `min(jobs, trials, os.cpu_count())`
+    workers above one, each runs `_run_trials` on one contiguous slice of
+    them, joined in order; otherwise `_run_trials` runs in this process.
+    A trial depends on its seed alone, so the results do not depend on `jobs`.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     alg = _amplified(alg)
     # one generator call draws the same stream as one scalar draw per trial
-    seeds = rng.integers(0, 2**63, size=trials).tolist()
-    if jobs > 1:
+    seeds = rng.integers(0, 2**63, size=trials)
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers == 1:
+        results = _run_trials(alg, x, r, seeds)
+    else:
         # imported here: it pulls in multiprocessing, which only a pool needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_seeded_trial, [(alg, x, r, s) for s in seeds], chunksize=64))
-    else:
-        oracles = {} if x.M**x.n <= trials else None
-        # never drawn from in its own seeding: each trial's state replaces it
-        trial_rng = np.random.Generator(np.random.PCG64(0))
-        bit_generator = trial_rng.bit_generator
-        results = []
-        for seed, state in zip(seeds, _pcg64_states(seeds)):
-            bit_generator.state = state
-            results.append(
-                compile_and_run_once(alg, x, r, seed=seed, oracles=oracles, trial_rng=trial_rng)
-            )
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(partial(_run_trials, alg, x, r), np.array_split(seeds, workers))
+            results = [trial for part in parts for trial in part]
     successes = sum(1 for t in results if t.output_bit == expected_bit)
     low, high = wilson_interval(successes, trials)
     return SuccessEstimate(

@@ -39,10 +39,10 @@ builds an `InputString` of the composed values, so a missing or
 out-of-range entry still fails. Each oracle instance owns its query
 counters. The compiled pipeline shares instances through
 `oracle_from_partial`'s dict: the exact sweep for one call, and the Monte
-Carlo trials of one estimate when its input has at most as many possible
-tables as trials. One oracle per distinct composed table then serves every
-map that composes to it, so its counter sums over those maps, and nothing
-reads it there.
+Carlo trials of one slice of an estimate's seeds (one slice per worker) when
+its input has at most as many possible tables as the slice has seeds. One
+oracle per distinct composed table then serves every map that composes to
+it, so its counter sums over those maps, and nothing reads it there.
 """
 
 from __future__ import annotations

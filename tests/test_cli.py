@@ -201,6 +201,22 @@ class TestCompileRun:
         assert captured.err == "error: --jobs must be >= 1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("trials", ["2", "60"])
+    def test_jobs_leave_the_files_unchanged(self, tmp_path, trials):
+        out, csv_path = tmp_path / "report.json", tmp_path / "trials.csv"
+        reports, csvs = [], []
+        for jobs in ("1", "2"):
+            argv = ["--trials", trials, "--jobs", jobs, "--out", str(out), "--csv", str(csv_path)]
+            assert cli.main(COMPILE_DJ + argv) == 0
+            reports.append(read_report(out))
+            csvs.append(csv_path.read_bytes())
+        assert payload_bytes(reports[0]) == payload_bytes(reports[1])
+        assert csvs[0] == csvs[1]
+        assert [r["params"].pop("jobs") for r in reports] == [1, 2]
+        for report in reports:
+            del report["created"]
+        assert reports[0] == reports[1]
+
     def test_reproducible_payload(self, tmp_path):
         args = [
             "compile-run",

@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import os
+import pickle
 from collections import Counter
 import subprocess
 import sys
@@ -63,6 +65,44 @@ def count_calls(monkeypatch, targets):
 
 def composed_table(x, index_map):
     return tuple(x.values[j] for j in index_map.values)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """An in-process stand-in for `ProcessPoolExecutor`; no process starts.
+
+    It records each pool's width and, per task, the task's seeds and the
+    `PCG64` generators the task built. A task goes through pickle first, as
+    it would on its way to a worker.
+    """
+    pools, built = [], []
+    pcg64 = np.random.PCG64
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return pcg64(*args, **kwargs)
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.tasks = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, seed_slices):
+            for seeds in seed_slices:
+                task, seeds = pickle.loads(pickle.dumps((fn, seeds)))
+                before = len(built)
+                yield task(seeds)
+                self.tasks.append((seeds, len(built) - before))
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return pools
 
 
 class TestMajority3:
@@ -226,14 +266,61 @@ class TestEstimateSuccess:
         b = estimate_success(entry.algorithm, x, 1, 4, 200, np.random.default_rng(7))
         assert a == b
 
-    def test_parallel_jobs_match_serial(self):
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("trials", [1, 2, 5, 60])
+    def test_parallel_jobs_match_serial(self, monkeypatch, jobs, trials):
+        # a real pool, never wider than two processes
+        cpus = os.cpu_count() or 1
+        monkeypatch.setattr(os, "cpu_count", lambda: min(cpus, 2))
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 1, 1, 0))
-        serial = estimate_success(entry.algorithm, x, 1, 4, 60, np.random.default_rng(8))
+        serial = estimate_success(entry.algorithm, x, 1, 4, trials, np.random.default_rng(8))
         parallel = estimate_success(
-            entry.algorithm, x, 1, 4, 60, np.random.default_rng(8), jobs=2
+            entry.algorithm, x, 1, 4, trials, np.random.default_rng(8), jobs=jobs
         )
+        assert [t.seed for t in parallel.results] == [t.seed for t in serial.results]
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "jobs, trials, cpus, width",
+        [(10_000, 3, 64, 3), (10_000, 3, 2, 2), (3, 60, 64, 3), (2, 5, 64, 2), (3, 2, 64, 2),
+         (10_000, 1, 64, 1), (10_000, 60, 1, 1), (10_000, 60, None, 1), (1, 60, 64, 1)],
+    )  # fmt: skip
+    def test_pool_width_is_capped(self, monkeypatch, fake_pool, jobs, trials, cpus, width):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        x = InputString(4, 2, (0, 1, 1, 0))
+        est = estimate_success(
+            deutsch_jozsa(4).algorithm, x, 1, 4, trials, np.random.default_rng(8), jobs=jobs
+        )
+        assert len(est.results) == trials
+        if width == 1:
+            assert fake_pool == []  # in this process, no pool
+        else:
+            [pool] = fake_pool
+            assert pool.max_workers == width == len(pool.tasks)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("trials", [2, 5, 60])
+    def test_pool_tasks_are_contiguous_slices(self, monkeypatch, fake_pool, jobs, trials):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        entry = deutsch_jozsa(4)
+        x = InputString(4, 2, (0, 1, 1, 0))
+        serial = estimate_success(entry.algorithm, x, 1, 4, trials, np.random.default_rng(8))
+        parallel = estimate_success(
+            entry.algorithm, x, 1, 4, trials, np.random.default_rng(8), jobs=jobs
+        )
+        assert parallel == serial
+        [pool] = fake_pool
+        slices = [seeds.tolist() for seeds, _ in pool.tasks]
+        assert len(slices) == min(jobs, trials) and all(slices)
+        assert sum(slices, []) == [t.seed for t in serial.results]
+        assert all(generators <= 1 for _, generators in pool.tasks)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        x, rng = InputString(4, 2, (0, 1, 1, 0)), np.random.default_rng(8)
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, 3, rng, jobs=jobs)
 
     @pytest.mark.parametrize("trials", [1, 2, 2000])
     def test_trial_seeds_match_one_draw_per_trial(self, monkeypatch, trials):
