@@ -336,8 +336,8 @@ def _check_symmetry_checkers() -> None:
 def _check_image_bounds() -> None:
     rng = np.random.default_rng(5)
     params = distributions.SmallRangeParams(8, 3)
-    for _ in range(200):
-        sample = distributions.sample_small_range(params, rng)
+    for draws in distributions.small_range_draws(params, rng, 200):
+        sample = distributions.sample_small_range(params, draws)
         if len(core.image(sample)) > 3:
             raise AssertionError("image bound violated")
 
@@ -360,8 +360,8 @@ def _check_sampler_matches_enumerator() -> None:
     rng = np.random.default_rng(17)
     draws = 20_000
     counts: dict[tuple[int, ...], int] = {}
-    for _ in range(draws):
-        g = distributions.sample_small_range(params, rng)
+    for row in distributions.small_range_draws(params, rng, draws):
+        g = distributions.sample_small_range(params, row)
         counts[g.values] = counts.get(g.values, 0) + 1
     for g, prob in support.entries:
         p = float(prob)

@@ -54,7 +54,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import IndexFunction, InputString, image
-from .distributions import SmallRangeParams, enumerate_small_range_support, sample_small_range
+from .distributions import (
+    SmallRangeParams,
+    enumerate_small_range_support,
+    sample_small_range,
+    small_range_draws,
+)
 from .oracles import ClassicalOracle, oracle_from_partial
 from .statevector import QueryAlgorithm, RegisterLayout, majority3_prob, run  # noqa: F401 - re-export
 
@@ -183,7 +188,8 @@ def compile_and_run_once(
     if trial_rng is None:
         # exactly the generator default_rng(seed) returns, without its dispatch
         trial_rng = np.random.Generator(np.random.PCG64(seed))
-    sampled = sample_small_range(SmallRangeParams(x.n, r), trial_rng)
+    params = SmallRangeParams(x.n, r)
+    sampled = sample_small_range(params, next(small_range_draws(params, trial_rng, 1)))
     dist, used = compiled_distribution(alg, x, sampled, oracles)
     if used > r:
         raise AssertionError(f"classical lookups {used} exceeded budget {r}")

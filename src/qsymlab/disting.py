@@ -31,8 +31,10 @@ from .distributions import (
     check_support_budget,
     enumerate_small_range_support,
     enumeration_budget,
+    permutation_draws,
     sample_permutation,
     sample_small_range,
+    small_range_draws,
 )
 from .oracles import standard_oracle
 from .statevector import QueryAlgorithm, run
@@ -121,13 +123,17 @@ def advantage_monte_carlo(
     seed = int(rng.integers(0, 2**63))
     draw_rng = np.random.default_rng(seed)
     params = SmallRangeParams(n, r)
+    # each row source is used up before the next one draws from draw_rng
     perm_vals = np.array(
-        [run(algorithm, standard_oracle(sample_permutation(n, draw_rng)))[1] for _ in range(samples)]
+        [
+            run(algorithm, standard_oracle(sample_permutation(n, swaps)))[1]
+            for swaps in permutation_draws(n, draw_rng, samples)
+        ]
     )
     small_vals = np.array(
         [
-            run(algorithm, standard_oracle(sample_small_range(params, draw_rng)))[1]
-            for _ in range(samples)
+            run(algorithm, standard_oracle(sample_small_range(params, draws)))[1]
+            for draws in small_range_draws(params, draw_rng, samples)
         ]
     )
     p_perm = float(perm_vals.mean())

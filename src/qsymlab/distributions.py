@@ -2,12 +2,17 @@
 
 The small-range distribution over maps [n] -> [n] with image size at most r
 is sampled as a composition: a uniform function into [r] followed by a
-uniform injection of [r] into [n]. Each draw is one generator call against
-a cached array of bounds, which consumes the stream exactly as the scalar
-form (n draws into [r], then one draw into [n - k] per Fisher-Yates swap)
-does, element by element. The enumerator gives each map with image
-size k <= r its closed-form mass (r)_k (n-k)! / (r^n n!), serving as the
-ground-truth oracle for the samplers and for exact expectation sweeps.
+uniform injection of [r] into [n]. The samplers are pure functions of one
+row of uniform integers: n draws into [r], then one draw into [n - k] per
+Fisher-Yates swap. `small_range_draws` and `permutation_draws` yield such
+rows, drawing a block of rows per generator call against a tiled array of
+bounds (one call on the cached bounds for a single row). numpy draws
+array-bound integers element by element, so the rows consume the stream
+exactly as one call per draw, or the scalar form, does. A row source draws
+a block ahead, so it must be consumed before anything else draws from its
+generator. The enumerator gives each map with image size k <= r its
+closed-form mass (r)_k (n-k)! / (r^n n!), serving as the ground-truth
+oracle for the samplers and for exact expectation sweeps.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from .core import IndexFunction
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
+_BLOCK_INTS = 4096  # ints a row source draws per generator call, unless one row is wider
 
 
 def enumeration_budget() -> int:
@@ -95,6 +102,32 @@ def _draw_bounds(n: int, r: int) -> np.ndarray:
     return bounds
 
 
+def _rows(bounds: np.ndarray, rng: np.random.Generator, count: int) -> Iterator[list[int]]:
+    width = len(bounds)
+    if count == 1:  # a compiled trial's one map: no tiled copy of the bounds
+        yield rng.integers(0, bounds).tolist()
+        return
+    per_block = max(1, _BLOCK_INTS // width)
+    tiled = np.tile(bounds, min(per_block, count))
+    for done in range(0, count, per_block):
+        rows = min(per_block, count - done)
+        block = rng.integers(0, tiled[: rows * width]).reshape(rows, width)
+        for row in block:
+            yield row.tolist()
+
+
+def small_range_draws(
+    params: SmallRangeParams, rng: np.random.Generator, count: int
+) -> Iterator[list[int]]:
+    """`count` rows of n + r ints for `sample_small_range`, a block per generator call."""
+    return _rows(_draw_bounds(params.n, params.r), rng, count)
+
+
+def permutation_draws(n: int, rng: np.random.Generator, count: int) -> Iterator[list[int]]:
+    """`count` rows of n ints for `sample_permutation`, a block per generator call."""
+    return _rows(_draw_bounds(n, n)[n:], rng, count)
+
+
 def _injection_prefix(n: int, swaps: list[int]) -> list[int]:
     # partial Fisher-Yates: the first len(swaps) cells of a uniform shuffle of [n]
     cells = list(range(n))
@@ -104,17 +137,19 @@ def _injection_prefix(n: int, swaps: list[int]) -> list[int]:
     return cells[: len(swaps)]
 
 
-def sample_small_range(params: SmallRangeParams, rng: np.random.Generator) -> IndexFunction:
-    """One draw of the small-range distribution; image size is at most r."""
+def sample_small_range(params: SmallRangeParams, draws: list[int]) -> IndexFunction:
+    """The small-range map of one row of `small_range_draws`; image size is at most r."""
     n, r = params.n, params.r
-    draws = rng.integers(0, _draw_bounds(n, r)).tolist()
+    if len(draws) != n + r:
+        raise ValueError(f"a small-range row has {n + r} draws, got {len(draws)}")
     injection = _injection_prefix(n, draws[n:])
     return IndexFunction(n, tuple(injection[v] for v in draws[:n]))
 
 
-def sample_permutation(n: int, rng: np.random.Generator) -> IndexFunction:
-    """Uniform permutation of [n]."""
-    swaps = rng.integers(0, _draw_bounds(n, n)[n:]).tolist()
+def sample_permutation(n: int, swaps: list[int]) -> IndexFunction:
+    """The permutation of [n] of one row of `permutation_draws`."""
+    if len(swaps) != n:
+        raise ValueError(f"a permutation row has {n} draws, got {len(swaps)}")
     return IndexFunction(n, tuple(_injection_prefix(n, swaps)))
 
 

@@ -24,18 +24,22 @@ begins there, at the first oracle call. `apply_unitary` checks its matrix
 and targets and builds a plan on every call.
 
 The output rule is precomputed too: the transpose that brings the output
-registers first (None when they already lead), the axes summed away, and
-the flat positions of the outcomes that read 1 in the marginal. After
-every step the squared norm is compared against `(1 +- VALIDITY_ATOL)**2`,
-so no square root is taken unless the check fails. Every validity check is
-written so that a NaN fails it: a non-finite matrix or state raises.
+registers first (None when they already lead), the axes summed away, the
+flat positions of the outcomes that read 1 in the marginal, and the number
+of output outcomes. When the output registers lead, only the rows of the
+outcomes that read 1 are squared and summed; otherwise the whole tensor is
+transposed and reduced to the marginal. After every step the squared norm
+is compared against `(1 +- VALIDITY_ATOL)**2`, so no square root is taken
+unless the check fails, and the last step's squared norm is the total the
+output's sum-to-1 check reads. Every validity check is written so that a
+NaN fails it: a non-finite matrix or state raises.
 
 Amplified algorithms (repeats = 3) are executed as three independent passes
 whose single-bit outcomes are combined by majority at the harness level, so
 register count stays fixed while query accounting triples. Every pass
 evolves from the start state, calls the oracle and checks the norm at every
 step, but the passes are bit-identical, so the output rule is read once,
-from the last pass's tensor, with its sum-to-1 check.
+from the last pass's tensor and squared norm, with its sum-to-1 check.
 """
 
 from __future__ import annotations
@@ -215,12 +219,15 @@ class QueryAlgorithm:
     output_rule: OutputRule
     repeats: int = 1
     # read-only state after the leading oracle-free steps, which are the
-    # same in every pass; then one op per step left: (matrix, plan) for a
-    # unitary and (None, (index_reg, value_reg)) for an oracle call
+    # same in every pass, and its squared norm; then one op per step left:
+    # (matrix, plan) for a unitary and (None, (index_reg, value_reg)) for an
+    # oracle call
     _start: np.ndarray = field(init=False, repr=False)
+    _start_norm_sq: float = field(init=False, repr=False)
     _ops: tuple[tuple, ...] = field(init=False, repr=False)
     # transpose order bringing the output registers first (None when they
-    # lead), the axes to sum away, and the flat marginal positions of `ones`
+    # lead), the axes to sum away, the flat marginal positions of `ones`,
+    # and the number of output outcomes
     _output: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -259,13 +266,16 @@ class QueryAlgorithm:
         first = 0
         while first < len(ops) and ops[first][0] is not None:
             first += 1
-        start = _evolve(basis_state(self.layout), ops[:first], None)
+        start, norm_sq = _evolve(basis_state(self.layout), 1.0, ops[:first], None)
         start.flags.writeable = False
         object.__setattr__(self, "_start", start)
+        object.__setattr__(self, "_start_norm_sq", norm_sq)
         object.__setattr__(self, "_ops", tuple(ops[first:]))
         if order == tuple(range(len(dims))):
             order = None
-        object.__setattr__(self, "_output", (order, summed, np.array(ones, dtype=np.intp)))
+        out_side = math.prod(dims[reg] for reg in registers)
+        output = (order, summed, np.array(ones, dtype=np.intp), out_side)
+        object.__setattr__(self, "_output", output)
 
 
 def query_count(alg: QueryAlgorithm) -> int:
@@ -273,17 +283,20 @@ def query_count(alg: QueryAlgorithm) -> int:
     return alg.repeats * sum(1 for s in alg.steps if isinstance(s, OracleCall))
 
 
-def _output_probability_one(tensor: np.ndarray, alg: QueryAlgorithm) -> float:
-    order, summed, ones = alg._output
-    probs = np.abs(tensor) ** 2
-    if order is not None:
-        probs = probs.transpose(order)
-    marginal = np.add.reduce(probs, axis=summed)
-    total = float(np.add.reduce(marginal, axis=None))
-    if not abs(total - 1.0) <= VALIDITY_ATOL:  # NaN fails too
-        raise RuntimeError(f"output distribution sums to {total}, not 1")
+def _output_probability_one(tensor: np.ndarray, norm_sq: float, alg: QueryAlgorithm) -> float:
+    """P(output bit 1) of a final tensor whose squared norm is `norm_sq`."""
+    if not abs(norm_sq - 1.0) <= VALIDITY_ATOL:  # NaN fails too
+        raise RuntimeError(f"output distribution sums to {norm_sq}, not 1")
+    order, summed, ones, out_side = alg._output
+    if order is None:
+        # the output digits index the rows: square and sum only those that read 1
+        rows = tensor.reshape(out_side, -1).take(ones, axis=0)
+        picked = np.add.reduce(np.abs(rows) ** 2, axis=1)
+    else:
+        marginal = np.add.reduce((np.abs(tensor) ** 2).transpose(order), axis=summed)
+        picked = marginal.take(ones)
     # fsum rounds correctly, so the order of `ones` does not matter
-    p_one = math.fsum(marginal.take(ones).tolist())
+    p_one = math.fsum(picked.tolist())
     # rounding can carry a Born probability an ulp outside [0, 1]
     return min(max(p_one, 0.0), 1.0)
 
@@ -293,8 +306,14 @@ _NORM_SQ_LOW = (1.0 - VALIDITY_ATOL) ** 2
 _NORM_SQ_HIGH = (1.0 + VALIDITY_ATOL) ** 2
 
 
-def _evolve(tensor: np.ndarray, ops: tuple[tuple, ...], oracle) -> np.ndarray:
-    """Apply the ops in turn, checking the norm after each one."""
+def _evolve(
+    tensor: np.ndarray, norm_sq: float, ops: tuple[tuple, ...], oracle
+) -> tuple[np.ndarray, float]:
+    """Apply the ops in turn, checking the norm after each one.
+
+    Returns the final tensor and its squared norm, which is `norm_sq`, the
+    given tensor's, when there are no ops.
+    """
     for matrix, plan in ops:
         if matrix is not None:
             tensor = _contract(tensor, matrix, plan)
@@ -305,7 +324,7 @@ def _evolve(tensor: np.ndarray, ops: tuple[tuple, ...], oracle) -> np.ndarray:
         norm_sq = np.vdot(tensor, tensor).real
         if not _NORM_SQ_LOW <= norm_sq <= _NORM_SQ_HIGH:  # NaN fails too
             raise RuntimeError(f"state norm drifted to {math.sqrt(norm_sq)}")
-    return tensor
+    return tensor, norm_sq
 
 
 def majority3_prob(p):
@@ -328,8 +347,8 @@ def run(alg: QueryAlgorithm, oracle=None) -> dict[int, float]:
     are bit-identical, so the output is read once, from the last one.
     """
     for _ in range(alg.repeats):
-        tensor = _evolve(alg._start, alg._ops, oracle)
-    p_one = _output_probability_one(tensor, alg)
+        tensor, norm_sq = _evolve(alg._start, alg._start_norm_sq, alg._ops, oracle)
+    p_one = _output_probability_one(tensor, norm_sq, alg)
     if alg.repeats != 1:
         p_one = majority3_prob(p_one)
     return {0: 1.0 - p_one, 1: p_one}

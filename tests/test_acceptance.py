@@ -31,6 +31,7 @@ from qsymlab.distributions import (
     enumerate_small_range_support,
     is_injective,
     sample_small_range,
+    small_range_draws,
 )
 from qsymlab.oracles import ComposedOracle, standard_oracle
 from qsymlab.statevector import RegisterLayout, basis_state, run
@@ -125,8 +126,8 @@ def test_criterion_3_permutation_invariance():
 def test_criterion_4_small_range_distribution():
     rng = np.random.default_rng(99)
     params = SmallRangeParams(16, 4)
-    for _ in range(10_000):
-        assert len(image(sample_small_range(params, rng))) <= 4
+    for draws in small_range_draws(params, rng, 10_000):
+        assert len(image(sample_small_range(params, draws))) <= 4
 
     support = enumerate_small_range_support(SmallRangeParams(2, 2))
     assert support.probability_of(IndexFunction.identity(2)) == Fraction(1, 4)
@@ -140,8 +141,8 @@ def test_criterion_4_small_range_distribution():
     draws = 100_000
     counts: dict[tuple[int, ...], int] = {}
     sample_rng = np.random.default_rng(7)
-    for _ in range(draws):
-        key = sample_small_range(small, sample_rng).values
+    for row in small_range_draws(small, sample_rng, draws):
+        key = sample_small_range(small, row).values
         counts[key] = counts.get(key, 0) + 1
     for g, prob in exact.entries:
         p = float(prob)

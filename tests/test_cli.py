@@ -105,6 +105,29 @@ class TestCompileRun:
             "1cc17d62ef4a8782b7f7a15a399cf918fdf8a2a78f830e1298b8fd6d9e86d592"
         )
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--n", "16", "--r-list", "4,8,16,1,2", "--samples", "1000",
+                 "--seed", "2127877499"],  # fmt: skip
+                "840954d70cda45fa58a22a5c3a879769a4c6e0d46867c04206e6e58e3a152da6",
+            ),
+            (
+                ["--n", "6", "--r-list", "2,3,1", "--exact", "--seed", "1095513148"],
+                "f728fc4e6851f4f1e5c981858d831435583ef09c2ec9c9e4f43215ffd87d885f",
+            ),
+        ],
+        ids=["distinguish-mc", "distinguish-exact"],
+    )
+    def test_distinguish_benchmark_payloads_are_frozen(self, tmp_path, argv, digest):
+        # the perfbench distinguish commands at seed 1; the Monte Carlo digest
+        # is the payload of a tree that made one generator call per map
+        out = tmp_path / "report.json"
+        command = ["distinguish", "--algo", "collision-sniffer", *argv, "--out", str(out)]
+        assert cli.main(command) == 0
+        assert hashlib.sha256(payload_bytes(read_report(out))).hexdigest() == digest
+
     def test_missing_r_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compile-run", "--zoo", "dj", "--n", "4", "--input", "constant0"])

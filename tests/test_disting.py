@@ -105,6 +105,60 @@ class TestAdvantageMonteCarlo:
         rep = advantage_monte_carlo(probe.algorithm, 6, 3, 40, np.random.default_rng(14))
         assert rep.advantage == 0.0
 
+    def test_rows_come_in_blocks_and_each_source_is_used_up_first(self, monkeypatch):
+        n, r, samples = 16, 4, 1000
+        events = []
+        default_rng = np.random.default_rng
+
+        class SpyGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, low, high):
+                events.append(("draw", np.size(high)))
+                return self.rng.integers(low, high)
+
+        def recorded(name, sampler):
+            return lambda *args: events.append((name, 1)) or sampler(*args)
+
+        rng = default_rng(15)
+        monkeypatch.setattr(np.random, "default_rng", SpyGenerator)
+        for name, kind in (("sample_permutation", "perm"), ("sample_small_range", "small")):
+            monkeypatch.setattr(disting, name, recorded(kind, getattr(disting, name)))
+        probe = collision_sniffer(n)
+        report = advantage_monte_carlo(probe.algorithm, n, r, samples, rng)
+        monkeypatch.undo()
+
+        draws = [size for kind, size in events if kind == "draw"]
+        # no call draws more than a block, so the rows are never all built at once
+        assert max(draws) <= 4096 < samples * (2 * n + r)
+        last_perm = max(i for i, (kind, _) in enumerate(events) if kind == "perm")
+        before = [size for kind, size in events[:last_perm] if kind == "draw"]
+        after = [size for kind, size in events[last_perm:] if kind == "draw"]
+        # the permutation source is used up before the small-range source draws
+        assert sum(before) == samples * n and sum(after) == samples * (n + r)
+        assert all(kind != "small" for kind, _ in events[:last_perm])
+
+        # the same maps, in the same order, as one generator call per map
+        reference = np.random.default_rng(report.seed)
+        perm_bounds = np.arange(n, 0, -1)
+        small_bounds = np.array([r] * n + list(range(n, n - r, -1)))
+        params = disting.SmallRangeParams(n, r)
+
+        def p_one(index_map):
+            return run(probe.algorithm, oracles.standard_oracle(index_map))[1]
+
+        perm_vals = [
+            p_one(disting.sample_permutation(n, reference.integers(0, perm_bounds).tolist()))
+            for _ in range(samples)
+        ]
+        small_vals = [
+            p_one(disting.sample_small_range(params, reference.integers(0, small_bounds).tolist()))
+            for _ in range(samples)
+        ]
+        assert report.perm_prob[1] == float(np.array(perm_vals).mean())
+        assert report.smallrange_prob[1] == float(np.array(small_vals).mean())
+
 
 class TestSweep:
     def test_empty_r_list(self):

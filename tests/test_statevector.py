@@ -141,7 +141,9 @@ class TestRun:
         reads = []
         read = sv._output_probability_one
         monkeypatch.setattr(
-            sv, "_output_probability_one", lambda tensor, alg: reads.append(alg) or read(tensor, alg)
+            sv,
+            "_output_probability_one",
+            lambda tensor, norm_sq, alg: reads.append(alg) or read(tensor, norm_sq, alg),
         )
         amplified = replace(base, repeats=3)
         oracle = standard_oracle(x)
@@ -431,10 +433,13 @@ class TestValidityChecks:
 
     def test_output_sum_checked(self):
         alg = deutsch_jozsa(4).algorithm
-        tensor = sv._evolve(alg._start, alg._ops, standard_oracle(InputString(4, 2, (0, 1, 1, 0))))
-        assert sv._output_probability_one(tensor, alg) == pytest.approx(1.0)
-        with pytest.raises(RuntimeError, match="output distribution sums to"):
-            sv._output_probability_one(tensor * 1.01, alg)
+        oracle = standard_oracle(InputString(4, 2, (0, 1, 1, 0)))
+        tensor, norm_sq = sv._evolve(alg._start, alg._start_norm_sq, alg._ops, oracle)
+        assert norm_sq == np.vdot(tensor, tensor).real
+        assert sv._output_probability_one(tensor, norm_sq, alg) == pytest.approx(1.0)
+        scaled = tensor * 1.01
+        with pytest.raises(RuntimeError, match="output distribution sums to 1.020"):
+            sv._output_probability_one(scaled, np.vdot(scaled, scaled).real, alg)
 
     def test_nan_matrix_rejected_in_an_algorithm(self):
         with pytest.raises(ValueError, match="not unitary"):
@@ -465,6 +470,16 @@ def frozen_output_probability_one(tensor, alg):
     return min(max(p_one, 0.0), 1.0)
 
 
+def evolved(alg, oracle):
+    return sv._evolve(alg._start, alg._start_norm_sq, alg._ops, oracle)
+
+
+def unit_tensor(dims, rng):
+    tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    tensor /= np.linalg.norm(tensor)
+    return tensor, np.vdot(tensor, tensor).real
+
+
 class TestPrecomputedOutputRule:
     """The precomputed output rule reproduces the former formula bit for bit."""
 
@@ -475,20 +490,33 @@ class TestPrecomputedOutputRule:
             # output register last: the transpose path
             (grover_unique_or(8, 2).algorithm, lambda rng: InputString(8, 2, rng.integers(0, 2, 8))),
             (collision_sniffer(6).algorithm, lambda rng: IndexFunction(6, rng.integers(0, 6, 6))),
+            (constant_function(0).algorithm, None),
             (constant_function(1).algorithm, None),
         ],
-        ids=["dj", "grover", "sniffer", "const1"],
+        ids=["dj", "grover", "sniffer", "const0", "const1"],
     )
     def test_matches_frozen_formula_on_zoo(self, alg, table):
         rng = np.random.default_rng(11)
         for _ in range(20):
             oracle = standard_oracle(table(rng)) if table else None
-            tensor = sv._evolve(alg._start, alg._ops, oracle)
-            assert sv._output_probability_one(tensor, alg) == frozen_output_probability_one(
-                tensor, alg
+            tensor, norm_sq = evolved(alg, oracle)
+            assert sv._output_probability_one(tensor, norm_sq, alg) == (
+                frozen_output_probability_one(tensor, alg)
             )
 
-    @pytest.mark.parametrize("registers", [(), (0,), (1,), (2,), (0, 2), (2, 0), (1, 2, 0)])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_zero_step_algorithm_reads_the_start_norm(self, bit):
+        alg = constant_function(bit).algorithm
+        assert alg.steps == () and alg._ops == ()
+        assert alg._start_norm_sq == 1.0
+        tensor, norm_sq = evolved(alg, None)
+        assert tensor is alg._start and norm_sq == 1.0
+        assert sv._output_probability_one(tensor, norm_sq, alg) == bit
+        assert run(alg) == {0: 1.0 - bit, 1: float(bit)}
+
+    @pytest.mark.parametrize(
+        "registers", [(), (0,), (1,), (2,), (0, 1), (0, 2), (2, 0), (1, 2, 0)]
+    )
     def test_matches_frozen_formula_on_register_orders(self, registers):
         dims = (3, 2, 4)
         rng = np.random.default_rng(12)
@@ -497,8 +525,16 @@ class TestPrecomputedOutputRule:
             picked = [o for o in outcomes if rng.random() < 0.5]
             rule = OutputRule(registers, frozenset(picked))
             alg = QueryAlgorithm(RegisterLayout(dims), (), rule)
-            tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-            tensor /= np.linalg.norm(tensor)
-            assert sv._output_probability_one(tensor, alg) == frozen_output_probability_one(
-                tensor, alg
+            tensor, norm_sq = unit_tensor(dims, rng)
+            assert sv._output_probability_one(tensor, norm_sq, alg) == (
+                frozen_output_probability_one(tensor, alg)
             )
+
+    @pytest.mark.parametrize("registers", [(), (0,), (0, 1), (2,)])
+    def test_scaled_tensor_fails_the_sum_check(self, registers):
+        dims = (3, 2, 4)
+        alg = QueryAlgorithm(RegisterLayout(dims), (), OutputRule(registers, frozenset()))
+        tensor, _ = unit_tensor(dims, np.random.default_rng(13))
+        scaled = tensor * 1.01
+        with pytest.raises(RuntimeError, match="output distribution sums to 1.020"):
+            sv._output_probability_one(scaled, np.vdot(scaled, scaled).real, alg)
