@@ -5,14 +5,14 @@ is sampled as a composition: a uniform function into [r] followed by a
 uniform injection of [r] into [n]. The samplers are pure functions of one
 row of uniform integers: n draws into [r], then one draw into [n - k] per
 Fisher-Yates swap. `small_range_draws` and `permutation_draws` yield such
-rows, drawing a block of rows per generator call against a tiled array of
-bounds (one call on the cached bounds for a single row). numpy draws
-array-bound integers element by element, so the rows consume the stream
-exactly as one call per draw, or the scalar form, does. A row source draws
-a block ahead, so it must be consumed before anything else draws from its
-generator. The enumerator gives each map with image size k <= r its
-closed-form mass (r)_k (n-k)! / (r^n n!), serving as the ground-truth
-oracle for the samplers and for exact expectation sweeps.
+rows, drawing a block of rows per generator call against a cached, tiled
+array of bounds. numpy draws array-bound integers element by element, so
+the rows consume the stream exactly as one call per draw, or the scalar
+form, does. A row source draws a block ahead, so it must be consumed before
+anything else draws from its generator. A row with a draw outside its
+bounds raises ValueError. The enumerator gives each map with image size
+k <= r its closed-form mass (r)_k (n-k)! / (r^n n!), serving as the
+ground-truth oracle for the samplers and for exact expectation sweeps.
 """
 
 from __future__ import annotations
@@ -94,38 +94,45 @@ class WeightedSupport:
         return Fraction(0)
 
 
-@functools.lru_cache(maxsize=None)
-def _draw_bounds(n: int, r: int) -> np.ndarray:
-    # r repeated n times (the map into [r]), then n, n-1, ..., n-r+1 (the swaps)
-    bounds = np.array([r] * n + list(range(n, n - r, -1)), dtype=np.int64)
+@functools.lru_cache(maxsize=64)  # each holds at most max(_BLOCK_INTS, row width) ints
+def _block_bounds(n: int, r: int, swaps_only: bool) -> np.ndarray:
+    # one row's bounds, tiled to a block of rows: r repeated n times (the map
+    # into [r]) unless swaps_only, then n, n-1, ..., n-r+1 (the swaps)
+    row = ([] if swaps_only else [r] * n) + list(range(n, n - r, -1))
+    bounds = np.tile(np.array(row, dtype=np.int64), max(1, _BLOCK_INTS // len(row)))
     bounds.setflags(write=False)
     return bounds
 
 
-def _rows(bounds: np.ndarray, rng: np.random.Generator, count: int) -> Iterator[list[int]]:
-    width = len(bounds)
-    if count == 1:  # a compiled trial's one map: no tiled copy of the bounds
-        yield rng.integers(0, bounds).tolist()
-        return
-    per_block = max(1, _BLOCK_INTS // width)
-    tiled = np.tile(bounds, min(per_block, count))
+def _rows(
+    block_bounds: np.ndarray, width: int, rng: np.random.Generator, count: int
+) -> Iterator[list[int]]:
+    per_block = len(block_bounds) // width
     for done in range(0, count, per_block):
-        rows = min(per_block, count - done)
-        block = rng.integers(0, tiled[: rows * width]).reshape(rows, width)
-        for row in block:
-            yield row.tolist()
+        size = min(per_block, count - done) * width
+        block = rng.integers(0, block_bounds[:size]).tolist()  # at most one block of ints
+        for start in range(0, size, width):
+            yield block[start : start + width]
 
 
 def small_range_draws(
     params: SmallRangeParams, rng: np.random.Generator, count: int
 ) -> Iterator[list[int]]:
     """`count` rows of n + r ints for `sample_small_range`, a block per generator call."""
-    return _rows(_draw_bounds(params.n, params.r), rng, count)
+    return _rows(_block_bounds(params.n, params.r, False), params.n + params.r, rng, count)
 
 
 def permutation_draws(n: int, rng: np.random.Generator, count: int) -> Iterator[list[int]]:
     """`count` rows of n ints for `sample_permutation`, a block per generator call."""
-    return _rows(_draw_bounds(n, n)[n:], rng, count)
+    return _rows(_block_bounds(n, n, True), n, rng, count)
+
+
+def _check_row(draws: list[int], width: int, kind: str) -> None:
+    # a negative draw would wrap through Python indexing; a too-large one raises IndexError
+    if len(draws) != width:
+        raise ValueError(f"a {kind} row has {width} draws, got {len(draws)}")
+    if draws and min(draws) < 0:
+        raise ValueError(f"a {kind} row's draws must be non-negative, got {min(draws)}")
 
 
 def _injection_prefix(n: int, swaps: list[int]) -> list[int]:
@@ -140,17 +147,23 @@ def _injection_prefix(n: int, swaps: list[int]) -> list[int]:
 def sample_small_range(params: SmallRangeParams, draws: list[int]) -> IndexFunction:
     """The small-range map of one row of `small_range_draws`; image size is at most r."""
     n, r = params.n, params.r
-    if len(draws) != n + r:
-        raise ValueError(f"a small-range row has {n + r} draws, got {len(draws)}")
-    injection = _injection_prefix(n, draws[n:])
-    return IndexFunction(n, tuple(injection[v] for v in draws[:n]))
+    _check_row(draws, n + r, "small-range")
+    try:
+        injection = _injection_prefix(n, draws[n:])
+        values = tuple(injection[v] for v in draws[:n])
+    except IndexError:
+        raise ValueError(f"a small-range row has a draw above its bound: {draws}") from None
+    return IndexFunction(n, values)
 
 
 def sample_permutation(n: int, swaps: list[int]) -> IndexFunction:
     """The permutation of [n] of one row of `permutation_draws`."""
-    if len(swaps) != n:
-        raise ValueError(f"a permutation row has {n} draws, got {len(swaps)}")
-    return IndexFunction(n, tuple(_injection_prefix(n, swaps)))
+    _check_row(swaps, n, "permutation")
+    try:
+        values = tuple(_injection_prefix(n, swaps))
+    except IndexError:
+        raise ValueError(f"a permutation row has a draw above its bound: {swaps}") from None
+    return IndexFunction(n, values)
 
 
 def check_support_budget(params: SmallRangeParams) -> None:

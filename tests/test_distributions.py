@@ -83,7 +83,7 @@ class TestSamplerStream:
             for r in range(1, n + 1):
                 params = SmallRangeParams(n, r)
                 rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-                # a three-row block, then the one-row path
+                # a three-row block, then a one-row source
                 rows = list(small_range_draws(params, rng, 3))
                 rows += small_range_draws(params, rng, 1)
                 for row in rows:
@@ -177,6 +177,34 @@ class TestRowSources:
             sample_permutation(4, [0] * 5)
         with pytest.raises(ValueError, match="has 4 draws, got 3"):
             sample_permutation(4, [0] * 3)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    )
+    def test_negative_draw_rejected(self, row):
+        # a -1 would wrap through Python indexing: [-1, 0, 0, 0] read as the map (1, 0)
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            sample_small_range(SmallRangeParams(2, 2), row)
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            sample_permutation(4, row)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[0, 1, 5, 0, 0], [2, 0, 0, 0, 0], [0, 0, 0, 3, 0], [0, 0, 0, 0, 2]],
+        ids=["map-5", "map-2", "first-swap-3", "second-swap-2"],
+    )
+    def test_draw_above_its_bound_rejected(self, row):
+        # bounds at n=3 r=2: [2, 2, 2] into [r], then swaps into [3] and [2]
+        with pytest.raises(ValueError, match="draw above its bound"):
+            sample_small_range(SmallRangeParams(3, 2), row)
+
+    def test_permutation_draw_above_its_bound_rejected(self):
+        # bounds at n=3: swaps into [3], [2], [1]
+        for row in ([3, 0, 0], [0, 2, 0], [0, 0, 1]):
+            with pytest.raises(ValueError, match="draw above its bound"):
+                sample_permutation(3, row)
+        assert sample_permutation(3, [2, 1, 0]).values == (2, 0, 1)
 
 
 class TestSampleSmallRange:
