@@ -416,9 +416,20 @@ def _check_oracle_is_permutation() -> None:
 
 def _check_bulk_trial_seeding() -> None:
     seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 271041745]
-    for seed, state in zip(seeds, compiler._pcg64_states(seeds)):
-        if state != np.random.PCG64(seed).state:
+    pairs = dict(zip(("state", "inc"), compiler._pcg64_states(seeds)))
+    for k, seed in enumerate(seeds):
+        got = {name: int(high[k]) << 64 | int(low[k]) for name, (high, low) in pairs.items()}
+        if got != np.random.PCG64(seed).state["state"]:
             raise AssertionError(f"bulk-derived PCG64 state differs from numpy's at seed {seed}")
+    # (4, 4) draws an odd number of 32-bit halves and ends on a bound of 1;
+    # (7, 3) has bounds that are not powers of two
+    for n, r in ((4, 4), (7, 3)):
+        bounds = [r] * n + list(range(n, n - r, -1))
+        draws = compiler._trial_draws(distributions.SmallRangeParams(n, r), np.array(seeds))
+        for seed, got in zip(seeds, draws):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            if got != (rng.integers(0, bounds).tolist(), rng.random()):
+                raise AssertionError(f"bulk draws differ from numpy's at n={n}, r={r}, seed {seed}")
 
 
 def _dense_embedding(
@@ -500,7 +511,7 @@ VERIFY_CHECKS = (
     ("composed counter law x:3q g:6q", _check_composed_counter_law),
     ("standard oracle is a basis permutation", _check_oracle_is_permutation),
     ("simulator kernel equals dense reference (mixed dims, unsorted targets)", _check_kernel_dense_reference),
-    ("bulk trial seeding equals numpy's PCG64 seeding", _check_bulk_trial_seeding),
+    ("bulk trial seeding and draws equal numpy's PCG64", _check_bulk_trial_seeding),
 )
 
 

@@ -23,18 +23,34 @@ n=2048 and r=n composes 10^4 trials to 4,359 distinct tables of 128 KB of
 gather sources each (about 560 MB). So each trial beyond the bound builds
 a fresh oracle, even where most trials share a table (18 tables at r=4).
 
-Each trial draws from its own generator, started from its own seed, so the
-recorded seed replays the trial alone: `compile_and_run_once(seed=s)`
-builds `Generator(PCG64(s))`, numpy's own seeding, whose `SeedSequence`
-hashing costs more than a sixth of a DJ n=4 trial. So `_run_trials`
-computes every trial's PCG64 start state `(state, inc)` in one vectorized
-pass (`_pcg64_states`) and moves one shared generator to each in turn.
-The pass reproduces numpy's published seeding: `SeedSequence` mixes the
-seed's little-endian 32-bit words into a pool of four, `generate_state(4,
-uint64)` hashes the pool out, and PCG64's `srandom` makes the start state
-with one 128-bit step. The tests compare the states with numpy's on 10^4
+Each trial's draws are those of its own generator, started from its own
+seed, so the recorded seed replays the trial alone:
+`compile_and_run_once(seed=s)` builds `Generator(PCG64(s))` and draws the
+sampler row with `integers(0, bounds)`, then the output bit's uniform with
+`random()`. Building a generator per trial, and numpy's per-call checks
+on array bounds, cost more than anything in a DJ n=4 trial but the
+simulation. So `_run_trials` makes every trial's draws in one vectorized
+pass over the seeds (`_trial_draws`) and passes them to the trial:
+
+- `_pcg64_states` computes every start state `(state, inc)` as numpy
+  seeds it: `SeedSequence` mixes the seed's little-endian 32-bit words
+  into a pool of four, `generate_state(4, uint64)` hashes the pool out,
+  and PCG64's `srandom` makes the start state with one 128-bit step.
+- The j-th output of a stream (j >= 1) is `XSL-RR(MULT^j s + G_j inc mod
+  2^128)`, with `G_j` the sum of `MULT^i` over `i < j`; both are cached, so a
+  block of seeds costs a fixed number of numpy calls whatever its width.
+- numpy draws each int64 array bound b >= 2 with 32-bit Lemire from
+  PCG64's buffered 32-bit halves, the low half of each output first; a
+  bound of 1 draws nothing. `random()` takes the next whole output,
+  `(w >> 11) 2^-53`, and leaves a buffered half alone.
+- A seed whose row hits Lemire's rejection (`leftover < (2^32 - b) mod
+  b`, with probability below b/2^32 per draw and never at a power of two)
+  gets no draws: its trial builds the generator, so the stream is never
+  guessed.
+
+The tests compare the states, rows and uniforms with numpy's on 10^4
 seeds and the edge seeds, and `qsymlab verify` checks a few, so an
-installed numpy that seeds differently fails loudly.
+installed numpy that seeds or draws differently fails loudly.
 
 The input is never touched outside step 2: no oracle over the raw input
 exists on this path, and the function table is never consulted at all (the
@@ -44,6 +60,7 @@ not even defined).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -55,7 +72,9 @@ import numpy as np
 
 from .core import IndexFunction, InputString, image
 from .distributions import (
+    _BLOCK_INTS,
     SmallRangeParams,
+    _block_bounds,
     enumerate_small_range_support,
     sample_small_range,
     small_range_draws,
@@ -71,7 +90,7 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_LOW32 = 0xFFFFFFFF
+_LOW32, _LOW64 = 2**32 - 1, 2**64 - 1
 
 
 def amplify_majority3(alg: QueryAlgorithm) -> QueryAlgorithm:
@@ -159,6 +178,11 @@ def compiled_distribution(
     return run(_amplified(alg), oracle), reader.queries
 
 
+def _check_r(x: InputString, r: int) -> None:
+    if not 1 <= r <= x.n:
+        raise ValueError(f"r outside [1, {x.n}]: {r}")
+
+
 def compile_and_run_once(
     alg: QueryAlgorithm,
     x: InputString,
@@ -167,33 +191,34 @@ def compile_and_run_once(
     *,
     seed: Optional[int] = None,
     oracles: Optional[dict] = None,
-    trial_rng: Optional[np.random.Generator] = None,
+    draws: Optional[tuple[list[int], float]] = None,
 ) -> CompiledRunResult:
     """One full compiled trial; the recorded seed replays it exactly.
 
     `oracles` is passed to `compiled_distribution`: trials on the same x
     may share it, and a shared oracle gives the same output as a fresh one.
-    `trial_rng` is a generator already in the state `PCG64(seed)` starts
-    in, which `estimate_success` passes (see the module docstring); without
-    it the trial builds `Generator(PCG64(seed))`, the replay path.
+    `draws` is the trial's `(row, uniform)` as `Generator(PCG64(seed))`
+    draws them, which `estimate_success` passes (see the module
+    docstring); without it the trial builds that generator, the replay path.
     """
-    if not 1 <= r <= x.n:
-        raise ValueError(f"r outside [1, {x.n}]: {r}")
+    _check_r(x, r)
     if seed is None:
-        if trial_rng is not None:
-            raise ValueError("a trial_rng needs the seed that started it")
+        if draws is not None:
+            raise ValueError("draws need the seed that made them")
         if rng is None:
             raise ValueError("provide an rng or an explicit seed")
         seed = int(rng.integers(0, 2**63))
-    if trial_rng is None:
+    params = SmallRangeParams(x.n, r)
+    if draws is None:
         # exactly the generator default_rng(seed) returns, without its dispatch
         trial_rng = np.random.Generator(np.random.PCG64(seed))
-    params = SmallRangeParams(x.n, r)
-    sampled = sample_small_range(params, next(small_range_draws(params, trial_rng, 1)))
+        draws = next(small_range_draws(params, trial_rng, 1)), trial_rng.random()
+    row, uniform = draws
+    sampled = sample_small_range(params, row)
     dist, used = compiled_distribution(alg, x, sampled, oracles)
     if used > r:
         raise AssertionError(f"classical lookups {used} exceeded budget {r}")
-    bit = 1 if trial_rng.random() < dist[1] else 0
+    bit = 1 if uniform < dist[1] else 0
     # `used` is the image size (compiled_distribution checks it)
     return CompiledRunResult(bit, used, sampled, used == x.n, seed)
 
@@ -217,10 +242,10 @@ def _add128(a: tuple, b: tuple) -> tuple:
     return a[0] + b[0] + (low < a[1]), low
 
 
-def _mul128(a: tuple, m: int) -> tuple:
-    """Product mod 2^128 of a (high, low) pair of uint64 arrays and the constant m."""
+def _mul128(a: tuple, m: tuple) -> tuple:
+    """Product mod 2^128 of two (high, low) pairs of uint64 arrays, broadcast."""
     high, low = a
-    m_high, m_low = m >> 64, m & (2**64 - 1)
+    m_high, m_low = m
     # the high word of low * m_low, from 32-bit halves: numpy has no 128-bit product
     a1, a0 = low >> 32, low & _LOW32
     b1, b0 = m_low >> 32, m_low & _LOW32
@@ -230,12 +255,21 @@ def _mul128(a: tuple, m: int) -> tuple:
     return carry + high * m_low + low * m_high, low * m_low
 
 
-def _pcg64_states(seeds: np.ndarray | list[int]) -> Iterator[dict]:
-    """`np.random.PCG64(s).state` for each seed s in [0, 2^64), in one vectorized pass.
+def _split128(values: list[int]) -> tuple:
+    """128-bit ints as a (high, low) pair of uint64 arrays."""
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & _LOW64 for v in values], dtype=np.uint64),
+    )
 
-    Reproduces numpy's seeding (see the module docstring). A seed below
-    2^32 has one entropy word, and the pool then hashes 0 in place of a
-    second; that is its high word, so every seed takes the same steps.
+
+def _pcg64_states(seeds: np.ndarray | list[int]) -> tuple[tuple, tuple]:
+    """`(state, inc)` of `np.random.PCG64(s)` for each seed s in [0, 2^64), in one vectorized pass.
+
+    Each is a (high, low) pair of uint64 arrays. Reproduces numpy's seeding
+    (see the module docstring). A seed below 2^32 has one entropy word, and
+    the pool then hashes 0 in place of a second; that is its high word, so
+    every seed takes the same steps.
     """
     s = np.array(seeds, dtype=np.uint64)
     low = (s & _LOW32).astype(np.uint32)
@@ -253,18 +287,70 @@ def _pcg64_states(seeds: np.ndarray | list[int]) -> Iterator[dict]:
     seed_high, seed_low, stream_high, stream_low = (out[k] | out[k + 1] << 32 for k in (0, 2, 4, 6))
     # srandom: inc = 2 * stream + 1, state = (inc + seed) * MULT + inc
     inc = ((stream_high << 1) | (stream_low >> 63), (stream_low << 1) | 1)
-    state = _add128(_mul128(_add128(inc, (seed_high, seed_low)), _PCG64_MULT), inc)
-    columns = (a.tolist() for a in (*state, *inc))
-    # one state dict alive at a time: the caller assigns each and moves on
-    return (
-        {
-            "bit_generator": "PCG64",
-            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for sh, sl, ih, il in zip(*columns)
-    )
+    state = _add128(_mul128(_add128(inc, (seed_high, seed_low)), _split128([_PCG64_MULT])), inc)
+    return state, inc
+
+
+@functools.lru_cache(maxsize=16)
+def _jumps(count: int) -> tuple[tuple, tuple]:
+    """`(MULT^j, G_j)` for j = 1..count, each a (high, low) pair of (count, 1) arrays.
+
+    j PCG64 steps take (state, inc) to `MULT^j state + G_j inc`, where
+    `G_j` is the sum of `MULT^i` over i < j.
+    """
+    powers, gains, power, gain = [], [], 1, 0
+    for _ in range(count):
+        gain = (gain * _PCG64_MULT + 1) & (2**128 - 1)
+        power = power * _PCG64_MULT & (2**128 - 1)
+        powers.append(power)
+        gains.append(gain)
+    pairs = tuple(tuple(a[:, None] for a in _split128(v)) for v in (powers, gains))
+    for pair in pairs:
+        for a in pair:
+            a.setflags(write=False)  # cached and shared by every caller
+    return pairs
+
+
+def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """PCG64's output of a 128-bit state: the halves' xor, rotated right by the top 6 bits."""
+    value, rot = high ^ low, high >> 58
+    return (value >> rot) | (value << ((64 - rot) & 63))
+
+
+def _trial_draws(
+    params: SmallRangeParams, seeds: np.ndarray
+) -> Iterator[Optional[tuple[list[int], float]]]:
+    """Each seed's trial draws, equal to `Generator(PCG64(seed))`'s, in one vectorized pass.
+
+    Yields `(row, uniform)`: `integers(0, bounds)` for `sample_small_range`,
+    then `random()`. A seed whose row hits Lemire's rejection yields None
+    (see the module docstring). Seeds go through in blocks of at most
+    `_BLOCK_INTS` row ints, unless one row is wider.
+    """
+    width = params.n + params.r
+    bounds = _block_bounds(params.n, params.r, False)[:width]
+    drawn = bounds > 1
+    # the 32-bit half each bound reads; a bound of 1 reads half 0, gives 0 and never rejects
+    half_of = np.where(drawn, np.cumsum(drawn) - 1, 0)
+    outputs = (int(drawn.sum()) + 1) // 2 + 1  # the last is random()'s
+    powers, gains = _jumps(outputs)
+    b = bounds.astype(np.uint64)[:, None]
+    threshold = (2**32 - b) % b
+    state, inc = _pcg64_states(seeds)
+    lanes = max(1, _BLOCK_INTS // width)
+    for start in range(0, len(seeds), lanes):
+        block = slice(start, start + lanes)
+        stepped = _add128(
+            _mul128((state[0][block], state[1][block]), powers),
+            _mul128((inc[0][block], inc[1][block]), gains),
+        )
+        out = _xsl_rr(*stepped)
+        halves = np.stack((out & _LOW32, out >> 32), axis=1).reshape(2 * outputs, -1)
+        product = halves[half_of] * b
+        rejected = ((product & _LOW32) < threshold).any(axis=0).tolist()
+        uniforms = ((out[-1] >> 11) * 2.0**-53).tolist()
+        for row, uniform, reject in zip((product >> 32).T.tolist(), uniforms, rejected):
+            yield None if reject else (row, uniform)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -294,16 +380,14 @@ class SuccessEstimate:
 
 
 def _run_trials(alg: QueryAlgorithm, x: InputString, r: int, seeds: np.ndarray) -> list:
-    """One compiled trial per seed, in order, with shared oracles and generator."""
+    """One compiled trial per seed, in order, with shared oracles and bulk draws."""
     oracles = {} if x.M**x.n <= len(seeds) else None
-    # never drawn from in its own seeding: each trial's state replaces it
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    results = []
-    for seed, state in zip(seeds.tolist(), _pcg64_states(seeds)):
-        bit_generator.state = state
-        results.append(compile_and_run_once(alg, x, r, seed=seed, oracles=oracles, trial_rng=rng))
-    return results
+    # a rejected seed's draws are None: its trial builds its own generator
+    draws = _trial_draws(SmallRangeParams(x.n, r), seeds)
+    return [
+        compile_and_run_once(alg, x, r, seed=seed, oracles=oracles, draws=d)
+        for seed, d in zip(seeds.tolist(), draws)
+    ]
 
 
 def estimate_success(
@@ -322,6 +406,7 @@ def estimate_success(
     them, joined in order; otherwise `_run_trials` runs in this process.
     A trial depends on its seed alone, so the results do not depend on `jobs`.
     """
+    _check_r(x, r)
     if trials < 1:
         raise ValueError("trials must be positive")
     if jobs < 1:
@@ -359,8 +444,7 @@ def exact_success(alg: QueryAlgorithm, x: InputString, expected_bit: int, r: int
     Maps that compose x to the same table share one oracle; the support
     holds at least one map per table, so the oracles never outnumber it.
     """
-    if not 1 <= r <= x.n:
-        raise ValueError(f"r outside [1, {x.n}]: {r}")
+    _check_r(x, r)
     support = enumerate_small_range_support(SmallRangeParams(x.n, r))
     alg = _amplified(alg)
     oracles: dict = {}

@@ -972,7 +972,21 @@ class TestVerify:
         monkeypatch.setattr(compiler, "_MIX_MULT_L", compiler._MIX_MULT_L ^ 1)
         assert cli.main(["verify"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL  bulk trial seeding equals numpy's PCG64 seeding" in out
+        assert "FAIL  bulk trial seeding and draws equal numpy's PCG64" in out
+        assert "13/14 checks passed" in out
+
+    def test_draws_that_differ_from_numpy_fail(self, capsys, monkeypatch):
+        # the high 32-bit half of each output first: every bulk row would differ
+        xsl_rr = compiler._xsl_rr
+
+        def halves_swapped(high, low):
+            out = xsl_rr(high, low)
+            return out << 32 | out >> 32
+
+        monkeypatch.setattr(compiler, "_xsl_rr", halves_swapped)
+        assert cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  bulk trial seeding and draws equal numpy's PCG64" in out
         assert "13/14 checks passed" in out
 
     def test_injected_gadget_bug_fails(self, capsys, monkeypatch):

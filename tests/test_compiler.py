@@ -316,6 +316,17 @@ class TestEstimateSuccess:
         assert sum(slices, []) == [t.seed for t in serial.results]
         assert all(generators <= 1 for _, generators in pool.tasks)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("r", [0, 5])
+    def test_r_outside_range_rejected_before_any_draw(self, monkeypatch, fake_pool, jobs, r):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        x, rng = InputString(4, 2, (0, 1, 1, 0)), np.random.default_rng(8)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="r outside"):
+            estimate_success(deutsch_jozsa(4).algorithm, x, 1, r, 3, rng, jobs=jobs)
+        assert rng.bit_generator.state == before  # no seed was drawn
+        assert fake_pool == []  # no pool was started
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
         x, rng = InputString(4, 2, (0, 1, 1, 0)), np.random.default_rng(8)
@@ -326,7 +337,7 @@ class TestEstimateSuccess:
     def test_trial_seeds_match_one_draw_per_trial(self, monkeypatch, trials):
         # the seeds come from one generator call; it must consume the stream
         # as the former one-call-per-trial loop did
-        def record_seed(alg, x, r, *, seed, oracles=None, trial_rng=None):
+        def record_seed(alg, x, r, *, seed, oracles=None, draws=None):
             return CompiledRunResult(0, 1, IndexFunction(4, (0, 0, 0, 0)), False, seed)
 
         monkeypatch.setattr(compiler, "compile_and_run_once", record_seed)
@@ -512,21 +523,7 @@ class TestEstimateSuccessSharesOracles:
     def test_bulk_states_equal_numpy_seeding(self):
         edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
         seeds = edges + np.random.default_rng(2024).integers(0, 2**63, size=10**4).tolist()
-        assert list(compiler._pcg64_states(seeds)) == [np.random.PCG64(s).state for s in seeds]
-
-    def test_reseeded_generator_draws_as_default_rng(self):
-        seeds = [0, 1, 2**32, 2**63 - 1] + np.random.default_rng(6).integers(0, 2**63, size=30).tolist()
-        shared = np.random.Generator(np.random.PCG64(0))
-        bounds = np.array([4] * 8 + [8, 7, 6, 5])
-        for seed, state in zip(seeds, compiler._pcg64_states(seeds)):
-            # a 32-bit draw leaves the upper half of a 64-bit word buffered
-            shared.integers(0, 7, dtype=np.uint32)
-            assert shared.bit_generator.state["has_uint32"] == 1
-            shared.bit_generator.state = state
-            reference = np.random.default_rng(seed)
-            for _ in range(3):
-                assert shared.integers(0, bounds).tolist() == reference.integers(0, bounds).tolist()
-                assert shared.random() == reference.random()
+        assert state_dicts(seeds) == [np.random.PCG64(s).state for s in seeds]
 
     @pytest.mark.parametrize("trials", [1, 17, 600])
     def test_one_job_builds_at_most_one_generator(self, monkeypatch, trials):
@@ -541,15 +538,117 @@ class TestEstimateSuccessSharesOracles:
         x = InputString(4, 2, (0, 1, 1, 0))
         est = estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, trials, np.random.default_rng(3))
         assert len(est.results) == trials
-        assert len(built) <= 1
+        assert built == []  # none at all: the bulk pass makes every trial's draws
 
-    def test_trial_rng_needs_its_seed(self):
+    def test_draws_need_their_seed(self):
         x = InputString(4, 2, (0, 1, 1, 0))
-        shared = np.random.Generator(np.random.PCG64(5))
+        draws = numpy_draws(SmallRangeParams(4, 2), 5)
         with pytest.raises(ValueError, match="seed"):
-            compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, trial_rng=shared)
-        passed = compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5, trial_rng=shared)
+            compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, draws=draws)
+        passed = compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5, draws=draws)
         assert passed == compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5)
+
+
+def state_dicts(seeds):
+    """`PCG64(s).state` for each seed, from the vectorized seeding pass."""
+    (state_high, state_low), (inc_high, inc_low) = compiler._pcg64_states(seeds)
+    columns = (a.tolist() for a in (state_high, state_low, inc_high, inc_low))
+    return [
+        {
+            "bit_generator": "PCG64",
+            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for sh, sl, ih, il in zip(*columns)
+    ]
+
+
+def numpy_draws(params, seed):
+    """A trial's (row, uniform) as numpy draws them: `integers(0, bounds)`, then `random()`."""
+    bounds = [params.r] * params.n + list(range(params.n, params.n - params.r, -1))
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, bounds).tolist(), rng.random()
+
+
+def rejecting_state(inc):
+    """A PCG64 (state, inc) whose next state has equal halves, so its next output is 0."""
+    after = (7 << 64) | 7
+    return (after - inc) * pow(compiler._PCG64_MULT, -1, 2**128) % 2**128, inc
+
+
+class TestTrialDraws:
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "n, r", [(4, 4), (7, 3), (16, 4), (5, 1), (1, 1), (2, 2), (3, 2)],
+        ids=["dj-4-4", "7-3", "16-4", "5-1", "1-1", "2-2", "3-2"],
+    )  # fmt: skip
+    def test_equal_numpy_draws(self, n, r):
+        # r = n ends the row with a bound of 1, which draws nothing; (4, 4)
+        # draws an odd number of 32-bit halves, so random() skips a buffered one
+        params = SmallRangeParams(n, r)
+        count = 10**4 if (n, r) in ((4, 4), (7, 3)) else 700
+        drawn = np.random.default_rng(n * 31 + r).integers(0, 2**63, size=count).tolist()
+        seeds = self.EDGES + drawn
+        got = list(compiler._trial_draws(params, np.array(seeds)))
+        assert got == [numpy_draws(params, s) for s in seeds]
+
+    def test_long_jump_ahead(self):
+        params = SmallRangeParams(2048, 2048)
+        seeds = [0, 2**63 - 1, 91]
+        got = list(compiler._trial_draws(params, np.array(seeds)))
+        assert got == [numpy_draws(params, s) for s in seeds]
+
+    @pytest.mark.parametrize("trials", [1, 511, 512, 513, 3 * 512 + 5])
+    def test_partial_blocks(self, trials):
+        # 4096 row ints hold 512 DJ n=4 r=4 rows
+        params = SmallRangeParams(4, 4)
+        seeds = np.random.default_rng(trials).integers(0, 2**63, size=trials)
+        got = list(compiler._trial_draws(params, seeds))
+        assert got == [numpy_draws(params, s) for s in seeds.tolist()]
+
+    def test_blocks_stay_within_block_ints(self, monkeypatch):
+        widths = []
+        xsl_rr = compiler._xsl_rr
+
+        def recording(high, low):
+            widths.append(high.shape[1])
+            return xsl_rr(high, low)
+
+        monkeypatch.setattr(compiler, "_xsl_rr", recording)
+        seeds = np.arange(2000)
+        assert len(list(compiler._trial_draws(SmallRangeParams(4, 4), seeds))) == 2000
+        assert widths == [512, 512, 512, 464]
+
+    def test_rejected_lane_is_flagged_and_replayed(self, monkeypatch):
+        # at bound 3, Lemire rejects exactly the 32-bit half 0; the crafted
+        # lane's first output is 0, so its first draw would be rejected
+        seeds = np.random.default_rng(19).integers(0, 2**63, size=40)
+        lane = 13
+        states = compiler._pcg64_states(seeds)
+        inc = states[1][0][lane].item() << 64 | states[1][1][lane].item()
+        state, _ = rejecting_state(inc)
+        states[0][0][lane], states[0][1][lane] = state >> 64, state & (2**64 - 1)
+        params = SmallRangeParams(4, 3)
+
+        crafted = np.random.Generator(np.random.PCG64(0))
+        crafted.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        assert crafted.integers(0, 2**32, dtype=np.uint64) == 0
+        monkeypatch.setattr(compiler, "_pcg64_states", lambda _: states)
+        draws = list(compiler._trial_draws(params, seeds))
+        assert [k for k, d in enumerate(draws) if d is None] == [lane]
+
+        x = InputString(4, 2, (0, 1, 1, 0))
+        alg = amplify_majority3(deutsch_jozsa(4).algorithm)
+        trials = compiler._run_trials(alg, x, 3, seeds)
+        monkeypatch.undo()
+        assert trials == [compile_and_run_once(alg, x, 3, seed=s) for s in seeds.tolist()]
 
 
 class TestCompiledTrialStaysOnImage:
