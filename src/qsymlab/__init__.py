@@ -3,7 +3,7 @@ registers, plus the classical compilation pipeline that replaces quantum
 queries by a bounded number of classical lookups through small-range
 index maps."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import compiler, core, disting, distributions, oracles, statevector, zoo
 

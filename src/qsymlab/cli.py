@@ -116,12 +116,12 @@ def _unwritable(args) -> str | None:
     return None
 
 
-def _parse_input_spec(spec: str, entry: zoo.ZooEntry, rng: np.random.Generator) -> core.InputString:
+def _parse_input_spec(spec: str, entry: zoo.ZooEntry, seed: int) -> core.InputString:
     n, M = entry.function.n, entry.function.M
     if spec == "random-promise":
         domain = sorted(entry.function.outputs)
-        choice = domain[int(rng.integers(0, len(domain)))]
-        return core.InputString(n, M, choice)
+        (pick,), _ = next(distributions.stream_rows([len(domain)], [seed]))
+        return core.InputString(n, M, domain[pick])
     if spec == "constant0":
         return core.InputString(n, M, (0,) * n)
     if spec == "constant1":
@@ -144,9 +144,10 @@ def _cmd_compile_run(args) -> int:
         return _usage_error("--seed must be >= 0")
     if args.iterations is not None and args.zoo != "grover":
         return _usage_error("--iterations applies to grover only")
-    rng = np.random.default_rng(args.seed)
+    # words 0 and 1 of the --seed stream key the random-promise choice and the trials
+    choice_seed, trials_seed = distributions.stream_seeds(args.seed, 2).tolist()
     entry = zoo.build_zoo_entry(args.zoo, args.n, args.iterations)
-    x = _parse_input_spec(args.input, entry, rng)
+    x = _parse_input_spec(args.input, entry, choice_seed)
     if x not in entry.function:
         return _usage_error(f"input {x.values} is outside the promise domain of {args.zoo}")
     if not 1 <= args.r <= args.n:
@@ -175,7 +176,7 @@ def _cmd_compile_run(args) -> int:
     if args.trials == 0:
         return _emit_report("compile-run", args, results)
     estimate = compiler.estimate_success(
-        entry.algorithm, x, expected, args.r, args.trials, rng, jobs=args.jobs
+        entry.algorithm, x, expected, args.r, args.trials, trials_seed, jobs=args.jobs
     )
     runs = estimate.results
     results["estimate"] = {
@@ -226,13 +227,12 @@ def _cmd_distinguish(args) -> int:
     if unwritable:
         return _usage_error(unwritable)
     probe = zoo.build_distinguisher(args.algo, args.n)
-    rng = np.random.default_rng(args.seed)
     reports = disting.sweep_r(
         probe.algorithm,
         args.n,
         r_values,
         args.samples,
-        rng,
+        args.seed,
         exact=args.exact,
         algorithm_id=probe.id,
     )
@@ -334,9 +334,8 @@ def _check_symmetry_checkers() -> None:
 
 
 def _check_image_bounds() -> None:
-    rng = np.random.default_rng(5)
     params = distributions.SmallRangeParams(8, 3)
-    for draws in distributions.small_range_draws(params, rng, 200):
+    for draws, _ in distributions.stream_rows(params.bounds, distributions.stream_seeds(5, 200)):
         sample = distributions.sample_small_range(params, draws)
         if len(core.image(sample)) > 3:
             raise AssertionError("image bound violated")
@@ -357,10 +356,9 @@ def _check_enumerator_exact_values() -> None:
 def _check_sampler_matches_enumerator() -> None:
     params = distributions.SmallRangeParams(2, 2)
     support = distributions.enumerate_small_range_support(params)
-    rng = np.random.default_rng(17)
     draws = 20_000
     counts: dict[tuple[int, ...], int] = {}
-    for row in distributions.small_range_draws(params, rng, draws):
+    for row, _ in distributions.stream_rows(params.bounds, distributions.stream_seeds(17, draws)):
         g = distributions.sample_small_range(params, row)
         counts[g.values] = counts.get(g.values, 0) + 1
     for g, prob in support.entries:
@@ -414,22 +412,24 @@ def _check_oracle_is_permutation() -> None:
             raise AssertionError(f"oracle for {values} is not a basis permutation")
 
 
-def _check_bulk_trial_seeding() -> None:
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 271041745]
-    pairs = dict(zip(("state", "inc"), compiler._pcg64_states(seeds)))
-    for k, seed in enumerate(seeds):
-        got = {name: int(high[k]) << 64 | int(low[k]) for name, (high, low) in pairs.items()}
-        if got != np.random.PCG64(seed).state["state"]:
-            raise AssertionError(f"bulk-derived PCG64 state differs from numpy's at seed {seed}")
-    # (4, 4) draws an odd number of 32-bit halves and ends on a bound of 1;
-    # (7, 3) has bounds that are not powers of two
-    for n, r in ((4, 4), (7, 3)):
-        bounds = [r] * n + list(range(n, n - r, -1))
-        draws = compiler._trial_draws(distributions.SmallRangeParams(n, r), np.array(seeds))
-        for seed, got in zip(seeds, draws):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            if got != (rng.integers(0, bounds).tolist(), rng.random()):
-                raise AssertionError(f"bulk draws differ from numpy's at n={n}, r={r}, seed {seed}")
+# `stream_rows` at these seeds, frozen: each seed's uniform, and its rows as
+# digits; (4, 4) has only power-of-two bounds and ends on a bound of 1, and
+# (7, 3) has bounds that are not powers of two
+_STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 271041745)
+_FROZEN_UNIFORMS = (0.8833108082136426, 0.5665615751722809, 0.4519231102166881,
+                    0.766301757339086, 0.16564699010451844, 0.7669214899241017)  # fmt: skip
+_FROZEN_ROWS = {
+    (4, 4): ("10301010", "23113210", "13023110", "02120100", "33010010", "10302210"),
+    (7, 3): ("1020002151", "2211221142", "1202212001", "0211010632", "2200001554", "1020222121"),
+}
+
+
+def _check_frozen_stream() -> None:
+    for (n, r), frozen in _FROZEN_ROWS.items():
+        rows = distributions.stream_rows(distributions.SmallRangeParams(n, r).bounds, _STREAM_SEEDS)
+        for seed, (row, uniform), digits, want in zip(_STREAM_SEEDS, rows, frozen, _FROZEN_UNIFORMS):
+            if "".join(map(str, row)) != digits or uniform != want:
+                raise AssertionError(f"stream row differs from the frozen one at n={n}, r={r}, seed {seed}")
 
 
 def _dense_embedding(
@@ -511,7 +511,7 @@ VERIFY_CHECKS = (
     ("composed counter law x:3q g:6q", _check_composed_counter_law),
     ("standard oracle is a basis permutation", _check_oracle_is_permutation),
     ("simulator kernel equals dense reference (mixed dims, unsorted targets)", _check_kernel_dense_reference),
-    ("bulk trial seeding and draws equal numpy's PCG64", _check_bulk_trial_seeding),
+    ("stream rows and uniforms equal the frozen ones", _check_frozen_stream),
 )
 
 

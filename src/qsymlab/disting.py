@@ -7,6 +7,12 @@ through the draw alone. The hardness bound's absolute constant is unknown,
 so nothing here asserts a bound value; the probe reports curves. Reports
 are plain records: the CLI turns their fields into JSON entries and CSV rows.
 
+A Monte Carlo sweep keyed by a seed gives report k (k-th distinct r) the
+seed made of word k of that seed's stream (see `distributions`). A report's
+seed keys its rows: word i of its stream seeds permutation row i and word
+samples + i seeds small-range row i, so no two rows share a word and
+`advantage_monte_carlo(..., seed=report.seed)` replays the report alone.
+
 An exact sweep checks the n! permutations and the largest r's support
 against the enumeration budget before it builds or simulates anything. It
 builds each permutation's oracle once, for all r, and runs it once per r;
@@ -31,10 +37,10 @@ from .distributions import (
     check_support_budget,
     enumerate_small_range_support,
     enumeration_budget,
-    permutation_draws,
     sample_permutation,
     sample_small_range,
-    small_range_draws,
+    stream_rows,
+    stream_seeds,
 )
 from .oracles import standard_oracle
 from .statevector import QueryAlgorithm, run
@@ -114,26 +120,24 @@ def advantage_monte_carlo(
     n: int,
     r: int,
     samples: int,
-    rng: np.random.Generator,
+    seed: int,
     algorithm_id: str = "anonymous",
 ) -> AdvantageReport:
     """Sampled advantage; randomness is over the oracle draws only."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    seed = int(rng.integers(0, 2**63))
-    draw_rng = np.random.default_rng(seed)
     params = SmallRangeParams(n, r)
-    # each row source is used up before the next one draws from draw_rng
+    row_seeds = stream_seeds(seed, 2 * samples)
     perm_vals = np.array(
         [
             run(algorithm, standard_oracle(sample_permutation(n, swaps)))[1]
-            for swaps in permutation_draws(n, draw_rng, samples)
+            for swaps, _ in stream_rows(range(n, 0, -1), row_seeds[:samples])
         ]
     )
     small_vals = np.array(
         [
             run(algorithm, standard_oracle(sample_small_range(params, draws)))[1]
-            for draws in small_range_draws(params, draw_rng, samples)
+            for draws, _ in stream_rows(params.bounds, row_seeds[samples:])
         ]
     )
     p_perm = float(perm_vals.mean())
@@ -151,13 +155,14 @@ def sweep_r(
     algorithm: QueryAlgorithm,
     n: int,
     r_values: Sequence[int],
-    samples: int,
-    rng: np.random.Generator,
+    samples: Optional[int],
+    seed: Optional[int],
     exact: bool = False,
     algorithm_id: str = "anonymous",
 ) -> list[AdvantageReport]:
     """One report per r; duplicates are dropped with a warning. An exact sweep
-    builds its permutation oracles once for all r."""
+    builds its permutation oracles once for all r; a sampled one seeds report
+    k with word k of `seed`'s stream."""
     deduped: list[int] = []
     for r in r_values:
         if r in deduped:
@@ -169,7 +174,8 @@ def sweep_r(
             raise ValueError(f"r outside [1, {n}]: {r}")
     if exact:
         return _exact_reports(algorithm, n, deduped, algorithm_id)
+    report_seeds = stream_seeds(seed, len(deduped)).tolist()
     return [
-        advantage_monte_carlo(algorithm, n, r, samples, rng, algorithm_id=algorithm_id)
-        for r in deduped
+        advantage_monte_carlo(algorithm, n, r, samples, s, algorithm_id=algorithm_id)
+        for r, s in zip(deduped, report_seeds)
     ]

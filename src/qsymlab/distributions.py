@@ -1,37 +1,52 @@
-"""Samplers and exact enumerators for index-map distributions.
+"""Samplers, the Monte Carlo stream, and exact enumerators for index-map
+distributions.
 
 The small-range distribution over maps [n] -> [n] with image size at most r
 is sampled as a composition: a uniform function into [r] followed by a
 uniform injection of [r] into [n]. The samplers are pure functions of one
-row of uniform integers: n draws into [r], then one draw into [n - k] per
-Fisher-Yates swap. `small_range_draws` and `permutation_draws` yield such
-rows, drawing a block of rows per generator call against a cached, tiled
-array of bounds. numpy draws array-bound integers element by element, so
-the rows consume the stream exactly as one call per draw, or the scalar
-form, does. A row source draws a block ahead, so it must be consumed before
-anything else draws from its generator. A row with a draw outside its
-bounds raises ValueError. The enumerator gives each map with image size
-k <= r its closed-form mass (r)_k (n-k)! / (r^n n!), serving as the
-ground-truth oracle for the samplers and for exact expectation sweeps.
+row of uniform integers below `SmallRangeParams.bounds`: n draws into [r],
+then one draw into [n - k] per Fisher-Yates swap. A row with a draw outside
+its bounds raises ValueError.
+
+All Monte Carlo randomness comes from one stream: SplitMix64 (Steele, Lea
+and Flood 2014) keyed by a seed s in [0, 2^64), whose word j is the
+SplitMix64 mix of s + (j + 1) * 0x9E3779B97F4A7C15 mod 2^64, so any word of
+any seed is computed directly, for many seeds at once. `stream_seeds`
+cuts words 0, 1, ... of one seed's stream to 63-bit seeds of other streams.
+`stream_rows` gives each seed one row and one uniform from its own stream:
+
+- word 0 is the uniform, (w >> 11) 2^-53;
+- word 1 + a w + j is attempt a of the row's draw j, for a row of width w.
+  The draw below bound b is Lemire's 32-bit multiply-shift (2019) of the
+  word's high half h: (h b) >> 32, rejected when (h b) mod 2^32 is below
+  (2^32 - b) mod b, which happens with probability below b / 2^32 and
+  never when b is a power of two. A rejected draw takes attempt a + 1.
+
+So no two quantities share a word, and a row is exact and depends on its
+seed alone. The enumerator gives each map with image size k <= r its
+closed-form mass (r)_k (n-k)! / (r^n n!), serving as the ground-truth
+oracle for the samplers and for exact expectation sweeps.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import IndexFunction
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
-_BLOCK_INTS = 4096  # ints a row source draws per generator call, unless one row is wider
+_BLOCK_INTS = 4096  # row ints `stream_rows` draws per block, unless one row is wider
+# SplitMix64's increment and its two mix multipliers
+_GAMMA, _MIX_A, _MIX_B = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_LOW32 = np.uint64(2**32 - 1)
 
 
 def enumeration_budget() -> int:
@@ -49,6 +64,11 @@ class SmallRangeParams:
             raise ValueError("n must be positive")
         if not 1 <= self.r <= self.n:
             raise ValueError(f"r must lie in [1, {self.n}], got {self.r}")
+
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        """One sampler row's bounds: r for each of the n entries, then n, n-1, ..., n-r+1."""
+        return (self.r,) * self.n + tuple(range(self.n, self.n - self.r, -1))
 
 
 @dataclass(frozen=True)
@@ -94,37 +114,60 @@ class WeightedSupport:
         return Fraction(0)
 
 
-@functools.lru_cache(maxsize=64)  # each holds at most max(_BLOCK_INTS, row width) ints
-def _block_bounds(n: int, r: int, swaps_only: bool) -> np.ndarray:
-    # one row's bounds, tiled to a block of rows: r repeated n times (the map
-    # into [r]) unless swaps_only, then n, n-1, ..., n-r+1 (the swaps)
-    row = ([] if swaps_only else [r] * n) + list(range(n, n - r, -1))
-    bounds = np.tile(np.array(row, dtype=np.int64), max(1, _BLOCK_INTS // len(row)))
-    bounds.setflags(write=False)
-    return bounds
+def _words(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Word `counters` of each seed's SplitMix64 stream, broadcast; uint64 arithmetic wraps."""
+    z = seeds + (counters + np.uint64(1)) * _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _MIX_A
+    z ^= z >> np.uint64(27)
+    z *= _MIX_B
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _rows(
-    block_bounds: np.ndarray, width: int, rng: np.random.Generator, count: int
-) -> Iterator[list[int]]:
-    per_block = len(block_bounds) // width
-    for done in range(0, count, per_block):
-        size = min(per_block, count - done) * width
-        block = rng.integers(0, block_bounds[:size]).tolist()  # at most one block of ints
-        for start in range(0, size, width):
-            yield block[start : start + width]
+def _as_seeds(seeds) -> np.ndarray:
+    # an array comes from `stream_seeds`; Python ints are checked
+    if isinstance(seeds, np.ndarray):
+        return seeds.astype(np.uint64, copy=False)
+    bad = [s for s in seeds if not 0 <= s < 2**64]
+    if bad:
+        raise ValueError(f"a stream seed must lie in [0, 2^64), got {bad[0]}")
+    return np.array(seeds, dtype=np.uint64)
 
 
-def small_range_draws(
-    params: SmallRangeParams, rng: np.random.Generator, count: int
-) -> Iterator[list[int]]:
-    """`count` rows of n + r ints for `sample_small_range`, a block per generator call."""
-    return _rows(_block_bounds(params.n, params.r, False), params.n + params.r, rng, count)
+def stream_seeds(seed: int, count: int) -> np.ndarray:
+    """Words 0..count-1 of `seed`'s stream, each cut to a seed in [0, 2^63)."""
+    return _words(_as_seeds([seed]), np.arange(count, dtype=np.uint64)) >> np.uint64(1)
 
 
-def permutation_draws(n: int, rng: np.random.Generator, count: int) -> Iterator[list[int]]:
-    """`count` rows of n ints for `sample_permutation`, a block per generator call."""
-    return _rows(_block_bounds(n, n, True), n, rng, count)
+def stream_rows(bounds: Sequence[int], seeds) -> Iterator[tuple[list[int], float]]:
+    """Each seed's `(row, uniform)`: draws below `bounds` and a float in [0, 1).
+
+    The words each takes are in the module docstring. Seeds go through in
+    blocks of at most `_BLOCK_INTS` row ints, unless one row is wider.
+    """
+    b = np.array(bounds, dtype=np.uint64)
+    width = len(b)
+    if width == 0 or not 1 <= int(b.min()) <= int(b.max()) <= 2**32:
+        raise ValueError(f"row bounds must be a non-empty list in [1, 2^32], got {list(bounds)}")
+    threshold = (2**32 - b) % b
+    lanes = np.arange(1, width + 1, dtype=np.uint64)
+    seeds = _as_seeds(seeds)
+    per_block = max(1, _BLOCK_INTS // width)
+    for start in range(0, len(seeds), per_block):
+        block = seeds[start : start + per_block, None]
+        product = (_words(block, lanes) >> np.uint64(32)) * b
+        rejected = (product & _LOW32) < threshold
+        attempt = 1
+        while rejected.any():
+            rows, cols = np.nonzero(rejected)
+            counters = (attempt * width + 1 + cols).astype(np.uint64)
+            redrawn = (_words(block[rows, 0], counters) >> np.uint64(32)) * b[cols]
+            product[rows, cols] = redrawn
+            rejected[rows, cols] = (redrawn & _LOW32) < threshold[cols]
+            attempt += 1
+        uniforms = (_words(block[:, 0], np.uint64(0)) >> np.uint64(11)) * 2.0**-53
+        yield from zip((product >> np.uint64(32)).tolist(), uniforms.tolist())
 
 
 def _check_row(draws: list[int], width: int, kind: str) -> None:
@@ -145,7 +188,7 @@ def _injection_prefix(n: int, swaps: list[int]) -> list[int]:
 
 
 def sample_small_range(params: SmallRangeParams, draws: list[int]) -> IndexFunction:
-    """The small-range map of one row of `small_range_draws`; image size is at most r."""
+    """The small-range map of one row below `params.bounds`; image size is at most r."""
     n, r = params.n, params.r
     _check_row(draws, n + r, "small-range")
     try:
@@ -157,7 +200,7 @@ def sample_small_range(params: SmallRangeParams, draws: list[int]) -> IndexFunct
 
 
 def sample_permutation(n: int, swaps: list[int]) -> IndexFunction:
-    """The permutation of [n] of one row of `permutation_draws`."""
+    """The permutation of [n] of one row below n, n-1, ..., 1."""
     _check_row(swaps, n, "permutation")
     try:
         values = tuple(_injection_prefix(n, swaps))

@@ -236,10 +236,13 @@ class QueryAlgorithm:
             raise ValueError(f"repeats must be 1 or 3, got {self.repeats}")
         dims = self.layout.dims
         ops = []
+        unitary_ops: dict = {}  # by step object: a repeated step is checked once
         for step in self.steps:
             if isinstance(step, Unitary):
-                _check_unitary_step(dims, step.matrix, step.targets)
-                ops.append((step.matrix, _axis_plan(dims, step.targets)))
+                if id(step) not in unitary_ops:
+                    _check_unitary_step(dims, step.matrix, step.targets)
+                    unitary_ops[id(step)] = (step.matrix, _axis_plan(dims, step.targets))
+                ops.append(unitary_ops[id(step)])
             elif isinstance(step, OracleCall):
                 if step.index_reg == step.value_reg:
                     raise ValueError("oracle call needs two distinct registers")

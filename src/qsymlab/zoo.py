@@ -34,8 +34,20 @@ from .statevector import (
 )
 
 
+# entries of the largest dense matrix a builder makes: 2^24 complex entries
+# take 256 MB, and Grover at n=2048 needs 2^22
+DENSE_ENTRIES_MAX = 2**24
+
+
+def _require_dense_size(name: str, d: int) -> None:
+    # checked before allocating: the index grids alone would take 16 d^2 bytes
+    if d * d > DENSE_ENTRIES_MAX:
+        raise ValueError(f"a dense {d}x{d} {name} exceeds {DENSE_ENTRIES_MAX} entries")
+
+
 def fourier_matrix(d: int) -> np.ndarray:
     """Discrete Fourier transform on a dimension-d register; column 0 is uniform."""
+    _require_dense_size("Fourier matrix", d)
     omega = np.exp(2j * np.pi / d)
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return omega ** (j * k) / np.sqrt(d)
@@ -54,6 +66,7 @@ def phase_value_prep(d: int) -> np.ndarray:
 
 def diffusion_matrix(d: int) -> np.ndarray:
     """Reflection about the uniform state on a dimension-d register."""
+    _require_dense_size("diffusion matrix", d)
     return 2.0 * np.full((d, d), 1.0 / d, dtype=complex) - np.eye(d, dtype=complex)
 
 
@@ -145,9 +158,10 @@ def grover_unique_or(n: int, iterations: int) -> ZooEntry:
     function = BooleanFunctionTable(n, 2, outputs)
     f = fourier_matrix(n)
     steps: list = [Unitary(f, (0,)), Unitary(phase_value_prep(2), (1,))]
+    diffusion = Unitary(diffusion_matrix(n), (0,))  # one step object, checked once
     for _ in range(iterations):
         steps.append(OracleCall(0, 1))
-        steps.append(Unitary(diffusion_matrix(n), (0,)))
+        steps.append(diffusion)
     steps.append(OracleCall(0, 2))
     alg = QueryAlgorithm(
         layout=RegisterLayout((n, 2, 2)),

@@ -31,7 +31,8 @@ from qsymlab.distributions import (
     enumerate_small_range_support,
     is_injective,
     sample_small_range,
-    small_range_draws,
+    stream_rows,
+    stream_seeds,
 )
 from qsymlab.oracles import ComposedOracle, standard_oracle
 from qsymlab.statevector import RegisterLayout, basis_state, run
@@ -124,9 +125,8 @@ def test_criterion_3_permutation_invariance():
 
 
 def test_criterion_4_small_range_distribution():
-    rng = np.random.default_rng(99)
     params = SmallRangeParams(16, 4)
-    for draws in small_range_draws(params, rng, 10_000):
+    for draws, _ in stream_rows(params.bounds, stream_seeds(99, 10_000)):
         assert len(image(sample_small_range(params, draws))) <= 4
 
     support = enumerate_small_range_support(SmallRangeParams(2, 2))
@@ -140,8 +140,7 @@ def test_criterion_4_small_range_distribution():
     exact = enumerate_small_range_support(small)
     draws = 100_000
     counts: dict[tuple[int, ...], int] = {}
-    sample_rng = np.random.default_rng(7)
-    for row in small_range_draws(small, sample_rng, draws):
+    for row, _ in stream_rows(small.bounds, stream_seeds(7, draws)):
         key = sample_small_range(small, row).values
         counts[key] = counts.get(key, 0) + 1
     for g, prob in exact.entries:
@@ -183,9 +182,8 @@ def test_criterion_5_compiler_exactness():
         assert dist == direct  # bit-identical floats, same arithmetic path
         assert used == len(image(fixed))
 
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        result = compile_and_run_once(entry.algorithm, x, 2, rng)
+    for seed in stream_seeds(5, 200).tolist():
+        result = compile_and_run_once(entry.algorithm, x, 2, seed=seed)
         assert result.classical_queries_used <= 2
         assert result.output_bit in (0, 1)
 
@@ -199,14 +197,13 @@ def test_criterion_6_end_to_end_pipeline():
     constant = InputString(4, 2, (1, 1, 1, 1))
     for r in (1, 3):
         assert exact_success(entry.algorithm, constant, 0, r) == pytest.approx(1.0, abs=1e-9)
-    rng = np.random.default_rng(11)
-    est_const = estimate_success(entry.algorithm, constant, 0, 2, 1000, rng)
+    est_const = estimate_success(entry.algorithm, constant, 0, 2, 1000, 11)
     assert est_const.estimate == 1.0
 
     balanced = InputString(4, 2, (0, 0, 1, 1))
     exact = exact_success(entry.algorithm, balanced, 1, 4)
     assert exact == pytest.approx(51 / 64, abs=1e-9)  # frozen regression constant
-    est = estimate_success(entry.algorithm, balanced, 1, 4, 10_000, np.random.default_rng(12))
+    est = estimate_success(entry.algorithm, balanced, 1, 4, 10_000, 12)
     sigma = math.sqrt(exact * (1 - exact) / 10_000)
     assert abs(est.estimate - exact) <= 4 * sigma
     assert all(t.classical_queries_used <= 4 for t in est.results)
@@ -221,13 +218,13 @@ def test_criterion_7_distinguisher_sanity(tmp_path):
     assert advantage_exact(zero_query_probe(4).algorithm, 4, 4).advantage == 0.0
     # full-range support at n=8 is not enumerable; sampling is still exact
     # for a 0-query circuit because every per-oracle probability coincides
-    mc_zero = advantage_monte_carlo(zero.algorithm, 8, 8, 200, np.random.default_rng(44))
+    mc_zero = advantage_monte_carlo(zero.algorithm, 8, 8, 200, 44)
     assert mc_zero.advantage == 0.0
 
     probe = collision_sniffer(4)
     exact = advantage_exact(probe.algorithm, 4, 2, algorithm_id=probe.id)
     sampled = advantage_monte_carlo(
-        probe.algorithm, 4, 2, 3000, np.random.default_rng(13), algorithm_id=probe.id
+        probe.algorithm, 4, 2, 3000, 13, algorithm_id=probe.id
     )
     se = (sampled.ci_high - sampled.ci_low) / (2 * 1.959963984540054)
     assert abs(sampled.advantage - exact.advantage) <= max(4 * se, 1e-12)

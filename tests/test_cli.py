@@ -4,9 +4,10 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from qsymlab import cli, compiler, disting, oracles, zoo
+from qsymlab import cli, compiler, disting, distributions, oracles, zoo
 
 
 def read_report(path):
@@ -94,7 +95,7 @@ class TestCompileRun:
 
     def test_benchmark_payload_is_frozen(self, tmp_path):
         # the perfbench compile-mc command at seed 1; the digest is the payload
-        # of a tree where every trial still built its own generator
+        # of a tree where every trial still drew its row from its own seed alone
         out = tmp_path / "report.json"
         argv = [
             "compile-run", "--zoo", "dj", "--n", "4", "--input", "0,1,1,0", "--r", "4",
@@ -102,7 +103,7 @@ class TestCompileRun:
         ]  # fmt: skip
         assert cli.main(argv) == 0
         assert hashlib.sha256(payload_bytes(read_report(out))).hexdigest() == (
-            "1cc17d62ef4a8782b7f7a15a399cf918fdf8a2a78f830e1298b8fd6d9e86d592"
+            "d94c20a1bd314eacbfcc7113036e20c52dc96f9c3f334b0ad513208a509cd486"
         )
 
     @pytest.mark.parametrize(
@@ -111,7 +112,7 @@ class TestCompileRun:
             (
                 ["--n", "16", "--r-list", "4,8,16,1,2", "--samples", "1000",
                  "--seed", "2127877499"],  # fmt: skip
-                "840954d70cda45fa58a22a5c3a879769a4c6e0d46867c04206e6e58e3a152da6",
+                "db5eba632e488305eb5b89a25f024da06f54337260a5c79b8c4922052e647a34",
             ),
             (
                 ["--n", "6", "--r-list", "2,3,1", "--exact", "--seed", "1095513148"],
@@ -122,11 +123,59 @@ class TestCompileRun:
     )
     def test_distinguish_benchmark_payloads_are_frozen(self, tmp_path, argv, digest):
         # the perfbench distinguish commands at seed 1; the Monte Carlo digest
-        # is the payload of a tree that made one generator call per map
+        # is the payload of a tree that drew each map's row from its own seed alone
         out = tmp_path / "report.json"
         command = ["distinguish", "--algo", "collision-sniffer", *argv, "--out", str(out)]
         assert cli.main(command) == 0
         assert hashlib.sha256(payload_bytes(read_report(out))).hexdigest() == digest
+
+    def test_payloads_never_touch_numpys_generator(self, tmp_path, monkeypatch):
+        # the compile-mc and distinguish-mc benchmark commands, and a random-promise run
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy's generator was used")
+
+        for name in ("default_rng", "Generator", "PCG64"):
+            monkeypatch.setattr(np.random, name, forbidden)
+        out = str(tmp_path / "report.json")
+        commands = [
+            ["compile-run", "--zoo", "dj", "--n", "4", "--input", "0,1,1,0", "--r", "4",
+             "--trials", "2000", "--jobs", "1", "--seed", "271041745"],
+            ["distinguish", "--algo", "collision-sniffer", "--n", "16", "--r-list", "4,8,16,1,2",
+             "--samples", "1000", "--seed", "2127877499"],
+            ["compile-run", "--zoo", "grover", "--n", "8", "--input", "random-promise", "--r", "3",
+             "--trials", "50", "--seed", "5"],
+        ]  # fmt: skip
+        for argv in commands:
+            assert cli.main(argv + ["--out", out]) == 0
+
+    @pytest.mark.parametrize("seed", [0, 5, 21])
+    def test_random_promise_and_trials_are_keyed_by_seed_words(self, tmp_path, seed):
+        # word 0 of the --seed stream seeds the choice's row, word 1 the trial seeds
+        out = tmp_path / "report.json"
+        argv = ["compile-run", "--zoo", "dj", "--n", "4", "--input", "random-promise", "--r", "2",
+                "--trials", "3", "--seed", str(seed), "--out", str(out)]  # fmt: skip
+        assert cli.main(argv) == 0
+        results = read_report(out)["results"]
+        choice_seed, trials_seed = distributions.stream_seeds(seed, 2).tolist()
+        domain = sorted(zoo.deutsch_jozsa(4).function.outputs)
+        (pick,), _ = next(distributions.stream_rows([len(domain)], [choice_seed]))
+        assert tuple(results["input_values"]) == domain[pick]
+        want = distributions.stream_seeds(trials_seed, 3).tolist()
+        assert [t["seed"] for t in results["trials_detail"]] == want
+
+    def test_seed_beyond_64_bits_is_usage_error(self, capsys):
+        assert cli.main(COMPILE_DJ[:-1] + [str(2**64), "--trials", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: a stream seed must lie in [0, 2^64), got {2**64}\n"
+        assert captured.out == ""
+
+    def test_oversized_dense_matrix_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(zoo, "DENSE_ENTRIES_MAX", 100)
+        argv = ["distinguish", "--algo", "collision-sniffer", "--n", "16", "--r-list", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: a dense 16x16 Fourier matrix exceeds 100 entries\n"
+        assert captured.out == ""
 
     def test_missing_r_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -967,26 +1016,21 @@ class TestVerify:
         assert "amplification 20/27" in captured
         assert "FAIL" not in captured
 
-    def test_seeding_that_differs_from_numpy_fails(self, capsys, monkeypatch):
-        # one wrong mixing constant: every bulk-derived trial state would differ
-        monkeypatch.setattr(compiler, "_MIX_MULT_L", compiler._MIX_MULT_L ^ 1)
+    def test_stream_that_differs_from_the_frozen_one_fails(self, capsys, monkeypatch):
+        # one wrong mixing constant: every row and uniform would differ
+        monkeypatch.setattr(distributions, "_MIX_A", distributions._MIX_A ^ np.uint64(1))
         assert cli.main(["verify"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL  bulk trial seeding and draws equal numpy's PCG64" in out
+        assert "FAIL  stream rows and uniforms equal the frozen ones" in out
         assert "13/14 checks passed" in out
 
-    def test_draws_that_differ_from_numpy_fail(self, capsys, monkeypatch):
-        # the high 32-bit half of each output first: every bulk row would differ
-        xsl_rr = compiler._xsl_rr
-
-        def halves_swapped(high, low):
-            out = xsl_rr(high, low)
-            return out << 32 | out >> 32
-
-        monkeypatch.setattr(compiler, "_xsl_rr", halves_swapped)
+    def test_draws_from_the_low_half_fail(self, capsys, monkeypatch):
+        # the low 32-bit half of each word in place of the high one
+        words = distributions._words
+        monkeypatch.setattr(distributions, "_words", lambda *args: words(*args) << np.uint64(32))
         assert cli.main(["verify"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL  bulk trial seeding and draws equal numpy's PCG64" in out
+        assert "FAIL  stream rows and uniforms equal the frozen ones" in out
         assert "13/14 checks passed" in out
 
     def test_injected_gadget_bug_fails(self, capsys, monkeypatch):

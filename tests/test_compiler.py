@@ -8,7 +8,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qsymlab import compiler, oracles
@@ -25,7 +24,12 @@ from qsymlab.compiler import (
     with_gadget_ancilla,
 )
 from qsymlab.core import IndexFunction, InputString, compose_input, image
-from qsymlab.distributions import SmallRangeParams, enumerate_small_range_support
+from qsymlab.distributions import (
+    SmallRangeParams,
+    enumerate_small_range_support,
+    stream_rows,
+    stream_seeds,
+)
 from qsymlab.oracles import ClassicalOracle, ComposedOracle, StandardOracle, standard_oracle
 from qsymlab.statevector import (
     OutputRule,
@@ -71,16 +75,10 @@ def composed_table(x, index_map):
 def fake_pool(monkeypatch):
     """An in-process stand-in for `ProcessPoolExecutor`; no process starts.
 
-    It records each pool's width and, per task, the task's seeds and the
-    `PCG64` generators the task built. A task goes through pickle first, as
-    it would on its way to a worker.
+    It records each pool's width and each task's seeds. A task goes through
+    pickle first, as it would on its way to a worker.
     """
-    pools, built = [], []
-    pcg64 = np.random.PCG64
-
-    def counting(*args, **kwargs):
-        built.append(args)
-        return pcg64(*args, **kwargs)
+    pools = []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -96,11 +94,9 @@ def fake_pool(monkeypatch):
         def map(self, fn, seed_slices):
             for seeds in seed_slices:
                 task, seeds = pickle.loads(pickle.dumps((fn, seeds)))
-                before = len(built)
                 yield task(seeds)
-                self.tasks.append((seeds, len(built) - before))
+                self.tasks.append(seeds)
 
-    monkeypatch.setattr(np.random, "PCG64", counting)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return pools
 
@@ -221,49 +217,55 @@ class TestCompileAndRunOnce:
     def test_r_range_enforced(self):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 0, 1, 1))
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="outside"):
-            compile_and_run_once(entry.algorithm, x, 5, rng)
+            compile_and_run_once(entry.algorithm, x, 5, seed=0)
 
     def test_queries_bounded_by_r(self):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 0, 1, 1))
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            result = compile_and_run_once(entry.algorithm, x, 2, rng)
+        for seed in range(100):
+            result = compile_and_run_once(entry.algorithm, x, 2, seed=seed)
             assert result.classical_queries_used <= 2
             assert result.classical_queries_used == len(image(result.sampled_C))
 
     def test_seed_replays_exactly(self):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 1, 0, 1))
-        rng = np.random.default_rng(2)
-        first = compile_and_run_once(entry.algorithm, x, 3, rng)
-        replay = compile_and_run_once(entry.algorithm, x, 3, seed=first.seed)
-        assert replay == first
+        first = compile_and_run_once(entry.algorithm, x, 3, seed=2)
+        assert first.seed == 2
+        assert compile_and_run_once(entry.algorithm, x, 3, seed=first.seed) == first
+
+    def test_seed_is_required(self):
+        x = InputString(4, 2, (0, 1, 1, 0))
+        with pytest.raises(TypeError, match="seed"):
+            compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2)
+
+    def test_passed_draws_are_the_seeds_own(self):
+        x = InputString(4, 2, (0, 1, 1, 0))
+        draws = next(stream_rows(SmallRangeParams(4, 2).bounds, [5]))
+        passed = compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5, draws=draws)
+        assert passed == compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5)
 
     def test_constant_input_always_succeeds(self):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 0, 0, 0))
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            assert compile_and_run_once(entry.algorithm, x, 2, rng).output_bit == 0
+        for seed in range(50):
+            assert compile_and_run_once(entry.algorithm, x, 2, seed=seed).output_bit == 0
 
 
 class TestEstimateSuccess:
     def test_constant_input_estimate_is_one(self):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (1, 1, 1, 1))
-        rng = np.random.default_rng(4)
-        est = estimate_success(entry.algorithm, x, 0, 2, 500, rng)
+        est = estimate_success(entry.algorithm, x, 0, 2, 500, 4)
         assert est.estimate == 1.0
         assert est.ci_low > 0.99
 
     def test_same_seed_reproduces(self):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 1, 1, 0))
-        a = estimate_success(entry.algorithm, x, 1, 4, 200, np.random.default_rng(7))
-        b = estimate_success(entry.algorithm, x, 1, 4, 200, np.random.default_rng(7))
+        a = estimate_success(entry.algorithm, x, 1, 4, 200, 7)
+        b = estimate_success(entry.algorithm, x, 1, 4, 200, 7)
         assert a == b
 
     @pytest.mark.parametrize("jobs", [2, 3])
@@ -274,9 +276,9 @@ class TestEstimateSuccess:
         monkeypatch.setattr(os, "cpu_count", lambda: min(cpus, 2))
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 1, 1, 0))
-        serial = estimate_success(entry.algorithm, x, 1, 4, trials, np.random.default_rng(8))
+        serial = estimate_success(entry.algorithm, x, 1, 4, trials, 8)
         parallel = estimate_success(
-            entry.algorithm, x, 1, 4, trials, np.random.default_rng(8), jobs=jobs
+            entry.algorithm, x, 1, 4, trials, 8, jobs=jobs
         )
         assert [t.seed for t in parallel.results] == [t.seed for t in serial.results]
         assert serial == parallel
@@ -290,7 +292,7 @@ class TestEstimateSuccess:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         x = InputString(4, 2, (0, 1, 1, 0))
         est = estimate_success(
-            deutsch_jozsa(4).algorithm, x, 1, 4, trials, np.random.default_rng(8), jobs=jobs
+            deutsch_jozsa(4).algorithm, x, 1, 4, trials, 8, jobs=jobs
         )
         assert len(est.results) == trials
         if width == 1:
@@ -305,50 +307,46 @@ class TestEstimateSuccess:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 1, 1, 0))
-        serial = estimate_success(entry.algorithm, x, 1, 4, trials, np.random.default_rng(8))
+        serial = estimate_success(entry.algorithm, x, 1, 4, trials, 8)
         parallel = estimate_success(
-            entry.algorithm, x, 1, 4, trials, np.random.default_rng(8), jobs=jobs
+            entry.algorithm, x, 1, 4, trials, 8, jobs=jobs
         )
         assert parallel == serial
         [pool] = fake_pool
-        slices = [seeds.tolist() for seeds, _ in pool.tasks]
+        slices = [seeds.tolist() for seeds in pool.tasks]
         assert len(slices) == min(jobs, trials) and all(slices)
         assert sum(slices, []) == [t.seed for t in serial.results]
-        assert all(generators <= 1 for _, generators in pool.tasks)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("r", [0, 5])
     def test_r_outside_range_rejected_before_any_draw(self, monkeypatch, fake_pool, jobs, r):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        x, rng = InputString(4, 2, (0, 1, 1, 0)), np.random.default_rng(8)
-        before = rng.bit_generator.state
+        def no_draw(*args):
+            raise AssertionError("a seed was drawn")
+
+        monkeypatch.setattr(compiler, "stream_seeds", no_draw)
+        x = InputString(4, 2, (0, 1, 1, 0))
         with pytest.raises(ValueError, match="r outside"):
-            estimate_success(deutsch_jozsa(4).algorithm, x, 1, r, 3, rng, jobs=jobs)
-        assert rng.bit_generator.state == before  # no seed was drawn
+            estimate_success(deutsch_jozsa(4).algorithm, x, 1, r, 3, 8, jobs=jobs)
         assert fake_pool == []  # no pool was started
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
-        x, rng = InputString(4, 2, (0, 1, 1, 0)), np.random.default_rng(8)
+        x = InputString(4, 2, (0, 1, 1, 0))
         with pytest.raises(ValueError, match="jobs must be positive"):
-            estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, 3, rng, jobs=jobs)
+            estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, 3, 8, jobs=jobs)
 
     @pytest.mark.parametrize("trials", [1, 2, 2000])
-    def test_trial_seeds_match_one_draw_per_trial(self, monkeypatch, trials):
-        # the seeds come from one generator call; it must consume the stream
-        # as the former one-call-per-trial loop did
+    def test_trial_seeds_are_the_words_of_the_seed_stream(self, monkeypatch, trials):
         def record_seed(alg, x, r, *, seed, oracles=None, draws=None):
             return CompiledRunResult(0, 1, IndexFunction(4, (0, 0, 0, 0)), False, seed)
 
         monkeypatch.setattr(compiler, "compile_and_run_once", record_seed)
         x = InputString(4, 2, (0, 1, 1, 0))
-        for seed in (0, 1, 8, 2**32 + 5):
-            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            est = estimate_success(deutsch_jozsa(4).algorithm, x, 0, 4, trials, rng)
-            want = [int(reference.integers(0, 2**63)) for _ in range(trials)]
-            assert [t.seed for t in est.results] == want
-            assert all(type(t.seed) is int for t in est.results)
-            assert rng.integers(0, 2**63) == reference.integers(0, 2**63)
+        for seed in (0, 1, 8, 2**32 + 5, 2**64 - 1):
+            est = estimate_success(deutsch_jozsa(4).algorithm, x, 0, 4, trials, seed)
+            assert [t.seed for t in est.results] == stream_seeds(seed, trials).tolist()
+            assert all(type(t.seed) is int and 0 <= t.seed < 2**63 for t in est.results)
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # only jobs > 1 needs concurrent.futures.process and multiprocessing
@@ -366,8 +364,7 @@ class TestEstimateSuccess:
         x = InputString(4, 2, (0, 0, 1, 1))
         exact = exact_success(entry.algorithm, x, 1, 4)
         assert exact == pytest.approx(51 / 64, abs=1e-9)
-        rng = np.random.default_rng(9)
-        est = estimate_success(entry.algorithm, x, 1, 4, 2000, rng)
+        est = estimate_success(entry.algorithm, x, 1, 4, 2000, 9)
         sigma = math.sqrt(exact * (1 - exact) / 2000)
         assert abs(est.estimate - exact) <= 4 * sigma
 
@@ -398,8 +395,7 @@ class TestExactSuccess:
             weight = math.comb(n, w) * (1 / n) ** w * (1 - 1 / n) ** (n - w)
             p_w = math.sin((2 * k + 1) * math.asin(math.sqrt(w / n))) ** 2 if w else 0.0
             expected += weight * majority3_prob(p_w)
-        rng = np.random.default_rng(10)
-        est = estimate_success(entry.algorithm, x, 1, n, 2000, rng)
+        est = estimate_success(entry.algorithm, x, 1, n, 2000, 10)
         sigma = math.sqrt(expected * (1 - expected) / 2000)
         assert abs(est.estimate - expected) <= 4 * sigma
 
@@ -472,7 +468,7 @@ class TestEstimateSuccessSharesOracles:
             ],
         )
         x = InputString(4, 2, (0, 1, 1, 0))
-        est = estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, 2000, np.random.default_rng(14))
+        est = estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, 2000, 14)
         tables = {composed_table(x, t.sampled_C) for t in est.results}
         assert len(tables) <= 16
         # every trial still samples, reads, composes and runs three passes
@@ -497,158 +493,19 @@ class TestEstimateSuccessSharesOracles:
         self, monkeypatch, entry, x, trials, built
     ):
         counts = count_calls(monkeypatch, [(StandardOracle, "__init__")])
-        est = estimate_success(entry.algorithm, x, 1, 4, trials, np.random.default_rng(15))
+        est = estimate_success(entry.algorithm, x, 1, 4, trials, 15)
         if built is None:  # M^n <= trials: one oracle per distinct table
             built = len({composed_table(x, t.sampled_C) for t in est.results})
             assert built < trials
         assert counts["__init__"] == built
 
-    @pytest.mark.parametrize("trials", [16, 300])
+    @pytest.mark.parametrize("trials", [16, 300, 600])  # 600 spans two blocks of 585 rows
     def test_trial_replays_alone(self, trials):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (1, 0, 0, 1))
-        est = estimate_success(entry.algorithm, x, 1, 3, trials, np.random.default_rng(16))
+        est = estimate_success(entry.algorithm, x, 1, 3, trials, 16)
         replayed = [compile_and_run_once(entry.algorithm, x, 3, seed=t.seed) for t in est.results]
         assert replayed == list(est.results)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
-    def test_trial_generator_draws_the_default_rng_stream(self, seed):
-        fast, reference = np.random.Generator(np.random.PCG64(seed)), np.random.default_rng(seed)
-        assert fast.bit_generator.state == reference.bit_generator.state
-        bounds = np.array([4] * 8 + [8, 7, 6, 5])
-        for _ in range(20):
-            assert fast.integers(0, bounds).tolist() == reference.integers(0, bounds).tolist()
-        assert fast.random(50).tolist() == reference.random(50).tolist()
-
-    def test_bulk_states_equal_numpy_seeding(self):
-        edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
-        seeds = edges + np.random.default_rng(2024).integers(0, 2**63, size=10**4).tolist()
-        assert state_dicts(seeds) == [np.random.PCG64(s).state for s in seeds]
-
-    @pytest.mark.parametrize("trials", [1, 17, 600])
-    def test_one_job_builds_at_most_one_generator(self, monkeypatch, trials):
-        built = []
-        pcg64 = np.random.PCG64
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return pcg64(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "PCG64", counting)
-        x = InputString(4, 2, (0, 1, 1, 0))
-        est = estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, trials, np.random.default_rng(3))
-        assert len(est.results) == trials
-        assert built == []  # none at all: the bulk pass makes every trial's draws
-
-    def test_draws_need_their_seed(self):
-        x = InputString(4, 2, (0, 1, 1, 0))
-        draws = numpy_draws(SmallRangeParams(4, 2), 5)
-        with pytest.raises(ValueError, match="seed"):
-            compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, draws=draws)
-        passed = compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5, draws=draws)
-        assert passed == compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5)
-
-
-def state_dicts(seeds):
-    """`PCG64(s).state` for each seed, from the vectorized seeding pass."""
-    (state_high, state_low), (inc_high, inc_low) = compiler._pcg64_states(seeds)
-    columns = (a.tolist() for a in (state_high, state_low, inc_high, inc_low))
-    return [
-        {
-            "bit_generator": "PCG64",
-            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for sh, sl, ih, il in zip(*columns)
-    ]
-
-
-def numpy_draws(params, seed):
-    """A trial's (row, uniform) as numpy draws them: `integers(0, bounds)`, then `random()`."""
-    bounds = [params.r] * params.n + list(range(params.n, params.n - params.r, -1))
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, bounds).tolist(), rng.random()
-
-
-def rejecting_state(inc):
-    """A PCG64 (state, inc) whose next state has equal halves, so its next output is 0."""
-    after = (7 << 64) | 7
-    return (after - inc) * pow(compiler._PCG64_MULT, -1, 2**128) % 2**128, inc
-
-
-class TestTrialDraws:
-    EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
-
-    @pytest.mark.parametrize(
-        "n, r", [(4, 4), (7, 3), (16, 4), (5, 1), (1, 1), (2, 2), (3, 2)],
-        ids=["dj-4-4", "7-3", "16-4", "5-1", "1-1", "2-2", "3-2"],
-    )  # fmt: skip
-    def test_equal_numpy_draws(self, n, r):
-        # r = n ends the row with a bound of 1, which draws nothing; (4, 4)
-        # draws an odd number of 32-bit halves, so random() skips a buffered one
-        params = SmallRangeParams(n, r)
-        count = 10**4 if (n, r) in ((4, 4), (7, 3)) else 700
-        drawn = np.random.default_rng(n * 31 + r).integers(0, 2**63, size=count).tolist()
-        seeds = self.EDGES + drawn
-        got = list(compiler._trial_draws(params, np.array(seeds)))
-        assert got == [numpy_draws(params, s) for s in seeds]
-
-    def test_long_jump_ahead(self):
-        params = SmallRangeParams(2048, 2048)
-        seeds = [0, 2**63 - 1, 91]
-        got = list(compiler._trial_draws(params, np.array(seeds)))
-        assert got == [numpy_draws(params, s) for s in seeds]
-
-    @pytest.mark.parametrize("trials", [1, 511, 512, 513, 3 * 512 + 5])
-    def test_partial_blocks(self, trials):
-        # 4096 row ints hold 512 DJ n=4 r=4 rows
-        params = SmallRangeParams(4, 4)
-        seeds = np.random.default_rng(trials).integers(0, 2**63, size=trials)
-        got = list(compiler._trial_draws(params, seeds))
-        assert got == [numpy_draws(params, s) for s in seeds.tolist()]
-
-    def test_blocks_stay_within_block_ints(self, monkeypatch):
-        widths = []
-        xsl_rr = compiler._xsl_rr
-
-        def recording(high, low):
-            widths.append(high.shape[1])
-            return xsl_rr(high, low)
-
-        monkeypatch.setattr(compiler, "_xsl_rr", recording)
-        seeds = np.arange(2000)
-        assert len(list(compiler._trial_draws(SmallRangeParams(4, 4), seeds))) == 2000
-        assert widths == [512, 512, 512, 464]
-
-    def test_rejected_lane_is_flagged_and_replayed(self, monkeypatch):
-        # at bound 3, Lemire rejects exactly the 32-bit half 0; the crafted
-        # lane's first output is 0, so its first draw would be rejected
-        seeds = np.random.default_rng(19).integers(0, 2**63, size=40)
-        lane = 13
-        states = compiler._pcg64_states(seeds)
-        inc = states[1][0][lane].item() << 64 | states[1][1][lane].item()
-        state, _ = rejecting_state(inc)
-        states[0][0][lane], states[0][1][lane] = state >> 64, state & (2**64 - 1)
-        params = SmallRangeParams(4, 3)
-
-        crafted = np.random.Generator(np.random.PCG64(0))
-        crafted.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        assert crafted.integers(0, 2**32, dtype=np.uint64) == 0
-        monkeypatch.setattr(compiler, "_pcg64_states", lambda _: states)
-        draws = list(compiler._trial_draws(params, seeds))
-        assert [k for k, d in enumerate(draws) if d is None] == [lane]
-
-        x = InputString(4, 2, (0, 1, 1, 0))
-        alg = amplify_majority3(deutsch_jozsa(4).algorithm)
-        trials = compiler._run_trials(alg, x, 3, seeds)
-        monkeypatch.undo()
-        assert trials == [compile_and_run_once(alg, x, 3, seed=s) for s in seeds.tolist()]
 
 
 class TestCompiledTrialStaysOnImage:
@@ -678,7 +535,7 @@ class TestCompiledTrialStaysOnImage:
 
         monkeypatch.setattr(ClassicalOracle, "lookup", recording_lookup)
         monkeypatch.setattr(compiler, "compile_and_run_once", recording_trial)
-        est = estimate_success(entry.algorithm, x, 1, r, trials, np.random.default_rng(17))
+        est = estimate_success(entry.algorithm, x, 1, r, trials, 17)
         monkeypatch.undo()
         assert len(looked) == trials
         off_image_differs = 0

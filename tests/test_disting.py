@@ -6,6 +6,13 @@ import pytest
 
 from qsymlab import cli, disting, oracles
 from qsymlab.disting import advantage_exact, advantage_monte_carlo, sweep_r
+from qsymlab.distributions import (
+    SmallRangeParams,
+    sample_permutation,
+    sample_small_range,
+    stream_rows,
+    stream_seeds,
+)
 from qsymlab.statevector import run
 from qsymlab.zoo import collision_sniffer, zero_query_probe
 
@@ -80,81 +87,51 @@ class TestAdvantageMonteCarlo:
     def test_matches_exact_within_four_sigma(self):
         probe = collision_sniffer(4)
         exact = advantage_exact(probe.algorithm, 4, 2)
-        rng = np.random.default_rng(11)
-        sampled = advantage_monte_carlo(probe.algorithm, 4, 2, 3000, rng)
+        sampled = advantage_monte_carlo(probe.algorithm, 4, 2, 3000, 11)
         se = (sampled.ci_high - sampled.ci_low) / (2 * 1.959963984540054)
         assert abs(sampled.advantage - exact.advantage) <= max(4 * se, 1e-12)
 
     def test_in_unit_interval(self):
         probe = collision_sniffer(8)
-        rng = np.random.default_rng(12)
         for r in (1, 4, 8):
-            rep = advantage_monte_carlo(probe.algorithm, 8, r, 100, rng)
+            rep = advantage_monte_carlo(probe.algorithm, 8, r, 100, 12)
             assert 0.0 <= rep.advantage <= 1.0
             assert 0.0 <= rep.ci_low <= rep.ci_high <= 1.0
 
     def test_seed_recorded_and_reproducible(self):
         probe = collision_sniffer(4)
-        a = advantage_monte_carlo(probe.algorithm, 4, 2, 50, np.random.default_rng(13))
-        b = advantage_monte_carlo(probe.algorithm, 4, 2, 50, np.random.default_rng(13))
+        a = advantage_monte_carlo(probe.algorithm, 4, 2, 50, 13)
+        b = advantage_monte_carlo(probe.algorithm, 4, 2, 50, 13)
         assert a == b
-        assert a.seed is not None
+        assert a.seed == 13
 
     def test_zero_query_sampled_is_zero(self):
         probe = zero_query_probe(6)
-        rep = advantage_monte_carlo(probe.algorithm, 6, 3, 40, np.random.default_rng(14))
+        rep = advantage_monte_carlo(probe.algorithm, 6, 3, 40, 14)
         assert rep.advantage == 0.0
 
-    def test_rows_come_in_blocks_and_each_source_is_used_up_first(self, monkeypatch):
-        n, r, samples = 16, 4, 1000
-        events = []
-        default_rng = np.random.default_rng
-
-        class SpyGenerator:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
-
-            def integers(self, low, high):
-                events.append(("draw", np.size(high)))
-                return self.rng.integers(low, high)
-
-        def recorded(name, sampler):
-            return lambda *args: events.append((name, 1)) or sampler(*args)
-
-        rng = default_rng(15)
-        monkeypatch.setattr(np.random, "default_rng", SpyGenerator)
-        for name, kind in (("sample_permutation", "perm"), ("sample_small_range", "small")):
-            monkeypatch.setattr(disting, name, recorded(kind, getattr(disting, name)))
+    def test_each_row_comes_from_its_own_seed(self):
+        n, r, samples = 16, 4, 300
         probe = collision_sniffer(n)
-        report = advantage_monte_carlo(probe.algorithm, n, r, samples, rng)
-        monkeypatch.undo()
+        report = advantage_monte_carlo(probe.algorithm, n, r, samples, 15)
+        assert report.seed == 15
+        assert advantage_monte_carlo(probe.algorithm, n, r, samples, report.seed) == report
 
-        draws = [size for kind, size in events if kind == "draw"]
-        # no call draws more than a block, so the rows are never all built at once
-        assert max(draws) <= 4096 < samples * (2 * n + r)
-        last_perm = max(i for i, (kind, _) in enumerate(events) if kind == "perm")
-        before = [size for kind, size in events[:last_perm] if kind == "draw"]
-        after = [size for kind, size in events[last_perm:] if kind == "draw"]
-        # the permutation source is used up before the small-range source draws
-        assert sum(before) == samples * n and sum(after) == samples * (n + r)
-        assert all(kind != "small" for kind, _ in events[:last_perm])
-
-        # the same maps, in the same order, as one generator call per map
-        reference = np.random.default_rng(report.seed)
-        perm_bounds = np.arange(n, 0, -1)
-        small_bounds = np.array([r] * n + list(range(n, n - r, -1)))
-        params = disting.SmallRangeParams(n, r)
+        # row i of each side drawn alone: words i and samples + i of the report's stream
+        row_seeds = stream_seeds(report.seed, 2 * samples).tolist()
+        params = SmallRangeParams(n, r)
 
         def p_one(index_map):
             return run(probe.algorithm, oracles.standard_oracle(index_map))[1]
 
+        def alone(bounds, seed):
+            return next(stream_rows(bounds, [seed]))[0]
+
         perm_vals = [
-            p_one(disting.sample_permutation(n, reference.integers(0, perm_bounds).tolist()))
-            for _ in range(samples)
+            p_one(sample_permutation(n, alone(range(n, 0, -1), s))) for s in row_seeds[:samples]
         ]
         small_vals = [
-            p_one(disting.sample_small_range(params, reference.integers(0, small_bounds).tolist()))
-            for _ in range(samples)
+            p_one(sample_small_range(params, alone(params.bounds, s))) for s in row_seeds[samples:]
         ]
         assert report.perm_prob[1] == float(np.array(perm_vals).mean())
         assert report.smallrange_prob[1] == float(np.array(small_vals).mean())
@@ -163,7 +140,7 @@ class TestAdvantageMonteCarlo:
 class TestSweep:
     def test_empty_r_list(self):
         probe = collision_sniffer(4)
-        assert sweep_r(probe.algorithm, 4, [], 10, np.random.default_rng(0)) == []
+        assert sweep_r(probe.algorithm, 4, [], 10, 0) == []
         assert sweep_r(probe.algorithm, 4, [], None, None, exact=True) == []
 
     def test_exact_sweep_builds_the_permutation_oracles_once(self, monkeypatch):
@@ -214,18 +191,26 @@ class TestSweep:
     def test_duplicates_warn_and_dedupe(self):
         probe = collision_sniffer(4)
         with pytest.warns(UserWarning, match="duplicate"):
-            reports = sweep_r(probe.algorithm, 4, [2, 2, 3], 20, np.random.default_rng(1))
+            reports = sweep_r(probe.algorithm, 4, [2, 2, 3], 20, 1)
         assert [rep.r for rep in reports] == [2, 3]
+
+    def test_report_k_is_seeded_by_word_k_and_replays(self):
+        probe = collision_sniffer(4)
+        reports = sweep_r(probe.algorithm, 4, [3, 1, 2], 40, 9, algorithm_id="s")
+        assert [rep.seed for rep in reports] == stream_seeds(9, 3).tolist()
+        for rep in reports:
+            replay = advantage_monte_carlo(probe.algorithm, 4, rep.r, 40, rep.seed, algorithm_id="s")
+            assert replay == rep
 
     def test_r_validated(self):
         probe = collision_sniffer(4)
         with pytest.raises(ValueError, match="outside"):
-            sweep_r(probe.algorithm, 4, [0], 20, np.random.default_rng(2))
+            sweep_r(probe.algorithm, 4, [0], 20, 2)
 
     def test_curve_at_sixteen(self):
         probe = collision_sniffer(16)
         reports = sweep_r(
-            probe.algorithm, 16, [1, 2, 4, 8, 16], 150, np.random.default_rng(3)
+            probe.algorithm, 16, [1, 2, 4, 8, 16], 150, 3
         )
         assert len(reports) == 5
         # r = 1 forces constant maps: the probe accepts them always, so the
@@ -235,7 +220,7 @@ class TestSweep:
     def test_csv_round_trip(self, tmp_path):
         # the CLI's CSV of a sweep reads back as the sweep's own reports
         probe = collision_sniffer(4)
-        reports = sweep_r(probe.algorithm, 4, [1, 2], 30, np.random.default_rng(4))
+        reports = sweep_r(probe.algorithm, 4, [1, 2], 30, 4)
         path = tmp_path / "curve.csv"
         code = cli.main(
             [

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsymlab import distributions
 from qsymlab.core import IndexFunction, image
 from qsymlab.distributions import (
     SmallRangeParams,
@@ -14,10 +17,10 @@ from qsymlab.distributions import (
     enumerate_small_range_support,
     enumeration_budget,
     is_injective,
-    permutation_draws,
     sample_permutation,
     sample_small_range,
-    small_range_draws,
+    stream_rows,
+    stream_seeds,
 )
 
 
@@ -32,143 +35,156 @@ def _pair_walk(n, r):
     return [(values, acc[values]) for values in sorted(acc)]
 
 
-def _scalar_shuffle_prefix(n, r, rng):
-    # the sampler's former stream: one generator call per Fisher-Yates swap
-    cells = list(range(n))
-    for k in range(r):
-        swap = k + int(rng.integers(0, n - k))
-        cells[k], cells[swap] = cells[swap], cells[k]
-    return cells[:r]
+MASK64 = 2**64 - 1
 
 
-def _scalar_small_range(n, r, rng):
-    into_range = rng.integers(0, r, size=n)
-    injection = _scalar_shuffle_prefix(n, r, rng)
-    return tuple(injection[v] for v in into_range)
+def splitmix64(seed):
+    """The scalar SplitMix64 generator (Steele, Lea and Flood 2014): its outputs in turn."""
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
 
 
-def _small_range_bounds(n, r):
-    return [r] * n + list(range(n, n - r, -1))
+def reference_row(bounds, seed):
+    """A seed's (row, uniform), one scalar output at a time.
+
+    Output 0 of the seed's generator is the uniform; output 1 + a * width + j
+    is attempt a of draw j, taken by Lemire's 32-bit method on its high half.
+    """
+    outputs, words = splitmix64(seed), []
+
+    def word(k):
+        while len(words) <= k:
+            words.append(next(outputs))
+        return words[k]
+
+    row = []
+    for j, b in enumerate(bounds):
+        attempt = 0
+        while True:
+            product = (word(1 + attempt * len(bounds) + j) >> 32) * b
+            if product % 2**32 >= (2**32 - b) % b:
+                break
+            attempt += 1
+        row.append(product >> 32)
+    return row, (word(0) >> 11) / 2**53
 
 
-def _per_row(bounds, rng, count):
-    # one generator call per row, as the samplers drew before block draws
-    return [rng.integers(0, np.array(bounds)).tolist() for _ in range(count)]
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
 
 
-def _maps(params, rows):
-    return [sample_small_range(params, row).values for row in rows]
+def seeds_for(count, key):
+    """The edge seeds, then `count` random 64-bit seeds."""
+    return EDGE_SEEDS + [random.Random(key).getrandbits(64) for _ in range(count)]
 
 
-class SpyGenerator:
-    """A generator that records how many ints each `integers` call draws."""
+class TestStream:
+    """`stream_rows` and `stream_seeds` against the scalar SplitMix64 reference."""
 
-    def __init__(self, rng):
-        self.rng = rng
-        self.drawn = []
+    @pytest.mark.parametrize(
+        "n, r, count",
+        [(4, 4, 10**4), (7, 3, 10**4), (16, 4, 700), (5, 1, 700), (1, 1, 700), (3, 2, 700)],
+        ids=["dj-4-4", "7-3", "16-4", "5-1", "1-1", "3-2"],
+    )
+    def test_rows_equal_the_scalar_reference(self, n, r, count):
+        # r = n ends a row with a bound of 1; (3, 2) has an odd width, and
+        # (7, 3) and (3, 2) have bounds that are not powers of two
+        bounds = SmallRangeParams(n, r).bounds
+        seeds = seeds_for(count, n * 31 + r)
+        got = list(stream_rows(bounds, seeds))
+        assert got == [reference_row(bounds, s) for s in seeds]
+        assert all(type(v) is int for row, _ in got for v in row)
 
-    def integers(self, low, high):
-        self.drawn.append(np.size(high))
-        return self.rng.integers(low, high)
+    @pytest.mark.parametrize("n", [1, 5, 16, 17])
+    def test_permutation_rows_equal_the_scalar_reference(self, n):
+        bounds = range(n, 0, -1)
+        seeds = seeds_for(300, n)
+        assert list(stream_rows(bounds, seeds)) == [reference_row(bounds, s) for s in seeds]
 
+    def test_widest_row(self):
+        # n = 2048 at r = n: one 4096-int row per block
+        bounds = SmallRangeParams(2048, 2048).bounds
+        seeds = [0, 2**63 - 1, 91]
+        assert list(stream_rows(bounds, seeds)) == [reference_row(bounds, s) for s in seeds]
 
-class TestSamplerStream:
-    """Rows from the row sources consume the stream as the scalar form does."""
+    @pytest.mark.parametrize("count", [1, 511, 512, 513, 3 * 512 + 5])
+    def test_partial_blocks(self, count):
+        # 4096 row ints hold 512 DJ n=4 r=4 rows
+        bounds = SmallRangeParams(4, 4).bounds
+        seeds = seeds_for(count, count)[-count:]
+        assert list(stream_rows(bounds, seeds)) == [reference_row(bounds, s) for s in seeds]
 
-    SEEDS = (0, 1, 7, 2**31 - 1)
+    def test_seed_words(self):
+        for seed in seeds_for(100, 7):
+            words = itertools.islice(splitmix64(seed), 40)
+            assert stream_seeds(seed, 40).tolist() == [w >> 1 for w in words]
 
-    @pytest.mark.parametrize("n", range(1, 18))
-    def test_small_range_matches_scalar_form(self, n):
-        for seed in self.SEEDS:
-            for r in range(1, n + 1):
-                params = SmallRangeParams(n, r)
-                rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-                # a three-row block, then a one-row source
-                rows = list(small_range_draws(params, rng, 3))
-                rows += small_range_draws(params, rng, 1)
-                for row in rows:
-                    drawn = sample_small_range(params, row).values
-                    assert drawn == _scalar_small_range(n, r, reference)
-                assert rng.random() == reference.random()
+    def test_blocks_stay_within_block_ints(self, monkeypatch):
+        shapes = []
+        words = distributions._words
 
-    @pytest.mark.parametrize("n", range(1, 18))
-    def test_permutation_matches_scalar_form(self, n):
-        for seed in self.SEEDS:
-            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            rows = list(permutation_draws(n, rng, 3))
-            rows += permutation_draws(n, rng, 1)
-            for row in rows:
-                assert sample_permutation(n, row).values == tuple(
-                    _scalar_shuffle_prefix(n, n, reference)
-                )
-            assert rng.random() == reference.random()
+        def recording(seeds, counters):
+            shapes.append(np.broadcast_shapes(np.shape(seeds), np.shape(counters)))
+            return words(seeds, counters)
 
+        monkeypatch.setattr(distributions, "_words", recording)
+        assert len(list(stream_rows(SmallRangeParams(4, 4).bounds, range(2000)))) == 2000
+        # each block takes its row words, then its uniforms
+        assert shapes == [(512, 8), (512,)] * 3 + [(464, 8), (464,)]
 
-# (n, r): row widths n + r of 17, 20, 32, 9, 8, 2, 5 and 4102 (above one block)
-ROW_SHAPES = [(16, 1), (16, 4), (16, 16), (6, 3), (4, 4), (1, 1), (3, 2), (4100, 2)]
+    def test_rejected_draw_takes_its_next_attempt(self, monkeypatch):
+        # bounds 3 and 5 reject a high half h when (h b) mod 2^32 < 1, so only
+        # h = 0; h = 0xAAAAAAAB leaves exactly 1 at b = 3, so it is accepted
+        highs = {0: 0, 1: 0, 2: 2**31, 3: 0, 5: 0xAAAAAAAB}
+        asked = []
+
+        def crafted(seeds, counters):
+            shape = np.broadcast_shapes(np.shape(seeds), np.shape(counters))
+            flat = np.broadcast_to(counters, shape).ravel().tolist()
+            asked.append(flat)
+            return np.array([highs[c] << 32 for c in flat], dtype=np.uint64).reshape(shape)
+
+        monkeypatch.setattr(distributions, "_words", crafted)
+        assert list(stream_rows([3, 5], [9])) == [([2, 2], 0.0)]
+        # draw 0 takes attempts 0, 1 and 2 at counters 1, 3 and 5; draw 1 keeps counter 2
+        assert asked == [[1, 2], [3], [5], [0]]
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, 7, 12, 100])
+    def test_uniform_per_bound(self, bound):
+        draws = 20_000
+        counts = Counter(row[0] for row, _ in stream_rows([bound], stream_seeds(bound, draws)))
+        assert set(counts) == set(range(bound))
+        p = 1 / bound
+        sigma = math.sqrt(p * (1 - p) / draws)
+        for value in range(bound):
+            assert abs(counts[value] / draws - p) <= 4 * sigma
+
+    def test_uniforms_are_uniform(self):
+        draws = 20_000
+        uniforms = [u for _, u in stream_rows([1], stream_seeds(3, draws))]
+        assert all(0.0 <= u < 1.0 for u in uniforms)
+        counts = Counter(int(10 * u) for u in uniforms)
+        sigma = math.sqrt(0.1 * 0.9 / draws)
+        assert all(abs(counts[k] / draws - 0.1) <= 4 * sigma for k in range(10))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            next(stream_rows([2], [seed]))
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            stream_seeds(seed, 1)
+
+    @pytest.mark.parametrize("bounds", [[], [0], [2, 0], [2**32 + 1]])
+    def test_bounds_outside_range_rejected(self, bounds):
+        with pytest.raises(ValueError, match="bounds"):
+            next(stream_rows(bounds, [0]))
 
 
 class TestRowSources:
-    @pytest.mark.parametrize("n, r", ROW_SHAPES)
-    def test_block_rows_equal_per_row_and_scalar_draws(self, n, r):
-        params = SmallRangeParams(n, r)
-        block = max(1, 4096 // (n + r))
-        for count in sorted({1, 2, block - 1, block, block + 1, 3 * block + 5}):
-            rng, per_row, scalar = (np.random.default_rng(count) for _ in range(3))
-            rows = list(small_range_draws(params, rng, count))
-            assert len(rows) == count
-            assert all(type(v) is int for row in rows for v in row)
-            assert rows == _per_row(_small_range_bounds(n, r), per_row, count)
-            if n <= 16:
-                assert _maps(params, rows) == [_scalar_small_range(n, r, scalar) for _ in rows]
-                assert rng.bit_generator.state == scalar.bit_generator.state
-            assert rng.bit_generator.state == per_row.bit_generator.state
-
-    @pytest.mark.parametrize("n", [1, 5, 16, 17, 4100])
-    def test_permutation_rows_equal_per_row_and_scalar_draws(self, n):
-        block = max(1, 4096 // n)
-        for count in sorted({1, 2, block - 1, block, block + 1, 3 * block + 5}):
-            rng, per_row, scalar = (np.random.default_rng(count) for _ in range(3))
-            rows = list(permutation_draws(n, rng, count))
-            assert rows == _per_row(list(range(n, 0, -1)), per_row, count)
-            if n <= 17:
-                perms = [sample_permutation(n, row).values for row in rows]
-                assert perms == [tuple(_scalar_shuffle_prefix(n, n, scalar)) for _ in rows]
-                assert rng.bit_generator.state == scalar.bit_generator.state
-            assert rng.bit_generator.state == per_row.bit_generator.state
-
-    def test_a_source_draws_nothing_until_its_first_row(self):
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
-        rows = small_range_draws(SmallRangeParams(16, 4), rng, 1000)
-        assert rng.bit_generator.state == before
-        next(rows)
-        assert rng.bit_generator.state != before
-
-    def test_one_row_is_one_call_on_the_row_bounds(self):
-        spy = SpyGenerator(np.random.default_rng(4))
-        list(small_range_draws(SmallRangeParams(16, 4), spy, 1))
-        list(permutation_draws(16, spy, 1))
-        assert spy.drawn == [20, 16]
-
-    @pytest.mark.parametrize(
-        "source, width",
-        [
-            (lambda rng: small_range_draws(SmallRangeParams(16, 4), rng, 10_000), 20),
-            (lambda rng: permutation_draws(16, rng, 10_000), 16),
-            (lambda rng: small_range_draws(SmallRangeParams(4100, 2), rng, 3), 4102),
-            (lambda rng: permutation_draws(5000, rng, 3), 5000),
-        ],
-        ids=["small-range-16-4", "permutation-16", "small-range-wide", "permutation-wide"],
-    )
-    def test_no_call_draws_more_than_a_block(self, source, width):
-        spy = SpyGenerator(np.random.default_rng(5))
-        rows = source(spy)
-        count = sum(1 for _ in rows)
-        assert max(spy.drawn) <= max(4096, width)
-        assert sum(spy.drawn) == count * width
-        assert all(drawn % width == 0 for drawn in spy.drawn)
-
     def test_wrong_row_length_rejected(self):
         params = SmallRangeParams(4, 2)
         with pytest.raises(ValueError, match="has 6 draws, got 5"):
@@ -209,36 +225,33 @@ class TestRowSources:
 
 class TestSampleSmallRange:
     def test_r_one_is_constant(self):
-        rng = np.random.default_rng(0)
         params = SmallRangeParams(6, 1)
-        for draws in small_range_draws(params, rng, 50):
+        for draws, _ in stream_rows(params.bounds, stream_seeds(0, 50)):
             assert len(image(sample_small_range(params, draws))) == 1
 
     def test_identity_frequency_at_two(self):
         # exact mass of the identity at n=2, r=2 is 1/4
-        rng = np.random.default_rng(1)
         params = SmallRangeParams(2, 2)
         draws = 40_000
         hits = sum(
             sample_small_range(params, row).values == (0, 1)
-            for row in small_range_draws(params, rng, draws)
+            for row, _ in stream_rows(params.bounds, stream_seeds(1, draws))
         )
         sigma = math.sqrt(0.25 * 0.75 / draws)
         assert abs(hits / draws - 0.25) <= 4 * sigma
 
     def test_image_bound_large_n(self):
-        rng = np.random.default_rng(2)
         params = SmallRangeParams(16, 4)
-        for draws in small_range_draws(params, rng, 10_000):
+        for draws, _ in stream_rows(params.bounds, stream_seeds(2, 10_000)):
             assert len(image(sample_small_range(params, draws))) <= 4
 
     @settings(max_examples=40)
-    @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**31))
+    @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**64 - 1))
     def test_image_bound_property(self, n, r, seed):
         if r > n:
             r = n
         params = SmallRangeParams(n, r)
-        (draws,) = small_range_draws(params, np.random.default_rng(seed), 1)
+        ((draws, _),) = stream_rows(params.bounds, [seed])
         assert len(image(sample_small_range(params, draws))) <= r
 
     def test_params_validated(self):
@@ -250,19 +263,17 @@ class TestSampleSmallRange:
 
 class TestSamplePermutation:
     def test_n_one(self):
-        (swaps,) = permutation_draws(1, np.random.default_rng(3), 1)
+        ((swaps, _),) = stream_rows([1], [3])
         assert sample_permutation(1, swaps).values == (0,)
 
     def test_always_injective(self):
-        rng = np.random.default_rng(4)
-        for swaps in permutation_draws(5, rng, 200):
+        for swaps, _ in stream_rows(range(5, 0, -1), stream_seeds(4, 200)):
             assert is_injective(sample_permutation(5, swaps))
 
     def test_uniform_at_three(self):
-        rng = np.random.default_rng(5)
         draws = 60_000
         counts = {}
-        for swaps in permutation_draws(3, rng, draws):
+        for swaps, _ in stream_rows([3, 2, 1], stream_seeds(5, draws)):
             key = sample_permutation(3, swaps).values
             counts[key] = counts.get(key, 0) + 1
         sigma = math.sqrt((1 / 6) * (5 / 6) / draws)
@@ -337,10 +348,9 @@ class TestEnumerator:
     def test_sampler_agrees_with_enumerator(self):
         params = SmallRangeParams(3, 2)
         support = enumerate_small_range_support(params)
-        rng = np.random.default_rng(6)
         draws = 100_000
         counts = {}
-        for row in small_range_draws(params, rng, draws):
+        for row, _ in stream_rows(params.bounds, stream_seeds(6, draws)):
             key = sample_small_range(params, row).values
             counts[key] = counts.get(key, 0) + 1
         assert sum(counts.values()) == draws

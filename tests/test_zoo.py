@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from qsymlab import statevector, zoo
 from qsymlab.core import InputString, is_symmetric_first_type
 from qsymlab.oracles import standard_oracle
-from qsymlab.statevector import query_count, run
+from qsymlab.statevector import OracleCall, QueryAlgorithm, Unitary, query_count, run
 from qsymlab.zoo import (
     build_distinguisher,
     build_zoo_entry,
@@ -47,6 +48,27 @@ class TestBuildingBlocks:
         assert np.allclose(diff @ diff, np.eye(d))
         uniform = np.full(d, 1 / np.sqrt(d))
         assert np.allclose(diff @ uniform, uniform)
+
+
+class TestDenseSizeGuard:
+    @pytest.mark.parametrize(
+        "build, allocator",
+        [(fourier_matrix, "meshgrid"), (diffusion_matrix, "full")],
+        ids=["fourier", "diffusion"],
+    )
+    def test_oversized_matrix_fails_before_allocating(self, monkeypatch, build, allocator):
+        monkeypatch.setattr(zoo, "DENSE_ENTRIES_MAX", 100)
+        assert build(10).shape == (10, 10)  # exactly 100 entries still build
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"np.{allocator} ran")
+
+        monkeypatch.setattr(np, allocator, forbidden)
+        with pytest.raises(ValueError, match=r"a dense 16x16 \w+ matrix exceeds 100 entries"):
+            build(16)
+
+    def test_grover_at_2048_fits(self):
+        assert 2048 * 2048 <= zoo.DENSE_ENTRIES_MAX
 
 
 class TestDeutschJozsa:
@@ -123,6 +145,30 @@ class TestGrover:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             grover_unique_or(4, -1)
+
+
+class TestGroverHoldsOneDiffusion:
+    def test_one_array_per_distinct_matrix_checked_once(self, monkeypatch):
+        checked = []
+        require_unitary = statevector.require_unitary
+        monkeypatch.setattr(
+            statevector, "require_unitary", lambda m: checked.append(m) or require_unitary(m)
+        )
+        alg = grover_unique_or(512, optimal_grover_iterations(512)).algorithm
+        matrices = {id(step.matrix) for step in alg.steps if isinstance(step, Unitary)}
+        assert optimal_grover_iterations(512) == 17
+        assert len(matrices) <= 3
+        assert len(checked) == len(matrices)
+
+    def test_same_run_as_a_fresh_diffusion_per_iteration(self):
+        n, k = 8, 2
+        alg = grover_unique_or(n, k).algorithm
+        steps = [Unitary(s.matrix.copy(), s.targets) if isinstance(s, Unitary) else s for s in alg.steps]
+        fresh = QueryAlgorithm(alg.layout, tuple(steps), alg.output_rule)
+        assert sum(isinstance(s, OracleCall) for s in steps) == k + 1
+        for hot in range(n):
+            oracle = standard_oracle(InputString(n, 2, tuple(int(i == hot) for i in range(n))))
+            assert run(alg, oracle) == run(fresh, oracle)
 
 
 class TestConstant:
