@@ -49,12 +49,8 @@ def splitmix64(seed):
         yield z ^ (z >> 31)
 
 
-def reference_row(bounds, seed):
-    """A seed's (row, uniform), one scalar output at a time.
-
-    Output 0 of the seed's generator is the uniform; output 1 + a * width + j
-    is attempt a of draw j, taken by Lemire's 32-bit method on its high half.
-    """
+def reference_words(seed):
+    """Output k of a seed's scalar generator, as a function of k."""
     outputs, words = splitmix64(seed), []
 
     def word(k):
@@ -62,16 +58,49 @@ def reference_row(bounds, seed):
             words.append(next(outputs))
         return words[k]
 
-    row = []
-    for j, b in enumerate(bounds):
-        attempt = 0
-        while True:
-            product = (word(1 + attempt * len(bounds) + j) >> 32) * b
-            if product % 2**32 >= (2**32 - b) % b:
-                break
-            attempt += 1
-        row.append(product >> 32)
+    return word
+
+
+def reference_draw(word, width, j, bound):
+    """Draw j of a `width`-wide row below `bound`: attempt a reads output 1 + a * width + j."""
+    attempt = 0
+    while True:
+        product = (word(1 + attempt * width + j) >> 32) * bound
+        if product % 2**32 >= (2**32 - bound) % bound:
+            return product >> 32
+        attempt += 1
+
+
+def reference_row(bounds, seed):
+    """A seed's (row, uniform), one scalar output at a time.
+
+    Output 0 of the seed's generator is the uniform; output 1 + a * width + j
+    is attempt a of draw j, taken by Lemire's 32-bit method on its high half.
+    """
+    word = reference_words(seed)
+    row = [reference_draw(word, len(bounds), j, b) for j, b in enumerate(bounds)]
     return row, (word(0) >> 11) / 2**53
+
+
+def _scalar_shuffle_prefix(n, r, draw, first):
+    # one scalar draw per Fisher-Yates swap, from row position `first` on
+    cells = list(range(n))
+    for k in range(r):
+        swap = k + draw(first + k, n - k)
+        cells[k], cells[swap] = cells[swap], cells[k]
+    return cells[:r]
+
+
+def _scalar_small_range(n, r, draw):
+    # Zhandry's construction: n draws into [r], then an injection of [r] into [n]
+    into_range = [draw(j, r) for j in range(n)]
+    injection = _scalar_shuffle_prefix(n, r, draw, n)
+    return tuple(injection[v] for v in into_range)
+
+
+def _scalar_drawer(seed, width):
+    word = reference_words(seed)
+    return lambda j, bound: reference_draw(word, width, j, bound)
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
@@ -182,6 +211,32 @@ class TestStream:
     def test_bounds_outside_range_rejected(self, bounds):
         with pytest.raises(ValueError, match="bounds"):
             next(stream_rows(bounds, [0]))
+
+
+class TestSamplerStream:
+    """Samplers fed stream rows equal the scalar construction on the scalar reference."""
+
+    SEEDS = (0, 1, 7, 2**31 - 1)
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_small_range_matches_scalar_form(self, n):
+        for r in range(1, n + 1):
+            params = SmallRangeParams(n, r)
+            rows = stream_rows(params.bounds, self.SEEDS)
+            for seed, (row, uniform) in zip(self.SEEDS, rows, strict=True):
+                draw = _scalar_drawer(seed, n + r)
+                assert sample_small_range(params, row).values == _scalar_small_range(n, r, draw)
+                assert uniform == (reference_words(seed)(0) >> 11) / 2**53
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_permutation_matches_scalar_form(self, n):
+        rows = stream_rows(range(n, 0, -1), self.SEEDS)
+        for seed, (row, uniform) in zip(self.SEEDS, rows, strict=True):
+            draw = _scalar_drawer(seed, n)
+            assert sample_permutation(n, row).values == tuple(
+                _scalar_shuffle_prefix(n, n, draw, 0)
+            )
+            assert uniform == (reference_words(seed)(0) >> 11) / 2**53
 
 
 class TestRowSources:
