@@ -347,7 +347,7 @@ def _check_enumerator_exact_values() -> None:
     if ident != Fraction(1, 4):
         raise AssertionError(f"identity mass {ident} != 1/4")
     non_inj = sum(
-        (p for g, p in support.entries if not distributions.is_injective(g)), Fraction(0)
+        (p for g, p in support if not distributions.is_injective(g)), Fraction(0)
     )
     if non_inj != Fraction(1, 2):
         raise AssertionError(f"non-injective mass {non_inj} != 1/2")
@@ -361,7 +361,7 @@ def _check_sampler_matches_enumerator() -> None:
     for row, _ in distributions.stream_rows(params.bounds, distributions.stream_seeds(17, draws)):
         g = distributions.sample_small_range(params, row)
         counts[g.values] = counts.get(g.values, 0) + 1
-    for g, prob in support.entries:
+    for g, prob in support:
         p = float(prob)
         sigma = (p * (1 - p) / draws) ** 0.5
         if abs(counts.get(g.values, 0) / draws - p) > 4 * sigma:

@@ -273,8 +273,7 @@ def exact_success(alg: QueryAlgorithm, x: InputString, expected_bit: int, r: int
     support = enumerate_small_range_support(SmallRangeParams(x.n, r))
     alg = _amplified(alg)
     oracles: dict = {}
-    terms = []
-    for index_map, weight in support.float_entries():
-        dist, _ = compiled_distribution(alg, x, index_map, oracles)
-        terms.append(weight * dist[expected_bit])
-    return float(math.fsum(terms))
+    return math.fsum(
+        weight * compiled_distribution(alg, x, index_map, oracles)[0][expected_bit]
+        for index_map, weight in support.float_entries()
+    )

@@ -174,6 +174,9 @@ def sweep_r(
             raise ValueError(f"r outside [1, {n}]: {r}")
     if exact:
         return _exact_reports(algorithm, n, deduped, algorithm_id)
+    for name, value in (("samples", samples), ("seed", seed)):
+        if value is None:
+            raise ValueError(f"a sampled sweep needs {name}")
     report_seeds = stream_seeds(seed, len(deduped)).tolist()
     return [
         advantage_monte_carlo(algorithm, n, r, samples, s, algorithm_id=algorithm_id)

@@ -25,7 +25,10 @@ cuts words 0, 1, ... of one seed's stream to 63-bit seeds of other streams.
 So no two quantities share a word, and a row is exact and depends on its
 seed alone. The enumerator gives each map with image size k <= r its
 closed-form mass (r)_k (n-k)! / (r^n n!), serving as the ground-truth
-oracle for the samplers and for exact expectation sweeps.
+oracle for the samplers and for exact expectation sweeps. Its support
+stores one mass per image size and builds the maps as it is iterated, so an
+exact sweep holds one map at a time: the enumeration budget bounds the maps
+visited, that is time, not memory.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -71,47 +73,75 @@ class SmallRangeParams:
         return (self.r,) * self.n + tuple(range(self.n, self.n - self.r, -1))
 
 
+def _class_size(n: int, k: int) -> int:
+    """Maps [n] -> [n] with image size exactly k: C(n, k) cell sets times the
+    surjections of [n] onto k cells, by inclusion-exclusion."""
+    onto = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return math.comb(n, k) * onto
+
+
+def _onto(n: int, cells: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The words of length n over `cells` that use every cell, in lexicographic order."""
+    k = len(cells)
+    return (values for values in itertools.product(cells, repeat=n) if len(set(values)) == k)
+
+
 @dataclass(frozen=True)
 class WeightedSupport:
-    """Exact distribution over index maps; probabilities are rationals."""
+    """Exact law over the maps [n] -> [n] with image size at most r, by image size.
 
-    entries: tuple[tuple[IndexFunction, Fraction], ...]
+    `masses[k - 1]` is the rational mass of each map with image size k. The
+    support holds no maps: iterating it builds each `(IndexFunction, mass)`
+    in turn, in (image size, image cells, word) order, so it can be walked
+    any number of times in constant memory. Construction checks that the
+    masses sum to exactly 1; each walk checks that the maps onto one cell set
+    strictly increase (maps onto distinct cells differ in their image) and
+    that each image size yields its closed-form count.
+    """
+
+    params: SmallRangeParams
+    masses: tuple[Fraction, ...]
+    _sizes: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        # few distinct masses: one exact product per mass, not one add per entry;
-        # keyed by (numerator, denominator), as hashing a Fraction costs a modular inverse
-        masses = Counter((p.numerator, p.denominator) for _, p in self.entries)
-        total = sum((Fraction(*p) * count for p, count in masses.items()), Fraction(0))
+        object.__setattr__(self, "masses", tuple(self.masses))
+        n, r = self.params.n, self.params.r
+        if len(self.masses) != r:
+            raise ValueError(f"expected one mass per image size 1..{r}, got {len(self.masses)}")
+        sizes = tuple(_class_size(n, k) for k in range(1, r + 1))
+        object.__setattr__(self, "_sizes", sizes)
+        total = sum((size * p for size, p in zip(sizes, self.masses)), Fraction(0))
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        seen = {g.values for g, _ in self.entries}
-        if len(seen) != len(self.entries):
-            raise ValueError("support entries must be distinct")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(self._sizes)
 
-    def float_entries(self) -> list[tuple[IndexFunction, float]]:
-        """The entries with each mass as a float, converting each distinct mass once.
+    def __iter__(self) -> Iterator[tuple[IndexFunction, Fraction]]:
+        return self._walk(self.masses)
 
-        Equal masses give equal floats, so this matches `float(p)` per entry.
-        """
-        floats: dict[tuple[int, int], float] = {}
-        out = []
-        for g, p in self.entries:
-            key = (p.numerator, p.denominator)  # cheaper to hash than the Fraction
-            w = floats.get(key)
-            if w is None:
-                w = floats[key] = float(p)
-            out.append((g, w))
-        return out
+    def float_entries(self) -> Iterator[tuple[IndexFunction, float]]:
+        """The maps with their masses as floats, each image size's converted once."""
+        return self._walk([float(p) for p in self.masses])
 
     def probability_of(self, g: IndexFunction) -> Fraction:
-        for entry, p in self.entries:
-            if entry.values == g.values:
-                return p
-        return Fraction(0)
+        k = len(set(g.values))
+        return self.masses[k - 1] if g.n == self.params.n and k <= self.params.r else Fraction(0)
+
+    def _walk(self, weights):
+        n = self.params.n
+        for k, (weight, size) in enumerate(zip(weights, self._sizes), start=1):
+            made = 0
+            for cells in itertools.combinations(range(n), k):
+                last: tuple[int, ...] = ()  # below every word
+                for values in _onto(n, cells):
+                    if values <= last:
+                        raise ValueError(f"maps onto {cells} repeat or fall out of order at {values}")
+                    last = values
+                    made += 1
+                    yield IndexFunction(n, values), weight
+            if made != size:
+                raise ValueError(f"image size {k} yielded {made} maps, not {size}")
 
 
 def _words(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -220,18 +250,15 @@ def check_support_budget(params: SmallRangeParams) -> None:
 
 
 def enumerate_small_range_support(params: SmallRangeParams) -> WeightedSupport:
-    """Exact law of the composed map: each map with image size <= r, visited once."""
+    """Exact law of the composed map: each map with image size <= r, visited once per walk."""
     check_support_budget(params)
     n, r = params.n, params.r
-    entries = []
-    for k in range(1, r + 1):
-        # (r)_k (n-k)!/(n-r)! of the r^n n!/(n-r)! (map, injection) pairs give each such map
-        mass = Fraction(math.perm(r, k) * math.factorial(n - k), r**n * math.factorial(n))
-        for cells in itertools.combinations(range(n), k):
-            words = itertools.product(cells, repeat=n)
-            entries.extend((values, mass) for values in words if len(set(values)) == k)
-    entries.sort()
-    return WeightedSupport(tuple((IndexFunction(n, values), p) for values, p in entries))
+    # (r)_k (n-k)!/(n-r)! of the r^n n!/(n-r)! (map, injection) pairs give each map of image size k
+    masses = (
+        Fraction(math.perm(r, k) * math.factorial(n - k), r**n * math.factorial(n))
+        for k in range(1, r + 1)
+    )
+    return WeightedSupport(params, tuple(masses))
 
 
 def is_injective(g: IndexFunction) -> bool:

@@ -54,6 +54,10 @@ from .core import _as_ints
 
 VALIDITY_ATOL = 1e-9
 EXACT_ATOL = 1e-12
+# entries of the largest dense array built, checked before allocating: a
+# start state or dense matrix of 2^24 complex entries takes 256 MB, and
+# Grover at n=2048 needs a 2^22-entry diffusion matrix
+DENSE_ENTRIES_MAX = 2**24
 
 
 @dataclass(frozen=True)
@@ -235,6 +239,10 @@ class QueryAlgorithm:
         if self.repeats not in (1, 3):
             raise ValueError(f"repeats must be 1 or 3, got {self.repeats}")
         dims = self.layout.dims
+        if self.layout.total_dim > DENSE_ENTRIES_MAX:
+            raise ValueError(
+                f"a start state of {self.layout.total_dim} amplitudes exceeds {DENSE_ENTRIES_MAX} entries"
+            )
         ops = []
         unitary_ops: dict = {}  # by step object: a repeated step is checked once
         for step in self.steps:

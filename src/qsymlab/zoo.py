@@ -26,17 +26,13 @@ import numpy as np
 from .core import BooleanFunctionTable
 from .distributions import enumeration_budget
 from .statevector import (
+    DENSE_ENTRIES_MAX,
     OracleCall,
     OutputRule,
     QueryAlgorithm,
     RegisterLayout,
     Unitary,
 )
-
-
-# entries of the largest dense matrix a builder makes: 2^24 complex entries
-# take 256 MB, and Grover at n=2048 needs 2^22
-DENSE_ENTRIES_MAX = 2**24
 
 
 def _require_dense_size(name: str, d: int) -> None:

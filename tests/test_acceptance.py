@@ -132,7 +132,7 @@ def test_criterion_4_small_range_distribution():
     support = enumerate_small_range_support(SmallRangeParams(2, 2))
     assert support.probability_of(IndexFunction.identity(2)) == Fraction(1, 4)
     non_injective = sum(
-        (p for g, p in support.entries if not is_injective(g)), Fraction(0)
+        (p for g, p in support if not is_injective(g)), Fraction(0)
     )
     assert non_injective == Fraction(1, 2)
 
@@ -143,7 +143,7 @@ def test_criterion_4_small_range_distribution():
     for row, _ in stream_rows(small.bounds, stream_seeds(7, draws)):
         key = sample_small_range(small, row).values
         counts[key] = counts.get(key, 0) + 1
-    for g, prob in exact.entries:
+    for g, prob in exact:
         p = float(prob)
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(counts.get(g.values, 0) / draws - p) <= 4 * sigma

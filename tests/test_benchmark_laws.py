@@ -2,7 +2,9 @@
 
 Each workload of perfbench/ runs once, traced, at seed 1 in a fresh
 `perfbench/worker.py` process, exactly as a `--trace 1` benchmark call
-does, and must pass its workload's `check` and `check_counts`.
+does, and must pass its workload's `check` and `check_counts` and produce
+every per-layer metric that BENCHMARK.json lists, since `perfbench/run.py`
+refuses a traced run that misses one.
 """
 
 import importlib.util
@@ -18,14 +20,24 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-WORKLOADS = _load_workloads()
+# run.py imports its workloads by name, as when it runs as a script
+sys.modules.setdefault("workloads", _load("workloads", "workloads.py"))
+RUN = _load("perfbench_run", "run.py")
+WORKLOADS = RUN.WORKLOADS
+# a traced run's per-layer metrics; trace.overhead_frac compares traced with
+# untraced calls, so no single call produces it
+PER_LAYER = [
+    m["name"]
+    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    if m["name"] != "trace.overhead_frac"
+]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -47,3 +59,5 @@ def test_traced_call_meets_gate_and_laws(name):
     assert out["exit_code"] == 0, out["error"]
     assert workload.check(argv, out["results"]) == []
     assert workload.check_counts(argv, out["trace"]) == []
+    produced = RUN._layer_values(out)
+    assert [name for name in PER_LAYER if name not in produced] == []

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from qsymlab import cli, compiler, disting, distributions, oracles, zoo
+from qsymlab import cli, compiler, disting, distributions, oracles, statevector, zoo
 
 
 def read_report(path):
@@ -175,6 +175,14 @@ class TestCompileRun:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: a dense 16x16 Fourier matrix exceeds 100 entries\n"
+        assert captured.out == ""
+
+    def test_oversized_start_state_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(statevector, "DENSE_ENTRIES_MAX", 100)
+        argv = ["distinguish", "--algo", "collision-sniffer", "--n", "16", "--r-list", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: a start state of 256 amplitudes exceeds 100 entries\n"
         assert captured.out == ""
 
     def test_missing_r_is_usage_error(self):

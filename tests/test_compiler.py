@@ -408,7 +408,7 @@ def per_map_exact_success(alg, x, expected_bit, r):
     """
     support = enumerate_small_range_support(SmallRangeParams(x.n, r))
     terms = []
-    for index_map, weight in support.entries:
+    for index_map, weight in support:
         reader = ClassicalOracle(x)
         known = {i: reader.lookup(i) for i in sorted(image(index_map))}
         composed = InputString(x.n, x.M, tuple(known[j] for j in index_map.values))

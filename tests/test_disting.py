@@ -202,6 +202,12 @@ class TestSweep:
             replay = advantage_monte_carlo(probe.algorithm, 4, rep.r, 40, rep.seed, algorithm_id="s")
             assert replay == rep
 
+    @pytest.mark.parametrize("samples, seed, missing", [(None, 3, "samples"), (10, None, "seed")])
+    def test_sampled_sweep_names_a_missing_argument(self, samples, seed, missing):
+        probe = collision_sniffer(4)
+        with pytest.raises(ValueError, match=f"^a sampled sweep needs {missing}$"):
+            sweep_r(probe.algorithm, 4, [1, 2], samples, seed)
+
     def test_r_validated(self):
         probe = collision_sniffer(4)
         with pytest.raises(ValueError, match="outside"):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -341,11 +342,11 @@ class TestEnumerator:
     @pytest.mark.parametrize("n, r", [(3, 2), (4, 4)])
     def test_float_entries_convert_each_mass_like_float(self, n, r):
         support = enumerate_small_range_support(SmallRangeParams(n, r))
-        assert support.float_entries() == [(g, float(p)) for g, p in support.entries]
+        assert list(support.float_entries()) == [(g, float(p)) for g, p in support]
 
     def test_n2_r1_support(self):
         support = enumerate_small_range_support(SmallRangeParams(2, 1))
-        masses = {g.values: p for g, p in support.entries}
+        masses = {g.values: p for g, p in support}
         assert masses == {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
 
     def test_identity_mass_quarter(self):
@@ -354,35 +355,32 @@ class TestEnumerator:
 
     def test_mass_short_of_one_rejected(self):
         # exact: a float sum would round 1 - 2^-60 to 1
-        short = Fraction(1, 2**60)
-        entries = (
-            (IndexFunction(2, (0, 0)), Fraction(1, 2)),
-            (IndexFunction(2, (1, 1)), Fraction(1, 2) - short),
-        )
+        # two maps of each image size at n = 2: 2/4 + 2 (1/4 - 2^-61) = 1 - 2^-60
+        short = Fraction(1, 2**61)
         with pytest.raises(ValueError, match="not 1"):
-            WeightedSupport(entries)
+            WeightedSupport(SmallRangeParams(2, 2), (Fraction(1, 4), Fraction(1, 4) - short))
 
     def test_mass_sums_to_one(self):
         for n, r in ((2, 2), (3, 2), (4, 3)):
             support = enumerate_small_range_support(SmallRangeParams(n, r))
-            assert sum((p for _, p in support.entries), Fraction(0)) == 1
+            assert sum((p for _, p in support), Fraction(0)) == 1
 
     def test_full_range_differs_from_permutations(self):
         # at r = n the distribution still puts half its mass on collisions
         support = enumerate_small_range_support(SmallRangeParams(2, 2))
         non_injective = sum(
-            (p for g, p in support.entries if not is_injective(g)), Fraction(0)
+            (p for g, p in support if not is_injective(g)), Fraction(0)
         )
         assert non_injective == Fraction(1, 2)
 
     def test_image_bound_in_support(self):
         support = enumerate_small_range_support(SmallRangeParams(4, 2))
-        assert all(len(image(g)) <= 2 for g, _ in support.entries)
+        assert all(len(image(g)) <= 2 for g, _ in support)
 
     @pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 6) for r in range(1, n + 1)])
     def test_closed_form_equals_pair_walk(self, n, r):
         support = enumerate_small_range_support(SmallRangeParams(n, r))
-        assert [(g.values, p) for g, p in support.entries] == _pair_walk(n, r)
+        assert sorted((g.values, p) for g, p in support) == _pair_walk(n, r)
 
     def test_budget_counts_maps_visited(self, monkeypatch):
         # n = r = 4: 4 + 96 + 324 + 256 = 680 maps, but 4^4 * 4! = 6,144 pairs
@@ -409,10 +407,65 @@ class TestEnumerator:
             key = sample_small_range(params, row).values
             counts[key] = counts.get(key, 0) + 1
         assert sum(counts.values()) == draws
-        for g, prob in support.entries:
+        for g, prob in support:
             p = float(prob)
             sigma = math.sqrt(p * (1 - p) / draws)
             assert abs(counts.get(g.values, 0) / draws - p) <= 4 * sigma
+
+
+class TestStreamedSupport:
+    def test_walk_holds_one_map_at_a_time(self):
+        # 11,736 maps: a list of them would take about 5 MB
+        tracemalloc.start()
+        try:
+            support = enumerate_small_range_support(SmallRangeParams(6, 3))
+            walked = sum(1 for _ in support)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert walked == len(support) == 11_736
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (4, 2), (5, 5), (6, 3)])
+    def test_len_is_the_closed_form_count(self, n, r):
+        support = enumerate_small_range_support(SmallRangeParams(n, r))
+        assert len(support) == sum(1 for _ in support)
+        if r == n:
+            assert len(support) == n**n
+
+    def test_two_walks_agree(self):
+        support = enumerate_small_range_support(SmallRangeParams(4, 3))
+        first = [(g.values, p) for g, p in support]
+        assert [(g.values, p) for g, p in support] == first
+
+    def test_count_check_fires(self, monkeypatch):
+        onto = distributions._onto
+        monkeypatch.setattr(distributions, "_onto", lambda n, cells: itertools.islice(onto(n, cells), 1, None))
+        support = enumerate_small_range_support(SmallRangeParams(3, 2))
+        with pytest.raises(ValueError, match="image size 1 yielded 0 maps, not 3"):
+            list(support)
+
+    @pytest.mark.parametrize(
+        "broken",
+        [lambda words: (w for w in words for _ in range(2)), lambda words: reversed(list(words))],
+        ids=["repeated", "reversed"],
+    )
+    def test_order_check_fires(self, monkeypatch, broken):
+        onto = distributions._onto
+        monkeypatch.setattr(distributions, "_onto", lambda n, cells: broken(onto(n, cells)))
+        support = enumerate_small_range_support(SmallRangeParams(3, 2))
+        with pytest.raises(ValueError, match=r"maps onto \(0,.*\) repeat or fall out of order"):
+            list(support)
+
+    def test_probability_of_is_the_closed_form(self):
+        support = enumerate_small_range_support(SmallRangeParams(4, 2))
+        assert all(support.probability_of(g) == p for g, p in support)
+        assert support.probability_of(IndexFunction.identity(4)) == 0
+        assert support.probability_of(IndexFunction(3, (0, 0, 0))) == 0
+
+    def test_one_mass_per_image_size(self):
+        with pytest.raises(ValueError, match="one mass per image size 1..2, got 1"):
+            WeightedSupport(SmallRangeParams(2, 2), (Fraction(1, 2),))
 
 
 class TestIsInjective:

@@ -406,6 +406,18 @@ class TestAlgorithmValidation:
         with pytest.raises(ValueError, match=rf"^{what} {bad} is not an integer$"):
             make()
 
+    def test_oversized_start_state_fails_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(sv, "DENSE_ENTRIES_MAX", 100)
+        rule = OutputRule((0,), frozenset({(1,)}))
+        assert run(QueryAlgorithm(RegisterLayout((10, 10)), (), rule))[1] == 0.0  # exactly 100
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("basis_state ran")
+
+        monkeypatch.setattr(sv, "basis_state", forbidden)
+        with pytest.raises(ValueError, match="^a start state of 110 amplitudes exceeds 100 entries$"):
+            QueryAlgorithm(RegisterLayout((10, 11)), (), rule)
+
     def test_outcome_digit_range(self):
         with pytest.raises(ValueError, match="outside register"):
             QueryAlgorithm(
