@@ -25,14 +25,22 @@ and targets and builds a plan on every call.
 
 The output rule is precomputed too: the transpose that brings the output
 registers first (None when they already lead), the axes summed away, the
-flat positions of the outcomes that read 1 in the marginal, and the number
-of output outcomes. When the output registers lead, only the rows of the
-outcomes that read 1 are squared and summed; otherwise the whole tensor is
-transposed and reduced to the marginal. After every step the squared norm
-is compared against `(1 +- VALIDITY_ATOL)**2`, so no square root is taken
-unless the check fails, and the last step's squared norm is the total the
-output's sum-to-1 check reads. Every validity check is written so that a
-NaN fails it: a non-finite matrix or state raises.
+flat positions of the outcomes that read 1 in the marginal, the number of
+output outcomes, and those positions' slice when the output registers lead
+and the positions form one run. When the output registers lead, only the
+rows of the outcomes that read 1 are squared and summed, taken by that
+slice when there is one and gathered otherwise; if not, the whole tensor
+is transposed and reduced to the marginal. When exactly one outcome reads
+1, on either path, its entry is returned as it is: the correctly rounded
+sum of one float is that float.
+
+The step loop applies a leading-target step inline, as `_contract` would
+without its transposes; `_contract` serves the other steps and
+`apply_unitary`. After every step the squared norm is compared against
+`(1 +- VALIDITY_ATOL)**2`, so no square root is taken unless the check
+fails, and the last step's squared norm is the total the output's sum-to-1
+check reads. Every validity check is written so that a NaN fails it: a
+non-finite matrix or state raises.
 
 Amplified algorithms (repeats = 3) are executed as three independent passes
 whose single-bit outcomes are combined by majority at the harness level, so
@@ -231,7 +239,9 @@ class QueryAlgorithm:
     _ops: tuple[tuple, ...] = field(init=False, repr=False)
     # transpose order bringing the output registers first (None when they
     # lead), the axes to sum away, the flat marginal positions of `ones`,
-    # and the number of output outcomes
+    # the number of output outcomes, the slice of those positions when the
+    # output registers lead and the positions form one run (else None), and
+    # whether exactly one outcome reads 1, so that its entry is the answer
     _output: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -273,6 +283,8 @@ class QueryAlgorithm:
                 flat = flat * dims[reg] + v
             ones.append(flat)
         order = registers + tuple(a for a in range(len(dims)) if a not in registers)
+        if order == tuple(range(len(dims))):
+            order = None
         summed = tuple(range(len(registers), len(dims)))
         first = 0
         while first < len(ops) and ops[first][0] is not None:
@@ -282,10 +294,12 @@ class QueryAlgorithm:
         object.__setattr__(self, "_start", start)
         object.__setattr__(self, "_start_norm_sq", norm_sq)
         object.__setattr__(self, "_ops", tuple(ops[first:]))
-        if order == tuple(range(len(dims))):
-            order = None
         out_side = math.prod(dims[reg] for reg in registers)
-        output = (order, summed, np.array(ones, dtype=np.intp), out_side)
+        run_slice = None
+        # the positions are distinct, so this span holds exactly them
+        if order is None and ones and max(ones) - min(ones) == len(ones) - 1:
+            run_slice = slice(min(ones), max(ones) + 1)
+        output = (order, summed, np.array(ones, dtype=np.intp), out_side, run_slice, len(ones) == 1)
         object.__setattr__(self, "_output", output)
 
 
@@ -298,16 +312,21 @@ def _output_probability_one(tensor: np.ndarray, norm_sq: float, alg: QueryAlgori
     """P(output bit 1) of a final tensor whose squared norm is `norm_sq`."""
     if not abs(norm_sq - 1.0) <= VALIDITY_ATOL:  # NaN fails too
         raise RuntimeError(f"output distribution sums to {norm_sq}, not 1")
-    order, summed, ones, out_side = alg._output
+    order, summed, ones, out_side, run_slice, single = alg._output
     if order is None:
         # the output digits index the rows: square and sum only those that read 1
-        rows = tensor.reshape(out_side, -1).take(ones, axis=0)
+        if run_slice is None:
+            rows = tensor.reshape(out_side, -1).take(ones, axis=0)
+        else:
+            # row-major like the gathered rows, so each row sums in the same order
+            rows = np.ascontiguousarray(tensor.reshape(out_side, -1)[run_slice])
         picked = np.add.reduce(np.abs(rows) ** 2, axis=1)
     else:
         marginal = np.add.reduce((np.abs(tensor) ** 2).transpose(order), axis=summed)
         picked = marginal.take(ones)
-    # fsum rounds correctly, so the order of `ones` does not matter
-    p_one = math.fsum(picked.tolist())
+    # fsum rounds correctly, so the order of `ones` does not matter, and
+    # the fsum of one float is that float
+    p_one = picked.item() if single else math.fsum(picked.tolist())
     # rounding can carry a Born probability an ulp outside [0, 1]
     return min(max(p_one, 0.0), 1.0)
 
@@ -325,15 +344,18 @@ def _evolve(
     Returns the final tensor and its squared norm, which is `norm_sq`, the
     given tensor's, when there are no ops.
     """
+    dot, vdot, low, high = np.dot, np.vdot, _NORM_SQ_LOW, _NORM_SQ_HIGH
     for matrix, plan in ops:
-        if matrix is not None:
-            tensor = _contract(tensor, matrix, plan)
-        elif oracle is None:
-            raise ValueError("algorithm performs oracle calls but no oracle was given")
-        else:
+        if matrix is None:
+            if oracle is None:
+                raise ValueError("algorithm performs oracle calls but no oracle was given")
             tensor = oracle.apply_tensor(tensor, *plan)
-        norm_sq = np.vdot(tensor, tensor).real
-        if not _NORM_SQ_LOW <= norm_sq <= _NORM_SQ_HIGH:  # NaN fails too
+        elif plan[0] is None:  # the targets lead: `_contract` without its transposes
+            tensor = dot(matrix, tensor.reshape(plan[1], -1)).reshape(plan[2])
+        else:
+            tensor = _contract(tensor, matrix, plan)
+        norm_sq = vdot(tensor, tensor).real
+        if not low <= norm_sq <= high:  # NaN fails too
             raise RuntimeError(f"state norm drifted to {math.sqrt(norm_sq)}")
     return tensor, norm_sq
 

@@ -156,7 +156,7 @@ class TestRun:
 
     def test_oracle_required_when_called(self):
         entry = deutsch_jozsa(4)
-        with pytest.raises(ValueError, match="no oracle"):
+        with pytest.raises(ValueError, match="no oracle was given"):
             run(entry.algorithm)
 
     def test_incompatible_oracle_arity(self):
@@ -541,6 +541,37 @@ class TestPrecomputedOutputRule:
             assert sv._output_probability_one(tensor, norm_sq, alg) == (
                 frozen_output_probability_one(tensor, alg)
             )
+        # fixed sets pin every read-out branch; `outcomes` runs in flat order
+        leading = registers == tuple(range(len(registers)))
+        fixed = {"empty": [], "one": outcomes[-1:], "run": outcomes[1:4]}
+        if len(outcomes) >= 3:
+            fixed["gaps"] = outcomes[::2]
+        for kind, picked in fixed.items():
+            alg = QueryAlgorithm(RegisterLayout(dims), (), OutputRule(registers, frozenset(picked)))
+            run_slice, single = alg._output[4:]
+            assert single == (len(picked) == 1)
+            sliced = leading and kind in ("one", "run") and len(picked) > 0
+            assert (run_slice is not None) == sliced
+            for _ in range(3):
+                tensor, norm_sq = unit_tensor(dims, rng)
+                assert sv._output_probability_one(tensor, norm_sq, alg) == (
+                    frozen_output_probability_one(tensor, alg)
+                )
+
+    @pytest.mark.parametrize("ones", [{(1,)}, {(1,), (2,)}], ids=["one", "run"])
+    def test_slice_reads_a_transposed_tensor_like_the_gather(self, ones):
+        # the last step's target trails, so the final tensor is a transposed
+        # view and its rows are not row-major; numpy sums a strided row in
+        # another order, so the slice must sum each row as the gathered
+        # (row-major) rows are summed
+        for seed in range(10):
+            steps = (Unitary(haar_unitary(4, seed), (0,)), Unitary(haar_unitary(32, seed), (1,)))
+            alg = QueryAlgorithm(RegisterLayout((4, 32)), steps, OutputRule((0,), frozenset(ones)))
+            tensor, norm_sq = evolved(alg, None)
+            assert not tensor.flags.c_contiguous
+            rows = tensor.reshape(4, -1).take(sorted(o for (o,) in ones), axis=0)
+            gathered = math.fsum(np.add.reduce(np.abs(rows) ** 2, axis=1).tolist())
+            assert sv._output_probability_one(tensor, norm_sq, alg) == gathered
 
     @pytest.mark.parametrize("registers", [(), (0,), (0, 1), (2,)])
     def test_scaled_tensor_fails_the_sum_check(self, registers):
