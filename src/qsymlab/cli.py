@@ -129,19 +129,27 @@ def _parse_input_spec(spec: str, entry: zoo.ZooEntry, seed: int) -> core.InputSt
     if spec == "balanced":
         return core.InputString(n, M, (0,) * (n - n // 2) + (1,) * (n // 2))
     if spec.startswith("one-hot:"):
-        i = int(spec.split(":", 1)[1])
+        try:
+            i = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"--input one-hot:<i> needs an integer index, got {spec!r}") from None
         if not 0 <= i < n:
             raise ValueError(f"one-hot index {i} outside [0, {n})")
         values = [0] * n
         values[i] = 1
         return core.InputString(n, M, tuple(values))
-    values = tuple(int(v) for v in spec.split(","))
+    try:
+        values = tuple(int(v) for v in spec.split(","))
+    except ValueError:
+        raise ValueError(f"--input must be integers or a named input, got {spec!r}") from None
     return core.InputString(n, M, values)
 
 
 def _cmd_compile_run(args) -> int:
     if args.seed < 0:
         return _usage_error("--seed must be >= 0")
+    if args.seed >= 2**64:
+        return _usage_error(f"a stream seed must lie in [0, 2^64), got {args.seed}")
     if args.iterations is not None and args.zoo != "grover":
         return _usage_error("--iterations applies to grover only")
     # words 0 and 1 of the --seed stream key the random-promise choice and the trials
@@ -215,6 +223,8 @@ def _cmd_compile_run(args) -> int:
 def _cmd_distinguish(args) -> int:
     if args.seed < 0:
         return _usage_error("--seed must be >= 0")
+    if args.seed >= 2**64:
+        return _usage_error(f"a stream seed must lie in [0, 2^64), got {args.seed}")
     if args.exact and args.samples is not None:
         return _usage_error("--samples does not apply to --exact")
     if not args.exact and args.samples is None:
@@ -328,9 +338,12 @@ def _check_symmetry_checkers() -> None:
     permuted = core.compose_input(x, pi)
     if permuted in proj and proj.value(permuted) == proj.value(x):
         raise AssertionError("witness does not actually break symmetry")
-    dj = zoo.deutsch_jozsa(4)
-    if not core.is_symmetric_first_type(dj.function):
-        raise AssertionError("constant-vs-balanced table should be symmetric")
+    # the paper's class against AA14's
+    classes = ((zoo.build_zoo_entry("grover", 16), False), (zoo.deutsch_jozsa(8), True))
+    for entry, relabel_symmetric in classes:
+        f = entry.function
+        if not core.is_symmetric_first_type(f) or core.is_symmetric_second_type(f) != relabel_symmetric:
+            raise AssertionError(f"{entry.id} n={f.n} is in the wrong symmetry class")
 
 
 def _check_image_bounds() -> None:

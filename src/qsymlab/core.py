@@ -10,19 +10,14 @@ non-integral entry rather than truncate it. Both expose `n`, `M` and
 trust it. Boolean functions are stored extensionally on an explicit
 domain so that partial (promise) functions are first-class.
 
-The symmetry checkers enumerate permutation groups outright and are guarded
-to small n; they are meant as test oracles, not as production paths.
+The symmetry checkers move each domain string by the group's generators, the
+adjacent swaps of positions (and values): |S|(n + M - 2) moves, not |S| n! M!.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
-
-FIRST_TYPE_GUARD = 8
-SECOND_TYPE_GUARD = 6
-
 
 def _integral(v) -> bool:
     try:
@@ -146,23 +141,43 @@ def image(g: IndexFunction) -> frozenset[int]:
     return frozenset(g.values)
 
 
+def _swap(size: int, k: int) -> tuple[int, ...]:
+    """The permutation of range(size) that swaps k and k + 1."""
+    return (*range(k), k + 1, k, *range(k + 2, size))
+
+
+def _broken_move(
+    f: BooleanFunctionTable, relabel: bool
+) -> Optional[tuple[InputString, tuple[int, ...], IndexFunction]]:
+    """The first (x, sigma, pi), x in sorted domain order, whose moved string
+    i -> sigma(x(pi(i))) leaves the domain or changes the bit, or None.
+
+    The moves are the adjacent position swaps and, with `relabel`, the
+    adjacent value swaps. They generate S_n (S_n x S_M), so a table every
+    move maps into itself bit for bit is invariant under the whole group, and
+    a move that fails is itself a group element that breaks invariance.
+    """
+    moves = [(tuple(range(f.M)), _swap(f.n, k)) for k in range(f.n - 1)]
+    if relabel:
+        moves += [(_swap(f.M, v), tuple(range(f.n))) for v in range(f.M - 1)]
+    for key in sorted(f.outputs):
+        bit = f.outputs[key]
+        for sigma, pi in moves:
+            if f.outputs.get(tuple(sigma[key[p]] for p in pi)) != bit:
+                return InputString(f.n, f.M, key), sigma, IndexFunction(f.n, pi)
+    return None
+
+
 def first_type_asymmetry_witness(
     f: BooleanFunctionTable,
 ) -> Optional[tuple[InputString, IndexFunction]]:
     """A pair (x, pi) breaking position-permutation invariance, or None.
 
     The witness breaks invariance either because x o pi leaves the domain or
-    because the function value changes.
+    because the function value changes. pi is an adjacent swap.
     """
-    if f.n > FIRST_TYPE_GUARD:
-        raise ValueError(f"refusing to enumerate S_n for n={f.n} > {FIRST_TYPE_GUARD}")
-    for key in sorted(f.outputs):
-        fx = f.outputs[key]
-        for perm in itertools.permutations(range(f.n)):
-            permuted = tuple(key[perm[i]] for i in range(f.n))
-            if f.outputs.get(permuted) != fx:
-                return InputString(f.n, f.M, key), IndexFunction(f.n, perm)
-    return None
+    witness = _broken_move(f, relabel=False)
+    return None if witness is None else (witness[0], witness[2])
 
 
 def is_symmetric_first_type(f: BooleanFunctionTable) -> bool:
@@ -176,26 +191,9 @@ def second_type_asymmetry_witness(
     """A triple (x, sigma, pi) breaking two-sided invariance, or None.
 
     sigma permutes output values, pi permutes positions; the checked map is
-    i -> sigma(x(pi(i))).
+    i -> sigma(x(pi(i))). One is an adjacent swap and the other the identity.
     """
-    if f.n > SECOND_TYPE_GUARD or f.M > SECOND_TYPE_GUARD:
-        raise ValueError(
-            f"refusing to enumerate S_n x S_M for n={f.n}, M={f.M} (guard {SECOND_TYPE_GUARD})"
-        )
-    value_perms = list(itertools.permutations(range(f.M)))
-    for key in sorted(f.outputs):
-        fx = f.outputs[key]
-        for perm in itertools.permutations(range(f.n)):
-            shuffled = tuple(key[perm[i]] for i in range(f.n))
-            for sigma in value_perms:
-                relabeled = tuple(sigma[v] for v in shuffled)
-                if f.outputs.get(relabeled) != fx:
-                    return (
-                        InputString(f.n, f.M, key),
-                        sigma,
-                        IndexFunction(f.n, perm),
-                    )
-    return None
+    return _broken_move(f, relabel=True)
 
 
 def is_symmetric_second_type(f: BooleanFunctionTable) -> bool:

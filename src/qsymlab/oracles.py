@@ -13,7 +13,7 @@ Three variants:
   above the sharing bound builds a fresh oracle for almost every map. A
   table holds d*N/n_i entries (value dimension d, state size N, index
   dimension n_i), so one is kept only when d <= n_i and no cache outgrows
-  the state; otherwise the source comes from cached per-position digits.
+  the state; otherwise the source is computed from each position's digits.
   Each oracle keeps the source positions it has computed, per tensor shape,
   register pair and direction, because an amplified run repeats the same
   calls in each of its passes; the memo lives and dies with the oracle.
@@ -58,19 +58,6 @@ from .statevector import EXACT_ATOL, RegisterLayout, basis_state
 
 
 @functools.lru_cache(maxsize=64)
-def _digit_arrays(shape: tuple[int, ...], index_reg: int, value_reg: int):
-    """Read-only, per flat position: the position with its value digit zeroed,
-    the index digit and the value digit; plus the value register's stride."""
-    positions = np.arange(math.prod(shape))
-    digits = np.unravel_index(positions, shape)
-    stride = math.prod(shape[value_reg + 1 :])
-    arrays = (positions - stride * digits[value_reg], digits[index_reg], digits[value_reg])
-    for array in arrays:
-        array.flags.writeable = False
-    return (*arrays, stride)
-
-
-@functools.lru_cache(maxsize=64)
 def _shift_table(shape: tuple[int, ...], index_reg: int, value_reg: int, sign: int):
     """Read-only shift table of a layout whose value register is no larger than
     its index register, and the index digit's offsets.
@@ -104,17 +91,12 @@ def _gather_source(
         source = rows.take(table, axis=1)
         source += offsets
         return source.reshape(-1)
-    # a shift table would outgrow the state: digit arithmetic in one buffer
-    base, i, j, stride = _digit_arrays(shape, index_reg, value_reg)
-    source = table.take(i)
-    if sign > 0:
-        np.subtract(j, source, source)
-    else:
-        source += j
-    source %= shape[value_reg]
-    source *= stride
-    source += base
-    return source
+    # a shift table would outgrow the state: the formula over each position's digits
+    positions = np.arange(math.prod(shape))
+    digits = np.unravel_index(positions, shape)
+    i, j = digits[index_reg], digits[value_reg]
+    stride = math.prod(shape[value_reg + 1 :])
+    return positions + stride * ((j - sign * table.take(i)) % shape[value_reg] - j)
 
 
 class StandardOracle:

@@ -247,6 +247,22 @@ class TestCompileRun:
         assert code == 2
         assert capsys.readouterr().err == "error: one-hot index -1 outside [0, 4)\n"
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("a,b", "--input must be integers or a named input, got 'a,b'"),
+            ("one-hot:x", "--input one-hot:<i> needs an integer index, got 'one-hot:x'"),
+        ],
+        ids=["values", "one-hot"],
+    )
+    def test_malformed_input_names_the_flag(self, capsys, spec, message):
+        argv = ["compile-run", "--zoo", "grover", "--n", "4", "--input", spec, "--r", "2",
+                "--trials", "3"]  # fmt: skip
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_negative_trials_rejected(self, capsys):
         code = cli.main(
             [
@@ -767,6 +783,20 @@ class TestDistinguish:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == "error: --seed must be >= 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("method", [["--exact"], ["--samples", "5"]], ids=["exact", "monte-carlo"])
+    def test_seed_beyond_64_bits_rejected_before_sweeping(self, monkeypatch, capsys, method):
+        # the exact sweep never reads the seed's stream, so only the early check can refuse it
+        def never(*args, **kwargs):
+            raise AssertionError("sweep_r ran before the seed was checked")
+
+        monkeypatch.setattr(disting, "sweep_r", never)
+        argv = ["distinguish", "--algo", "collision-sniffer", "--n", "3", "--r-list", "1",
+                "--seed", str(2**64), *method]  # fmt: skip
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: a stream seed must lie in [0, 2^64), got {2**64}\n"
         assert captured.out == ""
 
     def test_unwritable_out_fails_before_computing(self, tmp_path, monkeypatch, capsys):

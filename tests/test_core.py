@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -17,6 +18,7 @@ from qsymlab.core import (
     is_symmetric_second_type,
     second_type_asymmetry_witness,
 )
+from qsymlab.zoo import build_zoo_entry, deutsch_jozsa
 
 
 def or_table(n):
@@ -166,11 +168,6 @@ class TestFirstTypeSymmetry:
             outputs[tuple(vals)] = 1
         assert is_symmetric_first_type(BooleanFunctionTable(4, 2, outputs))
 
-    def test_guard(self):
-        big = BooleanFunctionTable(9, 2, {(0,) * 9: 0})
-        with pytest.raises(ValueError, match="refusing"):
-            is_symmetric_first_type(big)
-
     def test_promise_domain_not_closed_is_witnessed(self):
         # (0,1) in the domain but its swap is not
         lop = BooleanFunctionTable(2, 2, {(0, 1): 1})
@@ -196,11 +193,6 @@ class TestSecondTypeSymmetry:
         outputs = {v: 1 for v in itertools.product(range(3), repeat=3)}
         assert is_symmetric_second_type(BooleanFunctionTable(3, 3, outputs))
 
-    def test_guard(self):
-        big = BooleanFunctionTable(3, 7, {(0, 0, 0): 0})
-        with pytest.raises(ValueError, match="refusing"):
-            is_symmetric_second_type(big)
-
     def test_second_implies_first(self):
         tables = [
             or_table(3),
@@ -212,3 +204,83 @@ class TestSecondTypeSymmetry:
         for f in tables:
             if is_symmetric_second_type(f):
                 assert is_symmetric_first_type(f)
+
+
+def brute_force_symmetric(f, relabel):
+    """Invariance under every permutation of positions (and of values), by
+    enumerating S_n (S_n x S_M) on every domain string."""
+    value_perms = list(itertools.permutations(range(f.M))) if relabel else [tuple(range(f.M))]
+    return all(
+        f.outputs.get(tuple(sigma[key[p]] for p in pi)) == bit
+        for key, bit in f.outputs.items()
+        for pi in itertools.permutations(range(f.n))
+        for sigma in value_perms
+    )
+
+
+def random_table(rng, n, M):
+    """A random table: a random domain with random bits, a union of whole
+    orbits of S_n or of S_n x S_M with one bit per orbit, or such a union
+    with one string dropped or one bit flipped."""
+    strings = list(itertools.product(range(M), repeat=n))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return {s: rng.randrange(2) for s in strings if rng.random() < 0.5}
+
+    def orbit_of(s):  # the sorted string, or (kind 2 and 3) the sorted value counts
+        return tuple(sorted(s)) if kind == 1 else tuple(sorted(map(s.count, range(M))))
+
+    bits = {}
+    for s in strings:
+        bits.setdefault(orbit_of(s), rng.choice((0, 1, None)))
+    outputs = {s: bits[orbit_of(s)] for s in strings if bits[orbit_of(s)] is not None}
+    if kind == 3 and outputs:
+        s = rng.choice(sorted(outputs))
+        if rng.random() < 0.5:
+            del outputs[s]
+        else:
+            outputs[s] ^= 1
+    return outputs
+
+
+def breaks_invariance(f, x, sigma, pi):
+    moved = tuple(sigma[v] for v in compose_input(x, pi).values)
+    return x in f and f.outputs.get(moved) != f.value(x)
+
+
+@pytest.mark.parametrize("n, M", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
+def test_checkers_match_brute_force_enumeration(n, M):
+    rng = random.Random(1000 * n + M)
+    answers = set()
+    for _ in range(150):
+        outputs = random_table(rng, n, M)
+        if not outputs:
+            continue
+        f = BooleanFunctionTable(n, M, outputs)
+        first = first_type_asymmetry_witness(f)
+        second = second_type_asymmetry_witness(f)
+        assert (first is None) == brute_force_symmetric(f, relabel=False)
+        assert (second is None) == brute_force_symmetric(f, relabel=True)
+        if first is not None:
+            x, pi = first
+            assert breaks_invariance(f, x, tuple(range(M)), pi)
+        if second is not None:
+            assert breaks_invariance(f, *second)
+        answers.add((first is None, second is None))
+    # both answers occur for each class (n = 1 makes every table position-symmetric)
+    want = {(True, True), (True, False)} | ({(False, False)} if n > 1 else set())
+    assert answers == want
+
+
+@pytest.mark.parametrize(
+    "entry, relabel_symmetric",
+    [(build_zoo_entry("grover", 16), False), (deutsch_jozsa(16), True)],
+    ids=["grover", "dj"],
+)
+def test_classes_at_n16(entry, relabel_symmetric):
+    # Grover is in the paper's class but not AA14's; DJ (12,872 strings) is in both
+    f = entry.function
+    assert f.n == 16 and is_symmetric_first_type(f)
+    assert is_symmetric_second_type(f) == relabel_symmetric
+    if not relabel_symmetric:
+        assert breaks_invariance(f, *second_type_asymmetry_witness(f))
