@@ -142,14 +142,25 @@ def _parse_input_spec(spec: str, entry: zoo.ZooEntry, seed: int) -> core.InputSt
         values = tuple(int(v) for v in spec.split(","))
     except ValueError:
         raise ValueError(f"--input must be integers or a named input, got {spec!r}") from None
-    return core.InputString(n, M, values)
+    try:
+        return core.InputString(n, M, values)
+    except ValueError as exc:  # InputString's own check, named after the flag
+        raise ValueError(f"--input {spec!r}: {exc}") from None
+
+
+def _bad_seed(seed: int) -> str | None:
+    """Why `--seed` cannot key a stream, or None."""
+    if seed < 0:
+        return "--seed must be >= 0"
+    if seed >= 2**64:
+        return f"a stream seed must lie in [0, 2^64), got {seed}"
+    return None
 
 
 def _cmd_compile_run(args) -> int:
-    if args.seed < 0:
-        return _usage_error("--seed must be >= 0")
-    if args.seed >= 2**64:
-        return _usage_error(f"a stream seed must lie in [0, 2^64), got {args.seed}")
+    bad_seed = _bad_seed(args.seed)
+    if bad_seed:
+        return _usage_error(bad_seed)
     if args.iterations is not None and args.zoo != "grover":
         return _usage_error("--iterations applies to grover only")
     # words 0 and 1 of the --seed stream key the random-promise choice and the trials
@@ -221,12 +232,13 @@ def _cmd_compile_run(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    if args.seed < 0:
-        return _usage_error("--seed must be >= 0")
-    if args.seed >= 2**64:
-        return _usage_error(f"a stream seed must lie in [0, 2^64), got {args.seed}")
+    bad_seed = _bad_seed(args.seed)
+    if bad_seed:
+        return _usage_error(bad_seed)
     if args.exact and args.samples is not None:
         return _usage_error("--samples does not apply to --exact")
+    if args.samples is not None and args.samples < 1:
+        return _usage_error("--samples must be >= 1")
     if not args.exact and args.samples is None:
         args.samples = DEFAULT_SAMPLES
     try:
@@ -256,8 +268,6 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    if args.action != "list":
-        return _usage_error(f"unknown zoo action {args.action!r}")
     rows = zoo.zoo_catalog()
     width = max(len(row["id"]) for row in rows)
     for row in rows:

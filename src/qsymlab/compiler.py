@@ -73,7 +73,8 @@ def amplify_majority3(alg: QueryAlgorithm) -> QueryAlgorithm:
 
 
 def _amplified(alg: QueryAlgorithm) -> QueryAlgorithm:
-    # build the amplified form once per run: every build revalidates all steps
+    # build the amplified form once per run: a build verifies no matrix, but
+    # places every step and evolves the start state again
     return amplify_majority3(alg) if alg.repeats == 1 else alg
 
 
@@ -146,11 +147,6 @@ def compiled_distribution(
     return run(_amplified(alg), oracle), reader.queries
 
 
-def _check_r(x: InputString, r: int) -> None:
-    if not 1 <= r <= x.n:
-        raise ValueError(f"r outside [1, {x.n}]: {r}")
-
-
 def compile_and_run_once(
     alg: QueryAlgorithm,
     x: InputString,
@@ -167,7 +163,6 @@ def compile_and_run_once(
     `draws` is the trial's `(row, uniform)` from `stream_rows`, which
     `estimate_success` passes; without it the trial draws them from `seed`.
     """
-    _check_r(x, r)
     params = SmallRangeParams(x.n, r)
     row, uniform = draws if draws is not None else next(stream_rows(params.bounds, [seed]))
     sampled = sample_small_range(params, row)
@@ -205,12 +200,14 @@ class SuccessEstimate:
     results: tuple[CompiledRunResult, ...]
 
 
-def _run_trials(alg: QueryAlgorithm, x: InputString, r: int, seeds: np.ndarray) -> list:
+def _run_trials(
+    alg: QueryAlgorithm, x: InputString, params: SmallRangeParams, seeds: np.ndarray
+) -> list:
     """One compiled trial per seed, in order, with shared oracles and bulk draws."""
     oracles = {} if x.M**x.n <= len(seeds) else None
-    draws = stream_rows(SmallRangeParams(x.n, r).bounds, seeds)
+    draws = stream_rows(params.bounds, seeds)
     return [
-        compile_and_run_once(alg, x, r, seed=seed, oracles=oracles, draws=d)
+        compile_and_run_once(alg, x, params.r, seed=seed, oracles=oracles, draws=d)
         for seed, d in zip(seeds.tolist(), draws)
     ]
 
@@ -232,7 +229,7 @@ def estimate_success(
     otherwise `_run_trials` runs in this process.
     A trial depends on its seed alone, so the results do not depend on `jobs`.
     """
-    _check_r(x, r)
+    params = SmallRangeParams(x.n, r)
     if trials < 1:
         raise ValueError("trials must be positive")
     if jobs < 1:
@@ -241,13 +238,13 @@ def estimate_success(
     seeds = stream_seeds(seed, trials)
     workers = min(jobs, trials, os.cpu_count() or 1)
     if workers == 1:
-        results = _run_trials(alg, x, r, seeds)
+        results = _run_trials(alg, x, params, seeds)
     else:
         # imported here: it pulls in multiprocessing, which only a pool needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(partial(_run_trials, alg, x, r), np.array_split(seeds, workers))
+            parts = pool.map(partial(_run_trials, alg, x, params), np.array_split(seeds, workers))
             results = [trial for part in parts for trial in part]
     successes = sum(1 for t in results if t.output_bit == expected_bit)
     low, high = wilson_interval(successes, trials)
@@ -269,7 +266,6 @@ def exact_success(alg: QueryAlgorithm, x: InputString, expected_bit: int, r: int
     Maps that compose x to the same table share one oracle; the support
     holds at least one map per table, so the oracles never outnumber it.
     """
-    _check_r(x, r)
     support = enumerate_small_range_support(SmallRangeParams(x.n, r))
     alg = _amplified(alg)
     oracles: dict = {}

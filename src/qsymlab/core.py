@@ -8,7 +8,8 @@ entries once, at construction, with one shared check, which rejects a
 non-integral entry rather than truncate it. Both expose `n`, `M` and
 `values` (M = n for an index map); the oracles take such a table and
 trust it. Boolean functions are stored extensionally on an explicit
-domain so that partial (promise) functions are first-class.
+domain so that partial (promise) functions are first-class; each domain
+string passes the same check as an input's values.
 
 The symmetry checkers move each domain string by the group's generators, the
 adjacent swaps of positions (and values): |S|(n + M - 2) moves, not |S| n! M!.
@@ -107,11 +108,7 @@ class BooleanFunctionTable:
             raise ValueError("n and M must be positive")
         table = {}
         for key, bit in self.outputs.items():
-            key = tuple(int(v) for v in key)
-            if len(key) != self.n:
-                raise ValueError(f"domain string {key} has wrong length")
-            if any(not 0 <= v < self.M for v in key):
-                raise ValueError(f"domain string {key} outside [{self.M}]^{self.n}")
+            key = _checked_entries(key, self.n, self.M)
             if bit not in (0, 1):
                 raise ValueError(f"output for {key} must be 0 or 1, got {bit}")
             table[key] = int(bit)

@@ -80,37 +80,38 @@ def advantage_exact(
     algorithm: QueryAlgorithm, n: int, r: int, algorithm_id: str = "anonymous"
 ) -> AdvantageReport:
     """Exact advantage: enumerate all permutations and the full support."""
-    return _exact_reports(algorithm, n, [r], algorithm_id)[0]
+    return _exact_reports(algorithm, [SmallRangeParams(n, r)], algorithm_id)[0]
 
 
 def _exact_reports(
-    algorithm: QueryAlgorithm, n: int, r_values: Sequence[int], algorithm_id: str
+    algorithm: QueryAlgorithm, params: Sequence[SmallRangeParams], algorithm_id: str
 ) -> list[AdvantageReport]:
-    if not r_values:
+    if not params:
         return []
+    n = params[0].n
     # both budgets are checked before any build or simulation; the largest r
     # visits the most maps
     budget = enumeration_budget()
     if math.factorial(n) > budget:
         raise ValueError(f"enumerating {n}! permutations exceeds budget {budget}")
-    check_support_budget(SmallRangeParams(n, max(r_values)))
+    check_support_budget(max(params, key=lambda param: param.r))
     # one oracle per permutation, run once per r (perfbench's distinguish-exact
     # law counts n! runs per r) and dropped before the next; a term takes 8 bytes
-    perm_terms = [array("d") for _ in r_values]
+    perm_terms = [array("d") for _ in params]
     for p in itertools.permutations(range(n)):
         oracle = standard_oracle(IndexFunction(n, p))
         for terms in perm_terms:
             terms.append(run(algorithm, oracle)[1])
     reports = []
-    for r, terms in zip(r_values, perm_terms):
-        support = enumerate_small_range_support(SmallRangeParams(n, r))
+    for param, terms in zip(params, perm_terms):
+        support = enumerate_small_range_support(param)
         p_perm = math.fsum(terms) / math.factorial(n)
         p_small = math.fsum(
             w * run(algorithm, standard_oracle(g))[1] for g, w in support.float_entries()
         )
         adv = abs(p_perm - p_small)
         reports.append(
-            AdvantageReport(n, r, algorithm_id, "exact", p_perm, p_small, None, adv, adv, None)
+            AdvantageReport(n, param.r, algorithm_id, "exact", p_perm, p_small, None, adv, adv, None)
         )
     return reports
 
@@ -169,11 +170,9 @@ def sweep_r(
             warnings.warn(f"duplicate r value {r} dropped", stacklevel=2)
             continue
         deduped.append(r)
-    for r in deduped:
-        if not 1 <= r <= n:
-            raise ValueError(f"r outside [1, {n}]: {r}")
+    params = [SmallRangeParams(n, r) for r in deduped]  # every r is checked before any work
     if exact:
-        return _exact_reports(algorithm, n, deduped, algorithm_id)
+        return _exact_reports(algorithm, params, algorithm_id)
     for name, value in (("samples", samples), ("seed", seed)):
         if value is None:
             raise ValueError(f"a sampled sweep needs {name}")

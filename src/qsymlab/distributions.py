@@ -58,6 +58,8 @@ def enumeration_budget() -> int:
 
 @dataclass(frozen=True)
 class SmallRangeParams:
+    """Map size n and image budget r; the library's one check that r lies in [1, n]."""
+
     n: int
     r: int
 
@@ -65,7 +67,7 @@ class SmallRangeParams:
         if self.n < 1:
             raise ValueError("n must be positive")
         if not 1 <= self.r <= self.n:
-            raise ValueError(f"r must lie in [1, {self.n}], got {self.r}")
+            raise ValueError(f"r outside [1, {self.n}]: {self.r}")
 
     @property
     def bounds(self) -> tuple[int, ...]:

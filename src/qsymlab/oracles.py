@@ -9,8 +9,7 @@ Three variants:
   whose row v holds the sources for an index with table value v: one
   `take` of a row per index, plus each index's offset. The tables are
   cached per tensor shape, register pair and direction, per process and
-  not per oracle, since a distinguish sweep or a Monte Carlo compiled trial
-  above the sharing bound builds a fresh oracle for almost every map. A
+  not per oracle, since many callers build a fresh oracle per map. A
   table holds d*N/n_i entries (value dimension d, state size N, index
   dimension n_i), so one is kept only when d <= n_i and no cache outgrows
   the state; otherwise the source is computed from each position's digits.
@@ -37,12 +36,8 @@ dimensions from such a table and trusts its entries; `standard_oracle`
 is the same constructor behind a type check, and `oracle_from_partial`
 builds an `InputString` of the composed values, so a missing or
 out-of-range entry still fails. Each oracle instance owns its query
-counters. The compiled pipeline shares instances through
-`oracle_from_partial`'s dict: the exact sweep for one call, and the Monte
-Carlo trials of one slice of an estimate's seeds (one slice per worker) when
-its input has at most as many possible tables as the slice has seeds. One
-oracle per distinct composed table then serves every map that composes to
-it, so its counter sums over those maps, and nothing reads it there.
+counters; an oracle shared through `oracle_from_partial`'s dict (`compiler`
+says when) sums them over the maps that share it.
 """
 
 from __future__ import annotations

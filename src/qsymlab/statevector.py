@@ -14,14 +14,20 @@ applies every dense step: transpose the targets to the front, multiply the
 matrix into the `(side, -1)` reshaped tensor, and transpose back. The axis
 plan it follows (transpose order, result shape, inverse order) depends only
 on the dims and the targets; when the targets already lead, the plan says
-so once and the kernel skips both transposes. `QueryAlgorithm` validates
-its steps once, at construction, and turns them into one tuple of plain
-ops (a matrix with its plan, or an oracle call's register pair), so `run`
-does no per-call axis bookkeeping or attribute lookups. It also applies
-the leading oracle-free steps to `|0...0>` once, with the same ops and
-norm check, and keeps the result as a read-only start state: every pass
-begins there, at the first oracle call. `apply_unitary` checks its matrix
-and targets and builds a plan on every call.
+so once and the kernel skips both transposes.
+
+Each step checks itself when it is built: a `Unitary` that its targets are
+distinct ints and its matrix is unitary, an `OracleCall` that its two
+registers differ. `QueryAlgorithm` checks only placement, that each step's
+registers lie inside its layout and each matrix has its targets' side, so
+a rebuild by `dataclasses.replace` (amplification, a gadget ancilla)
+verifies no matrix again. It turns the steps into one tuple of plain ops
+(a matrix with its plan, or an oracle call's register pair), so `run` does
+no per-call axis bookkeeping or attribute lookups. It also applies the
+leading oracle-free steps to `|0...0>` once, with the same ops and norm
+check, and keeps the result as a read-only start state: every pass begins
+there, at the first oracle call. `apply_unitary` builds a `Unitary` and a
+plan on every call.
 
 The output rule is precomputed too: the transpose that brings the output
 registers first (None when they already lead), the axes summed away, the
@@ -107,30 +113,6 @@ def require_unitary(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _check_unitary_step(
-    dims: tuple[int, ...], matrix: np.ndarray, targets: Union[int, tuple[int, ...]]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Validated (matrix, targets) of a unitary acting on registers of the given dims."""
-    if isinstance(targets, int):
-        targets = (targets,)
-    targets = _as_ints(targets, "target register")
-    if len(targets) == 0:
-        raise ValueError("a unitary step needs at least one target register")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target registers: {targets}")
-    for t in targets:
-        if not 0 <= t < len(dims):
-            raise ValueError(f"target register {t} outside layout of {len(dims)} registers")
-    matrix = np.asarray(matrix, dtype=complex)
-    side = math.prod(dims[t] for t in targets)
-    if matrix.shape != (side, side):
-        raise ValueError(
-            f"dimension mismatch: unitary on targets {targets} must have side {side}, "
-            f"got shape {matrix.shape}"
-        )
-    return require_unitary(matrix), targets
-
-
 AxisPlan = tuple[Union[tuple[int, ...], None], int, tuple[int, ...], tuple[int, ...]]
 
 
@@ -157,40 +139,61 @@ def _contract(tensor: np.ndarray, matrix: np.ndarray, plan: AxisPlan) -> np.ndar
     return np.dot(matrix, flat).reshape(shape).transpose(inverse)
 
 
-def apply_unitary(
-    tensor: np.ndarray, matrix: np.ndarray, targets: Union[int, tuple[int, ...]]
-) -> np.ndarray:
-    """Apply a dense unitary to the targeted registers of a tensor, identity elsewhere."""
-    matrix, targets = _check_unitary_step(tensor.shape, matrix, targets)
-    return _contract(tensor, matrix, _axis_plan(tensor.shape, targets))
-
-
 @dataclass(frozen=True, eq=False)
 class Unitary:
-    """Algorithm step: a dense unitary on an ordered subset of registers."""
+    """Algorithm step: a dense unitary on an ordered subset of registers, checked when built."""
 
     matrix: np.ndarray
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=complex)
+        targets = (self.targets,) if isinstance(self.targets, int) else self.targets
+        targets = _as_ints(targets, "target register")
+        if len(targets) == 0:
+            raise ValueError("a unitary step needs at least one target register")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"duplicate target registers: {targets}")
+        object.__setattr__(self, "targets", targets)
+        matrix = require_unitary(np.array(self.matrix, dtype=complex))
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        targets = self.targets if not isinstance(self.targets, int) else (self.targets,)
-        object.__setattr__(self, "targets", _as_ints(targets, "target register"))
 
 
 @dataclass(frozen=True)
 class OracleCall:
-    """Algorithm step: one query, binding the run-time oracle to two registers."""
+    """Algorithm step: one query, binding the run-time oracle to two distinct registers."""
 
     index_reg: int
     value_reg: int
 
     def __post_init__(self) -> None:
         index_reg, value_reg = _as_ints((self.index_reg, self.value_reg), "oracle register")
+        if index_reg == value_reg:
+            raise ValueError("oracle call needs two distinct registers")
         object.__setattr__(self, "index_reg", index_reg)
         object.__setattr__(self, "value_reg", value_reg)
+
+
+def _placed(dims: tuple[int, ...], step: Unitary) -> AxisPlan:
+    """A step's axis plan on the given dims, once its targets and side are checked to fit them."""
+    for t in step.targets:
+        if not 0 <= t < len(dims):
+            raise ValueError(f"target register {t} outside layout of {len(dims)} registers")
+    plan = _axis_plan(dims, step.targets)
+    if step.matrix.shape[0] != plan[1]:
+        raise ValueError(
+            f"dimension mismatch: unitary on targets {step.targets} must have side {plan[1]}, "
+            f"got shape {step.matrix.shape}"
+        )
+    return plan
+
+
+def apply_unitary(
+    tensor: np.ndarray, matrix: np.ndarray, targets: Union[int, tuple[int, ...]]
+) -> np.ndarray:
+    """Apply a dense unitary to the targeted registers of a tensor, identity elsewhere."""
+    step = Unitary(matrix, targets)
+    return _contract(tensor, step.matrix, _placed(tensor.shape, step))
 
 
 Step = Union[Unitary, OracleCall]
@@ -254,16 +257,10 @@ class QueryAlgorithm:
                 f"a start state of {self.layout.total_dim} amplitudes exceeds {DENSE_ENTRIES_MAX} entries"
             )
         ops = []
-        unitary_ops: dict = {}  # by step object: a repeated step is checked once
         for step in self.steps:
             if isinstance(step, Unitary):
-                if id(step) not in unitary_ops:
-                    _check_unitary_step(dims, step.matrix, step.targets)
-                    unitary_ops[id(step)] = (step.matrix, _axis_plan(dims, step.targets))
-                ops.append(unitary_ops[id(step)])
+                ops.append((step.matrix, _placed(dims, step)))
             elif isinstance(step, OracleCall):
-                if step.index_reg == step.value_reg:
-                    raise ValueError("oracle call needs two distinct registers")
                 for reg in (step.index_reg, step.value_reg):
                     if not 0 <= reg < len(dims):
                         raise ValueError(f"oracle call register {reg} outside layout")

@@ -129,6 +129,8 @@ def deutsch_jozsa(n: int) -> ZooEntry:
 
 def optimal_grover_iterations(n: int) -> int:
     """Iteration count maximizing the single-marked success probability."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     theta = math.asin(1.0 / math.sqrt(n))
     return max(0, round(math.pi / (4 * theta) - 0.5))
 

@@ -252,8 +252,10 @@ class TestCompileRun:
         [
             ("a,b", "--input must be integers or a named input, got 'a,b'"),
             ("one-hot:x", "--input one-hot:<i> needs an integer index, got 'one-hot:x'"),
+            ("0,1,1", "--input '0,1,1': expected 4 entries, got 3"),
+            ("0,1,2,0", "--input '0,1,2,0': entry 2 outside [0, 2)"),
         ],
-        ids=["values", "one-hot"],
+        ids=["values", "one-hot", "entry-count", "entry-range"],
     )
     def test_malformed_input_names_the_flag(self, capsys, spec, message):
         argv = ["compile-run", "--zoo", "grover", "--n", "4", "--input", spec, "--r", "2",
@@ -261,6 +263,14 @@ class TestCompileRun:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_grover_size_below_one_is_usage_error(self, capsys, n):
+        argv = ["compile-run", "--zoo", "grover", "--n", n, "--input", "constant0", "--r", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: n must be >= 1, got {n}\n"
         assert captured.out == ""
 
     def test_negative_trials_rejected(self, capsys):
@@ -369,6 +379,27 @@ class TestCompileRun:
         )
         header = "trial,output_bit,classical_queries,c_injective,seed\r\n"
         assert csv_path.read_bytes() == (header + rows).encode()
+
+    def test_constant_one_input(self, capsys):
+        argv = ["compile-run", "--zoo", "dj", "--n", "4", "--input", "constant1", "--r", "2",
+                "--trials", "20"]  # fmt: skip
+        assert cli.main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["input_values"] == [1, 1, 1, 1]
+        assert results["expected_bit"] == 0
+        assert results["estimate"]["estimate"] == 1.0
+
+    @pytest.mark.parametrize("code", [errno.ENOTDIR, errno.EISDIR], ids=["not-a-dir", "is-a-dir"])
+    def test_unwritable_out_names_the_reason(self, tmp_path, capsys, code):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "report.json" if code == errno.ENOTDIR else tmp_path
+        argv = ["compile-run", "--zoo", "dj", "--n", "4", "--input", "balanced", "--r", "2",
+                "--trials", "5", "--out", str(out)]  # fmt: skip
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {os.strerror(code)}\n"
+        assert captured.out == ""
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
@@ -903,6 +934,21 @@ class TestDistinguish:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == "error: --samples does not apply to --exact\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_rejected_before_sweeping(self, monkeypatch, capsys, samples):
+        def never(*args, **kwargs):
+            raise AssertionError("sweep_r ran before --samples was checked")
+
+        monkeypatch.setattr(disting, "sweep_r", never)
+        code = cli.main(
+            ["distinguish", "--algo", "collision-sniffer", "--n", "4", "--r-list", "2",
+             "--samples", samples]  # fmt: skip
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --samples must be >= 1\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("r_list", ["1,,2", "1,two", ""])

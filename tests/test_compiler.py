@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qsymlab import compiler, oracles
+from qsymlab import compiler, oracles, statevector
 from qsymlab.compiler import (
     CompiledRunResult,
     amplify_majority3,
@@ -141,6 +141,29 @@ class TestAmplify:
         base_p = run(entry.algorithm, standard_oracle(x))[1]
         amp_p = run(amplify_majority3(entry.algorithm), standard_oracle(x))[1]
         assert amp_p == pytest.approx(majority3_prob(base_p), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [amplify_majority3, lambda alg: with_gadget_ancilla(alg, 4)[0]],
+        ids=["amplify", "gadget-ancilla"],
+    )
+    def test_rebuild_verifies_no_matrix(self, monkeypatch, rebuild):
+        alg = deutsch_jozsa(4).algorithm
+        checked = []
+        require_unitary = statevector.require_unitary
+        monkeypatch.setattr(
+            statevector, "require_unitary", lambda m: checked.append(m) or require_unitary(m)
+        )
+        rebuilt = rebuild(alg)
+        assert checked == []
+        assert rebuilt.steps == alg.steps
+
+    def test_amplifying_grover_at_1024_verifies_no_matrix(self, monkeypatch):
+        alg = grover_unique_or(1024, 2).algorithm
+        checked = []
+        monkeypatch.setattr(statevector, "require_unitary", checked.append)
+        assert amplify_majority3(alg).repeats == 3
+        assert checked == []
 
     def test_double_amplification_rejected(self):
         alg = amplify_majority3(deutsch_jozsa(4).algorithm)

@@ -146,6 +146,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             BooleanFunctionTable(1, 2, {(0,): 2})
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ((0.7, 1), r"^entry 0\.7 is not an integer$"),
+            ((0, 1, 1), r"^expected 2 entries, got 3$"),
+            ((0, 2), r"^entry 2 outside \[0, 2\)$"),
+        ],
+        ids=["non-integral", "wrong-length", "out-of-range"],
+    )
+    def test_table_checks_domain_strings_like_an_input(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            BooleanFunctionTable(2, 2, {key: 1})
+
 
 class TestFirstTypeSymmetry:
     def test_or_is_symmetric(self):

@@ -105,6 +105,12 @@ class TestAdvantageMonteCarlo:
         assert a == b
         assert a.seed == 13
 
+    def test_one_sample_collapses_the_interval(self):
+        probe = collision_sniffer(4)
+        rep = advantage_monte_carlo(probe.algorithm, 4, 2, 1, 16)
+        assert rep.samples == 1
+        assert rep.ci_low == rep.ci_high == rep.advantage
+
     def test_zero_query_sampled_is_zero(self):
         probe = zero_query_probe(6)
         rep = advantage_monte_carlo(probe.algorithm, 6, 3, 40, 14)

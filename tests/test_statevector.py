@@ -371,6 +371,20 @@ class TestAlgorithmValidation:
                 OutputRule((0,), frozenset()),
             )
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Unitary([[1, 1], [0, 1]], (0,)), "^matrix is not unitary"),
+            (lambda: Unitary(np.eye(2), ()), "^a unitary step needs at least one target register$"),
+            (lambda: Unitary(np.eye(4), (1, 1)), r"^duplicate target registers: \(1, 1\)$"),
+            (lambda: OracleCall(1, 1), "^oracle call needs two distinct registers$"),
+        ],
+        ids=["non-unitary", "no-targets", "duplicate-targets", "oracle-call"],
+    )
+    def test_step_checks_itself_at_construction(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_oracle_call_distinct_registers(self):
         with pytest.raises(ValueError, match="distinct"):
             QueryAlgorithm(
