@@ -163,9 +163,14 @@ def _cmd_compile_run(args) -> int:
         return _usage_error(bad_seed)
     if args.iterations is not None and args.zoo != "grover":
         return _usage_error("--iterations applies to grover only")
+    if args.iterations is not None and args.iterations < 0:
+        return _usage_error("--iterations must be >= 0")
     # words 0 and 1 of the --seed stream key the random-promise choice and the trials
     choice_seed, trials_seed = distributions.stream_seeds(args.seed, 2).tolist()
-    entry = zoo.build_zoo_entry(args.zoo, args.n, args.iterations)
+    try:
+        entry = zoo.build_zoo_entry(args.zoo, args.n, args.iterations)
+    except ValueError as exc:  # with --iterations checked, every rule left is on --n
+        raise ValueError(f"--n {args.n}: {exc}") from None
     x = _parse_input_spec(args.input, entry, choice_seed)
     if x not in entry.function:
         return _usage_error(f"input {x.values} is outside the promise domain of {args.zoo}")
@@ -248,7 +253,10 @@ def _cmd_distinguish(args) -> int:
     unwritable = _unwritable(args)
     if unwritable:
         return _usage_error(unwritable)
-    probe = zoo.build_distinguisher(args.algo, args.n)
+    try:
+        probe = zoo.build_distinguisher(args.algo, args.n)
+    except ValueError as exc:  # a probe's only parameter is --n
+        raise ValueError(f"--n {args.n}: {exc}") from None
     reports = disting.sweep_r(
         probe.algorithm,
         args.n,
@@ -605,6 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # read once before any work, so a malformed value is not blamed on a flag
+        distributions.enumeration_budget()
         return args.func(args)
     except (ValueError, IndexError, MemoryError) as exc:  # bad input or no memory
         return _usage_error(_reason(exc))

@@ -53,7 +53,11 @@ _LOW32 = np.uint64(2**32 - 1)
 
 def enumeration_budget() -> int:
     """Budget for exhaustive enumeration and tables; QSYMLAB_BUDGET overrides."""
-    return int(os.environ.get("QSYMLAB_BUDGET", DEFAULT_ENUMERATION_BUDGET))
+    raw = os.environ.get("QSYMLAB_BUDGET", str(DEFAULT_ENUMERATION_BUDGET))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"QSYMLAB_BUDGET must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

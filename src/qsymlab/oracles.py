@@ -13,6 +13,14 @@ Three variants:
   table holds d*N/n_i entries (value dimension d, state size N, index
   dimension n_i), so one is kept only when d <= n_i and no cache outgrows
   the state; otherwise the source is computed from each position's digits.
+  Each source is certified a permutation of the basis where it is built:
+  a shift table once, when it is cached, by checking that each value's row
+  holds every index-0 position once, which makes every source taken from
+  it a permutation, since the table's entries are already checked; a
+  digit-path source each time. A failed certificate raises AssertionError.
+  So every call permutes the amplitudes, which `permutes_basis = True`
+  declares: the simulator then carries the state's norm across the call
+  instead of measuring it again.
   Each oracle keeps the source positions it has computed, per tensor shape,
   register pair and direction, because an amplified run repeats the same
   calls in each of its passes; the memo lives and dies with the oracle.
@@ -52,6 +60,30 @@ from .core import IndexFunction, InputString
 from .statevector import EXACT_ATOL, RegisterLayout, basis_state
 
 
+def _require_permuting_rows(rows: np.ndarray, n_i: int) -> None:
+    """Raise AssertionError unless every row v of `rows`, shaped (before, d, after),
+    holds each index-0 position of a (before, n_i, after) layout exactly once.
+
+    A source whose index-i block is row t(i) plus i times the index stride is
+    then a basis permutation for every table t; a whole source is the case
+    d = n_i = before = 1.
+    """
+    before, d, after = rows.shape
+    high, a = np.divmod(rows, after)
+    b, i = np.divmod(high, n_i)
+    # v is the key's leading digit, so each row has its own block of keys;
+    # i must be 0 and b inside [0, before), else the ravel raises
+    try:
+        keys = np.ravel_multi_index((np.arange(d)[:, None], b, i, a), (d, before, 1, after))
+    except ValueError:
+        keys = None
+    # counted, then compared as lists: an array sort or comparison here pages
+    # in more of numpy and raises the process's peak RSS
+    ones = [1] * rows.size
+    if keys is None or np.bincount(keys.reshape(-1), minlength=rows.size).tolist() != ones:
+        raise AssertionError("gather source is not a permutation of the basis")
+
+
 @functools.lru_cache(maxsize=64)
 def _shift_table(shape: tuple[int, ...], index_reg: int, value_reg: int, sign: int):
     """Read-only shift table of a layout whose value register is no larger than
@@ -70,6 +102,7 @@ def _shift_table(shape: tuple[int, ...], index_reg: int, value_reg: int, sign: i
     j = positions // stride % d
     shifted = (j[:, None, :] - sign * np.arange(d)[:, None]) % d
     rows = (positions - stride * j)[:, None, :] + stride * shifted
+    _require_permuting_rows(rows, n_i)  # once per cached table, for every source built from it
     offsets = (np.arange(n_i) * after).reshape(n_i, 1)
     rows.flags.writeable = False
     offsets.flags.writeable = False
@@ -91,12 +124,18 @@ def _gather_source(
     digits = np.unravel_index(positions, shape)
     i, j = digits[index_reg], digits[value_reg]
     stride = math.prod(shape[value_reg + 1 :])
-    return positions + stride * ((j - sign * table.take(i)) % shape[value_reg] - j)
+    source = positions + stride * ((j - sign * table.take(i)) % shape[value_reg] - j)
+    _require_permuting_rows(source.reshape(1, 1, -1), 1)
+    return source
 
 
 class StandardOracle:
     """Additive-shift query oracle for a checked table: an `InputString`
     ([n] -> [M]) or an `IndexFunction` ([n] -> [n])."""
+
+    # every call returns a basis permutation of its input, certified where the
+    # gather source is built, so the simulator need not re-measure the norm
+    permutes_basis = True
 
     def __init__(self, table: InputString | IndexFunction):
         self.values = table.values

@@ -42,17 +42,21 @@ sum of one float is that float.
 
 The step loop applies a leading-target step inline, as `_contract` would
 without its transposes; `_contract` serves the other steps and
-`apply_unitary`. After every step the squared norm is compared against
-`(1 +- VALIDITY_ATOL)**2`, so no square root is taken unless the check
-fails, and the last step's squared norm is the total the output's sum-to-1
-check reads. Every validity check is written so that a NaN fails it: a
-non-finite matrix or state raises.
+`apply_unitary`. After every unitary step the squared norm is compared
+against `(1 +- VALIDITY_ATOL)**2`, so no square root is taken unless the
+check fails. So is it after every oracle call, unless the oracle declares
+`permutes_basis`: a `StandardOracle`'s gather source is certified a basis
+permutation where it is built, so its call leaves the squared norm as it
+was, up to the order of a sum, and the previous value is carried forward.
+The last squared norm is the total the output's sum-to-1 check reads.
+Every validity check is written so that a NaN fails it: a non-finite
+matrix or state raises.
 
 Amplified algorithms (repeats = 3) are executed as three independent passes
 whose single-bit outcomes are combined by majority at the harness level, so
 register count stays fixed while query accounting triples. Every pass
-evolves from the start state, calls the oracle and checks the norm at every
-step, but the passes are bit-identical, so the output rule is read once,
+evolves from the start state, calls the oracle and checks the norm as
+above, but the passes are bit-identical, so the output rule is read once,
 from the last pass's tensor and squared norm, with its sum-to-1 check.
 """
 
@@ -336,17 +340,23 @@ _NORM_SQ_HIGH = (1.0 + VALIDITY_ATOL) ** 2
 def _evolve(
     tensor: np.ndarray, norm_sq: float, ops: tuple[tuple, ...], oracle
 ) -> tuple[np.ndarray, float]:
-    """Apply the ops in turn, checking the norm after each one.
+    """Apply the ops in turn, checking the norm after each one that can move it.
 
-    Returns the final tensor and its squared norm, which is `norm_sq`, the
-    given tensor's, when there are no ops.
+    An oracle whose `permutes_basis` is true returns a permutation of the
+    amplitudes, so the squared norm is carried across its calls; it is
+    computed and checked after every unitary step and every call of any other
+    oracle. Returns the final tensor and its squared norm, which is
+    `norm_sq`, the given tensor's, when there are no ops.
     """
     dot, vdot, low, high = np.dot, np.vdot, _NORM_SQ_LOW, _NORM_SQ_HIGH
+    permutes = getattr(oracle, "permutes_basis", False)
     for matrix, plan in ops:
         if matrix is None:
             if oracle is None:
                 raise ValueError("algorithm performs oracle calls but no oracle was given")
             tensor = oracle.apply_tensor(tensor, *plan)
+            if permutes:
+                continue
         elif plan[0] is None:  # the targets lead: `_contract` without its transposes
             tensor = dot(matrix, tensor.reshape(plan[1], -1)).reshape(plan[2])
         else:

@@ -148,15 +148,15 @@ def grover_unique_or(n: int, iterations: int) -> ZooEntry:
     _require_power_of_two(n)
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
+    # the dense steps first: their size checks reject an n before its n + 1 strings are built
+    steps: list = [Unitary(fourier_matrix(n), (0,)), Unitary(phase_value_prep(2), (1,))]
+    diffusion = Unitary(diffusion_matrix(n), (0,))  # one step object, checked once
     outputs = {tuple([0] * n): 0}
     for i in range(n):
         values = [0] * n
         values[i] = 1
         outputs[tuple(values)] = 1
     function = BooleanFunctionTable(n, 2, outputs)
-    f = fourier_matrix(n)
-    steps: list = [Unitary(f, (0,)), Unitary(phase_value_prep(2), (1,))]
-    diffusion = Unitary(diffusion_matrix(n), (0,))  # one step object, checked once
     for _ in range(iterations):
         steps.append(OracleCall(0, 1))
         steps.append(diffusion)
@@ -173,6 +173,8 @@ def constant_function(bit: int, n: int = 4) -> ZooEntry:
     """Zero-query baseline: fixed output, total domain over M = 2."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
+    if n < 1:
+        raise ValueError("n must be positive")
     _require_table_in_budget(f"const{bit}", n, lambda: 2**n, n)
     outputs = {values: bit for values in itertools.product(range(2), repeat=n)}
     function = BooleanFunctionTable(n, 2, outputs)

@@ -174,7 +174,7 @@ class TestCompileRun:
         argv = ["distinguish", "--algo", "collision-sniffer", "--n", "16", "--r-list", "1"]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: a dense 16x16 Fourier matrix exceeds 100 entries\n"
+        assert captured.err == "error: --n 16: a dense 16x16 Fourier matrix exceeds 100 entries\n"
         assert captured.out == ""
 
     def test_oversized_start_state_is_usage_error(self, monkeypatch, capsys):
@@ -182,7 +182,7 @@ class TestCompileRun:
         argv = ["distinguish", "--algo", "collision-sniffer", "--n", "16", "--r-list", "1"]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: a start state of 256 amplitudes exceeds 100 entries\n"
+        assert captured.err == "error: --n 16: a start state of 256 amplitudes exceeds 100 entries\n"
         assert captured.out == ""
 
     def test_missing_r_is_usage_error(self):
@@ -270,7 +270,45 @@ class TestCompileRun:
         argv = ["compile-run", "--zoo", "grover", "--n", n, "--input", "constant0", "--r", "1"]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: n must be >= 1, got {n}\n"
+        assert captured.err == f"error: --n {n}: n must be >= 1, got {n}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compile-run", "--zoo", "const0", "--n", "0"], "--n 0: n must be positive"),
+            (["compile-run", "--zoo", "const1", "--n", "-1"], "--n -1: n must be positive"),
+            (["compile-run", "--zoo", "dj", "--n", "3"], "--n 3: n must be a power of two, got 3"),
+            (
+                ["compile-run", "--zoo", "grover", "--n", "4", "--iterations", "-1"],
+                "--iterations must be >= 0",
+            ),
+            (["distinguish", "--algo", "collision-sniffer", "--n", "1"], "--n 1: n must be at least 2"),
+            (["distinguish", "--algo", "zero-query", "--n", "0"], "--n 0: n must be positive"),
+        ],
+        ids=["const-zero", "const-negative", "dj-three", "grover-iterations", "sniffer-one", "probe-zero"],
+    )
+    def test_size_errors_name_their_flag(self, capsys, argv, message):
+        if argv[0] == "distinguish":
+            rest = ["--r-list", "1"]
+        else:
+            rest = ["--input", "constant0", "--r", "1"]
+        assert cli.main(argv + rest) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_grover_rejects_a_dense_size_before_building_its_table(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the promise table was built before the size check")
+
+        monkeypatch.setattr(zoo, "BooleanFunctionTable", forbidden)
+        argv = ["compile-run", "--zoo", "grover", "--n", "8192", "--input", "one-hot:1", "--r", "2"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --n 8192: a dense 8192x8192 Fourier matrix exceeds 16777216 entries\n"
+        )
         assert captured.out == ""
 
     def test_negative_trials_rejected(self, capsys):
@@ -511,7 +549,15 @@ class TestCompileRun:
         )
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {zoo_id} table exceeds the budget of 50 entries\n"
+        assert captured.err == f"error: --n 8: {zoo_id} table exceeds the budget of 50 entries\n"
+        assert captured.out == ""
+
+    def test_malformed_budget_is_named_before_any_work(self, monkeypatch, capsys):
+        monkeypatch.setenv("QSYMLAB_BUDGET", "abc")
+        monkeypatch.setattr(zoo, "build_zoo_entry", raise_memory_error)
+        assert cli.main(["compile-run", "--zoo", "dj", "--n", "4", "--input", "balanced", "--r", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: QSYMLAB_BUDGET must be an integer, got 'abc'\n"
         assert captured.out == ""
 
     def test_promise_table_budget_counts_cells(self, monkeypatch, capsys):
@@ -521,7 +567,7 @@ class TestCompileRun:
             ["compile-run", "--zoo", "const0", "--n", "5", "--input", "constant0", "--r", "2"]
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: const0 table exceeds the budget of 100 entries\n"
+        assert capsys.readouterr().err == "error: --n 5: const0 table exceeds the budget of 100 entries\n"
 
     @pytest.mark.parametrize(
         "target, message",

@@ -196,6 +196,50 @@ def test_gather_source_matches_frozen_formula(dims, index_reg, value_reg, sign):
         assert np.array_equal(got, want)
 
 
+def broken_rows(kind):
+    # the shift table of (4, 3), index 0 and value 1: rows (1, 3, 3) over the
+    # index-0 positions 0, 1, 2; each break keeps the rows' shape
+    rows = oracles._shift_table((4, 3), 0, 1, 1)[0].copy()
+    if kind == "duplicate":
+        rows[0, 1, 0] = rows[0, 1, 1]
+    elif kind == "balanced":
+        # row 0 holds a twice and misses b, row 1 the other way round: every
+        # position is still held three times over all rows
+        a, b = rows[0, 0, 0], rows[0, 0, 1]
+        rows[0, 0, 1] = a
+        rows[0, 1][rows[0, 1] == a] = b
+    elif kind == "index-digit":
+        rows[0, 2, :] += 3  # the same value digits, at index 1
+    elif kind == "negative":
+        rows[0, 0, 0] = -3
+    elif kind == "past-the-end":
+        rows[0, 0, 0] = 12
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "balanced", "index-digit", "negative", "past-the-end"])
+def test_certificate_rejects_rows_that_do_not_permute(kind):
+    oracles._require_permuting_rows(oracles._shift_table((4, 3), 0, 1, 1)[0], 4)
+    with pytest.raises(AssertionError, match="not a permutation of the basis"):
+        oracles._require_permuting_rows(broken_rows(kind), 4)
+
+
+def test_digit_path_certifies_each_source(monkeypatch):
+    # a value register larger than the index register builds no table: the
+    # source comes from each position's digits, here with the value digit lost
+    unravel = np.unravel_index
+
+    def value_digit_zero(positions, shape):
+        index, value = unravel(positions, shape)
+        return index, value * 0
+
+    oracle = StandardOracle(InputString(2, 5, (1, 3)))
+    tensor = np.zeros((2, 5), dtype=complex)
+    monkeypatch.setattr(np, "unravel_index", value_digit_zero)
+    with pytest.raises(AssertionError, match="not a permutation of the basis"):
+        oracle.apply_tensor(tensor, 0, 1)
+
+
 def test_shift_tables_are_read_only_and_never_outgrow_the_state():
     oracles._shift_table.cache_clear()
     table = np.zeros(5, dtype=np.intp)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from qsymlab.core import IndexFunction, InputString
 from qsymlab import statevector as sv
-from qsymlab.oracles import StandardOracle, standard_oracle
+from qsymlab.compiler import amplify_majority3, with_gadget_ancilla
+from qsymlab.oracles import ComposedOracle, StandardOracle, standard_oracle
 from qsymlab.statevector import (
     OracleCall,
     OutputRule,
@@ -482,6 +483,63 @@ class TestValidityChecks:
     def test_nan_state_raises(self):
         with pytest.raises(RuntimeError, match="state norm drifted to nan"):
             run(collision_sniffer(4).algorithm, ScalingOracle(np.nan))
+
+
+def gadget_dj_run():
+    # amplified DJ n=4 through the gadget: a ComposedOracle declares no permutation
+    rewritten, anc = with_gadget_ancilla(amplify_majority3(deutsch_jozsa(4).algorithm), 4)
+    x, g = InputString(4, 2, (0, 1, 1, 0)), IndexFunction(4, (1, 0, 3, 3))
+    return rewritten, ComposedOracle(standard_oracle(x), standard_oracle(g), anc)
+
+
+class TestNormCarriedAcrossPermutations:
+    """A `StandardOracle` call permutes the basis, so its norm is carried, not measured."""
+
+    @pytest.mark.parametrize(
+        "case, vdots",
+        [
+            # 5 ops a pass, 3 of them oracle calls (15 norms before the carry)
+            (lambda: (amplify_majority3(grover_unique_or(8, 2).algorithm),
+                      standard_oracle(InputString(8, 2, (0, 0, 0, 1, 0, 0, 0, 0)))), 6),
+            # 2 ops a pass, 1 of them an oracle call (6 norms before the carry)
+            (lambda: (amplify_majority3(deutsch_jozsa(4).algorithm),
+                      standard_oracle(InputString(4, 2, (0, 1, 1, 0)))), 3),
+            (gadget_dj_run, 6),
+            (lambda: (deutsch_jozsa(4).algorithm, ScalingOracle(1.0)), 2),
+        ],
+        ids=["grover-8", "dj-4", "gadget-dj-4", "undeclared"],
+    )  # fmt: skip
+    def test_norms_computed_in_one_run(self, monkeypatch, case, vdots):
+        alg, oracle = case()
+        calls, vdot = [], np.vdot
+
+        def counted(a, b):
+            calls.append(1)
+            return vdot(a, b)
+
+        monkeypatch.setattr(sv.np, "vdot", counted)
+        run(alg, oracle)
+        monkeypatch.undo()
+        assert len(calls) == vdots
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_carried_norm_equals_the_measured_one(self, data):
+        k = data.draw(st.integers(2, 4), label="registers")
+        index_reg, value_reg = data.draw(
+            st.permutations(range(k)).map(lambda p: (p[0], p[1])), label="registers (i, v)"
+        )
+        # value dims up to 6 against index dims up to 4: both gather paths
+        dims = [data.draw(st.integers(1, 3), label="spectator dim") for _ in range(k)]
+        dims[index_reg] = n = data.draw(st.integers(1, 4), label="index dim")
+        dims[value_reg] = d = data.draw(st.integers(1, 6), label="value dim")
+        values = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n), label="table")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        tensor, norm_sq = unit_tensor(tuple(dims), rng)
+        oracle = StandardOracle(InputString(n, d, values))
+        out, carried = sv._evolve(tensor, norm_sq, ((None, (index_reg, value_reg)),), oracle)
+        assert carried == norm_sq
+        assert abs(carried - np.vdot(out, out).real) <= 1e-14
 
 
 def frozen_output_probability_one(tensor, alg):
