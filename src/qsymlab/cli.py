@@ -257,10 +257,22 @@ def _cmd_distinguish(args) -> int:
         probe = zoo.build_distinguisher(args.algo, args.n)
     except ValueError as exc:  # a probe's only parameter is --n
         raise ValueError(f"--n {args.n}: {exc}") from None
+    for r in r_values:
+        try:
+            distributions.SmallRangeParams(args.n, r)
+        except ValueError as exc:
+            raise ValueError(f"--r-list {r}: {exc}") from None
+    deduped = []
+    for r in r_values:
+        if r in deduped:
+            # one line, not a warning with its source line; `sweep_r` warns library callers
+            print(f"warning: duplicate r value {r} dropped", file=sys.stderr)
+        else:
+            deduped.append(r)
     reports = disting.sweep_r(
         probe.algorithm,
         args.n,
-        r_values,
+        deduped,
         args.samples,
         args.seed,
         exact=args.exact,

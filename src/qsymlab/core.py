@@ -11,6 +11,10 @@ trust it. Boolean functions are stored extensionally on an explicit
 domain so that partial (promise) functions are first-class; each domain
 string passes the same check as an input's values.
 
+A block of index maps is the array form of many `IndexFunction`s at once:
+`index_map_block` checks a (B, n) integer array's range once, for every
+row, and returns it read-only, for the oracle builder that trusts it.
+
 The symmetry checkers move each domain string by the group's generators, the
 adjacent swaps of positions (and values): |S|(n + M - 2) moves, not |S| n! M!.
 """
@@ -19,6 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Optional
+
+import numpy as np
+
 
 def _integral(v) -> bool:
     try:
@@ -89,6 +96,28 @@ class IndexFunction:
     @classmethod
     def identity(cls, n: int) -> "IndexFunction":
         return cls(n, tuple(range(n)))
+
+
+def index_map_block(n: int, rows) -> np.ndarray:
+    """Read-only (B, n) intp array of B maps [n] -> [n], every entry checked once.
+
+    `rows` must already hold integers: a float or other dtype is rejected
+    rather than truncated. The checked copy is what `oracles.index_map_oracles`
+    takes in place of B `IndexFunction`s.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"expected a (B, {n}) block of index maps, got shape {rows.shape}")
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"index map entries must be integers, got dtype {rows.dtype}")
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        bad = rows[(rows < 0) | (rows >= n)][0]
+        raise ValueError(f"entry {bad} outside [0, {n})")
+    block = rows.astype(np.intp)
+    block.flags.writeable = False
+    return block
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,16 @@ An exact sweep checks the n! permutations and the largest r's support
 against the enumeration budget before it builds or simulates anything. It
 builds each permutation's oracle once, for all r, and runs it once per r;
 each r enumerates its own support.
+
+Both sweeps build their oracles a block of maps at a time: at most
+max(1, 4096 // N) maps for a state of N amplitudes, so a block's gather
+sources hold at most about 4096 ints per oracle call. A block is checked
+once by `core.index_map_block`, and `oracles.index_map_oracles` turns it
+into oracles whose sources for the algorithm's oracle calls are built
+already. A sampled sweep still samples, and so checks, each row's map
+alone, then stacks the maps into blocks. Every map is run as often, and in
+the same order, as a map-at-a-time loop would run it, so the reports do not
+change.
 """
 
 from __future__ import annotations
@@ -26,13 +36,14 @@ import math
 import warnings
 from array import array
 from dataclasses import InitVar, dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .compiler import Z_95
-from .core import IndexFunction
+from .core import index_map_block
 from .distributions import (
+    _BLOCK_INTS,
     SmallRangeParams,
     check_support_budget,
     enumerate_small_range_support,
@@ -42,8 +53,8 @@ from .distributions import (
     stream_rows,
     stream_seeds,
 )
-from .oracles import standard_oracle
-from .statevector import QueryAlgorithm, run
+from .oracles import StandardOracle, index_map_oracles
+from .statevector import OracleCall, QueryAlgorithm, run
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,25 @@ def advantage_exact(
     return _exact_reports(algorithm, [SmallRangeParams(n, r)], algorithm_id)[0]
 
 
+def _block_size(algorithm: QueryAlgorithm) -> int:
+    """Maps per oracle block: a block's sources hold N ints per map and register
+    pair, N the state size."""
+    return max(1, _BLOCK_INTS // algorithm.layout.total_dim)
+
+
+def _oracles(algorithm: QueryAlgorithm, block: np.ndarray) -> list[StandardOracle]:
+    """The block's oracles, each with its sources for the algorithm's oracle calls."""
+    pairs = [(s.index_reg, s.value_reg) for s in algorithm.steps if isinstance(s, OracleCall)]
+    return index_map_oracles(block, algorithm.layout.dims, pairs)
+
+
+def _map_oracles(algorithm: QueryAlgorithm, n: int, maps) -> Iterator[StandardOracle]:
+    """One oracle per value tuple of `maps`, in order, checked and built a block at a time."""
+    maps, size = iter(maps), _block_size(algorithm)
+    while chunk := list(itertools.islice(maps, size)):
+        yield from _oracles(algorithm, index_map_block(n, chunk))
+
+
 def _exact_reports(
     algorithm: QueryAlgorithm, params: Sequence[SmallRangeParams], algorithm_id: str
 ) -> list[AdvantageReport]:
@@ -93,13 +123,12 @@ def _exact_reports(
     # visits the most maps
     budget = enumeration_budget()
     if math.factorial(n) > budget:
-        raise ValueError(f"enumerating {n}! permutations exceeds budget {budget}")
+        raise ValueError(f"enumerating {n}! permutations exceeds budget {budget} (QSYMLAB_BUDGET)")
     check_support_budget(max(params, key=lambda param: param.r))
     # one oracle per permutation, run once per r (perfbench's distinguish-exact
-    # law counts n! runs per r) and dropped before the next; a term takes 8 bytes
+    # law counts n! runs per r) and dropped with its block; a term takes 8 bytes
     perm_terms = [array("d") for _ in params]
-    for p in itertools.permutations(range(n)):
-        oracle = standard_oracle(IndexFunction(n, p))
+    for oracle in _map_oracles(algorithm, n, itertools.permutations(range(n))):
         for terms in perm_terms:
             terms.append(run(algorithm, oracle)[1])
     reports = []
@@ -107,7 +136,9 @@ def _exact_reports(
         support = enumerate_small_range_support(param)
         p_perm = math.fsum(terms) / math.factorial(n)
         p_small = math.fsum(
-            w * run(algorithm, standard_oracle(g))[1] for g, w in support.float_entries()
+            w * run(algorithm, oracle)[1]
+            for block, w in support.float_blocks(_block_size(algorithm))
+            for oracle in _oracles(algorithm, block)
         )
         adv = abs(p_perm - p_small)
         reports.append(
@@ -129,18 +160,18 @@ def advantage_monte_carlo(
         raise ValueError("samples must be positive")
     params = SmallRangeParams(n, r)
     row_seeds = stream_seeds(seed, 2 * samples)
-    perm_vals = np.array(
-        [
-            run(algorithm, standard_oracle(sample_permutation(n, swaps)))[1]
-            for swaps, _ in stream_rows(range(n, 0, -1), row_seeds[:samples])
-        ]
+    # each row's map is sampled, and so checked, alone, then checked again
+    # with its block, whose oracles are built at once
+    perm_maps = (
+        sample_permutation(n, swaps).values
+        for swaps, _ in stream_rows(range(n, 0, -1), row_seeds[:samples])
     )
-    small_vals = np.array(
-        [
-            run(algorithm, standard_oracle(sample_small_range(params, draws)))[1]
-            for draws, _ in stream_rows(params.bounds, row_seeds[samples:])
-        ]
+    small_maps = (
+        sample_small_range(params, draws).values
+        for draws, _ in stream_rows(params.bounds, row_seeds[samples:])
     )
+    perm_vals = np.array([run(algorithm, o)[1] for o in _map_oracles(algorithm, n, perm_maps)])
+    small_vals = np.array([run(algorithm, o)[1] for o in _map_oracles(algorithm, n, small_maps)])
     p_perm = float(perm_vals.mean())
     p_small = float(small_vals.mean())
     if samples > 1:

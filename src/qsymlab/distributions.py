@@ -26,9 +26,11 @@ So no two quantities share a word, and a row is exact and depends on its
 seed alone. The enumerator gives each map with image size k <= r its
 closed-form mass (r)_k (n-k)! / (r^n n!), serving as the ground-truth
 oracle for the samplers and for exact expectation sweeps. Its support
-stores one mass per image size and builds the maps as it is iterated, so an
-exact sweep holds one map at a time: the enumeration budget bounds the maps
-visited, that is time, not memory.
+stores one mass per image size and lists the maps a chunk at a time as it
+is walked, either as checked `IndexFunction`s one by one or as checked
+`core.index_map_block` blocks, so an exact sweep holds one chunk of maps at
+a time: the enumeration budget bounds the maps visited, that is time, not
+memory.
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import IndexFunction
+from .core import IndexFunction, index_map_block
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
-_BLOCK_INTS = 4096  # row ints `stream_rows` draws per block, unless one row is wider
+# ints per block, unless one row is wider: the row ints `stream_rows` draws, the
+# words a support walk lists, and a `disting` sweep's N state positions per map
+_BLOCK_INTS = 4096
 # SplitMix64's increment and its two mix multipliers
 _GAMMA, _MIX_A, _MIX_B = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 _LOW32 = np.uint64(2**32 - 1)
@@ -102,7 +106,8 @@ class WeightedSupport:
     any number of times in constant memory. Construction checks that the
     masses sum to exactly 1; each walk checks that the maps onto one cell set
     strictly increase (maps onto distinct cells differ in their image) and
-    that each image size yields its closed-form count.
+    that each image size yields its closed-form count. A walk lists the words
+    a chunk at a time; `float_blocks` hands each chunk on as one checked block.
     """
 
     params: SmallRangeParams
@@ -124,30 +129,50 @@ class WeightedSupport:
         return sum(self._sizes)
 
     def __iter__(self) -> Iterator[tuple[IndexFunction, Fraction]]:
-        return self._walk(self.masses)
+        return self._entries(self.masses)
 
     def float_entries(self) -> Iterator[tuple[IndexFunction, float]]:
         """The maps with their masses as floats, each image size's converted once."""
-        return self._walk([float(p) for p in self.masses])
+        return self._entries([float(p) for p in self.masses])
+
+    def float_blocks(self, maps_per_block: int) -> Iterator[tuple[np.ndarray, float]]:
+        """The maps in walk order as `core.index_map_block` blocks of at most
+        `maps_per_block` rows, all of one image size, each with its float mass."""
+        n = self.params.n
+        for words, weight in self._walk([float(p) for p in self.masses], maps_per_block):
+            yield index_map_block(n, words), weight
 
     def probability_of(self, g: IndexFunction) -> Fraction:
         k = len(set(g.values))
         return self.masses[k - 1] if g.n == self.params.n and k <= self.params.r else Fraction(0)
 
-    def _walk(self, weights):
+    def _entries(self, weights):
         n = self.params.n
+        for words, weight in self._walk(weights, max(1, _BLOCK_INTS // n)):
+            for values in words:
+                yield IndexFunction(n, values), weight
+
+    def _walk(self, weights, per_chunk: int):
+        """Lists of at most `per_chunk` words, each list of one image size, with its weight."""
         for k, (weight, size) in enumerate(zip(weights, self._sizes), start=1):
+            words = _ordered_words(self.params.n, k)
             made = 0
-            for cells in itertools.combinations(range(n), k):
-                last: tuple[int, ...] = ()  # below every word
-                for values in _onto(n, cells):
-                    if values <= last:
-                        raise ValueError(f"maps onto {cells} repeat or fall out of order at {values}")
-                    last = values
-                    made += 1
-                    yield IndexFunction(n, values), weight
+            while chunk := list(itertools.islice(words, per_chunk)):
+                made += len(chunk)
+                yield chunk, weight
             if made != size:
                 raise ValueError(f"image size {k} yielded {made} maps, not {size}")
+
+
+def _ordered_words(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The words onto each k-cell set in turn; raises unless each set's words strictly increase."""
+    for cells in itertools.combinations(range(n), k):
+        last: tuple[int, ...] = ()  # below every word
+        for values in _onto(n, cells):
+            if values <= last:
+                raise ValueError(f"maps onto {cells} repeat or fall out of order at {values}")
+            last = values
+            yield values
 
 
 def _words(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -252,7 +277,7 @@ def check_support_budget(params: SmallRangeParams) -> None:
     visited = sum(math.comb(n, k) * k**n for k in range(1, r + 1))
     budget = enumeration_budget()
     if visited > budget:
-        raise ValueError(f"enumeration visits {visited} maps, budget is {budget}")
+        raise ValueError(f"enumeration visits {visited} maps, budget is {budget} (QSYMLAB_BUDGET)")
 
 
 def enumerate_small_range_support(params: SmallRangeParams) -> WeightedSupport:

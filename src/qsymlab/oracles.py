@@ -27,6 +27,12 @@ Three variants:
   The registers are checked against the tensor once per memo key, on the
   miss that computes the source: a hit repeats a check that already passed.
   Every call, hit or miss, bills one query; a call that fails bills none.
+  `index_map_oracles` builds one such oracle per row of an index-map block
+  that `core.index_map_block` checked, for a tensor shape and the register
+  pairs an algorithm calls: it checks the pairs against the shape once per
+  block and takes every row's source from the certified shift table with
+  one `take` and one offset add, storing each under the key its first call
+  would. Any other key still takes the checked miss path.
 * ClassicalOracle: a counted plain lookup i -> x(i) into an input.
 * ComposedOracle: the three-call gadget realizing the oracle of x composed
   with an index map g out of the oracles for x and g. One composed call
@@ -38,8 +44,9 @@ Three variants:
 Quantum oracles act on amplitude tensors shaped like the register layout
 (`apply_tensor` reads the register dims from the tensor). A table is
 validated once, where it is built: `core.InputString` and
-`core.IndexFunction` check length and range, and every table exposes `n`,
-`M` and `values` (M = n for an index map). `StandardOracle(table)` reads its
+`core.IndexFunction` check length and range, `core.index_map_block` the
+range of a whole block of index maps, and every table exposes `n`, `M` and
+`values` (M = n for an index map). `StandardOracle(table)` reads its
 dimensions from such a table and trusts its entries; `standard_oracle`
 is the same constructor behind a type check, and `oracle_from_partial`
 builds an `InputString` of the composed values, so a missing or
@@ -129,6 +136,20 @@ def _gather_source(
     return source
 
 
+def _check_arity(
+    shape: tuple[int, ...], index_reg: int, value_reg: int, index_dim: int, value_dim: int
+) -> None:
+    if index_reg == value_reg:
+        raise ValueError("oracle needs two distinct registers")
+    if not (0 <= index_reg < len(shape) and 0 <= value_reg < len(shape)):
+        raise ValueError(f"oracle registers outside a tensor of {len(shape)} registers")
+    if shape[index_reg] != index_dim or shape[value_reg] != value_dim:
+        raise ValueError(
+            f"incompatible oracle arity: oracle is {index_dim}x{value_dim}, "
+            f"registers are {shape[index_reg]}x{shape[value_reg]}"
+        )
+
+
 class StandardOracle:
     """Additive-shift query oracle for a checked table: an `InputString`
     ([n] -> [M]) or an `IndexFunction` ([n] -> [n])."""
@@ -147,16 +168,18 @@ class StandardOracle:
         # an amplified run repeats the calls of the first
         self._sources: dict = {}
 
-    def _check_arity(self, shape: tuple[int, ...], index_reg: int, value_reg: int) -> None:
-        if index_reg == value_reg:
-            raise ValueError("oracle needs two distinct registers")
-        if not (0 <= index_reg < len(shape) and 0 <= value_reg < len(shape)):
-            raise ValueError(f"oracle registers outside a tensor of {len(shape)} registers")
-        if shape[index_reg] != self.index_dim or shape[value_reg] != self.value_dim:
-            raise ValueError(
-                f"incompatible oracle arity: oracle is {self.index_dim}x{self.value_dim}, "
-                f"registers are {shape[index_reg]}x{shape[value_reg]}"
-            )
+    @classmethod
+    def _of_block_row(
+        cls, values: tuple[int, ...], row: np.ndarray, sources: dict
+    ) -> "StandardOracle":
+        """The oracle of one row of a checked index-map block, its sources filled in."""
+        oracle = cls.__new__(cls)
+        oracle.values = values
+        oracle.index_dim = oracle.value_dim = len(values)
+        oracle.queries = 0
+        oracle._table = row
+        oracle._sources = sources
+        return oracle
 
     def apply_tensor(
         self, tensor: np.ndarray, index_reg: int, value_reg: int, inverse: bool = False
@@ -166,7 +189,7 @@ class StandardOracle:
         source = self._sources.get(key)
         if source is None:
             # the key holds the shape and both registers: only a miss needs the check
-            self._check_arity(shape, index_reg, value_reg)
+            _check_arity(shape, index_reg, value_reg, self.index_dim, self.value_dim)
             sign = -1 if inverse else 1
             source = _gather_source(shape, index_reg, value_reg, self._table, sign).reshape(shape)
             self._sources[key] = source
@@ -250,6 +273,43 @@ def standard_oracle(table: InputString | IndexFunction) -> StandardOracle:
     if not isinstance(table, (InputString, IndexFunction)):
         raise TypeError(f"cannot build an oracle from {type(table)!r}")
     return StandardOracle(table)
+
+
+def index_map_oracles(block: np.ndarray, shape: tuple[int, ...], pairs) -> list[StandardOracle]:
+    """One `StandardOracle` per row of a block that `core.index_map_block` checked,
+    each holding its gather source for `shape` and every (index_reg, value_reg)
+    pair, as a first call on such a tensor would compute it.
+
+    The register pairs are checked against `shape` once for the block; the
+    sources come from the certified shift table, one `take` and one offset
+    add per pair for the whole block. A call on another shape, pair or
+    direction takes the ordinary miss path, checks included.
+    """
+    if not (
+        isinstance(block, np.ndarray)
+        and block.ndim == 2
+        and block.dtype == np.intp
+        and not block.flags.writeable
+    ):
+        raise TypeError("index_map_oracles takes a block checked by core.index_map_block")
+    count, n = block.shape
+    shape = tuple(shape)
+    filled = []
+    for index_reg, value_reg in dict.fromkeys(pairs):
+        _check_arity(shape, index_reg, value_reg, n, n)
+        # value and index registers both have dimension n: the shift-table path
+        rows, offsets = _shift_table(shape, index_reg, value_reg, 1)
+        source = rows.take(block, axis=1)  # (before, B, n, after)
+        source += offsets
+        source = np.ascontiguousarray(source.swapaxes(0, 1)).reshape((count, *shape))
+        source.flags.writeable = False
+        filled.append(((shape, index_reg, value_reg, False), source))
+    return [
+        StandardOracle._of_block_row(
+            tuple(values), block[b], {key: source[b] for key, source in filled}
+        )
+        for b, values in enumerate(block.tolist())
+    ]
 
 
 def oracle_from_partial(

@@ -742,22 +742,27 @@ class TestDistinguish:
         report = read_report(out)
         assert [rep["advantage"] for rep in report["results"]["reports"]] == [0.0, 0.0]
 
-    def test_duplicate_r_warns(self, tmp_path):
-        with pytest.warns(UserWarning, match="duplicate"):
-            code = cli.main(
-                [
-                    "distinguish",
-                    "--algo", "collision-sniffer",
-                    "--n", "4",
-                    "--r-list", "2,2",
-                    "--samples", "20",
-                    "--seed", "5",
-                    "--out", str(tmp_path / "adv.json"),
-                ]
-            )
+    def test_duplicate_r_warns(self, tmp_path, capsys):
+        # one plain line on stderr, not a UserWarning with its source path and code line
+        code = cli.main(
+            [
+                "distinguish",
+                "--algo", "collision-sniffer",
+                "--n", "4",
+                "--r-list", "2,2,3,2",
+                "--samples", "20",
+                "--seed", "5",
+                "--out", str(tmp_path / "adv.json"),
+            ]
+        )
         assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: duplicate r value 2 dropped\n" "warning: duplicate r value 2 dropped\n"
+        )
+        reports = read_report(tmp_path / "adv.json")["results"]["reports"]
+        assert [rep["r"] for rep in reports] == [2, 3]
 
-    def test_r_outside_range_is_usage_error(self, tmp_path):
+    def test_r_outside_range_is_usage_error(self, tmp_path, capsys):
         code = cli.main(
             [
                 "distinguish",
@@ -769,6 +774,34 @@ class TestDistinguish:
             ]
         )
         assert code == 2
+        assert capsys.readouterr().err == "error: --r-list 5: r outside [1, 4]: 5\n"
+
+    @pytest.mark.parametrize("r_list, bad", [("0", 0), ("2,5,1", 5), ("2,2,-1", -1)])
+    def test_r_list_names_the_entry_out_of_range(self, tmp_path, capsys, r_list, bad):
+        out = tmp_path / "adv.json"
+        argv = ["distinguish", "--algo", "collision-sniffer", "--n", "4", "--r-list", r_list]
+        assert cli.main(argv + ["--exact", "--out", str(out)]) == 2
+        # no warning for the duplicate 2: the range error comes first
+        assert capsys.readouterr().err == f"error: --r-list {bad}: r outside [1, 4]: {bad}\n"
+        assert not out.exists()
+
+    def test_bad_n_is_named_before_bad_r(self, capsys):
+        argv = ["distinguish", "--algo", "collision-sniffer", "--n", "1", "--r-list", "5"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: --n 1: n must be at least 2\n"
+
+    def test_too_many_permutations_names_the_budget(self, monkeypatch, capsys):
+        monkeypatch.delenv("QSYMLAB_BUDGET", raising=False)  # the default budget
+        runs = []
+        monkeypatch.setattr(disting, "run", lambda *args: runs.append(args))
+        code = cli.main(
+            ["distinguish", "--algo", "collision-sniffer", "--n", "11", "--r-list", "1", "--exact"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: enumerating 11! permutations exceeds budget 10000000 (QSYMLAB_BUDGET)\n"
+        )
+        assert runs == []
 
     def test_exact_and_sampled_agree(self, tmp_path):
         base = [
@@ -806,7 +839,9 @@ class TestDistinguish:
             ["distinguish", "--algo", "collision-sniffer", "--n", "4", "--r-list", "1,2,3", "--exact"]
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: enumeration visits 424 maps, budget is 100\n"
+        assert capsys.readouterr().err == (
+            "error: enumeration visits 424 maps, budget is 100 (QSYMLAB_BUDGET)\n"
+        )
         assert runs == []
 
     def test_csv_emitted(self, tmp_path):

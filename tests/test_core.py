@@ -3,6 +3,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from qsymlab.core import (
     compose_input,
     first_type_asymmetry_witness,
     image,
+    index_map_block,
     is_symmetric_first_type,
     is_symmetric_second_type,
     second_type_asymmetry_witness,
@@ -158,6 +160,50 @@ class TestValidation:
     def test_table_checks_domain_strings_like_an_input(self, key, message):
         with pytest.raises(ValueError, match=message):
             BooleanFunctionTable(2, 2, {key: 1})
+
+
+class TestIndexMapBlock:
+    def test_rows_equal_checked_index_maps(self):
+        rows = list(itertools.product(range(3), repeat=3))
+        block = index_map_block(3, rows)
+        assert block.dtype == np.intp and block.shape == (27, 3)
+        assert [tuple(row) for row in block.tolist()] == [IndexFunction(3, r).values for r in rows]
+
+    def test_checked_copy_is_read_only(self):
+        rows = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        block = index_map_block(2, rows)
+        with pytest.raises(ValueError):
+            block[0, 0] = 1
+        rows[0, 0] = 5  # the caller's array stays writeable and is not the block
+        assert block.tolist() == [[0, 1], [1, 1]]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([0, 1, 2], r"^expected a \(B, 3\) block of index maps, got shape \(3,\)$"),
+            ([[0, 1]], r"^expected a \(B, 3\) block of index maps, got shape \(1, 2\)$"),
+            (np.zeros((1, 3, 1), dtype=int), r"got shape \(1, 3, 1\)$"),
+            ([[0, 1, 2], [0, 1]], "inhomogeneous"),
+            ([[0, 1, 2], [2, -1, 0]], r"^entry -1 outside \[0, 3\)$"),
+            ([[0, 3, 2], [2, -1, 0]], r"^entry 3 outside \[0, 3\)$"),
+            (np.array([[2**63 - 1, 0, 0]]), r"^entry 9223372036854775807 outside \[0, 3\)$"),
+            (np.array([[0.0, 1.0, 2.0]]), "^index map entries must be integers, got dtype float64"),
+            (np.array([[True, False, True]]), "got dtype bool$"),
+            ([["0", "1", "2"]], "got dtype <U1$"),
+            (np.array([[0, 1, 2]], dtype=object), "got dtype object$"),
+        ],
+        ids=[
+            "flat", "short-rows", "three-axes", "ragged", "negative", "too-large", "huge",
+            "float", "bool", "string", "object",
+        ],
+    )  # fmt: skip
+    def test_bad_block_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            index_map_block(3, rows)
+
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            index_map_block(0, np.zeros((1, 0), dtype=int))
 
 
 class TestFirstTypeSymmetry:

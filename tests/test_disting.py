@@ -1,13 +1,19 @@
 import csv
 import dataclasses
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qsymlab import cli, disting, oracles
-from qsymlab.disting import advantage_exact, advantage_monte_carlo, sweep_r
+from qsymlab.compiler import Z_95
+from qsymlab.core import IndexFunction
+from qsymlab.disting import AdvantageReport, advantage_exact, advantage_monte_carlo, sweep_r
 from qsymlab.distributions import (
     SmallRangeParams,
+    enumerate_small_range_support,
     sample_permutation,
     sample_small_range,
     stream_rows,
@@ -143,6 +149,95 @@ class TestAdvantageMonteCarlo:
         assert report.smallrange_prob[1] == float(np.array(small_vals).mean())
 
 
+def naive_p_one(algorithm, g):
+    return run(algorithm, oracles.standard_oracle(g))[1]
+
+
+def naive_exact_report(algorithm, n, r):
+    """advantage_exact as a plain loop: a checked map and a fresh oracle per
+    simulation, over every permutation and every map of [n] into [n]."""
+    p_perm = math.fsum(
+        naive_p_one(algorithm, IndexFunction(n, p)) for p in itertools.permutations(range(n))
+    ) / math.factorial(n)
+    support = enumerate_small_range_support(SmallRangeParams(n, r))
+    # fsum rounds correctly, so the order of the terms does not matter; maps of
+    # image size above r have mass 0
+    p_small = math.fsum(
+        float(support.probability_of(g)) * naive_p_one(algorithm, g)
+        for g in (IndexFunction(n, values) for values in itertools.product(range(n), repeat=n))
+    )
+    adv = abs(p_perm - p_small)
+    return AdvantageReport(n, r, "s", "exact", p_perm, p_small, None, adv, adv, None)
+
+
+def naive_monte_carlo_report(algorithm, n, r, samples, seed):
+    """advantage_monte_carlo as a plain loop: one sampled map and a fresh oracle per row."""
+    params = SmallRangeParams(n, r)
+    row_seeds = stream_seeds(seed, 2 * samples)
+    perm_vals = np.array(
+        [
+            naive_p_one(algorithm, sample_permutation(n, swaps))
+            for swaps, _ in stream_rows(range(n, 0, -1), row_seeds[:samples])
+        ]
+    )
+    small_vals = np.array(
+        [
+            naive_p_one(algorithm, sample_small_range(params, draws))
+            for draws, _ in stream_rows(params.bounds, row_seeds[samples:])
+        ]
+    )
+    p_perm, p_small = float(perm_vals.mean()), float(small_vals.mean())
+    se = math.sqrt(perm_vals.var(ddof=1) / samples + small_vals.var(ddof=1) / samples)
+    adv = abs(p_perm - p_small)
+    ci = (max(0.0, adv - Z_95 * se), min(1.0, adv + Z_95 * se))
+    return AdvantageReport(n, r, "s", "monte-carlo", p_perm, p_small, samples, *ci, seed)
+
+
+class TestBlockSweepsEqualNaiveLoops:
+    # the default blocks (256 maps at n=4, 163 at n=5) and blocks of 6 and 4 maps
+    @pytest.fixture(params=[None, 100], ids=["default-blocks", "small-blocks"])
+    def block_ints(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(disting, "_BLOCK_INTS", request.param)
+
+    @pytest.mark.parametrize("n, r_values", [(4, [3, 1, 4, 2]), (5, [2, 5, 3])])
+    def test_exact_sweep(self, block_ints, n, r_values):
+        for probe in (collision_sniffer(n), zero_query_probe(n)):
+            reports = sweep_r(
+                probe.algorithm, n, r_values, None, None, exact=True, algorithm_id="s"
+            )
+            naive = [naive_exact_report(probe.algorithm, n, r) for r in r_values]
+            assert [dataclasses.asdict(rep) for rep in reports] == [
+                dataclasses.asdict(rep) for rep in naive
+            ]
+
+    @pytest.mark.parametrize("n, r_values", [(4, [3, 1, 4]), (5, [2, 5])])
+    def test_monte_carlo_sweep(self, block_ints, n, r_values):
+        samples, seed = 400, 21
+        probe = collision_sniffer(n)
+        reports = sweep_r(probe.algorithm, n, r_values, samples, seed, algorithm_id="s")
+        naive = [
+            naive_monte_carlo_report(probe.algorithm, n, r, samples, s)
+            for r, s in zip(r_values, stream_seeds(seed, len(r_values)).tolist())
+        ]
+        assert [dataclasses.asdict(rep) for rep in reports] == [
+            dataclasses.asdict(rep) for rep in naive
+        ]
+
+    def test_exact_sweep_holds_one_block_not_the_support(self):
+        # the 11,736 maps of image size <= 3 as oracles would take several MB,
+        # and as one array of blocks over 0.5 MB; a block of 113 takes about 0.1 MB
+        probe = collision_sniffer(6)
+        tracemalloc.start()
+        try:
+            report = advantage_exact(probe.algorithm, 6, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.advantage == pytest.approx(5 / 18, abs=1e-12)
+        assert peak < 2**19
+
+
 class TestSweep:
     def test_empty_r_list(self):
         probe = collision_sniffer(4)
@@ -150,21 +245,26 @@ class TestSweep:
         assert sweep_r(probe.algorithm, 4, [], None, None, exact=True) == []
 
     def test_exact_sweep_builds_the_permutation_oracles_once(self, monkeypatch):
-        inits = []
-        original = oracles.StandardOracle.__init__
-        monkeypatch.setattr(
-            oracles.StandardOracle,
-            "__init__",
-            lambda self, table: inits.append(table) or original(self, table),
-        )
+        built = []
+        original = disting.index_map_oracles
+
+        def recording(*args):
+            block_oracles = original(*args)
+            built.extend(block_oracles)
+            return block_oracles
+
+        monkeypatch.setattr(disting, "index_map_oracles", recording)
         runs = []
         monkeypatch.setattr(disting, "run", lambda *args: runs.append(args) or run(*args))
         probe = collision_sniffer(4)
         reports = sweep_r(probe.algorithm, 4, [3, 1, 2], None, None, exact=True)
         # 4! permutations once, then the 232, 4 and 88 maps of image size <= 3, 1, 2;
-        # every r still simulates all 24 permutations
-        assert len(inits) == 24 + 232 + 4 + 88
+        # every r still simulates all 24 permutations, each on its one oracle
+        assert len(built) == 24 + 232 + 4 + 88
         assert len(runs) == 3 * 24 + 232 + 4 + 88
+        assert [id(oracle) for _, oracle in runs] == [
+            id(oracle) for oracle in built[:24] for _ in range(3)
+        ] + [id(oracle) for oracle in built[24:]]
         assert [rep.r for rep in reports] == [3, 1, 2]
 
     def test_exact_sweep_equals_per_r_reports(self):
@@ -188,7 +288,7 @@ class TestSweep:
         monkeypatch.setenv("QSYMLAB_BUDGET", budget)
         calls = []
         monkeypatch.setattr(disting, "run", lambda *args: calls.append(args))
-        monkeypatch.setattr(disting, "standard_oracle", lambda *args: calls.append(args))
+        monkeypatch.setattr(disting, "index_map_oracles", lambda *args: calls.append(args))
         probe = collision_sniffer(4)
         with pytest.raises(ValueError, match=message):
             sweep_r(probe.algorithm, 4, [1, 2, 3], None, None, exact=True)

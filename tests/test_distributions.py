@@ -457,6 +457,31 @@ class TestStreamedSupport:
         with pytest.raises(ValueError, match=r"maps onto \(0,.*\) repeat or fall out of order"):
             list(support)
 
+    @pytest.mark.parametrize("n, r, per_block", [(4, 3, 7), (5, 2, 1), (6, 3, 113), (3, 3, 1000)])
+    def test_blocks_hold_the_walk_in_order(self, n, r, per_block):
+        support = enumerate_small_range_support(SmallRangeParams(n, r))
+        blocks = list(support.float_blocks(per_block))
+        assert [(tuple(row), w) for block, w in blocks for row in block.tolist()] == [
+            (g.values, w) for g, w in support.float_entries()
+        ]
+        for block, w in blocks:
+            assert 1 <= len(block) <= per_block and not block.flags.writeable
+            # one image size, hence one mass, per block
+            (k,) = {len(set(row)) for row in block.tolist()}
+            assert w == float(support.masses[k - 1])
+
+    def test_blocks_keep_the_count_and_order_checks(self, monkeypatch):
+        onto = distributions._onto
+        support = enumerate_small_range_support(SmallRangeParams(3, 2))
+        monkeypatch.setattr(
+            distributions, "_onto", lambda n, cells: itertools.islice(onto(n, cells), 1, None)
+        )
+        with pytest.raises(ValueError, match="image size 1 yielded 0 maps, not 3"):
+            list(support.float_blocks(4))
+        monkeypatch.setattr(distributions, "_onto", lambda n, cells: reversed(list(onto(n, cells))))
+        with pytest.raises(ValueError, match=r"maps onto \(0, 1\) repeat or fall out of order"):
+            list(support.float_blocks(4))
+
     def test_probability_of_is_the_closed_form(self):
         support = enumerate_small_range_support(SmallRangeParams(4, 2))
         assert all(support.probability_of(g) == p for g, p in support)

@@ -7,16 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsymlab import oracles
-from qsymlab.core import IndexFunction, InputString, compose_input
+from qsymlab.core import IndexFunction, InputString, compose_input, index_map_block
 from qsymlab.oracles import (
     ClassicalOracle,
     ComposedOracle,
     StandardOracle,
+    index_map_oracles,
     oracle_from_partial,
     oracle_full_matrix,
     standard_oracle,
 )
-from qsymlab.statevector import RegisterLayout, apply_unitary, basis_state
+from qsymlab.statevector import (
+    OracleCall,
+    OutputRule,
+    QueryAlgorithm,
+    RegisterLayout,
+    Unitary,
+    apply_unitary,
+    basis_state,
+    run,
+)
 
 
 TABLE_3X4 = InputString(3, 4, (1, 3, 2))
@@ -258,6 +268,99 @@ def test_shift_tables_are_read_only_and_never_outgrow_the_state():
         assert rows.size <= math.prod(key[0])
         assert not rows.flags.writeable and not offsets.flags.writeable
     assert oracles._shift_table.cache_info().misses == len(keys)
+
+
+def random_unitary(side, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    return q
+
+
+class TestIndexMapOracles:
+    # (dims, oracle-call pairs) with index maps on [4]
+    LAYOUTS = [
+        ((4, 4), [(0, 1)]),  # the index register leads
+        ((2, 4, 4), [(1, 2)]),  # a register ahead of the index register
+        ((4, 3, 4), [(2, 0)]),  # the value register ahead of the index register
+        ((4, 4, 3, 4), [(0, 1), (0, 3), (0, 1)]),  # a workspace register, two pairs
+    ]
+    MAPS = list(itertools.product(range(4), repeat=4))
+
+    def algorithm(self, dims, pairs, seed):
+        rng = np.random.default_rng(seed)
+        everything = tuple(range(len(dims)))
+        side = math.prod(dims)
+        steps = [Unitary(random_unitary(side, rng), everything)]
+        for index_reg, value_reg in pairs:
+            steps.append(OracleCall(index_reg, value_reg))
+            steps.append(Unitary(random_unitary(side, rng), everything))
+        rule = OutputRule((0,), frozenset({(1,)}))
+        return QueryAlgorithm(RegisterLayout(dims), tuple(steps), rule)
+
+    @pytest.mark.parametrize("dims, pairs", LAYOUTS)
+    def test_block_oracles_equal_per_map_oracles(self, dims, pairs):
+        alg = self.algorithm(dims, pairs, seed=len(dims))
+        built = index_map_oracles(index_map_block(4, self.MAPS), dims, pairs)
+        assert len(built) == len(self.MAPS)
+        for values, oracle in zip(self.MAPS, built):
+            fresh = standard_oracle(IndexFunction(4, values))
+            assert (oracle.values, oracle.index_dim, oracle.value_dim) == (values, 4, 4)
+            assert type(oracle.values[0]) is int
+            assert run(alg, oracle) == run(alg, fresh)
+            assert oracle.queries == fresh.queries == len(pairs)
+            assert oracle._sources.keys() == fresh._sources.keys()
+            for key, source in oracle._sources.items():
+                assert source.shape == fresh._sources[key].shape == dims
+                assert source.tobytes() == fresh._sources[key].tobytes()
+
+    def test_unfilled_pair_takes_the_checked_miss_path(self):
+        dims = (4, 4, 3, 4)
+        oracle = index_map_oracles(index_map_block(4, [(3, 0, 0, 1)]), dims, [(0, 1)])[0]
+        tensor = np.random.default_rng(6).normal(size=dims).astype(complex)
+        with pytest.raises(ValueError, match="arity: oracle is 4x4, registers are 4x3"):
+            oracle.apply_tensor(tensor, 0, 2)
+        assert oracle.queries == 0
+        # a pair that fits but was not filled in, and the inverse of a filled one
+        fresh = standard_oracle(IndexFunction(4, (3, 0, 0, 1)))
+        for registers, inverse in (((0, 3), False), ((0, 1), True), ((3, 0), False)):
+            assert np.array_equal(
+                oracle.apply_tensor(tensor, *registers, inverse=inverse),
+                fresh.apply_tensor(tensor, *registers, inverse=inverse),
+            )
+        assert oracle.queries == 3
+
+    @pytest.mark.parametrize(
+        "dims, pairs",
+        [((4, 3), [(0, 1)]), ((4, 4), [(0, 0)]), ((4, 4), [(0, 2)]), ((4, 4, 3), [(0, 1), (0, 2)])],
+    )
+    def test_block_is_checked_against_every_pair_once(self, dims, pairs):
+        with pytest.raises(ValueError):
+            index_map_oracles(index_map_block(4, self.MAPS), dims, pairs)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [[0, 1, 2, 3]],
+            np.array([[0, 1, 2, 3]], dtype=np.intp),  # writeable: not from index_map_block
+            np.array([[0.0, 1.0, 2.0, 3.0]]),
+            index_map_block(4, [(0, 1, 2, 3)])[0],
+        ],
+        ids=["list", "writeable", "float", "one-row"],
+    )
+    def test_builder_needs_a_checked_block(self, raw):
+        with pytest.raises(TypeError, match="checked by core.index_map_block"):
+            index_map_oracles(raw, (4, 4), [(0, 1)])
+
+    def test_no_oracle_calls_and_empty_blocks(self):
+        block = index_map_block(4, [(0, 0, 0, 0), (1, 2, 3, 0)])
+        assert [o._sources for o in index_map_oracles(block, (4,), [])] == [{}, {}]
+        empty = index_map_block(4, np.zeros((0, 4), dtype=int))
+        assert index_map_oracles(empty, (4, 4), [(0, 1)]) == []
+
+    def test_sources_are_read_only(self):
+        oracle = index_map_oracles(index_map_block(4, [(1, 1, 2, 0)]), (4, 4), [(0, 1)])[0]
+        (source,) = oracle._sources.values()
+        with pytest.raises(ValueError):
+            source[0, 0] = 0
 
 
 class TestClassicalOracle:
