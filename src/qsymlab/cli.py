@@ -169,8 +169,11 @@ def _cmd_compile_run(args) -> int:
     choice_seed, trials_seed = distributions.stream_seeds(args.seed, 2).tolist()
     try:
         entry = zoo.build_zoo_entry(args.zoo, args.n, args.iterations)
-    except ValueError as exc:  # with --iterations checked, every rule left is on --n
-        raise ValueError(f"--n {args.n}: {exc}") from None
+    except ValueError as exc:
+        # with --iterations checked, every rule left is on --n, bar the step count of a given k
+        given_k = args.iterations is not None and isinstance(exc, zoo.StepBudgetError)
+        flag = f"--iterations {args.iterations}" if given_k else f"--n {args.n}"
+        raise ValueError(f"{flag}: {exc}") from None
     x = _parse_input_spec(args.input, entry, choice_seed)
     if x not in entry.function:
         return _usage_error(f"input {x.values} is outside the promise domain of {args.zoo}")
@@ -311,8 +314,8 @@ def _check_gadget_exactness() -> None:
         g = core.IndexFunction(n, tuple(rng.integers(0, n, size=n)))
         cases.append((x, g))
     for x, g in cases:
-        comp = oracles.ComposedOracle(oracles.standard_oracle(x), oracles.standard_oracle(g), 2)
-        expected = np.kron(oracles.standard_oracle(core.compose_input(x, g)).matrix(), np.eye(n))
+        comp = oracles.ComposedOracle(oracles.StandardOracle(x), oracles.StandardOracle(g), 2)
+        expected = np.kron(oracles.StandardOracle(core.compose_input(x, g)).matrix(), np.eye(n))
         for i in range(n):
             for j in range(M):
                 state = statevector.basis_state(layout, (i, j, 0))
@@ -326,7 +329,7 @@ def _check_gadget_counters() -> None:
     n, M = 4, 3
     x = core.InputString(n, M, (0, 1, 2, 0))
     g = core.IndexFunction(n, (1, 1, 3, 3))
-    comp = oracles.ComposedOracle(oracles.standard_oracle(x), oracles.standard_oracle(g), 2)
+    comp = oracles.ComposedOracle(oracles.StandardOracle(x), oracles.StandardOracle(g), 2)
     layout = statevector.RegisterLayout((n, M, n))
     comp.apply_tensor(statevector.basis_state(layout), 0, 1)
     if comp.query_counts != {"x_queries": 1, "g_queries": 2}:
@@ -418,7 +421,7 @@ def _check_compiled_equals_direct() -> None:
     dist, used = compiler.compiled_distribution(entry.algorithm, x, fixed)
     direct = statevector.run(
         compiler.amplify_majority3(entry.algorithm),
-        oracles.standard_oracle(core.compose_input(x, fixed)),
+        oracles.StandardOracle(core.compose_input(x, fixed)),
     )
     if dist != direct:
         raise AssertionError("compiled path deviates from direct simulation")
@@ -439,7 +442,7 @@ def _check_composed_counter_law() -> None:
     x = core.InputString(4, 2, (0, 1, 1, 0))
     g = core.IndexFunction(4, (1, 0, 3, 3))
     rewritten, anc = compiler.with_gadget_ancilla(compiler.amplify_majority3(entry.algorithm), 4)
-    comp = oracles.ComposedOracle(oracles.standard_oracle(x), oracles.standard_oracle(g), anc)
+    comp = oracles.ComposedOracle(oracles.StandardOracle(x), oracles.StandardOracle(g), anc)
     statevector.run(rewritten, comp)
     if comp.query_counts != {"x_queries": 3, "g_queries": 6}:
         raise AssertionError(f"counter law broken: {comp.query_counts}")
@@ -449,7 +452,7 @@ def _check_oracle_is_permutation() -> None:
     n = 3
     layout = statevector.RegisterLayout((n, n))
     for values in itertools.product(range(n), repeat=n):
-        oracle = oracles.standard_oracle(core.IndexFunction(n, values))
+        oracle = oracles.StandardOracle(core.IndexFunction(n, values))
         matrix = oracles.oracle_full_matrix(oracle, layout, 0, 1)
         if np.max(np.abs(matrix @ matrix.conj().T - np.eye(n * n))) > 1e-12:
             raise AssertionError(f"oracle for {values} is not a basis permutation")

@@ -21,18 +21,19 @@ each r enumerates its own support.
 Both sweeps build their oracles a block of maps at a time: at most
 max(1, 4096 // N) maps for a state of N amplitudes, so a block's gather
 sources hold at most about 4096 ints per oracle call. A block is checked
-once by `core.index_map_block`, and `oracles.index_map_oracles` turns it
-into oracles whose sources for the algorithm's oracle calls are built
-already. A sampled sweep still samples, and so checks, each row's map
-alone, then stacks the maps into blocks. Every map is run as often, and in
-the same order, as a map-at-a-time loop would run it, so the reports do not
-change.
+once by `core.index_map_block`, and `oracles.index_map_oracles` hands out
+its rows as the oracles of one stack, whose first call of each kind builds
+the gather sources of the whole block. A sampled sweep still samples, and
+so checks, each row's map alone, then stacks the maps into blocks. Every
+map is run as often, and in the same order, as a map-at-a-time loop would
+run it, so the reports do not change.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from array import array
 from dataclasses import InitVar, dataclass, field
@@ -54,7 +55,7 @@ from .distributions import (
     stream_seeds,
 )
 from .oracles import StandardOracle, index_map_oracles
-from .statevector import OracleCall, QueryAlgorithm, run
+from .statevector import QueryAlgorithm, run
 
 
 @dataclass(frozen=True)
@@ -100,17 +101,11 @@ def _block_size(algorithm: QueryAlgorithm) -> int:
     return max(1, _BLOCK_INTS // algorithm.layout.total_dim)
 
 
-def _oracles(algorithm: QueryAlgorithm, block: np.ndarray) -> list[StandardOracle]:
-    """The block's oracles, each with its sources for the algorithm's oracle calls."""
-    pairs = [(s.index_reg, s.value_reg) for s in algorithm.steps if isinstance(s, OracleCall)]
-    return index_map_oracles(block, algorithm.layout.dims, pairs)
-
-
 def _map_oracles(algorithm: QueryAlgorithm, n: int, maps) -> Iterator[StandardOracle]:
     """One oracle per value tuple of `maps`, in order, checked and built a block at a time."""
     maps, size = iter(maps), _block_size(algorithm)
     while chunk := list(itertools.islice(maps, size)):
-        yield from _oracles(algorithm, index_map_block(n, chunk))
+        yield from index_map_oracles(index_map_block(n, chunk))
 
 
 def _exact_reports(
@@ -122,7 +117,8 @@ def _exact_reports(
     # both budgets are checked before any build or simulation; the largest r
     # visits the most maps
     budget = enumeration_budget()
-    if math.factorial(n) > budget:
+    # n! multiplied up only until it passes the budget: a huge n! is never computed
+    if any(count > budget for count in itertools.accumulate(range(1, n + 1), operator.mul)):
         raise ValueError(f"enumerating {n}! permutations exceeds budget {budget} (QSYMLAB_BUDGET)")
     check_support_budget(max(params, key=lambda param: param.r))
     # one oracle per permutation, run once per r (perfbench's distinguish-exact
@@ -138,7 +134,7 @@ def _exact_reports(
         p_small = math.fsum(
             w * run(algorithm, oracle)[1]
             for block, w in support.float_blocks(_block_size(algorithm))
-            for oracle in _oracles(algorithm, block)
+            for oracle in index_map_oracles(block)
         )
         adv = abs(p_perm - p_small)
         reports.append(

@@ -5,34 +5,33 @@ Three variants:
 * StandardOracle: the additive-shift unitary |i>|j> -> |i>|j + t(i) mod d>
   for a table t. Its inverse is the same oracle with subtraction, so every
   application stays an exact permutation of the computational basis: one
-  gather. A fresh oracle builds its source positions from a shift table
-  whose row v holds the sources for an index with table value v: one
-  `take` of a row per index, plus each index's offset. The tables are
-  cached per tensor shape, register pair and direction, per process and
-  not per oracle, since many callers build a fresh oracle per map. A
-  table holds d*N/n_i entries (value dimension d, state size N, index
-  dimension n_i), so one is kept only when d <= n_i and no cache outgrows
-  the state; otherwise the source is computed from each position's digits.
-  Each source is certified a permutation of the basis where it is built:
-  a shift table once, when it is cached, by checking that each value's row
-  holds every index-0 position once, which makes every source taken from
-  it a permutation, since the table's entries are already checked; a
-  digit-path source each time. A failed certificate raises AssertionError.
-  So every call permutes the amplitudes, which `permutes_basis = True`
-  declares: the simulator then carries the state's norm across the call
-  instead of measuring it again.
-  Each oracle keeps the source positions it has computed, per tensor shape,
-  register pair and direction, because an amplified run repeats the same
-  calls in each of its passes; the memo lives and dies with the oracle.
-  The registers are checked against the tensor once per memo key, on the
-  miss that computes the source: a hit repeats a check that already passed.
-  Every call, hit or miss, bills one query; a call that fails bills none.
-  `index_map_oracles` builds one such oracle per row of an index-map block
-  that `core.index_map_block` checked, for a tensor shape and the register
-  pairs an algorithm calls: it checks the pairs against the shape once per
-  block and takes every row's source from the certified shift table with
-  one `take` and one offset add, storing each under the key its first call
-  would. Any other key still takes the checked miss path.
+  gather. Every oracle is row b of a stack of checked tables of one
+  dimension pair: `StandardOracle(table)` is a stack of one, and
+  `index_map_oracles(block)` hands out the rows of a block of index maps
+  that `core.index_map_block` checked. The first miss of a memo key (tensor
+  shape, register pair, direction) in any row checks the registers against
+  the tensor once for the stack and builds every row's source at once with
+  `_gather_sources`, the one function that computes sources: one `take` per
+  stack of a shift table, whose row v holds the sources for an index with
+  table value v, plus each index's offset. The shift tables are cached per
+  tensor shape, register pair and direction, per process and not per
+  stack. A table holds d*N/n_i entries (value dimension d, state size N,
+  index dimension n_i), so one is kept only when d <= n_i and no cache
+  outgrows the state; otherwise the sources are computed from each
+  position's digits. Each source is certified a permutation of the basis
+  where it is built: a shift table once, when it is cached, by checking
+  that each value's row holds every index-0 position once, which makes
+  every source taken from it a permutation, since the table's entries are
+  already checked; a digit-path source each time, row by row. A failed
+  certificate raises AssertionError. So every call permutes the amplitudes,
+  which `permutes_basis = True` declares: the simulator then carries the
+  state's norm across the call instead of measuring it again.
+  The stack's sources are read-only and shared by its rows; each row keeps
+  a writeable copy of its own source per key, because an amplified run
+  repeats the same calls in each of its passes and numpy's `take` copies a
+  read-only index array on every call, so a hit is one dict lookup. Every call, hit
+  or miss, bills one query to its row; a call that fails bills none and
+  builds nothing.
 * ClassicalOracle: a counted plain lookup i -> x(i) into an input.
 * ComposedOracle: the three-call gadget realizing the oracle of x composed
   with an index map g out of the oracles for x and g. One composed call
@@ -46,13 +45,13 @@ Quantum oracles act on amplitude tensors shaped like the register layout
 validated once, where it is built: `core.InputString` and
 `core.IndexFunction` check length and range, `core.index_map_block` the
 range of a whole block of index maps, and every table exposes `n`, `M` and
-`values` (M = n for an index map). `StandardOracle(table)` reads its
-dimensions from such a table and trusts its entries; `standard_oracle`
-is the same constructor behind a type check, and `oracle_from_partial`
-builds an `InputString` of the composed values, so a missing or
-out-of-range entry still fails. Each oracle instance owns its query
-counters; an oracle shared through `oracle_from_partial`'s dict (`compiler`
-says when) sums them over the maps that share it.
+`values` (M = n for an index map). `StandardOracle(table)` refuses
+anything but such a table, reads its dimensions from it and trusts its
+entries; `oracle_from_partial` builds an `InputString` of the composed
+values, so a missing or out-of-range entry still fails. Each oracle
+instance owns its query counters; an oracle shared through
+`oracle_from_partial`'s dict (`compiler` says when) sums them over the maps
+that share it.
 """
 
 from __future__ import annotations
@@ -72,8 +71,8 @@ def _require_permuting_rows(rows: np.ndarray, n_i: int) -> None:
     holds each index-0 position of a (before, n_i, after) layout exactly once.
 
     A source whose index-i block is row t(i) plus i times the index stride is
-    then a basis permutation for every table t; a whole source is the case
-    d = n_i = before = 1.
+    then a basis permutation for every table t; a stack of whole sources, each
+    checked alone, is the case n_i = before = 1 with one row per source.
     """
     before, d, after = rows.shape
     high, a = np.divmod(rows, after)
@@ -116,24 +115,29 @@ def _shift_table(shape: tuple[int, ...], index_reg: int, value_reg: int, sign: i
     return rows, offsets
 
 
-def _gather_source(
-    shape: tuple[int, ...], index_reg: int, value_reg: int, table: np.ndarray, sign: int
+def _gather_sources(
+    shape: tuple[int, ...], index_reg: int, value_reg: int, stack: np.ndarray, sign: int
 ) -> np.ndarray:
+    """Read-only gather sources of every table row of the (B, n) `stack`, shaped (B, *shape)."""
     # new[.., i, .., j, ..] = old[.., i, .., (j - sign*t(i)) mod d, ..]
+    count = len(stack)
     if shape[value_reg] <= shape[index_reg]:
         # the shift table holds d*N/n_i <= N entries: pick a row per index, add its offset
         rows, offsets = _shift_table(shape, index_reg, value_reg, sign)
-        source = rows.take(table, axis=1)
-        source += offsets
-        return source.reshape(-1)
-    # a shift table would outgrow the state: the formula over each position's digits
-    positions = np.arange(math.prod(shape))
-    digits = np.unravel_index(positions, shape)
-    i, j = digits[index_reg], digits[value_reg]
-    stride = math.prod(shape[value_reg + 1 :])
-    source = positions + stride * ((j - sign * table.take(i)) % shape[value_reg] - j)
-    _require_permuting_rows(source.reshape(1, 1, -1), 1)
-    return source
+        sources = rows.take(stack, axis=1)  # (before, B, n_i, after)
+        sources += offsets
+        sources = np.ascontiguousarray(sources.swapaxes(0, 1))  # no copy for one row
+    else:
+        # a shift table would outgrow the state: the formula over each position's digits
+        positions = np.arange(math.prod(shape))
+        digits = np.unravel_index(positions, shape)
+        i, j = digits[index_reg], digits[value_reg]
+        stride = math.prod(shape[value_reg + 1 :])
+        sources = positions + stride * ((j - sign * stack[:, i]) % shape[value_reg] - j)
+        _require_permuting_rows(sources.reshape(1, count, -1), 1)  # each row a permutation
+    sources = sources.reshape((count, *shape))
+    sources.flags.writeable = False
+    return sources
 
 
 def _check_arity(
@@ -150,36 +154,39 @@ def _check_arity(
         )
 
 
+class _TableStack:
+    """Checked tables of one dimension pair, the rows of a read-only (B, n) intp
+    array, and every row's gather source per memo key, built at once."""
+
+    def __init__(self, tables: np.ndarray, value_dim: int, values: list[tuple[int, ...]]):
+        self.tables, self.value_dim = tables, value_dim
+        self.values = values  # row b's table as a tuple of ints
+        self.sources: dict = {}
+
+
 class StandardOracle:
     """Additive-shift query oracle for a checked table: an `InputString`
-    ([n] -> [M]) or an `IndexFunction` ([n] -> [n])."""
+    ([n] -> [M]) or an `IndexFunction` ([n] -> [n]); `index_map_oracles`
+    passes a stack and a row in its place."""
 
     # every call returns a basis permutation of its input, certified where the
     # gather source is built, so the simulator need not re-measure the norm
     permutes_basis = True
 
-    def __init__(self, table: InputString | IndexFunction):
-        self.values = table.values
-        self.index_dim = table.n
-        self.value_dim = table.M
+    def __init__(self, table: InputString | IndexFunction | _TableStack, row: int = 0):
+        if isinstance(table, (InputString, IndexFunction)):
+            tables = np.array([table.values], dtype=np.intp)
+            tables.flags.writeable = False
+            table = _TableStack(tables, table.M, [table.values])
+        elif not isinstance(table, _TableStack):
+            raise TypeError(f"cannot build an oracle from {type(table)!r}")
+        self._stack, self._row = table, row
+        self.values = table.values[row]
+        self.index_dim, self.value_dim = table.tables.shape[1], table.value_dim
         self.queries = 0
-        self._table = np.array(self.values, dtype=np.intp)
-        # gather source per (shape, index_reg, value_reg, inverse): each pass of
-        # an amplified run repeats the calls of the first
+        # this row's own copy of its stack's source per (shape, index_reg, value_reg,
+        # inverse): each pass of an amplified run repeats the calls of the first
         self._sources: dict = {}
-
-    @classmethod
-    def _of_block_row(
-        cls, values: tuple[int, ...], row: np.ndarray, sources: dict
-    ) -> "StandardOracle":
-        """The oracle of one row of a checked index-map block, its sources filled in."""
-        oracle = cls.__new__(cls)
-        oracle.values = values
-        oracle.index_dim = oracle.value_dim = len(values)
-        oracle.queries = 0
-        oracle._table = row
-        oracle._sources = sources
-        return oracle
 
     def apply_tensor(
         self, tensor: np.ndarray, index_reg: int, value_reg: int, inverse: bool = False
@@ -188,11 +195,18 @@ class StandardOracle:
         key = (shape, index_reg, value_reg, inverse)
         source = self._sources.get(key)
         if source is None:
-            # the key holds the shape and both registers: only a miss needs the check
-            _check_arity(shape, index_reg, value_reg, self.index_dim, self.value_dim)
-            sign = -1 if inverse else 1
-            source = _gather_source(shape, index_reg, value_reg, self._table, sign).reshape(shape)
-            self._sources[key] = source
+            # the key holds the shape and both registers: only the key's first
+            # call in any row of the stack checks them, and builds every row's source
+            stack = self._stack
+            sources = stack.sources.get(key)
+            if sources is None:
+                _check_arity(shape, index_reg, value_reg, self.index_dim, self.value_dim)
+                sign = -1 if inverse else 1
+                sources = _gather_sources(shape, index_reg, value_reg, stack.tables, sign)
+                if len(stack.values) > 1:  # a stack of one has no other row to share them with
+                    stack.sources[key] = sources
+            # a writeable copy: numpy's take copies a read-only index array on every call
+            source = self._sources[key] = sources[self._row].copy()
         self.queries += 1
         # flat gather, shaped like the tensor because the source is
         return tensor.take(source)
@@ -268,23 +282,10 @@ class ComposedOracle:
         return tensor
 
 
-def standard_oracle(table: InputString | IndexFunction) -> StandardOracle:
-    """Additive-shift oracle for an input table (values in [M]) or an index map."""
-    if not isinstance(table, (InputString, IndexFunction)):
-        raise TypeError(f"cannot build an oracle from {type(table)!r}")
-    return StandardOracle(table)
-
-
-def index_map_oracles(block: np.ndarray, shape: tuple[int, ...], pairs) -> list[StandardOracle]:
+def index_map_oracles(block: np.ndarray) -> list[StandardOracle]:
     """One `StandardOracle` per row of a block that `core.index_map_block` checked,
-    each holding its gather source for `shape` and every (index_reg, value_reg)
-    pair, as a first call on such a tensor would compute it.
-
-    The register pairs are checked against `shape` once for the block; the
-    sources come from the certified shift table, one `take` and one offset
-    add per pair for the whole block. A call on another shape, pair or
-    direction takes the ordinary miss path, checks included.
-    """
+    the rows of one stack: a key's first call in any row builds its sources for
+    the whole block."""
     if not (
         isinstance(block, np.ndarray)
         and block.ndim == 2
@@ -292,24 +293,8 @@ def index_map_oracles(block: np.ndarray, shape: tuple[int, ...], pairs) -> list[
         and not block.flags.writeable
     ):
         raise TypeError("index_map_oracles takes a block checked by core.index_map_block")
-    count, n = block.shape
-    shape = tuple(shape)
-    filled = []
-    for index_reg, value_reg in dict.fromkeys(pairs):
-        _check_arity(shape, index_reg, value_reg, n, n)
-        # value and index registers both have dimension n: the shift-table path
-        rows, offsets = _shift_table(shape, index_reg, value_reg, 1)
-        source = rows.take(block, axis=1)  # (before, B, n, after)
-        source += offsets
-        source = np.ascontiguousarray(source.swapaxes(0, 1)).reshape((count, *shape))
-        source.flags.writeable = False
-        filled.append(((shape, index_reg, value_reg, False), source))
-    return [
-        StandardOracle._of_block_row(
-            tuple(values), block[b], {key: source[b] for key, source in filled}
-        )
-        for b, values in enumerate(block.tolist())
-    ]
+    stack = _TableStack(block, block.shape[1], list(map(tuple, block.tolist())))
+    return [StandardOracle(stack, b) for b in range(len(block))]
 
 
 def oracle_from_partial(

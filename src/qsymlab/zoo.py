@@ -79,6 +79,10 @@ def _require_table_in_budget(name: str, n: int, strings: Callable[[], int], min_
         raise ValueError(f"{name} table exceeds the budget of {budget} entries")
 
 
+class StepBudgetError(ValueError):
+    """An algorithm's steps times its state size exceed the enumeration budget."""
+
+
 @dataclass(frozen=True)
 class ZooEntry:
     """A promise function and a query algorithm that decides it."""
@@ -151,6 +155,14 @@ def grover_unique_or(n: int, iterations: int) -> ZooEntry:
     # the dense steps first: their size checks reject an n before its n + 1 strings are built
     steps: list = [Unitary(fourier_matrix(n), (0,)), Unitary(phase_value_prep(2), (1,))]
     diffusion = Unitary(diffusion_matrix(n), (0,))  # one step object, checked once
+    # every step costs memory and time, so a huge k fails before its steps are listed
+    layout, step_count = RegisterLayout((n, 2, 2)), 2 * iterations + 3
+    budget = enumeration_budget()
+    if step_count * layout.total_dim > budget:
+        raise StepBudgetError(
+            f"{step_count} steps on {layout.total_dim} amplitudes exceed "
+            f"the budget of {budget} (QSYMLAB_BUDGET)"
+        )
     outputs = {tuple([0] * n): 0}
     for i in range(n):
         values = [0] * n
@@ -162,7 +174,7 @@ def grover_unique_or(n: int, iterations: int) -> ZooEntry:
         steps.append(diffusion)
     steps.append(OracleCall(0, 2))
     alg = QueryAlgorithm(
-        layout=RegisterLayout((n, 2, 2)),
+        layout=layout,
         steps=tuple(steps),
         output_rule=OutputRule((2,), frozenset({(1,)})),
     )

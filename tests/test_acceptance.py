@@ -34,7 +34,7 @@ from qsymlab.distributions import (
     stream_rows,
     stream_seeds,
 )
-from qsymlab.oracles import ComposedOracle, standard_oracle
+from qsymlab.oracles import ComposedOracle, StandardOracle
 from qsymlab.statevector import RegisterLayout, basis_state, run
 from qsymlab.zoo import collision_sniffer, deutsch_jozsa, fourier_matrix, zero_query_probe
 from qsymlab.statevector import OutputRule, QueryAlgorithm, Unitary
@@ -72,8 +72,8 @@ def test_criterion_1_gadget_exactness():
     ]
     worst = 0.0
     for x, g in cases:
-        gadget = ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
-        expected = np.kron(standard_oracle(compose_input(x, g)).matrix(), np.eye(n))
+        gadget = ComposedOracle(StandardOracle(x), StandardOracle(g), 2)
+        expected = np.kron(StandardOracle(compose_input(x, g)).matrix(), np.eye(n))
         for col in anc_zero_cols:
             start = basis_state(layout, np.unravel_index(col, layout.dims))
             got = gadget.apply_tensor(start, 0, 1).reshape(-1)
@@ -81,8 +81,8 @@ def test_criterion_1_gadget_exactness():
     assert worst <= 1e-12
 
     single = ComposedOracle(
-        standard_oracle(InputString(n, m, (0, 1, 2, 0))),
-        standard_oracle(IndexFunction(n, (1, 1, 3, 3))),
+        StandardOracle(InputString(n, m, (0, 1, 2, 0))),
+        StandardOracle(IndexFunction(n, (1, 1, 3, 3))),
         2,
     )
     single.apply_tensor(basis_state(layout, (0, 0, 0)), 0, 1)
@@ -112,7 +112,7 @@ def test_criterion_3_permutation_invariance():
             pi = IndexFunction(4, values)
             moved = compose_input(x, pi)
             assert moved in f and f.value(moved) == f.value(x)
-            dist = run(entry.algorithm, standard_oracle(moved))
+            dist = run(entry.algorithm, StandardOracle(moved))
             assert dist[f.value(moved)] == pytest.approx(1.0, abs=1e-9)
 
     asym = BooleanFunctionTable(2, 2, {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1})
@@ -177,7 +177,7 @@ def test_criterion_5_compiler_exactness():
         dist, used = compiled_distribution(entry.algorithm, x, fixed)
         direct = run(
             amplify_majority3(entry.algorithm),
-            standard_oracle(compose_input(x, fixed)),
+            StandardOracle(compose_input(x, fixed)),
         )
         assert dist == direct  # bit-identical floats, same arithmetic path
         assert used == len(image(fixed))

@@ -106,6 +106,19 @@ class TestCompileRun:
             "d94c20a1bd314eacbfcc7113036e20c52dc96f9c3f334b0ad513208a509cd486"
         )
 
+    def test_exact_benchmark_payload_is_frozen(self, tmp_path):
+        # the perfbench compile-exact command at seed 1; the digest is the payload
+        # of the tree whose block rows had a second, trusting oracle constructor
+        out = tmp_path / "report.json"
+        argv = [
+            "compile-run", "--zoo", "grover", "--n", "8", "--input", "one-hot:2", "--r", "2",
+            "--exact", "--trials", "0", "--jobs", "1", "--seed", "271041745", "--out", str(out),
+        ]  # fmt: skip
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(payload_bytes(read_report(out))).hexdigest() == (
+            "fff4bf1a32c89976bddfa50d18e0ef62a7d7f4e6d7faee0e957d520709ec4426"
+        )
+
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -475,6 +488,25 @@ class TestCompileRun:
         assert captured.err == "error: --seed must be >= 0\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "iterations, message",
+        [
+            # 203 steps on the 16 amplitudes of n = 4 pass a budget of 1000 entries
+            (["--iterations", "100"], "--iterations 100: 203 steps on 16 amplitudes"),
+            # the optimal k at n = 4 is 1: 5 steps, within 1000; the budget of 79 rejects them, as --n
+            ([], "--n 4: 5 steps on 16 amplitudes"),
+        ],
+        ids=["explicit", "default"],
+    )
+    def test_too_many_grover_steps_is_usage_error(self, monkeypatch, capsys, iterations, message):
+        budget = "1000" if iterations else "79"
+        monkeypatch.setenv("QSYMLAB_BUDGET", budget)
+        argv = ["compile-run", "--zoo", "grover", "--n", "4", "--input", "constant0", "--r", "2"]
+        assert cli.main(argv + iterations) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message} exceed the budget of {budget} (QSYMLAB_BUDGET)\n"
+        assert captured.out == ""
+
     def test_iterations_off_grover_rejected_before_building(self, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("the zoo entry was built before --iterations was checked")
@@ -802,6 +834,17 @@ class TestDistinguish:
             "error: enumerating 11! permutations exceeds budget 10000000 (QSYMLAB_BUDGET)\n"
         )
         assert runs == []
+
+    def test_huge_n_exact_sweep_fails_on_the_budget(self, monkeypatch, capsys):
+        # 2000000! is never computed: the product stops at 11!, the first past the budget
+        monkeypatch.delenv("QSYMLAB_BUDGET", raising=False)  # the default budget
+        argv = ["distinguish", "--algo", "zero-query", "--n", "2000000", "--r-list", "1", "--exact"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: enumerating 2000000! permutations exceeds budget 10000000 (QSYMLAB_BUDGET)\n"
+        )
+        assert captured.out == ""
 
     def test_exact_and_sampled_agree(self, tmp_path):
         base = [
@@ -1201,24 +1244,24 @@ class TestVerify:
     def test_injected_gadget_bug_fails(self, capsys, monkeypatch):
         # off-by-one in the oracle shift arithmetic; a value of d reads past the
         # shift table's last row, so this one fails as an IndexError
-        original = oracles._gather_source
+        original = oracles._gather_sources
 
-        def broken(shape, index_reg, value_reg, table, sign):
-            return original(shape, index_reg, value_reg, table + 1, sign)
+        def broken(shape, index_reg, value_reg, stack, sign):
+            return original(shape, index_reg, value_reg, stack + 1, sign)
 
-        monkeypatch.setattr(oracles, "_gather_source", broken)
+        monkeypatch.setattr(oracles, "_gather_sources", broken)
         assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_in_range_shift_bug_fails(self, capsys, monkeypatch):
         # the same off-by-one kept inside [0, d): a wrong but valid permutation,
         # which only the checks against independently built matrices can catch
-        original = oracles._gather_source
+        original = oracles._gather_sources
 
-        def broken(shape, index_reg, value_reg, table, sign):
-            return original(shape, index_reg, value_reg, (table + 1) % shape[value_reg], sign)
+        def broken(shape, index_reg, value_reg, stack, sign):
+            return original(shape, index_reg, value_reg, (stack + 1) % shape[value_reg], sign)
 
-        monkeypatch.setattr(oracles, "_gather_source", broken)
+        monkeypatch.setattr(oracles, "_gather_sources", broken)
         assert cli.main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  gadget exactness" in out

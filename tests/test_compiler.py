@@ -30,7 +30,7 @@ from qsymlab.distributions import (
     stream_rows,
     stream_seeds,
 )
-from qsymlab.oracles import ClassicalOracle, ComposedOracle, StandardOracle, standard_oracle
+from qsymlab.oracles import ClassicalOracle, ComposedOracle, StandardOracle
 from qsymlab.statevector import (
     OutputRule,
     QueryAlgorithm,
@@ -132,14 +132,14 @@ class TestAmplify:
     def test_certain_stays_certain(self):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (1, 1, 1, 1))
-        dist = run(amplify_majority3(entry.algorithm), standard_oracle(x))
+        dist = run(amplify_majority3(entry.algorithm), StandardOracle(x))
         assert dist[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_amplified_matches_cubic_of_base(self):
         entry = grover_unique_or(8, 1)
         x = InputString(8, 2, (0, 0, 0, 0, 1, 0, 0, 0))
-        base_p = run(entry.algorithm, standard_oracle(x))[1]
-        amp_p = run(amplify_majority3(entry.algorithm), standard_oracle(x))[1]
+        base_p = run(entry.algorithm, StandardOracle(x))[1]
+        amp_p = run(amplify_majority3(entry.algorithm), StandardOracle(x))[1]
         assert amp_p == pytest.approx(majority3_prob(base_p), abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -206,7 +206,7 @@ class TestCompiledDistribution:
             dist, used = compiled_distribution(entry.algorithm, x, fixed)
             direct = run(
                 amplify_majority3(entry.algorithm),
-                standard_oracle(compose_input(x, fixed)),
+                StandardOracle(compose_input(x, fixed)),
             )
             assert dist == direct
             assert used == len(image(fixed))
@@ -230,7 +230,7 @@ class TestCompiledDistribution:
             dist, _ = compiled_distribution(entry.algorithm, x, pi)
             direct = run(
                 amplify_majority3(entry.algorithm),
-                standard_oracle(compose_input(x, pi)),
+                StandardOracle(compose_input(x, pi)),
             )
             assert dist == direct
             assert dist[1] >= 20 / 27
@@ -463,7 +463,7 @@ class TestExactSuccessSharesOracles:
                 (StandardOracle, "__init__"),
                 (StandardOracle, "apply_tensor"),
                 (ClassicalOracle, "lookup"),
-                (oracles, "_gather_source"),
+                (oracles, "_gather_sources"),
             ],
         )
         x = InputString(8, 2, (0, 0, 0, 1, 0, 0, 0, 0))
@@ -472,7 +472,7 @@ class TestExactSuccessSharesOracles:
         # 7120 maps compose x to 256 tables; every map still reads and queries
         assert counts == {
             "__init__": 256,
-            "_gather_source": 512,
+            "_gather_sources": 512,
             "lookup": 14_232,
             "apply_tensor": 64_080,
         }
@@ -585,9 +585,9 @@ class TestGadgetRewrite:
         g = IndexFunction(4, (1, 0, 3, 3))
         rewritten, anc = with_gadget_ancilla(entry.algorithm, 4)
         assert anc == 2
-        comp = ComposedOracle(standard_oracle(x), standard_oracle(g), anc)
+        comp = ComposedOracle(StandardOracle(x), StandardOracle(g), anc)
         via_gadget = run(rewritten, comp)
-        direct = run(entry.algorithm, standard_oracle(compose_input(x, g)))
+        direct = run(entry.algorithm, StandardOracle(compose_input(x, g)))
         assert via_gadget[1] == pytest.approx(direct[1], abs=1e-12)
 
     def test_amplified_rewrite_counts_six_q(self):
@@ -595,7 +595,7 @@ class TestGadgetRewrite:
         x = InputString(4, 2, (0, 1, 1, 0))
         g = IndexFunction(4, (2, 2, 1, 0))
         rewritten, anc = with_gadget_ancilla(amplify_majority3(entry.algorithm), 4)
-        comp = ComposedOracle(standard_oracle(x), standard_oracle(g), anc)
+        comp = ComposedOracle(StandardOracle(x), StandardOracle(g), anc)
         run(rewritten, comp)
         assert comp.query_counts == {"x_queries": 3, "g_queries": 6}
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -134,7 +135,7 @@ class TestAdvantageMonteCarlo:
         params = SmallRangeParams(n, r)
 
         def p_one(index_map):
-            return run(probe.algorithm, oracles.standard_oracle(index_map))[1]
+            return run(probe.algorithm, oracles.StandardOracle(index_map))[1]
 
         def alone(bounds, seed):
             return next(stream_rows(bounds, [seed]))[0]
@@ -150,7 +151,7 @@ class TestAdvantageMonteCarlo:
 
 
 def naive_p_one(algorithm, g):
-    return run(algorithm, oracles.standard_oracle(g))[1]
+    return run(algorithm, oracles.StandardOracle(g))[1]
 
 
 def naive_exact_report(algorithm, n, r):
@@ -293,6 +294,19 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             sweep_r(probe.algorithm, 4, [1, 2, 3], None, None, exact=True)
         assert calls == []
+
+    def test_permutation_budget_never_computes_a_factorial_past_it(self, monkeypatch):
+        # 11! = 39,916,800 is the first factorial past the default budget of 10^7
+        monkeypatch.delenv("QSYMLAB_BUDGET", raising=False)
+        monkeypatch.setattr(math, "factorial", lambda k: pytest.fail(f"{k}! was computed"))
+        products = []
+        mul = operator.mul
+        monkeypatch.setattr(operator, "mul", lambda a, b: products.append(mul(a, b)) or products[-1])
+        n = 2_000_000
+        probe = zero_query_probe(n)
+        with pytest.raises(ValueError, match=rf"^enumerating {n}! permutations exceeds budget 10000000"):
+            sweep_r(probe.algorithm, n, [1], None, None, exact=True)
+        assert [p for p in products if p > 10**7] == [39_916_800]
 
     def test_duplicates_warn_and_dedupe(self):
         probe = collision_sniffer(4)

@@ -15,7 +15,6 @@ from qsymlab.oracles import (
     index_map_oracles,
     oracle_from_partial,
     oracle_full_matrix,
-    standard_oracle,
 )
 from qsymlab.statevector import (
     OracleCall,
@@ -40,21 +39,21 @@ def gadget_layout(n, m):
 class TestStandardOracle:
     def test_additive_shift(self):
         x = InputString(3, 3, (0, 1, 2))
-        oracle = standard_oracle(x)
+        oracle = StandardOracle(x)
         layout = RegisterLayout((3, 3))
         out = oracle.apply_tensor(basis_state(layout, (2, 1)), 0, 1)
         # (1 + 2) mod 3 = 0
         assert out[2, 0] == 1
 
     def test_all_zeros_is_identity(self):
-        oracle = standard_oracle(InputString(3, 4, (0, 0, 0)))
+        oracle = StandardOracle(InputString(3, 4, (0, 0, 0)))
         layout = RegisterLayout((3, 4))
         matrix = oracle_full_matrix(oracle, layout, 0, 1)
         assert np.array_equal(matrix, np.eye(12))
 
     def test_additive_order_divides_dim(self):
         x = InputString(2, 3, (1, 2))
-        oracle = standard_oracle(x)
+        oracle = StandardOracle(x)
         layout = RegisterLayout((2, 3))
         state = basis_state(layout, (1, 1))
         for _ in range(3):
@@ -62,7 +61,7 @@ class TestStandardOracle:
         assert state[1, 1] == 1
 
     def test_inverse_undoes(self):
-        oracle = standard_oracle(IndexFunction(4, (3, 1, 0, 2)))
+        oracle = StandardOracle(IndexFunction(4, (3, 1, 0, 2)))
         layout = RegisterLayout((4, 4))
         state = basis_state(layout, (0, 2))
         forward = oracle.apply_tensor(state, 0, 1)
@@ -72,7 +71,7 @@ class TestStandardOracle:
     def test_basis_permutation_exhaustive(self):
         layout = RegisterLayout((3, 3))
         for values in itertools.product(range(3), repeat=3):
-            matrix = oracle_full_matrix(standard_oracle(IndexFunction(3, values)), layout, 0, 1)
+            matrix = oracle_full_matrix(StandardOracle(IndexFunction(3, values)), layout, 0, 1)
             hits = {int(np.argmax(matrix[:, c])) for c in range(9)}
             assert len(hits) == 9
             assert np.allclose(np.abs(matrix).sum(axis=0), 1)
@@ -81,8 +80,8 @@ class TestStandardOracle:
         x = InputString(4, 3, (2, 0, 1, 2))
         layout = RegisterLayout((4, 3))
         assert np.array_equal(
-            standard_oracle(x).matrix(),
-            oracle_full_matrix(standard_oracle(x), layout, 0, 1),
+            StandardOracle(x).matrix(),
+            oracle_full_matrix(StandardOracle(x), layout, 0, 1),
         )
 
     @pytest.mark.parametrize(
@@ -98,10 +97,10 @@ class TestStandardOracle:
     @pytest.mark.parametrize("raw", [(0, 1, 2), [0, 1, 2], np.array([0, 1, 2])])
     def test_standard_oracle_needs_a_checked_table(self, raw):
         with pytest.raises(TypeError, match="cannot build an oracle"):
-            standard_oracle(raw)
+            StandardOracle(raw)
 
     def test_arity_mismatch(self):
-        oracle = standard_oracle(InputString(3, 3, (0, 1, 2)))
+        oracle = StandardOracle(InputString(3, 3, (0, 1, 2)))
         layout = RegisterLayout((3, 4))
         with pytest.raises(ValueError, match="arity"):
             oracle.apply_tensor(basis_state(layout, (0, 0)), 0, 1)
@@ -198,12 +197,15 @@ def frozen_gather_source(shape, index_reg, value_reg, table, sign):
 def test_gather_source_matches_frozen_formula(dims, index_reg, value_reg, sign):
     rng = np.random.default_rng(10)
     n, d = dims[index_reg], dims[value_reg]
-    for _ in range(10):
-        table = np.array(rng.integers(0, d, n), dtype=np.intp)
-        got = oracles._gather_source(dims, index_reg, value_reg, table, sign)
-        want = frozen_gather_source(dims, index_reg, value_reg, table, sign)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    for rows in (1, 1, 1, 1, 1, 2, 3, 5, 7):
+        stack = np.array(rng.integers(0, d, (rows, n)), dtype=np.intp)
+        got = oracles._gather_sources(dims, index_reg, value_reg, stack, sign)
+        assert got.shape == (rows, *dims)
+        assert not got.flags.writeable
+        for table, source in zip(stack, got):
+            want = frozen_gather_source(dims, index_reg, value_reg, table, sign)
+            assert source.dtype == want.dtype
+            assert np.array_equal(source.reshape(-1), want)
 
 
 def broken_rows(kind):
@@ -252,16 +254,16 @@ def test_digit_path_certifies_each_source(monkeypatch):
 
 def test_shift_tables_are_read_only_and_never_outgrow_the_state():
     oracles._shift_table.cache_clear()
-    table = np.zeros(5, dtype=np.intp)
+    table = np.zeros((2, 5), dtype=np.intp)
     keys = [
         (dims, index_reg, value_reg, sign)
         for dims, index_reg, value_reg in [((5, 5), 0, 1), ((3, 5, 2), 1, 0), ((2, 3, 2, 5), 3, 1)]
         for sign in (1, -1)
     ]
     for dims, index_reg, value_reg, sign in keys:
-        oracles._gather_source(dims, index_reg, value_reg, table, sign)
+        oracles._gather_sources(dims, index_reg, value_reg, table, sign)
     # a value register larger than the index register builds no table
-    oracles._gather_source((2, 5), 0, 1, np.zeros(2, dtype=np.intp), 1)
+    oracles._gather_sources((2, 5), 0, 1, np.zeros((1, 2), dtype=np.intp), 1)
     assert oracles._shift_table.cache_info().currsize == len(keys)
     for key in keys:
         rows, offsets = oracles._shift_table(*key)
@@ -299,10 +301,10 @@ class TestIndexMapOracles:
     @pytest.mark.parametrize("dims, pairs", LAYOUTS)
     def test_block_oracles_equal_per_map_oracles(self, dims, pairs):
         alg = self.algorithm(dims, pairs, seed=len(dims))
-        built = index_map_oracles(index_map_block(4, self.MAPS), dims, pairs)
+        built = index_map_oracles(index_map_block(4, self.MAPS))
         assert len(built) == len(self.MAPS)
         for values, oracle in zip(self.MAPS, built):
-            fresh = standard_oracle(IndexFunction(4, values))
+            fresh = StandardOracle(IndexFunction(4, values))
             assert (oracle.values, oracle.index_dim, oracle.value_dim) == (values, 4, 4)
             assert type(oracle.values[0]) is int
             assert run(alg, oracle) == run(alg, fresh)
@@ -313,14 +315,14 @@ class TestIndexMapOracles:
                 assert source.tobytes() == fresh._sources[key].tobytes()
 
     def test_unfilled_pair_takes_the_checked_miss_path(self):
+        # every key's first call, in any row, checks the registers and bills nothing if they do not fit
         dims = (4, 4, 3, 4)
-        oracle = index_map_oracles(index_map_block(4, [(3, 0, 0, 1)]), dims, [(0, 1)])[0]
+        oracle = index_map_oracles(index_map_block(4, [(3, 0, 0, 1)]))[0]
         tensor = np.random.default_rng(6).normal(size=dims).astype(complex)
         with pytest.raises(ValueError, match="arity: oracle is 4x4, registers are 4x3"):
             oracle.apply_tensor(tensor, 0, 2)
         assert oracle.queries == 0
-        # a pair that fits but was not filled in, and the inverse of a filled one
-        fresh = standard_oracle(IndexFunction(4, (3, 0, 0, 1)))
+        fresh = StandardOracle(IndexFunction(4, (3, 0, 0, 1)))
         for registers, inverse in (((0, 3), False), ((0, 1), True), ((3, 0), False)):
             assert np.array_equal(
                 oracle.apply_tensor(tensor, *registers, inverse=inverse),
@@ -332,9 +334,23 @@ class TestIndexMapOracles:
         "dims, pairs",
         [((4, 3), [(0, 1)]), ((4, 4), [(0, 0)]), ((4, 4), [(0, 2)]), ((4, 4, 3), [(0, 1), (0, 2)])],
     )
-    def test_block_is_checked_against_every_pair_once(self, dims, pairs):
-        with pytest.raises(ValueError):
-            index_map_oracles(index_map_block(4, self.MAPS), dims, pairs)
+    def test_block_is_checked_against_every_pair_once(self, dims, pairs, monkeypatch):
+        builds = []
+        original = oracles._gather_sources
+        monkeypatch.setattr(
+            oracles, "_gather_sources", lambda *args: builds.append(args[:3]) or original(*args)
+        )
+        block = index_map_oracles(index_map_block(4, self.MAPS))
+        tensor = np.zeros(dims, dtype=complex)
+        *fitting, bad = pairs
+        for oracle in block:
+            for pair in fitting:
+                oracle.apply_tensor(tensor, *pair)
+            with pytest.raises(ValueError):
+                oracle.apply_tensor(tensor, *bad)
+            assert oracle.queries == len(fitting)
+        # the fitting pairs were built once for the whole block, the bad one never
+        assert builds == [(dims, *pair) for pair in fitting]
 
     @pytest.mark.parametrize(
         "raw",
@@ -348,19 +364,107 @@ class TestIndexMapOracles:
     )
     def test_builder_needs_a_checked_block(self, raw):
         with pytest.raises(TypeError, match="checked by core.index_map_block"):
-            index_map_oracles(raw, (4, 4), [(0, 1)])
+            index_map_oracles(raw)
 
     def test_no_oracle_calls_and_empty_blocks(self):
         block = index_map_block(4, [(0, 0, 0, 0), (1, 2, 3, 0)])
-        assert [o._sources for o in index_map_oracles(block, (4,), [])] == [{}, {}]
+        assert [o._sources for o in index_map_oracles(block)] == [{}, {}]
         empty = index_map_block(4, np.zeros((0, 4), dtype=int))
-        assert index_map_oracles(empty, (4, 4), [(0, 1)]) == []
+        assert index_map_oracles(empty) == []
 
     def test_sources_are_read_only(self):
-        oracle = index_map_oracles(index_map_block(4, [(1, 1, 2, 0)]), (4, 4), [(0, 1)])[0]
-        (source,) = oracle._sources.values()
+        # the sources the rows share are read-only; a row's memo holds its own copy
+        first, second = index_map_oracles(index_map_block(4, [(1, 1, 2, 0), (0, 3, 3, 1)]))
+        first.apply_tensor(np.zeros((4, 4), dtype=complex), 0, 1)
+        (shared,) = first._stack.sources.values()
         with pytest.raises(ValueError):
-            source[0, 0] = 0
+            shared[0, 0, 0] = 0
+        (source,) = first._sources.values()
+        assert source.tobytes() == shared[0].tobytes()
+        assert not np.shares_memory(source, shared)
+        second.apply_tensor(np.zeros((4, 4), dtype=complex), 0, 1)
+        assert second._sources[((4, 4), 0, 1, False)].tobytes() == shared[1].tobytes()
+
+
+class TestTableStack:
+    """A row of a stack of index maps answers every call as a stack of one does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_rows_equal_oracles_of_one_table(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        maps = data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=1, max_size=6),
+            label="maps",
+        )
+        m = data.draw(st.integers(1, 3), label="x's value dim")
+        x = InputString(n, m, data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+        wide = (data.draw(st.integers(1, 3), label="spectator dim"), n, m, n)
+        # (shape, index_reg, value_reg, inverse) of a call, or "gadget": a composed
+        # call on `wide` with the row as g, x's oracle and the last register as ancilla
+        calls = data.draw(
+            st.lists(
+                st.sampled_from(
+                    [
+                        ((n, n), 0, 1, False),
+                        ((n, n), 0, 1, True),
+                        ((n, n), 1, 0, False),
+                        (wide, 1, 3, False),
+                        (wide, 3, 1, True),
+                        ((n, n), 0, 2, False),  # no register 2: fails
+                        ((n, n), 1, 1, False),  # one register twice: fails
+                        "gadget",
+                    ]
+                ),
+                min_size=1,
+                max_size=10,
+            ),
+            label="calls",
+        )
+        picks = data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=len(calls), max_size=len(calls)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        block = index_map_block(n, maps)
+        rows = index_map_oracles(block)
+        singles = [StandardOracle(IndexFunction(n, values)) for values in maps]
+        x_oracle = StandardOracle(x)
+        built = []
+        with pytest.MonkeyPatch.context() as patch:
+            original = oracles._gather_sources
+
+            def counted(shape, index_reg, value_reg, stack, sign):
+                if stack is block:
+                    built.append((shape, index_reg, value_reg, sign))
+                return original(shape, index_reg, value_reg, stack, sign)
+
+            patch.setattr(oracles, "_gather_sources", counted)
+            billed = [0] * len(maps)
+            keys = set()
+            for call, b in zip(calls, picks):
+                if call == "gadget":
+                    tensor = np.zeros(wide, dtype=complex)
+                    tensor[..., 0] = rng.normal(size=wide[:3]) + 1j * rng.normal(size=wide[:3])
+                    got = ComposedOracle(x_oracle, rows[b], 3).apply_tensor(tensor, 1, 2)
+                    want = ComposedOracle(x_oracle, singles[b], 3).apply_tensor(tensor, 1, 2)
+                    billed[b] += 2
+                    keys |= {(wide, 1, 3, 1), (wide, 1, 3, -1)}
+                else:
+                    shape, index_reg, value_reg, inverse = call
+                    tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    if index_reg == value_reg or value_reg >= len(shape):
+                        for oracle in (rows[b], singles[b]):
+                            with pytest.raises(ValueError):
+                                oracle.apply_tensor(tensor, index_reg, value_reg, inverse)
+                        assert rows[b].queries == singles[b].queries == billed[b]
+                        continue
+                    got = rows[b].apply_tensor(tensor, index_reg, value_reg, inverse)
+                    want = singles[b].apply_tensor(tensor, index_reg, value_reg, inverse)
+                    billed[b] += 1
+                    keys.add((shape, index_reg, value_reg, -1 if inverse else 1))
+                assert got.tobytes() == want.tobytes()
+                # each key is built once for the whole stack, on its first call in any row
+                assert sorted(built) == sorted(keys)
+                assert [o.queries for o in rows] == [o.queries for o in singles] == billed
 
 
 class TestClassicalOracle:
@@ -392,8 +496,8 @@ class TestComposedOracle:
     def assert_matches_standard(self, x, g):
         n, m = x.n, x.M
         layout = gadget_layout(n, m)
-        comp = ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
-        expected = np.kron(standard_oracle(compose_input(x, g)).matrix(), np.eye(n))
+        comp = ComposedOracle(StandardOracle(x), StandardOracle(g), 2)
+        expected = np.kron(StandardOracle(compose_input(x, g)).matrix(), np.eye(n))
         worst = 0.0
         for i in range(n):
             for j in range(m):
@@ -418,7 +522,7 @@ class TestComposedOracle:
         x = InputString(4, 3, (0, 1, 2, 0))
         g = IndexFunction(4, (1, 1, 3, 3))
         layout = gadget_layout(4, 3)
-        comp = ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
+        comp = ComposedOracle(StandardOracle(x), StandardOracle(g), 2)
         comp.apply_tensor(basis_state(layout, (0, 0, 0)), 0, 1)
         assert comp.query_counts == {"x_queries": 1, "g_queries": 2}
         comp.apply_tensor(basis_state(layout, (1, 2, 0)), 0, 1)
@@ -428,7 +532,7 @@ class TestComposedOracle:
         x = InputString(4, 3, (0, 2, 2, 1))
         g = IndexFunction(4, (0, 3, 2, 1))
         layout = gadget_layout(4, 3)
-        comp = ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
+        comp = ComposedOracle(StandardOracle(x), StandardOracle(g), 2)
         out = comp.apply_tensor(basis_state(layout, (3, 1, 0)), 0, 1)
         assert np.abs(out[:, :, 1:]).max() == 0
 
@@ -436,7 +540,7 @@ class TestComposedOracle:
         x = InputString(4, 3, (0, 2, 2, 1))
         g = IndexFunction(4, (0, 3, 2, 1))
         layout = gadget_layout(4, 3)
-        comp = ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
+        comp = ComposedOracle(StandardOracle(x), StandardOracle(g), 2)
         dirty = basis_state(layout, (0, 0, 1))
         with pytest.raises(AssertionError, match="ancilla"):
             comp.apply_tensor(dirty, 0, 1)
@@ -444,7 +548,7 @@ class TestComposedOracle:
     def test_wrong_ancilla_dim(self):
         x = InputString(4, 3, (0, 2, 2, 1))
         g = IndexFunction(4, (0, 3, 2, 1))
-        comp = ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
+        comp = ComposedOracle(StandardOracle(x), StandardOracle(g), 2)
         bad_layout = RegisterLayout((4, 3, 3))
         with pytest.raises(ValueError, match="ancilla"):
             comp.apply_tensor(basis_state(bad_layout, (0, 0, 0)), 0, 1)
@@ -453,7 +557,7 @@ class TestComposedOracle:
         x = InputString(3, 2, (0, 1, 1))
         g = IndexFunction(4, (0, 3, 2, 1))
         with pytest.raises(ValueError, match="chain"):
-            ComposedOracle(standard_oracle(x), standard_oracle(g), 2)
+            ComposedOracle(StandardOracle(x), StandardOracle(g), 2)
 
 
 class TestOracleFromPartial:
@@ -499,6 +603,6 @@ class TestOracleFromPartial:
         c = IndexFunction(4, tuple(rng.integers(0, 4, size=4)))
         partial = {i: x.values[i] for i in set(c.values)}
         built = oracle_from_partial(partial, c, value_dim=3)
-        direct = standard_oracle(compose_input(x, c))
+        direct = StandardOracle(compose_input(x, c))
         assert built.values == direct.values
         assert np.array_equal(built.matrix(), direct.matrix())

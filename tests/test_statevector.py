@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qsymlab.core import IndexFunction, InputString
 from qsymlab import statevector as sv
 from qsymlab.compiler import amplify_majority3, with_gadget_ancilla
-from qsymlab.oracles import ComposedOracle, StandardOracle, standard_oracle
+from qsymlab.oracles import ComposedOracle, StandardOracle
 from qsymlab.statevector import (
     OracleCall,
     OutputRule,
@@ -111,29 +111,29 @@ class TestRun:
         entry = deutsch_jozsa(4)
         for bit in (0, 1):
             x = InputString(4, 2, (bit,) * 4)
-            dist = run(entry.algorithm, standard_oracle(x))
+            dist = run(entry.algorithm, StandardOracle(x))
             assert dist[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_dj_balanced(self):
         entry = deutsch_jozsa(4)
-        dist = run(entry.algorithm, standard_oracle(InputString(4, 2, (1, 0, 1, 0))))
+        dist = run(entry.algorithm, StandardOracle(InputString(4, 2, (1, 0, 1, 0))))
         assert dist[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_grover_one_iteration_exact_at_four(self):
         entry = grover_unique_or(4, 1)
         x = InputString(4, 2, (0, 0, 1, 0))
-        assert run(entry.algorithm, standard_oracle(x))[1] == pytest.approx(1.0, abs=1e-9)
+        assert run(entry.algorithm, StandardOracle(x))[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_distribution_sums_to_one(self):
         entry = deutsch_jozsa(8)
-        dist = run(entry.algorithm, standard_oracle(InputString(8, 2, (0, 1, 0, 0, 1, 1, 0, 1))))
+        dist = run(entry.algorithm, StandardOracle(InputString(8, 2, (0, 1, 0, 0, 1, 1, 0, 1))))
         assert dist[0] + dist[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic(self):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 1, 1, 1))
-        first = run(entry.algorithm, standard_oracle(x))
-        second = run(entry.algorithm, standard_oracle(x))
+        first = run(entry.algorithm, StandardOracle(x))
+        second = run(entry.algorithm, StandardOracle(x))
         assert first == second
 
     def test_amplified_run_reads_the_output_once(self, monkeypatch):
@@ -147,12 +147,12 @@ class TestRun:
             lambda tensor, norm_sq, alg: reads.append(alg) or read(tensor, norm_sq, alg),
         )
         amplified = replace(base, repeats=3)
-        oracle = standard_oracle(x)
+        oracle = StandardOracle(x)
         dist = run(amplified, oracle)
         assert reads == [amplified]
         assert oracle.queries == query_count(amplified) == 9
         # the three passes are bit-identical, so one pass of the base algorithm gives p
-        p_one = sv.majority3_prob(run(base, standard_oracle(x))[1])
+        p_one = sv.majority3_prob(run(base, StandardOracle(x))[1])
         assert dist == {0: 1.0 - p_one, 1: p_one}
 
     def test_oracle_required_when_called(self):
@@ -163,13 +163,13 @@ class TestRun:
     def test_incompatible_oracle_arity(self):
         entry = deutsch_jozsa(4)
         with pytest.raises(ValueError, match="arity"):
-            run(entry.algorithm, standard_oracle(InputString(4, 3, (0, 1, 2, 0))))
+            run(entry.algorithm, StandardOracle(InputString(4, 3, (0, 1, 2, 0))))
 
     @pytest.mark.parametrize("value", [0, 1, 2])
     def test_born_probabilities_stay_in_unit_interval(self, value):
         # a constant map collides everywhere, so the sniffer outputs 1 with
         # certainty; rounding once carried p_one an ulp above 1
-        dist = run(collision_sniffer(3).algorithm, standard_oracle(IndexFunction(3, (value,) * 3)))
+        dist = run(collision_sniffer(3).algorithm, StandardOracle(IndexFunction(3, (value,) * 3)))
         assert 0.0 <= dist[0] <= 1.0 and 0.0 <= dist[1] <= 1.0
         assert dist[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -318,7 +318,7 @@ class TestStartState:
         assert np.array_equal(alg._start, prefix)
         for hot in range(8):
             x = InputString(8, 2, tuple(int(i == hot) for i in range(8)))
-            run(alg, standard_oracle(x))
+            run(alg, StandardOracle(x))
             assert np.array_equal(alg._start, prefix)
 
     @pytest.mark.parametrize("targets", [(0,), (0, 1), (1, 0), (0, 2), (2, 1)])
@@ -399,7 +399,7 @@ class TestAlgorithmValidation:
         assert (call.index_reg, call.value_reg) == (0, 1)
         assert type(call.value_reg) is int
         alg = QueryAlgorithm(RegisterLayout((2, 2)), (call,), OutputRule((1,), frozenset({(1,)})))
-        assert run(alg, standard_oracle(InputString(2, 2, (1, 0))))[1] == 1.0
+        assert run(alg, StandardOracle(InputString(2, 2, (1, 0))))[1] == 1.0
 
     @pytest.mark.parametrize(
         "make, what, bad",
@@ -460,7 +460,7 @@ class TestValidityChecks:
 
     def test_output_sum_checked(self):
         alg = deutsch_jozsa(4).algorithm
-        oracle = standard_oracle(InputString(4, 2, (0, 1, 1, 0)))
+        oracle = StandardOracle(InputString(4, 2, (0, 1, 1, 0)))
         tensor, norm_sq = sv._evolve(alg._start, alg._start_norm_sq, alg._ops, oracle)
         assert norm_sq == np.vdot(tensor, tensor).real
         assert sv._output_probability_one(tensor, norm_sq, alg) == pytest.approx(1.0)
@@ -489,7 +489,7 @@ def gadget_dj_run():
     # amplified DJ n=4 through the gadget: a ComposedOracle declares no permutation
     rewritten, anc = with_gadget_ancilla(amplify_majority3(deutsch_jozsa(4).algorithm), 4)
     x, g = InputString(4, 2, (0, 1, 1, 0)), IndexFunction(4, (1, 0, 3, 3))
-    return rewritten, ComposedOracle(standard_oracle(x), standard_oracle(g), anc)
+    return rewritten, ComposedOracle(StandardOracle(x), StandardOracle(g), anc)
 
 
 class TestNormCarriedAcrossPermutations:
@@ -500,10 +500,10 @@ class TestNormCarriedAcrossPermutations:
         [
             # 5 ops a pass, 3 of them oracle calls (15 norms before the carry)
             (lambda: (amplify_majority3(grover_unique_or(8, 2).algorithm),
-                      standard_oracle(InputString(8, 2, (0, 0, 0, 1, 0, 0, 0, 0)))), 6),
+                      StandardOracle(InputString(8, 2, (0, 0, 0, 1, 0, 0, 0, 0)))), 6),
             # 2 ops a pass, 1 of them an oracle call (6 norms before the carry)
             (lambda: (amplify_majority3(deutsch_jozsa(4).algorithm),
-                      standard_oracle(InputString(4, 2, (0, 1, 1, 0)))), 3),
+                      StandardOracle(InputString(4, 2, (0, 1, 1, 0)))), 3),
             (gadget_dj_run, 6),
             (lambda: (deutsch_jozsa(4).algorithm, ScalingOracle(1.0)), 2),
         ],
@@ -582,7 +582,7 @@ class TestPrecomputedOutputRule:
     def test_matches_frozen_formula_on_zoo(self, alg, table):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            oracle = standard_oracle(table(rng)) if table else None
+            oracle = StandardOracle(table(rng)) if table else None
             tensor, norm_sq = evolved(alg, oracle)
             assert sv._output_probability_one(tensor, norm_sq, alg) == (
                 frozen_output_probability_one(tensor, alg)

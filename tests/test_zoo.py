@@ -6,7 +6,7 @@ import pytest
 
 from qsymlab import statevector, zoo
 from qsymlab.core import InputString, is_symmetric_first_type
-from qsymlab.oracles import standard_oracle
+from qsymlab.oracles import StandardOracle
 from qsymlab.statevector import OracleCall, QueryAlgorithm, Unitary, query_count, run
 from qsymlab.zoo import (
     build_distinguisher,
@@ -75,14 +75,14 @@ class TestDeutschJozsa:
     def test_constant_inputs(self):
         entry = deutsch_jozsa(4)
         for bit in (0, 1):
-            dist = run(entry.algorithm, standard_oracle(InputString(4, 2, (bit,) * 4)))
+            dist = run(entry.algorithm, StandardOracle(InputString(4, 2, (bit,) * 4)))
             assert dist[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_all_balanced_inputs(self):
         entry = deutsch_jozsa(4)
         for ones in itertools.combinations(range(4), 2):
             values = tuple(1 if i in ones else 0 for i in range(4))
-            dist = run(entry.algorithm, standard_oracle(InputString(4, 2, values)))
+            dist = run(entry.algorithm, StandardOracle(InputString(4, 2, values)))
             assert dist[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_one_query(self):
@@ -98,7 +98,7 @@ class TestDeutschJozsa:
     def test_total_on_non_promise_inputs(self):
         entry = deutsch_jozsa(4)
         for values in itertools.product((0, 1), repeat=4):
-            dist = run(entry.algorithm, standard_oracle(InputString(4, 2, values)))
+            dist = run(entry.algorithm, StandardOracle(InputString(4, 2, values)))
             assert dist[0] + dist[1] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -107,26 +107,26 @@ class TestGrover:
         entry = grover_unique_or(4, 1)
         for marked in range(4):
             values = tuple(1 if i == marked else 0 for i in range(4))
-            dist = run(entry.algorithm, standard_oracle(InputString(4, 2, values)))
+            dist = run(entry.algorithm, StandardOracle(InputString(4, 2, values)))
             assert dist[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_all_zeros_never_accepts(self):
         for k in (0, 1, 3):
             entry = grover_unique_or(4, k)
-            dist = run(entry.algorithm, standard_oracle(InputString(4, 2, (0, 0, 0, 0))))
+            dist = run(entry.algorithm, StandardOracle(InputString(4, 2, (0, 0, 0, 0))))
             assert dist[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_two_iterations_at_eight(self):
         entry = grover_unique_or(8, 2)
         values = tuple(1 if i == 5 else 0 for i in range(8))
-        dist = run(entry.algorithm, standard_oracle(InputString(8, 2, values)))
+        dist = run(entry.algorithm, StandardOracle(InputString(8, 2, values)))
         assert dist[1] == pytest.approx(0.9453125, abs=1e-7)
 
     def test_success_matches_rotation_formula(self):
         for n, k in ((4, 0), (8, 1), (16, 3)):
             entry = grover_unique_or(n, k)
             values = tuple(1 if i == 1 else 0 for i in range(n))
-            got = run(entry.algorithm, standard_oracle(InputString(n, 2, values)))[1]
+            got = run(entry.algorithm, StandardOracle(InputString(n, 2, values)))[1]
             theta = math.asin(1 / math.sqrt(n))
             assert got == pytest.approx(math.sin((2 * k + 1) * theta) ** 2, abs=1e-9)
 
@@ -145,6 +145,18 @@ class TestGrover:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             grover_unique_or(4, -1)
+
+    def test_steps_over_budget_rejected_before_listing_them(self, monkeypatch):
+        # (2k + 3) steps on 4n amplitudes: k = 1 at n = 4 is 5 * 16 = 80 entries
+        monkeypatch.setenv("QSYMLAB_BUDGET", "80")
+        assert len(grover_unique_or(4, 1).algorithm.steps) == 5
+        monkeypatch.setenv("QSYMLAB_BUDGET", "79")
+        monkeypatch.setattr(zoo, "OracleCall", lambda *args: pytest.fail("a step was listed"))
+        with pytest.raises(zoo.StepBudgetError, match="^5 steps on 16 amplitudes exceed the budget of 79"):
+            grover_unique_or(4, 1)
+        monkeypatch.setenv("QSYMLAB_BUDGET", "3247")  # k = 100: 203 * 16 = 3248 entries
+        with pytest.raises(zoo.StepBudgetError, match="^203 steps on 16 amplitudes"):
+            grover_unique_or(4, 100)
 
 
 class TestGroverHoldsOneDiffusion:
@@ -167,7 +179,7 @@ class TestGroverHoldsOneDiffusion:
         fresh = QueryAlgorithm(alg.layout, tuple(steps), alg.output_rule)
         assert sum(isinstance(s, OracleCall) for s in steps) == k + 1
         for hot in range(n):
-            oracle = standard_oracle(InputString(n, 2, tuple(int(i == hot) for i in range(n))))
+            oracle = StandardOracle(InputString(n, 2, tuple(int(i == hot) for i in range(n))))
             assert run(alg, oracle) == run(fresh, oracle)
 
 
@@ -189,8 +201,8 @@ class TestCollisionSniffer:
         probe = collision_sniffer(4)
         from qsymlab.core import IndexFunction
 
-        perm = run(probe.algorithm, standard_oracle(IndexFunction(4, (2, 0, 3, 1))))
-        const = run(probe.algorithm, standard_oracle(IndexFunction(4, (1, 1, 1, 1))))
+        perm = run(probe.algorithm, StandardOracle(IndexFunction(4, (2, 0, 3, 1))))
+        const = run(probe.algorithm, StandardOracle(IndexFunction(4, (1, 1, 1, 1))))
         assert perm[1] == pytest.approx(0.25, abs=1e-9)
         assert const[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -199,8 +211,8 @@ class TestCollisionSniffer:
 
         probe = collision_sniffer(4)
         g = IndexFunction(4, (0, 0, 2, 3))
-        assert run(probe.algorithm, standard_oracle(g)) == run(
-            probe.algorithm, standard_oracle(g)
+        assert run(probe.algorithm, StandardOracle(g)) == run(
+            probe.algorithm, StandardOracle(g)
         )
 
     def test_zero_query_variant(self):
@@ -241,10 +253,10 @@ class TestRegistry:
             (amplify_majority3(deutsch_jozsa(4).algorithm), InputString(4, 2, (1, 1, 1, 1))),
         ]
         for alg, x in cases:
-            oracle = standard_oracle(x)
+            oracle = StandardOracle(x)
             run(alg, oracle)
             assert oracle.queries == query_count(alg)
         probe = collision_sniffer(4)
-        oracle = standard_oracle(IndexFunction(4, (0, 0, 1, 2)))
+        oracle = StandardOracle(IndexFunction(4, (0, 0, 1, 2)))
         run(probe.algorithm, oracle)
         assert oracle.queries == 1
