@@ -382,7 +382,7 @@ def _check_symmetry_checkers() -> None:
 def _check_image_bounds() -> None:
     params = distributions.SmallRangeParams(8, 3)
     for draws, _ in distributions.stream_rows(params.bounds, distributions.stream_seeds(5, 200)):
-        sample = distributions.sample_small_range(params, draws)
+        sample = core.IndexFunction(params.n, distributions.sample_small_range(params, draws))
         if len(core.image(sample)) > 3:
             raise AssertionError("image bound violated")
 
@@ -405,7 +405,7 @@ def _check_sampler_matches_enumerator() -> None:
     draws = 20_000
     counts: dict[tuple[int, ...], int] = {}
     for row, _ in distributions.stream_rows(params.bounds, distributions.stream_seeds(17, draws)):
-        g = distributions.sample_small_range(params, row)
+        g = core.IndexFunction(params.n, distributions.sample_small_range(params, row))
         counts[g.values] = counts.get(g.values, 0) + 1
     for g, prob in support:
         p = float(prob)

@@ -3,7 +3,8 @@
 The pipeline turns a q-query quantum algorithm for a permutation-symmetric
 function into a randomized classical procedure. One compiled trial:
 
-1. sample an index map C with image size at most r;
+1. sample the values of an index map C with image size at most r, and
+   check them once, in C's `IndexFunction`;
 2. read the input classically at the image points only (at most r lookups);
 3. rebuild the full oracle of (input after C) from those lookups;
 4. simulate the majority-of-three amplified algorithm against that oracle
@@ -165,7 +166,7 @@ def compile_and_run_once(
     """
     params = SmallRangeParams(x.n, r)
     row, uniform = draws if draws is not None else next(stream_rows(params.bounds, [seed]))
-    sampled = sample_small_range(params, row)
+    sampled = IndexFunction(x.n, sample_small_range(params, row))
     dist, used = compiled_distribution(alg, x, sampled, oracles)
     if used > r:
         raise AssertionError(f"classical lookups {used} exceeded budget {r}")

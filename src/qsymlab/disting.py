@@ -23,8 +23,8 @@ max(1, 4096 // N) maps for a state of N amplitudes, so a block's gather
 sources hold at most about 4096 ints per oracle call. A block is checked
 once by `core.index_map_block`, and `oracles.index_map_oracles` hands out
 its rows as the oracles of one stack, whose first call of each kind builds
-the gather sources of the whole block. A sampled sweep still samples, and
-so checks, each row's map alone, then stacks the maps into blocks. Every
+the gather sources of the whole block. A sampled sweep samples each row's
+values alone and checks them once, in the block it stacks them into. Every
 map is run as often, and in the same order, as a map-at-a-time loop would
 run it, so the reports do not change.
 """
@@ -156,15 +156,13 @@ def advantage_monte_carlo(
         raise ValueError("samples must be positive")
     params = SmallRangeParams(n, r)
     row_seeds = stream_seeds(seed, 2 * samples)
-    # each row's map is sampled, and so checked, alone, then checked again
-    # with its block, whose oracles are built at once
+    # each row's values are sampled alone and checked once, with their block,
+    # whose oracles are built at once
     perm_maps = (
-        sample_permutation(n, swaps).values
-        for swaps, _ in stream_rows(range(n, 0, -1), row_seeds[:samples])
+        sample_permutation(n, swaps) for swaps, _ in stream_rows(range(n, 0, -1), row_seeds[:samples])
     )
     small_maps = (
-        sample_small_range(params, draws).values
-        for draws, _ in stream_rows(params.bounds, row_seeds[samples:])
+        sample_small_range(params, draws) for draws, _ in stream_rows(params.bounds, row_seeds[samples:])
     )
     perm_vals = np.array([run(algorithm, o)[1] for o in _map_oracles(algorithm, n, perm_maps)])
     small_vals = np.array([run(algorithm, o)[1] for o in _map_oracles(algorithm, n, small_maps)])

@@ -6,7 +6,9 @@ is sampled as a composition: a uniform function into [r] followed by a
 uniform injection of [r] into [n]. The samplers are pure functions of one
 row of uniform integers below `SmallRangeParams.bounds`: n draws into [r],
 then one draw into [n - k] per Fisher-Yates swap. A row with a draw outside
-its bounds raises ValueError.
+its bounds raises ValueError. A sampler returns the map's values as a tuple
+of ints, and the code that holds the map checks it once: a compiled trial
+in its `IndexFunction`, a sampled sweep in its `core.index_map_block`.
 
 All Monte Carlo randomness comes from one stream: SplitMix64 (Steele, Lea
 and Flood 2014) keyed by a seed s in [0, 2^64), whose word j is the
@@ -248,26 +250,26 @@ def _injection_prefix(n: int, swaps: list[int]) -> list[int]:
     return cells[: len(swaps)]
 
 
-def sample_small_range(params: SmallRangeParams, draws: list[int]) -> IndexFunction:
-    """The small-range map of one row below `params.bounds`; image size is at most r."""
+def sample_small_range(params: SmallRangeParams, draws: list[int]) -> tuple[int, ...]:
+    """The values of the small-range map of one row below `params.bounds`;
+    image size is at most r. The caller's `IndexFunction` or block checks them."""
     n, r = params.n, params.r
     _check_row(draws, n + r, "small-range")
     try:
         injection = _injection_prefix(n, draws[n:])
-        values = tuple(injection[v] for v in draws[:n])
+        return tuple(map(injection.__getitem__, draws[:n]))
     except IndexError:
         raise ValueError(f"a small-range row has a draw above its bound: {draws}") from None
-    return IndexFunction(n, values)
 
 
-def sample_permutation(n: int, swaps: list[int]) -> IndexFunction:
-    """The permutation of [n] of one row below n, n-1, ..., 1."""
+def sample_permutation(n: int, swaps: list[int]) -> tuple[int, ...]:
+    """The values of the permutation of [n] of one row below n, n-1, ..., 1;
+    the caller's `IndexFunction` or block checks them."""
     _check_row(swaps, n, "permutation")
     try:
-        values = tuple(_injection_prefix(n, swaps))
+        return tuple(_injection_prefix(n, swaps))
     except IndexError:
         raise ValueError(f"a permutation row has a draw above its bound: {swaps}") from None
-    return IndexFunction(n, values)
 
 
 def check_support_budget(params: SmallRangeParams) -> None:

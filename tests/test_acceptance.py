@@ -127,7 +127,7 @@ def test_criterion_3_permutation_invariance():
 def test_criterion_4_small_range_distribution():
     params = SmallRangeParams(16, 4)
     for draws, _ in stream_rows(params.bounds, stream_seeds(99, 10_000)):
-        assert len(image(sample_small_range(params, draws))) <= 4
+        assert len(image(IndexFunction(16, sample_small_range(params, draws)))) <= 4
 
     support = enumerate_small_range_support(SmallRangeParams(2, 2))
     assert support.probability_of(IndexFunction.identity(2)) == Fraction(1, 4)
@@ -141,7 +141,7 @@ def test_criterion_4_small_range_distribution():
     draws = 100_000
     counts: dict[tuple[int, ...], int] = {}
     for row, _ in stream_rows(small.bounds, stream_seeds(7, draws)):
-        key = sample_small_range(small, row).values
+        key = sample_small_range(small, row)
         counts[key] = counts.get(key, 0) + 1
     for g, prob in exact:
         p = float(prob)

@@ -2,7 +2,6 @@ import concurrent.futures
 import math
 import os
 import pickle
-from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
@@ -49,22 +48,6 @@ def base_two_thirds_alg():
         steps=(Unitary(fourier_matrix(3), (0,)),),
         output_rule=OutputRule((0,), frozenset({(0,), (1,)})),
     )
-
-
-def count_calls(monkeypatch, targets):
-    """Count the calls of each (owner, attribute) in `targets`, by attribute name."""
-    counts = Counter()
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    for owner, name in targets:
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-    return counts
 
 
 def composed_table(x, index_map):
@@ -456,9 +439,8 @@ class TestExactSuccessSharesOracles:
             value = exact_success(entry.algorithm, x, expected_bit, r)
             assert value == per_map_exact_success(entry.algorithm, x, expected_bit, r)
 
-    def test_one_oracle_per_distinct_table(self, monkeypatch):
+    def test_one_oracle_per_distinct_table(self, count_calls):
         counts = count_calls(
-            monkeypatch,
             [
                 (StandardOracle, "__init__"),
                 (StandardOracle, "apply_tensor"),
@@ -479,28 +461,30 @@ class TestExactSuccessSharesOracles:
 
 
 class TestEstimateSuccessSharesOracles:
-    def test_one_oracle_per_distinct_table(self, monkeypatch):
+    def test_one_oracle_per_distinct_table(self, count_calls):
         counts = count_calls(
-            monkeypatch,
             [
                 (StandardOracle, "__init__"),
                 (StandardOracle, "apply_tensor"),
                 (ClassicalOracle, "lookup"),
                 (compiler, "oracle_from_partial"),
                 (compiler, "sample_small_range"),
+                (IndexFunction, "__post_init__"),
             ],
         )
         x = InputString(4, 2, (0, 1, 1, 0))
         est = estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, 2000, 14)
         tables = {composed_table(x, t.sampled_C) for t in est.results}
         assert len(tables) <= 16
-        # every trial still samples, reads, composes and runs three passes
+        # every trial still samples, checks its map once, reads, composes and
+        # runs three passes
         assert counts == {
             "__init__": len(tables),
             "apply_tensor": 6000,
             "lookup": sum(t.classical_queries_used for t in est.results),
             "oracle_from_partial": 2000,
             "sample_small_range": 2000,
+            "__post_init__": 2000,
         }
 
     @pytest.mark.parametrize(
@@ -513,9 +497,9 @@ class TestEstimateSuccessSharesOracles:
         ids=["grover-16", "dj-below-M^n", "dj-at-M^n"],
     )
     def test_shared_only_when_tables_cannot_outnumber_trials(
-        self, monkeypatch, entry, x, trials, built
+        self, count_calls, entry, x, trials, built
     ):
-        counts = count_calls(monkeypatch, [(StandardOracle, "__init__")])
+        counts = count_calls([(StandardOracle, "__init__")])
         est = estimate_success(entry.algorithm, x, 1, 4, trials, 15)
         if built is None:  # M^n <= trials: one oracle per distinct table
             built = len({composed_table(x, t.sampled_C) for t in est.results})

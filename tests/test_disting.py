@@ -8,9 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsymlab import cli, disting, oracles
-from qsymlab.compiler import Z_95
-from qsymlab.core import IndexFunction
+from qsymlab import cli, disting, distributions, oracles
+from qsymlab.compiler import Z_95, compile_and_run_once
+from qsymlab.core import IndexFunction, InputString
 from qsymlab.disting import AdvantageReport, advantage_exact, advantage_monte_carlo, sweep_r
 from qsymlab.distributions import (
     SmallRangeParams,
@@ -21,7 +21,7 @@ from qsymlab.distributions import (
     stream_seeds,
 )
 from qsymlab.statevector import run
-from qsymlab.zoo import collision_sniffer, zero_query_probe
+from qsymlab.zoo import collision_sniffer, deutsch_jozsa, zero_query_probe
 
 
 class TestAdvantageExact:
@@ -141,10 +141,12 @@ class TestAdvantageMonteCarlo:
             return next(stream_rows(bounds, [seed]))[0]
 
         perm_vals = [
-            p_one(sample_permutation(n, alone(range(n, 0, -1), s))) for s in row_seeds[:samples]
+            p_one(IndexFunction(n, sample_permutation(n, alone(range(n, 0, -1), s))))
+            for s in row_seeds[:samples]
         ]
         small_vals = [
-            p_one(sample_small_range(params, alone(params.bounds, s))) for s in row_seeds[samples:]
+            p_one(IndexFunction(n, sample_small_range(params, alone(params.bounds, s))))
+            for s in row_seeds[samples:]
         ]
         assert report.perm_prob[1] == float(np.array(perm_vals).mean())
         assert report.smallrange_prob[1] == float(np.array(small_vals).mean())
@@ -177,13 +179,13 @@ def naive_monte_carlo_report(algorithm, n, r, samples, seed):
     row_seeds = stream_seeds(seed, 2 * samples)
     perm_vals = np.array(
         [
-            naive_p_one(algorithm, sample_permutation(n, swaps))
+            naive_p_one(algorithm, IndexFunction(n, sample_permutation(n, swaps)))
             for swaps, _ in stream_rows(range(n, 0, -1), row_seeds[:samples])
         ]
     )
     small_vals = np.array(
         [
-            naive_p_one(algorithm, sample_small_range(params, draws))
+            naive_p_one(algorithm, IndexFunction(n, sample_small_range(params, draws)))
             for draws, _ in stream_rows(params.bounds, row_seeds[samples:])
         ]
     )
@@ -237,6 +239,51 @@ class TestBlockSweepsEqualNaiveLoops:
             tracemalloc.stop()
         assert report.advantage == pytest.approx(5 / 18, abs=1e-12)
         assert peak < 2**19
+
+
+class TestSampledMapsCheckedOnce:
+    """A sampler returns bare values; the block or `IndexFunction` holding them checks them."""
+
+    def test_an_out_of_range_cell_fails_in_its_holder(self, monkeypatch):
+        # every sampled cell becomes n, one past the last index
+        monkeypatch.setattr(distributions, "_injection_prefix", lambda n, swaps: [n] * len(swaps))
+        assert sample_permutation(4, [0, 0, 0, 0]) == (4, 4, 4, 4)
+        assert sample_small_range(SmallRangeParams(4, 2), [0] * 6) == (4, 4, 4, 4)
+
+        probe = collision_sniffer(4)
+        with pytest.raises(ValueError, match=r"entry 4 outside \[0, 4\)") as raised:
+            advantage_monte_carlo(probe.algorithm, 4, 2, 10, 0)
+        assert raised.traceback[-1].name == "index_map_block"
+
+        x = InputString(4, 2, (0, 1, 1, 0))
+        with pytest.raises(ValueError, match=r"entry 4 outside \[0, 4\)") as raised:
+            compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=0)
+        assert "__post_init__" in [entry.name for entry in raised.traceback]
+        assert "index_map_block" not in [entry.name for entry in raised.traceback]
+
+    def test_sampled_sweep_checks_each_block_once_and_builds_no_index_function(self, count_calls):
+        counts = count_calls(
+            [
+                (disting, "sample_permutation"),
+                (disting, "sample_small_range"),
+                (disting, "index_map_block"),
+                (disting, "run"),
+                (IndexFunction, "__post_init__"),
+            ],
+        )
+        n, r_values, samples = 16, [1, 4], 40
+        probe = collision_sniffer(n)
+        assert disting._block_size(probe.algorithm) == 16
+        sweep_r(probe.algorithm, n, r_values, samples, 3)
+        # each side of each r: one sampler call and one run per row, and 40
+        # rows in ceil(40 / 16) = 3 blocks; no `__post_init__` entry, so no
+        # `IndexFunction` was built
+        assert counts == {
+            "sample_permutation": 2 * samples,
+            "sample_small_range": 2 * samples,
+            "index_map_block": 2 * 2 * 3,
+            "run": 2 * 2 * samples,
+        }
 
 
 class TestSweep:
