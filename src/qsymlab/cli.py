@@ -165,6 +165,12 @@ def _cmd_compile_run(args) -> int:
         return _usage_error("--iterations applies to grover only")
     if args.iterations is not None and args.iterations < 0:
         return _usage_error("--iterations must be >= 0")
+    if args.trials < 0:
+        return _usage_error("--trials must be >= 0")
+    if args.jobs < 1:
+        return _usage_error("--jobs must be >= 1")
+    if args.csv and args.trials == 0:
+        return _usage_error("--csv has no trials to write with --trials 0")
     # words 0 and 1 of the --seed stream key the random-promise choice and the trials
     choice_seed, trials_seed = distributions.stream_seeds(args.seed, 2).tolist()
     try:
@@ -179,12 +185,6 @@ def _cmd_compile_run(args) -> int:
         return _usage_error(f"input {x.values} is outside the promise domain of {args.zoo}")
     if not 1 <= args.r <= args.n:
         return _usage_error(f"--r must lie in [1, {args.n}]")
-    if args.trials < 0:
-        return _usage_error("--trials must be >= 0")
-    if args.jobs < 1:
-        return _usage_error("--jobs must be >= 1")
-    if args.csv and args.trials == 0:
-        return _usage_error("--csv has no trials to write with --trials 0")
     unwritable = _unwritable(args)
     if unwritable:
         return _usage_error(unwritable)
@@ -393,7 +393,8 @@ def _check_enumerator_exact_values() -> None:
     if ident != Fraction(1, 4):
         raise AssertionError(f"identity mass {ident} != 1/4")
     non_inj = sum(
-        (p for g, p in support if not distributions.is_injective(g)), Fraction(0)
+        (p for block, p in support.blocks() for row in block.tolist() if len(set(row)) < len(row)),
+        Fraction(0),
     )
     if non_inj != Fraction(1, 2):
         raise AssertionError(f"non-injective mass {non_inj} != 1/2")
@@ -407,18 +408,19 @@ def _check_sampler_matches_enumerator() -> None:
     for row, _ in distributions.stream_rows(params.bounds, distributions.stream_seeds(17, draws)):
         g = core.IndexFunction(params.n, distributions.sample_small_range(params, row))
         counts[g.values] = counts.get(g.values, 0) + 1
-    for g, prob in support:
-        p = float(prob)
+    for block, mass in support.blocks():
+        p = float(mass)
         sigma = (p * (1 - p) / draws) ** 0.5
-        if abs(counts.get(g.values, 0) / draws - p) > 4 * sigma:
-            raise AssertionError(f"sampler disagrees with enumerator at {g.values}")
+        for values in map(tuple, block.tolist()):
+            if abs(counts.get(values, 0) / draws - p) > 4 * sigma:
+                raise AssertionError(f"sampler disagrees with enumerator at {values}")
 
 
 def _check_compiled_equals_direct() -> None:
     entry = zoo.deutsch_jozsa(4)
     x = core.InputString(4, 2, (0, 1, 1, 0))
     fixed = core.IndexFunction(4, (2, 2, 0, 1))
-    dist, used = compiler.compiled_distribution(entry.algorithm, x, fixed)
+    dist, used = compiler.compiled_distribution(entry.algorithm, x, fixed.values)
     direct = statevector.run(
         compiler.amplify_majority3(entry.algorithm),
         oracles.StandardOracle(core.compose_input(x, fixed)),

@@ -4,7 +4,7 @@ The pipeline turns a q-query quantum algorithm for a permutation-symmetric
 function into a randomized classical procedure. One compiled trial:
 
 1. sample the values of an index map C with image size at most r, and
-   check them once, in C's `IndexFunction`;
+   check them once, in C's `IndexFunction`, which the trial's record keeps;
 2. read the input classically at the image points only (at most r lookups);
 3. rebuild the full oracle of (input after C) from those lookups;
 4. simulate the majority-of-three amplified algorithm against that oracle
@@ -13,16 +13,18 @@ function into a randomized classical procedure. One compiled trial:
 Many maps compose x to the same table, and such maps can share one oracle
 and its gather sources; every map is still read, composed and simulated.
 The exact average over the whole support (`exact_success`) runs steps 2-4
-for every map and keeps one dict of oracles by composed table for the
-call. The Monte Carlo estimate (`estimate_success`) runs its trials
-through `_run_trials`, in this process or once per worker on a contiguous
-slice of the seeds, and each slice keeps such a dict only when `M^n` is at
-most its length. The rule is a worst-case memory bound, not a guess at how
-often tables repeat: within it at most `M^n` small oracles are kept.
-Beyond it only the trial count limits them: a one-hot Grover input at
-n=2048 and r=n composes 10^4 trials to 4,359 distinct tables of 128 KB of
-gather sources each (about 560 MB). So each trial beyond the bound builds
-a fresh oracle, even where most trials share a table (18 tables at r=4).
+for every row of the support's checked blocks, with no `IndexFunction`
+and one float mass per block, and keeps one dict of oracles by composed
+table for the call. The Monte Carlo estimate (`estimate_success`) runs its
+trials through `_run_trials`, in this process or once per worker on a
+contiguous slice of the seeds, and each slice keeps such a dict only when
+`M^n` is at most its length. The rule is a worst-case memory bound, not a
+guess at how often tables repeat: within it at most `M^n` small oracles
+are kept. Beyond it only the trial count limits them: a one-hot Grover
+input at n=2048 and r=n composes 10^4 trials to 4,359 distinct tables of
+128 KB of gather sources each (about 560 MB). So each trial beyond the
+bound builds a fresh oracle, even where most trials share a table (18
+tables at r=4).
 
 Each trial has its own seed, word t of the stream of the seed given to
 `estimate_success` (see `distributions`), and takes its sampler row and
@@ -45,11 +47,11 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import IndexFunction, InputString, image
+from .core import IndexFunction, InputString
 from .distributions import (
     SmallRangeParams,
     enumerate_small_range_support,
@@ -127,24 +129,26 @@ class CompiledRunResult:
 def compiled_distribution(
     alg: QueryAlgorithm,
     x: InputString,
-    index_map: IndexFunction,
+    values: Sequence[int],
     oracles: Optional[dict] = None,
 ) -> tuple[dict[int, float], int]:
-    """Steps 2-4 for a fixed index map: exact output distribution and lookups.
+    """Steps 2-4 for the index map with these values: output distribution, lookups.
 
+    The values come from a checked `IndexFunction` or block row; a value
+    outside [0, n) still fails at its lookup, before any oracle is composed.
     Amplifies internally unless the algorithm already is. `oracles` is
     passed to `oracle_from_partial`: calls with the same x may share it.
     The lookup count is checked against the image size, so callers may
     read it as that size.
     """
     reader = ClassicalOracle(x)
-    cells = sorted(image(index_map))
+    cells = sorted(set(values))
     known = {i: reader.lookup(i) for i in cells}
     if reader.queries != len(cells):
         raise AssertionError(
             f"lookup count {reader.queries} does not equal the image size {len(cells)}"
         )
-    oracle = oracle_from_partial(known, index_map, x.M, oracles)
+    oracle = oracle_from_partial(known, values, x.M, oracles)
     return run(_amplified(alg), oracle), reader.queries
 
 
@@ -167,7 +171,7 @@ def compile_and_run_once(
     params = SmallRangeParams(x.n, r)
     row, uniform = draws if draws is not None else next(stream_rows(params.bounds, [seed]))
     sampled = IndexFunction(x.n, sample_small_range(params, row))
-    dist, used = compiled_distribution(alg, x, sampled, oracles)
+    dist, used = compiled_distribution(alg, x, sampled.values, oracles)
     if used > r:
         raise AssertionError(f"classical lookups {used} exceeded budget {r}")
     bit = 1 if uniform < dist[1] else 0
@@ -271,6 +275,8 @@ def exact_success(alg: QueryAlgorithm, x: InputString, expected_bit: int, r: int
     alg = _amplified(alg)
     oracles: dict = {}
     return math.fsum(
-        weight * compiled_distribution(alg, x, index_map, oracles)[0][expected_bit]
-        for index_map, weight in support.float_entries()
+        weight * compiled_distribution(alg, x, values, oracles)[0][expected_bit]
+        for block, mass in support.blocks()
+        for weight in [float(mass)]
+        for values in block.tolist()
     )

@@ -132,8 +132,9 @@ def _exact_reports(
         support = enumerate_small_range_support(param)
         p_perm = math.fsum(terms) / math.factorial(n)
         p_small = math.fsum(
-            w * run(algorithm, oracle)[1]
-            for block, w in support.float_blocks(_block_size(algorithm))
+            weight * run(algorithm, oracle)[1]
+            for block, mass in support.blocks(_block_size(algorithm))
+            for weight in [float(mass)]
             for oracle in index_map_oracles(block)
         )
         adv = abs(p_perm - p_small)

@@ -28,10 +28,10 @@ So no two quantities share a word, and a row is exact and depends on its
 seed alone. The enumerator gives each map with image size k <= r its
 closed-form mass (r)_k (n-k)! / (r^n n!), serving as the ground-truth
 oracle for the samplers and for exact expectation sweeps. Its support
-stores one mass per image size and lists the maps a chunk at a time as it
-is walked, either as checked `IndexFunction`s one by one or as checked
-`core.index_map_block` blocks, so an exact sweep holds one chunk of maps at
-a time: the enumeration budget bounds the maps visited, that is time, not
+stores one mass per image size and lists the maps one way only, a checked
+`core.index_map_block` block at a time as it is walked, so an exact sweep
+holds one block of maps at a time and checks each map once, with its
+block: the enumeration budget bounds the maps visited, that is time, not
 memory.
 """
 
@@ -42,7 +42,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -103,13 +103,12 @@ class WeightedSupport:
     """Exact law over the maps [n] -> [n] with image size at most r, by image size.
 
     `masses[k - 1]` is the rational mass of each map with image size k. The
-    support holds no maps: iterating it builds each `(IndexFunction, mass)`
-    in turn, in (image size, image cells, word) order, so it can be walked
-    any number of times in constant memory. Construction checks that the
-    masses sum to exactly 1; each walk checks that the maps onto one cell set
-    strictly increase (maps onto distinct cells differ in their image) and
-    that each image size yields its closed-form count. A walk lists the words
-    a chunk at a time; `float_blocks` hands each chunk on as one checked block.
+    support holds no maps: `blocks` lists them, in (image size, image cells,
+    word) order, as checked blocks that each hold maps of one image size, so
+    it can be walked any number of times in constant memory. Construction
+    checks that the masses sum to exactly 1; each walk checks that the maps
+    onto one cell set strictly increase (maps onto distinct cells differ in
+    their image) and that each image size yields its closed-form count.
     """
 
     params: SmallRangeParams
@@ -130,40 +129,24 @@ class WeightedSupport:
     def __len__(self) -> int:
         return sum(self._sizes)
 
-    def __iter__(self) -> Iterator[tuple[IndexFunction, Fraction]]:
-        return self._entries(self.masses)
-
-    def float_entries(self) -> Iterator[tuple[IndexFunction, float]]:
-        """The maps with their masses as floats, each image size's converted once."""
-        return self._entries([float(p) for p in self.masses])
-
-    def float_blocks(self, maps_per_block: int) -> Iterator[tuple[np.ndarray, float]]:
+    def blocks(self, maps_per_block: Optional[int] = None) -> Iterator[tuple[np.ndarray, Fraction]]:
         """The maps in walk order as `core.index_map_block` blocks of at most
-        `maps_per_block` rows, all of one image size, each with its float mass."""
+        `maps_per_block` rows (by default as many as hold `_BLOCK_INTS` ints),
+        all of one image size, each with the exact mass of each of its maps."""
         n = self.params.n
-        for words, weight in self._walk([float(p) for p in self.masses], maps_per_block):
-            yield index_map_block(n, words), weight
+        per_block = maps_per_block or max(1, _BLOCK_INTS // n)
+        for k, (mass, size) in enumerate(zip(self.masses, self._sizes), start=1):
+            words = _ordered_words(n, k)
+            made = 0
+            while chunk := list(itertools.islice(words, per_block)):
+                made += len(chunk)
+                yield index_map_block(n, chunk), mass
+            if made != size:
+                raise ValueError(f"image size {k} yielded {made} maps, not {size}")
 
     def probability_of(self, g: IndexFunction) -> Fraction:
         k = len(set(g.values))
         return self.masses[k - 1] if g.n == self.params.n and k <= self.params.r else Fraction(0)
-
-    def _entries(self, weights):
-        n = self.params.n
-        for words, weight in self._walk(weights, max(1, _BLOCK_INTS // n)):
-            for values in words:
-                yield IndexFunction(n, values), weight
-
-    def _walk(self, weights, per_chunk: int):
-        """Lists of at most `per_chunk` words, each list of one image size, with its weight."""
-        for k, (weight, size) in enumerate(zip(weights, self._sizes), start=1):
-            words = _ordered_words(self.params.n, k)
-            made = 0
-            while chunk := list(itertools.islice(words, per_chunk)):
-                made += len(chunk)
-                yield chunk, weight
-            if made != size:
-                raise ValueError(f"image size {k} yielded {made} maps, not {size}")
 
 
 def _ordered_words(n: int, k: int) -> Iterator[tuple[int, ...]]:

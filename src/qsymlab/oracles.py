@@ -47,18 +47,19 @@ validated once, where it is built: `core.InputString` and
 range of a whole block of index maps, and every table exposes `n`, `M` and
 `values` (M = n for an index map). `StandardOracle(table)` refuses
 anything but such a table, reads its dimensions from it and trusts its
-entries; `oracle_from_partial` builds an `InputString` of the composed
-values, so a missing or out-of-range entry still fails. Each oracle
-instance owns its query counters; an oracle shared through
-`oracle_from_partial`'s dict (`compiler` says when) sums them over the maps
-that share it.
+entries. `oracle_from_partial` takes an index map's values, already checked
+by the `IndexFunction` or block row that holds them, and builds an
+`InputString` of the composed values, so a missing image entry or an
+out-of-range value still fails. Each oracle instance owns its query
+counters; an oracle shared through `oracle_from_partial`'s dict
+(`compiler` says when) sums them over the maps that share it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -299,11 +300,11 @@ def index_map_oracles(block: np.ndarray) -> list[StandardOracle]:
 
 def oracle_from_partial(
     x_on_image: Mapping[int, int],
-    index_map: IndexFunction,
+    values: Sequence[int],
     value_dim: int,
     built: Optional[dict[tuple[int, ...], StandardOracle]] = None,
 ) -> StandardOracle:
-    """Standard oracle for (x after index_map) from x known only on the image.
+    """Standard oracle for (x after the map with these values), x known on its image.
 
     The composed table reads x nowhere else, so the partial knowledge fully
     determines the oracle; its values are checked like any input's.
@@ -311,14 +312,14 @@ def oracle_from_partial(
     and value_dim: a hit returns the stored oracle, a miss stores a new one.
     """
     try:
-        composed = tuple(x_on_image[j] for j in index_map.values)
+        composed = tuple(map(x_on_image.__getitem__, values))
     except KeyError as missing:
         raise ValueError(f"missing image entry {missing.args[0]}") from None
     if built is None:
         built = {}
     oracle = built.get(composed)
     if oracle is None:
-        oracle = built[composed] = StandardOracle(InputString(index_map.n, value_dim, composed))
+        oracle = built[composed] = StandardOracle(InputString(len(composed), value_dim, composed))
     return oracle
 
 

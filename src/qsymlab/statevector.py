@@ -260,17 +260,22 @@ class QueryAlgorithm:
             raise ValueError(
                 f"a start state of {self.layout.total_dim} amplitudes exceeds {DENSE_ENTRIES_MAX} entries"
             )
-        ops = []
+        # one op per distinct step, shared by its repeats: a Unitary hashes by
+        # identity and an OracleCall by value
+        placed: dict = {}
         for step in self.steps:
+            if not isinstance(step, (Unitary, OracleCall)):
+                raise TypeError(f"unknown step type {type(step)!r}")
+            if step in placed:
+                continue
             if isinstance(step, Unitary):
-                ops.append((step.matrix, _placed(dims, step)))
-            elif isinstance(step, OracleCall):
+                placed[step] = (step.matrix, _placed(dims, step))
+            else:
                 for reg in (step.index_reg, step.value_reg):
                     if not 0 <= reg < len(dims):
                         raise ValueError(f"oracle call register {reg} outside layout")
-                ops.append((None, (step.index_reg, step.value_reg)))
-            else:
-                raise TypeError(f"unknown step type {type(step)!r}")
+                placed[step] = (None, (step.index_reg, step.value_reg))
+        ops = [placed[step] for step in self.steps]
         registers = self.output_rule.registers
         for reg in registers:
             if not 0 <= reg < len(dims):

@@ -169,8 +169,9 @@ def grover_unique_or(n: int, iterations: int) -> ZooEntry:
         values[i] = 1
         outputs[tuple(values)] = 1
     function = BooleanFunctionTable(n, 2, outputs)
+    query = OracleCall(0, 1)  # one shared object, like the diffusion: an iteration adds references only
     for _ in range(iterations):
-        steps.append(OracleCall(0, 1))
+        steps.append(query)
         steps.append(diffusion)
     steps.append(OracleCall(0, 2))
     alg = QueryAlgorithm(

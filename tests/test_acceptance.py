@@ -132,7 +132,13 @@ def test_criterion_4_small_range_distribution():
     support = enumerate_small_range_support(SmallRangeParams(2, 2))
     assert support.probability_of(IndexFunction.identity(2)) == Fraction(1, 4)
     non_injective = sum(
-        (p for g, p in support if not is_injective(g)), Fraction(0)
+        (
+            p
+            for block, p in support.blocks()
+            for row in block.tolist()
+            if not is_injective(IndexFunction(2, row))
+        ),
+        Fraction(0),
     )
     assert non_injective == Fraction(1, 2)
 
@@ -143,10 +149,11 @@ def test_criterion_4_small_range_distribution():
     for row, _ in stream_rows(small.bounds, stream_seeds(7, draws)):
         key = sample_small_range(small, row)
         counts[key] = counts.get(key, 0) + 1
-    for g, prob in exact:
+    for block, prob in exact.blocks():
         p = float(prob)
         sigma = math.sqrt(p * (1 - p) / draws)
-        assert abs(counts.get(g.values, 0) / draws - p) <= 4 * sigma
+        for values in map(tuple, block.tolist()):
+            assert abs(counts.get(values, 0) / draws - p) <= 4 * sigma
     report(4, "image bounds hold; enumerator masses exact; sampler within 4 sigma")
 
 
@@ -174,7 +181,7 @@ def test_criterion_5_compiler_exactness():
         if sum(c_values) % 3:  # thin the 256 maps, keep variety
             continue
         fixed = IndexFunction(4, c_values)
-        dist, used = compiled_distribution(entry.algorithm, x, fixed)
+        dist, used = compiled_distribution(entry.algorithm, x, fixed.values)
         direct = run(
             amplify_majority3(entry.algorithm),
             StandardOracle(compose_input(x, fixed)),

@@ -528,6 +528,28 @@ class TestCompileRun:
         assert captured.err == "error: --iterations applies to grover only\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "-1"], "--trials must be >= 0"),
+            (["--trials", "2", "--jobs", "0"], "--jobs must be >= 1"),
+            (["--trials", "0", "--csv", "trials.csv"], "--csv has no trials to write with --trials 0"),
+        ],
+        ids=["trials", "jobs", "csv"],
+    )
+    def test_trial_flags_rejected_before_building(self, tmp_path, monkeypatch, capsys, flags, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the zoo entry was built before the trial flags were checked")
+
+        monkeypatch.setattr(zoo, "build_zoo_entry", never)
+        monkeypatch.chdir(tmp_path)
+        argv = ["compile-run", "--zoo", "grover", "--n", "2048", "--input", "one-hot:1", "--r", "2"]
+        assert cli.main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_iterations_echoed_for_grover(self, tmp_path):
         out = tmp_path / "report.json"
         code = cli.main(

@@ -186,7 +186,7 @@ class TestCompiledDistribution:
         x = InputString(4, 2, (0, 1, 1, 0))
         for c_values in ((2, 2, 0, 1), (0, 0, 0, 0), (0, 1, 2, 3), (3, 1, 3, 1)):
             fixed = IndexFunction(4, c_values)
-            dist, used = compiled_distribution(entry.algorithm, x, fixed)
+            dist, used = compiled_distribution(entry.algorithm, x, fixed.values)
             direct = run(
                 amplify_majority3(entry.algorithm),
                 StandardOracle(compose_input(x, fixed)),
@@ -198,7 +198,7 @@ class TestCompiledDistribution:
         entry = deutsch_jozsa(8)
         x = InputString(8, 2, (0, 1, 0, 1, 0, 1, 0, 1))
         fixed = IndexFunction(8, (5, 5, 5, 2, 2, 0, 0, 0))
-        _, used = compiled_distribution(entry.algorithm, x, fixed)
+        _, used = compiled_distribution(entry.algorithm, x, fixed.values)
         assert used == 3
 
     def test_injective_maps_behave_like_permutations(self):
@@ -210,13 +210,21 @@ class TestCompiledDistribution:
         x = InputString(4, 2, (0, 1, 0, 1))
         for values in itertools.permutations(range(4)):
             pi = IndexFunction(4, values)
-            dist, _ = compiled_distribution(entry.algorithm, x, pi)
+            dist, _ = compiled_distribution(entry.algorithm, x, pi.values)
             direct = run(
                 amplify_majority3(entry.algorithm),
                 StandardOracle(compose_input(x, pi)),
             )
             assert dist == direct
             assert dist[1] >= 20 / 27
+
+    @pytest.mark.parametrize("values", [(0, 1, 2, 4), (-1, 0, 0, 0)], ids=["past-n", "negative"])
+    def test_value_outside_the_domain_raises_before_composing(self, values):
+        x = InputString(4, 2, (0, 1, 1, 0))
+        built: dict = {}
+        with pytest.raises(IndexError, match=r"out of range \[0, 4\)"):
+            compiled_distribution(deutsch_jozsa(4).algorithm, x, values, built)
+        assert built == {}
 
 
 class TestCompileAndRunOnce:
@@ -414,12 +422,13 @@ def per_map_exact_success(alg, x, expected_bit, r):
     """
     support = enumerate_small_range_support(SmallRangeParams(x.n, r))
     terms = []
-    for index_map, weight in support:
-        reader = ClassicalOracle(x)
-        known = {i: reader.lookup(i) for i in sorted(image(index_map))}
-        composed = InputString(x.n, x.M, tuple(known[j] for j in index_map.values))
-        p_one = majority3_prob(run(alg, StandardOracle(composed))[1])
-        terms.append(float(weight) * {0: 1.0 - p_one, 1: p_one}[expected_bit])
+    for block, mass in support.blocks():
+        for values in block.tolist():
+            reader = ClassicalOracle(x)
+            known = {i: reader.lookup(i) for i in sorted(set(values))}
+            composed = InputString(x.n, x.M, tuple(known[j] for j in values))
+            p_one = majority3_prob(run(alg, StandardOracle(composed))[1])
+            terms.append(float(mass) * {0: 1.0 - p_one, 1: p_one}[expected_bit])
     return float(math.fsum(terms))
 
 
@@ -458,6 +467,20 @@ class TestExactSuccessSharesOracles:
             "lookup": 14_232,
             "apply_tensor": 64_080,
         }
+
+    def test_builds_no_index_function_and_reads_each_image_cell_once(self, count_calls):
+        counts = count_calls(
+            [
+                (IndexFunction, "__post_init__"),
+                (compiler, "compiled_distribution"),
+                (ClassicalOracle, "lookup"),
+            ],
+        )
+        x = InputString(8, 2, (0, 0, 0, 0, 0, 1, 0, 0))
+        exact_success(grover_unique_or(8, 2).algorithm, x, 1, 2)
+        # 8 maps of image size 1 and 7,112 of size 2, each a row of a checked block
+        assert counts["__post_init__"] == 0
+        assert counts == {"compiled_distribution": 7120, "lookup": 8 + 2 * 7112}
 
 
 class TestEstimateSuccessSharesOracles:
@@ -556,8 +579,9 @@ class TestCompiledTrialStaysOnImage:
                 x.n, x.M, tuple(v if i in cells else 1 - v for i, v in enumerate(x.values))
             )
             off_image_differs += y != x
-            assert compiled_distribution(entry.algorithm, y, trial.sampled_C, shared_y) == (
-                compiled_distribution(entry.algorithm, x, trial.sampled_C, shared_x)
+            values = trial.sampled_C.values
+            assert compiled_distribution(entry.algorithm, y, values, shared_y) == (
+                compiled_distribution(entry.algorithm, x, values, shared_x)
             )
         assert off_image_differs > 0
 

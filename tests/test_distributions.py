@@ -36,6 +36,13 @@ def _pair_walk(n, r):
     return [(values, acc[values]) for values in sorted(acc)]
 
 
+def _walked(support, maps_per_block=None):
+    """The support's `(values, mass)` pairs, in walk order, read from its blocks."""
+    return [
+        (tuple(row), mass) for block, mass in support.blocks(maps_per_block) for row in block.tolist()
+    ]
+
+
 MASK64 = 2**64 - 1
 
 
@@ -339,14 +346,9 @@ class TestSamplePermutation:
 
 
 class TestEnumerator:
-    @pytest.mark.parametrize("n, r", [(3, 2), (4, 4)])
-    def test_float_entries_convert_each_mass_like_float(self, n, r):
-        support = enumerate_small_range_support(SmallRangeParams(n, r))
-        assert list(support.float_entries()) == [(g, float(p)) for g, p in support]
-
     def test_n2_r1_support(self):
         support = enumerate_small_range_support(SmallRangeParams(2, 1))
-        masses = {g.values: p for g, p in support}
+        masses = dict(_walked(support))
         assert masses == {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
 
     def test_identity_mass_quarter(self):
@@ -363,24 +365,24 @@ class TestEnumerator:
     def test_mass_sums_to_one(self):
         for n, r in ((2, 2), (3, 2), (4, 3)):
             support = enumerate_small_range_support(SmallRangeParams(n, r))
-            assert sum((p for _, p in support), Fraction(0)) == 1
+            assert sum((p for _, p in _walked(support)), Fraction(0)) == 1
 
     def test_full_range_differs_from_permutations(self):
         # at r = n the distribution still puts half its mass on collisions
         support = enumerate_small_range_support(SmallRangeParams(2, 2))
         non_injective = sum(
-            (p for g, p in support if not is_injective(g)), Fraction(0)
+            (p for g, p in _walked(support) if not is_injective(IndexFunction(2, g))), Fraction(0)
         )
         assert non_injective == Fraction(1, 2)
 
     def test_image_bound_in_support(self):
         support = enumerate_small_range_support(SmallRangeParams(4, 2))
-        assert all(len(image(g)) <= 2 for g, _ in support)
+        assert all(len(set(g)) <= 2 for g, _ in _walked(support))
 
     @pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 6) for r in range(1, n + 1)])
     def test_closed_form_equals_pair_walk(self, n, r):
         support = enumerate_small_range_support(SmallRangeParams(n, r))
-        assert sorted((g.values, p) for g, p in support) == _pair_walk(n, r)
+        assert sorted(_walked(support)) == _pair_walk(n, r)
 
     def test_budget_counts_maps_visited(self, monkeypatch):
         # n = r = 4: 4 + 96 + 324 + 256 = 680 maps, but 4^4 * 4! = 6,144 pairs
@@ -407,10 +409,10 @@ class TestEnumerator:
             key = sample_small_range(params, row)
             counts[key] = counts.get(key, 0) + 1
         assert sum(counts.values()) == draws
-        for g, prob in support:
+        for values, prob in _walked(support):
             p = float(prob)
             sigma = math.sqrt(p * (1 - p) / draws)
-            assert abs(counts.get(g.values, 0) / draws - p) <= 4 * sigma
+            assert abs(counts.get(values, 0) / draws - p) <= 4 * sigma
 
 
 class TestStreamedSupport:
@@ -419,7 +421,7 @@ class TestStreamedSupport:
         tracemalloc.start()
         try:
             support = enumerate_small_range_support(SmallRangeParams(6, 3))
-            walked = sum(1 for _ in support)
+            walked = sum(len(block) for block, _ in support.blocks())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -429,21 +431,21 @@ class TestStreamedSupport:
     @pytest.mark.parametrize("n, r", [(1, 1), (4, 2), (5, 5), (6, 3)])
     def test_len_is_the_closed_form_count(self, n, r):
         support = enumerate_small_range_support(SmallRangeParams(n, r))
-        assert len(support) == sum(1 for _ in support)
+        assert len(support) == sum(len(block) for block, _ in support.blocks())
         if r == n:
             assert len(support) == n**n
 
     def test_two_walks_agree(self):
         support = enumerate_small_range_support(SmallRangeParams(4, 3))
-        first = [(g.values, p) for g, p in support]
-        assert [(g.values, p) for g, p in support] == first
+        first = _walked(support)
+        assert _walked(support) == first
 
     def test_count_check_fires(self, monkeypatch):
         onto = distributions._onto
         monkeypatch.setattr(distributions, "_onto", lambda n, cells: itertools.islice(onto(n, cells), 1, None))
         support = enumerate_small_range_support(SmallRangeParams(3, 2))
         with pytest.raises(ValueError, match="image size 1 yielded 0 maps, not 3"):
-            list(support)
+            list(support.blocks())
 
     @pytest.mark.parametrize(
         "broken",
@@ -455,20 +457,30 @@ class TestStreamedSupport:
         monkeypatch.setattr(distributions, "_onto", lambda n, cells: broken(onto(n, cells)))
         support = enumerate_small_range_support(SmallRangeParams(3, 2))
         with pytest.raises(ValueError, match=r"maps onto \(0,.*\) repeat or fall out of order"):
-            list(support)
+            list(support.blocks())
 
     @pytest.mark.parametrize("n, r, per_block", [(4, 3, 7), (5, 2, 1), (6, 3, 113), (3, 3, 1000)])
     def test_blocks_hold_the_walk_in_order(self, n, r, per_block):
         support = enumerate_small_range_support(SmallRangeParams(n, r))
-        blocks = list(support.float_blocks(per_block))
-        assert [(tuple(row), w) for block, w in blocks for row in block.tolist()] == [
-            (g.values, w) for g, w in support.float_entries()
-        ]
+        blocks = list(support.blocks(per_block))
+        assert _walked(support, per_block) == _walked(support)
         for block, w in blocks:
             assert 1 <= len(block) <= per_block and not block.flags.writeable
             # one image size, hence one mass, per block
             (k,) = {len(set(row)) for row in block.tolist()}
-            assert w == float(support.masses[k - 1])
+            assert w == support.masses[k - 1]
+
+    @pytest.mark.parametrize(
+        "n, r, per_block", [(1, 1, 1), (3, 2, 1), (4, 4, 5), (5, 3, 64), (5, 5, 4096)]
+    )
+    def test_blocks_are_the_pair_walk_in_checked_blocks(self, n, r, per_block):
+        support = enumerate_small_range_support(SmallRangeParams(n, r))
+        for block, mass in support.blocks(per_block):
+            assert block.dtype == np.intp and block.shape[1:] == (n,) and not block.flags.writeable
+            assert 1 <= len(block) <= per_block
+            (k,) = {len(set(row)) for row in block.tolist()}
+            assert mass == support.masses[k - 1] and isinstance(mass, Fraction)
+        assert sorted(_walked(support, per_block)) == _pair_walk(n, r)
 
     def test_blocks_keep_the_count_and_order_checks(self, monkeypatch):
         onto = distributions._onto
@@ -477,14 +489,14 @@ class TestStreamedSupport:
             distributions, "_onto", lambda n, cells: itertools.islice(onto(n, cells), 1, None)
         )
         with pytest.raises(ValueError, match="image size 1 yielded 0 maps, not 3"):
-            list(support.float_blocks(4))
+            list(support.blocks(4))
         monkeypatch.setattr(distributions, "_onto", lambda n, cells: reversed(list(onto(n, cells))))
         with pytest.raises(ValueError, match=r"maps onto \(0, 1\) repeat or fall out of order"):
-            list(support.float_blocks(4))
+            list(support.blocks(4))
 
     def test_probability_of_is_the_closed_form(self):
         support = enumerate_small_range_support(SmallRangeParams(4, 2))
-        assert all(support.probability_of(g) == p for g, p in support)
+        assert all(support.probability_of(IndexFunction(4, g)) == p for g, p in _walked(support))
         assert support.probability_of(IndexFunction.identity(4)) == 0
         assert support.probability_of(IndexFunction(3, (0, 0, 0))) == 0
 

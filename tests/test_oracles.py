@@ -562,39 +562,36 @@ class TestComposedOracle:
 
 class TestOracleFromPartial:
     def test_reads_only_image(self):
-        c = IndexFunction(4, (1, 1, 3, 3))
-        oracle = oracle_from_partial({1: 7, 3: 2}, c, value_dim=8)
+        oracle = oracle_from_partial({1: 7, 3: 2}, (1, 1, 3, 3), value_dim=8)
         assert oracle.values == (7, 7, 2, 2)
 
     def test_identity_needs_everything(self):
-        c = IndexFunction.identity(3)
         with pytest.raises(ValueError, match="missing image entry"):
-            oracle_from_partial({0: 1, 2: 0}, c, value_dim=2)
+            oracle_from_partial({0: 1, 2: 0}, (0, 1, 2), value_dim=2)
 
     def test_out_of_range_value_rejected(self):
-        c = IndexFunction(4, (1, 1, 3, 3))
         with pytest.raises(ValueError, match=r"^entry 9 outside \[0, 8\)$"):
-            oracle_from_partial({1: 9, 3: 2}, c, value_dim=8)
+            oracle_from_partial({1: 9, 3: 2}, (1, 1, 3, 3), value_dim=8)
 
     def test_dict_returns_the_stored_oracle_for_an_equal_table(self):
         built = {}
-        first = oracle_from_partial({1: 7, 3: 2}, IndexFunction(4, (1, 1, 3, 3)), 8, built)
+        first = oracle_from_partial({1: 7, 3: 2}, (1, 1, 3, 3), 8, built)
         # another map and other known entries, composing to the same table
-        again = oracle_from_partial({1: 7, 2: 7, 3: 2}, IndexFunction(4, (2, 1, 3, 3)), 8, built)
-        other = oracle_from_partial({1: 7, 3: 2}, IndexFunction(4, (3, 1, 3, 3)), 8, built)
+        again = oracle_from_partial({1: 7, 2: 7, 3: 2}, (2, 1, 3, 3), 8, built)
+        other = oracle_from_partial({1: 7, 3: 2}, (3, 1, 3, 3), 8, built)
         assert again is first and other is not first
         assert built == {(7, 7, 2, 2): first, (2, 7, 2, 2): other}
-        fresh = oracle_from_partial({1: 7, 3: 2}, IndexFunction(4, (1, 1, 3, 3)), 8)
+        fresh = oracle_from_partial({1: 7, 3: 2}, (1, 1, 3, 3), 8)
         assert fresh is not first and fresh.values == first.values
 
     def test_dict_keeps_both_errors(self):
         built = {}
-        stored = oracle_from_partial({1: 7, 3: 2}, IndexFunction(4, (1, 1, 3, 3)), 8, built)
+        stored = oracle_from_partial({1: 7, 3: 2}, (1, 1, 3, 3), 8, built)
         # the map composes to a stored table, but an image entry is unknown
         with pytest.raises(ValueError, match="^missing image entry 3$"):
-            oracle_from_partial({1: 7}, IndexFunction(4, (1, 1, 3, 3)), 8, built)
+            oracle_from_partial({1: 7}, (1, 1, 3, 3), 8, built)
         with pytest.raises(ValueError, match=r"^entry 9 outside \[0, 8\)$"):
-            oracle_from_partial({1: 9, 3: 2}, IndexFunction(4, (1, 1, 3, 3)), 8, built)
+            oracle_from_partial({1: 9, 3: 2}, (1, 1, 3, 3), 8, built)
         assert built == {(7, 7, 2, 2): stored}
 
     def test_matches_full_composition(self):
@@ -602,7 +599,7 @@ class TestOracleFromPartial:
         x = InputString(4, 3, tuple(rng.integers(0, 3, size=4)))
         c = IndexFunction(4, tuple(rng.integers(0, 4, size=4)))
         partial = {i: x.values[i] for i in set(c.values)}
-        built = oracle_from_partial(partial, c, value_dim=3)
+        built = oracle_from_partial(partial, c.values, value_dim=3)
         direct = StandardOracle(compose_input(x, c))
         assert built.values == direct.values
         assert np.array_equal(built.matrix(), direct.matrix())

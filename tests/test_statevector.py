@@ -386,6 +386,11 @@ class TestAlgorithmValidation:
         with pytest.raises(ValueError, match=message):
             make()
 
+    @pytest.mark.parametrize("step", ["H", [0, 1]], ids=["hashable", "unhashable"])
+    def test_unknown_step_type_rejected(self, step):
+        with pytest.raises(TypeError, match="^unknown step type"):
+            QueryAlgorithm(RegisterLayout((2, 2)), (OracleCall(0, 1), step), OutputRule((0,), frozenset()))
+
     def test_oracle_call_distinct_registers(self):
         with pytest.raises(ValueError, match="distinct"):
             QueryAlgorithm(

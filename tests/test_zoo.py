@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,26 @@ class TestGroverHoldsOneDiffusion:
         for hot in range(n):
             oracle = StandardOracle(InputString(n, 2, tuple(int(i == hot) for i in range(n))))
             assert run(alg, oracle) == run(fresh, oracle)
+
+
+class TestGroverIterationCost:
+    def test_an_iteration_retains_a_few_references(self):
+        # each iteration adds one shared query and one shared diffusion to the
+        # steps and their two ops to the algorithm's op tuple: 4 references
+        grover_unique_or(4, 1)  # caches filled before measuring
+
+        def retained(iterations):
+            tracemalloc.start()
+            try:
+                entry = grover_unique_or(4, iterations)
+                return tracemalloc.get_traced_memory()[0], entry
+            finally:
+                tracemalloc.stop()
+
+        base, _ = retained(0)
+        grown, entry = retained(20_000)
+        assert len(entry.algorithm.steps) == 2 * 20_000 + 3
+        assert (grown - base) / 20_000 < 64
 
 
 class TestConstant:
