@@ -223,7 +223,7 @@ def _cmd_compile_run(args) -> int:
             {
                 "output_bit": t.output_bit,
                 "classical_queries": t.classical_queries_used,
-                "C": list(t.sampled_C.values),
+                "C": list(t.sampled_C),
                 "C_injective": t.C_was_injective,
                 "seed": t.seed,
             }
@@ -380,11 +380,15 @@ def _check_symmetry_checkers() -> None:
 
 
 def _check_image_bounds() -> None:
+    # `compile-run`'s sampling path, row by row against the row sampler
     params = distributions.SmallRangeParams(8, 3)
-    for draws, _ in distributions.stream_rows(params.bounds, distributions.stream_seeds(5, 200)):
-        sample = core.IndexFunction(params.n, distributions.sample_small_range(params, draws))
-        if len(core.image(sample)) > 3:
-            raise AssertionError("image bound violated")
+    for draws, _ in distributions.stream_blocks(params.bounds, distributions.stream_seeds(5, 200)):
+        block = core.index_map_block(params.n, distributions.sample_small_range_block(params, draws))
+        for row, values in zip(draws.tolist(), block.tolist()):
+            if tuple(values) != distributions.sample_small_range(params, row):
+                raise AssertionError("block sampler differs from the row sampler")
+            if len(set(values)) > 3:
+                raise AssertionError("image bound violated")
 
 
 def _check_enumerator_exact_values() -> None:
@@ -551,7 +555,7 @@ VERIFY_CHECKS = (
     ("amplification 20/27", _check_amplification_20_27),
     ("majority fixed points 0, 1/2, 1", _check_majority_fixed_points),
     ("symmetry checkers and witness", _check_symmetry_checkers),
-    ("small-range image bound", _check_image_bounds),
+    ("small-range block sampler equals row sampler; image bound", _check_image_bounds),
     ("enumerator exact masses (n=2, r=2)", _check_enumerator_exact_values),
     ("sampler matches enumerator (4 sigma)", _check_sampler_matches_enumerator),
     ("compiled path equals direct simulation", _check_compiled_equals_direct),

@@ -3,8 +3,10 @@
 The pipeline turns a q-query quantum algorithm for a permutation-symmetric
 function into a randomized classical procedure. One compiled trial:
 
-1. sample the values of an index map C with image size at most r, and
-   check them once, in C's `IndexFunction`, which the trial's record keeps;
+1. sample the values of an index map C with image size at most r, as a
+   row of a block of trials' maps that is sampled in one vectorised pass
+   and checked once, by `core.index_map_block`; the trial's record keeps
+   the row's values as a tuple;
 2. read the input classically at the image points only (at most r lookups);
 3. rebuild the full oracle of (input after C) from those lookups;
 4. simulate the majority-of-three amplified algorithm against that oracle
@@ -31,8 +33,11 @@ Each trial has its own seed, word t of the stream of the seed given to
 the output bit's uniform from its own stream: words 1 onwards give the
 row and word 0 the uniform, so no two quantities share a word and the
 recorded seed replays the trial alone (`compile_and_run_once(seed=s)`).
-`_run_trials` makes every trial's row and uniform in one vectorized pass
-over the seeds and passes them to the trial.
+`_run_trials` takes the trials one stream block at a time: it draws the
+block's rows and uniforms (`stream_blocks`), samples all of its maps at
+once (`sample_small_range_block`), checks them once (`index_map_block`),
+and passes each trial its checked row and uniform. A replay makes a
+one-row block from its seed through the same calls.
 
 The input is never touched outside step 2: no oracle over the raw input
 exists on this path, and the function table is never consulted at all (the
@@ -47,16 +52,16 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import IndexFunction, InputString
+from .core import InputString, index_map_block
 from .distributions import (
     SmallRangeParams,
     enumerate_small_range_support,
-    sample_small_range,
-    stream_rows,
+    sample_small_range_block,
+    stream_blocks,
     stream_seeds,
 )
 from .oracles import ClassicalOracle, oracle_from_partial
@@ -117,7 +122,7 @@ class CompiledRunResult:
 
     output_bit: int
     classical_queries_used: int
-    sampled_C: IndexFunction
+    sampled_C: tuple[int, ...]
     C_was_injective: bool
     seed: int
 
@@ -152,6 +157,13 @@ def compiled_distribution(
     return run(_amplified(alg), oracle), reader.queries
 
 
+def _sampled_blocks(params: SmallRangeParams, seeds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each stream block of the seeds as its checked (B, n) block of index
+    maps and its B uniforms: one block sampler pass and one check per block."""
+    for draws, uniforms in stream_blocks(params.bounds, seeds):
+        yield index_map_block(params.n, sample_small_range_block(params, draws)), uniforms
+
+
 def compile_and_run_once(
     alg: QueryAlgorithm,
     x: InputString,
@@ -159,24 +171,27 @@ def compile_and_run_once(
     *,
     seed: int,
     oracles: Optional[dict] = None,
-    draws: Optional[tuple[list[int], float]] = None,
+    draws: Optional[tuple[Sequence[int], float]] = None,
 ) -> CompiledRunResult:
     """One full compiled trial; the recorded seed replays it exactly.
 
     `oracles` is passed to `compiled_distribution`: trials on the same x
     may share it, and a shared oracle gives the same output as a fresh one.
-    `draws` is the trial's `(row, uniform)` from `stream_rows`, which
-    `estimate_success` passes; without it the trial draws them from `seed`.
+    `draws` is the trial's `(values, uniform)`: its row of a checked block
+    from `_sampled_blocks`, and its uniform, which `_run_trials` passes.
+    Without it the trial makes a one-row block from `seed` by the same calls.
     """
     params = SmallRangeParams(x.n, r)
-    row, uniform = draws if draws is not None else next(stream_rows(params.bounds, [seed]))
-    sampled = IndexFunction(x.n, sample_small_range(params, row))
-    dist, used = compiled_distribution(alg, x, sampled.values, oracles)
+    if draws is None:
+        block, uniforms = next(_sampled_blocks(params, [seed]))
+        draws = block[0].tolist(), float(uniforms[0])
+    values, uniform = draws
+    dist, used = compiled_distribution(alg, x, values, oracles)
     if used > r:
         raise AssertionError(f"classical lookups {used} exceeded budget {r}")
     bit = 1 if uniform < dist[1] else 0
     # `used` is the image size (compiled_distribution checks it)
-    return CompiledRunResult(bit, used, sampled, used == x.n, seed)
+    return CompiledRunResult(bit, used, tuple(values), used == x.n, seed)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -208,13 +223,19 @@ class SuccessEstimate:
 def _run_trials(
     alg: QueryAlgorithm, x: InputString, params: SmallRangeParams, seeds: np.ndarray
 ) -> list:
-    """One compiled trial per seed, in order, with shared oracles and bulk draws."""
+    """One compiled trial per seed, in order, with shared oracles, a stream
+    block of trials at a time."""
     oracles = {} if x.M**x.n <= len(seeds) else None
-    draws = stream_rows(params.bounds, seeds)
-    return [
-        compile_and_run_once(alg, x, params.r, seed=seed, oracles=oracles, draws=d)
-        for seed, d in zip(seeds.tolist(), draws)
-    ]
+    trial_seeds = iter(seeds.tolist())
+    results = []
+    for block, uniforms in _sampled_blocks(params, seeds):
+        # the shared seed iterator goes last: zip stops on the block's end
+        # before it takes a seed that belongs to the next block
+        results += [
+            compile_and_run_once(alg, x, params.r, seed=seed, oracles=oracles, draws=(values, u))
+            for values, u, seed in zip(block.tolist(), uniforms.tolist(), trial_seeds)
+        ]
+    return results
 
 
 def estimate_success(

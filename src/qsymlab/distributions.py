@@ -6,16 +6,21 @@ is sampled as a composition: a uniform function into [r] followed by a
 uniform injection of [r] into [n]. The samplers are pure functions of one
 row of uniform integers below `SmallRangeParams.bounds`: n draws into [r],
 then one draw into [n - k] per Fisher-Yates swap. A row with a draw outside
-its bounds raises ValueError. A sampler returns the map's values as a tuple
-of ints, and the code that holds the map checks it once: a compiled trial
-in its `IndexFunction`, a sampled sweep in its `core.index_map_block`.
+its bounds raises ValueError. `sample_small_range` returns one row's map
+as a tuple of ints; `sample_small_range_block` returns the maps of a block
+of rows as an array, with r vector swap steps and one gather, and equals
+the row sampler row by row. The code that holds the maps checks them once,
+in a `core.index_map_block`: a compiled trial's block of trials, or a
+sampled sweep's block of rows.
 
 All Monte Carlo randomness comes from one stream: SplitMix64 (Steele, Lea
 and Flood 2014) keyed by a seed s in [0, 2^64), whose word j is the
 SplitMix64 mix of s + (j + 1) * 0x9E3779B97F4A7C15 mod 2^64, so any word of
 any seed is computed directly, for many seeds at once. `stream_seeds`
 cuts words 0, 1, ... of one seed's stream to 63-bit seeds of other streams.
-`stream_rows` gives each seed one row and one uniform from its own stream:
+`stream_blocks` gives each seed one row and one uniform from its own
+stream, a block of seeds at a time, and `stream_rows` the same one seed at
+a time:
 
 - word 0 is the uniform, (w >> 11) 2^-53;
 - word 1 + a w + j is attempt a of the row's draw j, for a row of width w.
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,7 +55,7 @@ import numpy as np
 from .core import IndexFunction, index_map_block
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
-# ints per block, unless one row is wider: the row ints `stream_rows` draws, the
+# ints per block, unless one row is wider: the row ints `stream_blocks` draws, the
 # words a support walk lists, and a `disting` sweep's N state positions per map
 _BLOCK_INTS = 4096
 # SplitMix64's increment and its two mix multipliers
@@ -171,13 +177,25 @@ def _words(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return z
 
 
+def _is_seed(s) -> bool:
+    try:
+        return 0 <= operator.index(s) < 2**64
+    except TypeError:  # a float or other value that is not an integer
+        return False
+
+
 def _as_seeds(seeds) -> np.ndarray:
-    # an array comes from `stream_seeds`; Python ints are checked
+    """The seeds as a uint64 array; raises unless each is an integer in [0, 2^64)."""
     if isinstance(seeds, np.ndarray):
-        return seeds.astype(np.uint64, copy=False)
-    bad = [s for s in seeds if not 0 <= s < 2**64]
+        if seeds.dtype == np.uint64:  # as `stream_seeds` returns them: every value is a seed
+            return seeds
+        if seeds.dtype.kind not in "iu":
+            raise ValueError(f"stream seeds must be integers, got dtype {seeds.dtype}")
+        seeds = seeds.tolist()
+    seeds = list(seeds)
+    bad = [s for s in seeds if not _is_seed(s)]
     if bad:
-        raise ValueError(f"a stream seed must lie in [0, 2^64), got {bad[0]}")
+        raise ValueError(f"a stream seed must be an integer in [0, 2^64), got {bad[0]}")
     return np.array(seeds, dtype=np.uint64)
 
 
@@ -186,11 +204,12 @@ def stream_seeds(seed: int, count: int) -> np.ndarray:
     return _words(_as_seeds([seed]), np.arange(count, dtype=np.uint64)) >> np.uint64(1)
 
 
-def stream_rows(bounds: Sequence[int], seeds) -> Iterator[tuple[list[int], float]]:
-    """Each seed's `(row, uniform)`: draws below `bounds` and a float in [0, 1).
+def stream_blocks(bounds: Sequence[int], seeds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The seeds' rows in blocks: each block's draws below `bounds` as a
+    (B, len(bounds)) intp array, and its B uniforms in [0, 1) as float64.
 
-    The words each takes are in the module docstring. Seeds go through in
-    blocks of at most `_BLOCK_INTS` row ints, unless one row is wider.
+    The words each seed takes are in the module docstring. A block holds at
+    most `_BLOCK_INTS` row ints, unless one row is wider.
     """
     b = np.array(bounds, dtype=np.uint64)
     width = len(b)
@@ -213,7 +232,13 @@ def stream_rows(bounds: Sequence[int], seeds) -> Iterator[tuple[list[int], float
             rejected[rows, cols] = (redrawn & _LOW32) < threshold[cols]
             attempt += 1
         uniforms = (_words(block[:, 0], np.uint64(0)) >> np.uint64(11)) * 2.0**-53
-        yield from zip((product >> np.uint64(32)).tolist(), uniforms.tolist())
+        yield (product >> np.uint64(32)).astype(np.intp), uniforms
+
+
+def stream_rows(bounds: Sequence[int], seeds) -> Iterator[tuple[list[int], float]]:
+    """Each seed's `(row, uniform)` as Python ints and a float: `stream_blocks`, one row at a time."""
+    for rows, uniforms in stream_blocks(bounds, seeds):
+        yield from zip(rows.tolist(), uniforms.tolist())
 
 
 def _check_row(draws: list[int], width: int, kind: str) -> None:
@@ -243,6 +268,29 @@ def sample_small_range(params: SmallRangeParams, draws: list[int]) -> tuple[int,
         return tuple(map(injection.__getitem__, draws[:n]))
     except IndexError:
         raise ValueError(f"a small-range row has a draw above its bound: {draws}") from None
+
+
+def sample_small_range_block(params: SmallRangeParams, draws: np.ndarray) -> np.ndarray:
+    """`sample_small_range` on each row of a (B, n + r) block of draws, at once:
+    r vector swap steps of the partial Fisher-Yates, then one gather. Returns
+    the (B, n) values for the caller's `core.index_map_block` to check."""
+    n, r = params.n, params.r
+    draws = np.asarray(draws)
+    if draws.ndim != 2 or draws.shape[1] != n + r or draws.dtype.kind not in "iu":
+        raise ValueError(f"a small-range block is (B, {n + r}) integers, got {draws.dtype} {draws.shape}")
+    outside = (draws < 0) | (draws >= np.array(params.bounds))
+    if outside.any():
+        row = draws[outside.any(axis=1)][0].tolist()
+        raise ValueError(f"a small-range row has a draw outside its bounds: {row}")
+    draws = draws.astype(np.intp, copy=False)
+    count = len(draws)
+    cells = np.tile(np.arange(n), count)  # the rows' cells, end to end
+    here = np.arange(0, count * n, n) + np.arange(r)[:, None]  # swap k's first cell, per row
+    for i, j in zip(here, here + draws[:, n:].T):
+        held = cells[i]
+        cells[i] = cells[j]
+        cells[j] = held
+    return np.take_along_axis(cells.reshape(count, n)[:, :r], draws[:, :n], axis=1)
 
 
 def sample_permutation(n: int, swaps: list[int]) -> tuple[int, ...]:

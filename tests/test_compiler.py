@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qsymlab import compiler, oracles, statevector
+from qsymlab import compiler, distributions, oracles, statevector
 from qsymlab.compiler import (
     CompiledRunResult,
     amplify_majority3,
@@ -26,6 +26,7 @@ from qsymlab.core import IndexFunction, InputString, compose_input, image
 from qsymlab.distributions import (
     SmallRangeParams,
     enumerate_small_range_support,
+    sample_small_range,
     stream_rows,
     stream_seeds,
 )
@@ -50,8 +51,8 @@ def base_two_thirds_alg():
     )
 
 
-def composed_table(x, index_map):
-    return tuple(x.values[j] for j in index_map.values)
+def composed_table(x, values):
+    return tuple(x.values[j] for j in values)
 
 
 @pytest.fixture
@@ -240,7 +241,7 @@ class TestCompileAndRunOnce:
         for seed in range(100):
             result = compile_and_run_once(entry.algorithm, x, 2, seed=seed)
             assert result.classical_queries_used <= 2
-            assert result.classical_queries_used == len(image(result.sampled_C))
+            assert result.classical_queries_used == len(set(result.sampled_C))
 
     def test_seed_replays_exactly(self):
         entry = deutsch_jozsa(4)
@@ -255,9 +256,15 @@ class TestCompileAndRunOnce:
             compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2)
 
     def test_passed_draws_are_the_seeds_own(self):
+        # the checked row and uniform a trial is passed, made by the row sampler
+        params = SmallRangeParams(4, 2)
         x = InputString(4, 2, (0, 1, 1, 0))
-        draws = next(stream_rows(SmallRangeParams(4, 2).bounds, [5]))
-        passed = compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5, draws=draws)
+        row, uniform = next(stream_rows(params.bounds, [5]))
+        values = sample_small_range(params, row)
+        passed = compile_and_run_once(
+            deutsch_jozsa(4).algorithm, x, 2, seed=5, draws=(values, uniform)
+        )
+        assert passed.sampled_C == values
         assert passed == compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5)
 
     def test_constant_input_always_succeeds(self):
@@ -283,9 +290,11 @@ class TestEstimateSuccess:
         assert a == b
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    @pytest.mark.parametrize("trials", [1, 2, 5, 60])
+    @pytest.mark.parametrize("trials", [1, 2, 5, 60, 1100])
     def test_parallel_jobs_match_serial(self, monkeypatch, jobs, trials):
-        # a real pool, never wider than two processes
+        # a real pool, never wider than two processes; 1100 trials span stream
+        # blocks of 512 rows on both sides: 512/512/76 in this process, 512/38
+        # in each of the two workers
         cpus = os.cpu_count() or 1
         monkeypatch.setattr(os, "cpu_count", lambda: min(cpus, 2))
         entry = deutsch_jozsa(4)
@@ -353,7 +362,7 @@ class TestEstimateSuccess:
     @pytest.mark.parametrize("trials", [1, 2, 2000])
     def test_trial_seeds_are_the_words_of_the_seed_stream(self, monkeypatch, trials):
         def record_seed(alg, x, r, *, seed, oracles=None, draws=None):
-            return CompiledRunResult(0, 1, IndexFunction(4, (0, 0, 0, 0)), False, seed)
+            return CompiledRunResult(0, 1, (0, 0, 0, 0), False, seed)
 
         monkeypatch.setattr(compiler, "compile_and_run_once", record_seed)
         x = InputString(4, 2, (0, 1, 1, 0))
@@ -491,7 +500,9 @@ class TestEstimateSuccessSharesOracles:
                 (StandardOracle, "apply_tensor"),
                 (ClassicalOracle, "lookup"),
                 (compiler, "oracle_from_partial"),
-                (compiler, "sample_small_range"),
+                (compiler, "sample_small_range_block"),
+                (compiler, "index_map_block"),
+                (distributions, "sample_small_range"),
                 (IndexFunction, "__post_init__"),
             ],
         )
@@ -499,15 +510,17 @@ class TestEstimateSuccessSharesOracles:
         est = estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, 2000, 14)
         tables = {composed_table(x, t.sampled_C) for t in est.results}
         assert len(tables) <= 16
-        # every trial still samples, checks its map once, reads, composes and
-        # runs three passes
+        # every trial still reads, composes and runs three passes; its map is
+        # sampled and checked with its stream block of 512 rows, in 4 blocks,
+        # and no row sampler runs and no `IndexFunction` is built
+        assert counts["sample_small_range"] == counts["__post_init__"] == 0
         assert counts == {
             "__init__": len(tables),
             "apply_tensor": 6000,
             "lookup": sum(t.classical_queries_used for t in est.results),
             "oracle_from_partial": 2000,
-            "sample_small_range": 2000,
-            "__post_init__": 2000,
+            "sample_small_range_block": 4,
+            "index_map_block": 4,
         }
 
     @pytest.mark.parametrize(
@@ -571,7 +584,7 @@ class TestCompiledTrialStaysOnImage:
         off_image_differs = 0
         shared_x, shared_y = {}, {}
         for trial, indices in zip(est.results, looked):
-            cells = image(trial.sampled_C)
+            cells = set(trial.sampled_C)
             assert set(indices) <= cells
             assert len(indices) == len(cells) == trial.classical_queries_used
             # y agrees with x on the image and differs from it everywhere else
@@ -579,7 +592,7 @@ class TestCompiledTrialStaysOnImage:
                 x.n, x.M, tuple(v if i in cells else 1 - v for i, v in enumerate(x.values))
             )
             off_image_differs += y != x
-            values = trial.sampled_C.values
+            values = trial.sampled_C
             assert compiled_distribution(entry.algorithm, y, values, shared_y) == (
                 compiled_distribution(entry.algorithm, x, values, shared_x)
             )

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsymlab import cli, disting, distributions, oracles
+from qsymlab import cli, compiler, disting, distributions, oracles
 from qsymlab.compiler import Z_95, compile_and_run_once
 from qsymlab.core import IndexFunction, InputString
 from qsymlab.disting import AdvantageReport, advantage_exact, advantage_monte_carlo, sweep_r
@@ -242,7 +242,7 @@ class TestBlockSweepsEqualNaiveLoops:
 
 
 class TestSampledMapsCheckedOnce:
-    """A sampler returns bare values; the block or `IndexFunction` holding them checks them."""
+    """A sampler returns bare values; the block that holds them checks them."""
 
     def test_an_out_of_range_cell_fails_in_its_holder(self, monkeypatch):
         # every sampled cell becomes n, one past the last index
@@ -255,11 +255,15 @@ class TestSampledMapsCheckedOnce:
             advantage_monte_carlo(probe.algorithm, 4, 2, 10, 0)
         assert raised.traceback[-1].name == "index_map_block"
 
+        # a compiled trial's block sampler makes every cell n
+        monkeypatch.setattr(
+            compiler, "sample_small_range_block", lambda params, draws: np.full((len(draws), 4), 4)
+        )
         x = InputString(4, 2, (0, 1, 1, 0))
         with pytest.raises(ValueError, match=r"entry 4 outside \[0, 4\)") as raised:
             compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=0)
-        assert "__post_init__" in [entry.name for entry in raised.traceback]
-        assert "index_map_block" not in [entry.name for entry in raised.traceback]
+        assert raised.traceback[-1].name == "index_map_block"
+        assert "__post_init__" not in [entry.name for entry in raised.traceback]
 
     def test_sampled_sweep_checks_each_block_once_and_builds_no_index_function(self, count_calls):
         counts = count_calls(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsymlab import distributions
-from qsymlab.core import IndexFunction, image
+from qsymlab.core import IndexFunction, image, index_map_block
 from qsymlab.distributions import (
     SmallRangeParams,
     WeightedSupport,
@@ -20,6 +20,8 @@ from qsymlab.distributions import (
     is_injective,
     sample_permutation,
     sample_small_range,
+    sample_small_range_block,
+    stream_blocks,
     stream_rows,
     stream_seeds,
 )
@@ -220,6 +222,34 @@ class TestStream:
         with pytest.raises(ValueError, match="bounds"):
             next(stream_rows(bounds, [0]))
 
+    @pytest.mark.parametrize(
+        "seeds",
+        [np.array([-1]), np.array([3, -2]), np.array([1.7]), np.array([1.0]), [1.7], ["1"]],
+        ids=["array-minus-1", "array-minus-2", "array-1.7", "array-1.0", "list-1.7", "list-str"],
+    )
+    def test_seed_not_a_64_bit_integer_rejected(self, seeds):
+        # an int64 -1 would wrap to seed 2^64 - 1, and a float 1.7 truncate to seed 1
+        with pytest.raises(ValueError, match="integer"):
+            next(stream_rows([4, 4], seeds))
+        with pytest.raises(ValueError, match="integer"):
+            next(stream_blocks([4, 4], seeds))
+
+    def test_integer_arrays_are_their_seeds(self):
+        seeds = [0, 5, 2**63 - 1]
+        want = [reference_row([4, 3], s) for s in seeds]
+        for array in (np.array(seeds, dtype=np.int64), np.array(seeds, dtype=np.uint64)):
+            assert list(stream_rows([4, 3], array)) == want
+        assert list(stream_rows([4, 3], np.array([7], dtype=np.uint8))) == [reference_row([4, 3], 7)]
+
+    def test_rows_are_the_blocks_rows(self):
+        bounds = SmallRangeParams(4, 4).bounds
+        seeds = stream_seeds(3, 1100)
+        blocks = list(stream_blocks(bounds, seeds))
+        assert [len(draws) for draws, _ in blocks] == [512, 512, 76]
+        assert all(draws.dtype == np.intp and uniforms.dtype == np.float64 for draws, uniforms in blocks)
+        flat = [(row, u) for draws, uniforms in blocks for row, u in zip(draws.tolist(), uniforms.tolist())]
+        assert flat == list(stream_rows(bounds, seeds))
+
 
 class TestSamplerStream:
     """Samplers fed stream rows equal the scalar construction on the scalar reference."""
@@ -245,6 +275,63 @@ class TestSamplerStream:
                 _scalar_shuffle_prefix(n, n, draw, 0)
             )
             assert uniform == (reference_words(seed)(0) >> 11) / 2**53
+
+
+def _shapes():
+    for n in (1, 2, 3, 4, 5, 7, 8, 13, 16, 64):
+        for r in sorted({1, 2, 3, n // 2, n - 1, n}):
+            if 1 <= r <= n:
+                yield n, r
+
+
+class TestSampleSmallRangeBlock:
+    """`sample_small_range_block` against the row sampler, its reference."""
+
+    @pytest.mark.parametrize("n, r", list(_shapes()))
+    def test_equals_the_row_sampler_row_by_row(self, n, r):
+        # enough seeds for at least two stream blocks; (7, 3), (13, 6) and
+        # others draw below bounds that are not powers of two
+        params = SmallRangeParams(n, r)
+        count = max(200, 4096 // (n + r) + 3)
+        seeds = stream_seeds(n * 100 + r, count)
+        blocks = list(stream_blocks(params.bounds, seeds))
+        assert len(blocks) >= 2
+        got = [
+            tuple(values)
+            for draws, _ in blocks
+            for values in sample_small_range_block(params, draws).tolist()
+        ]
+        assert got == [sample_small_range(params, row) for row, _ in stream_rows(params.bounds, seeds)]
+
+    def test_checked_block_holds_the_maps(self):
+        params = SmallRangeParams(8, 3)
+        ((draws, _),) = stream_blocks(params.bounds, stream_seeds(5, 200))
+        block = index_map_block(8, sample_small_range_block(params, draws))
+        assert block.shape == (200, 8)
+        assert all(len(set(values)) <= 3 for values in block.tolist())
+        unsigned = sample_small_range_block(params, draws.astype(np.uint64))
+        assert unsigned.tolist() == block.tolist()
+
+    @pytest.mark.parametrize("position", range(6))
+    @pytest.mark.parametrize("outside", ["at-bound", "negative"])
+    def test_draw_outside_its_bound_rejected(self, position, outside):
+        # bounds at n=4 r=2: [2, 2, 2, 2] into [r], then swaps into [4] and [3]
+        params = SmallRangeParams(4, 2)
+        draws = np.zeros((3, 6), dtype=np.intp)
+        draws[1, position] = params.bounds[position] if outside == "at-bound" else -1
+        with pytest.raises(ValueError, match="draw outside its bounds"):
+            sample_small_range_block(params, draws)
+        ok = draws.copy()
+        ok[1, position] = params.bounds[position] - 1
+        assert sample_small_range_block(params, ok).shape == (3, 4)
+
+    @pytest.mark.parametrize(
+        "draws", [np.zeros((2, 5), dtype=int), np.zeros(6, dtype=int), np.zeros((2, 6))],
+        ids=["narrow", "one-dimensional", "float"],
+    )
+    def test_wrong_block_rejected(self, draws):
+        with pytest.raises(ValueError, match=r"\(B, 6\) integers"):
+            sample_small_range_block(SmallRangeParams(4, 2), draws)
 
 
 class TestRowSources:
