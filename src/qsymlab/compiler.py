@@ -36,8 +36,10 @@ recorded seed replays the trial alone (`compile_and_run_once(seed=s)`).
 `_run_trials` takes the trials one stream block at a time: it draws the
 block's rows and uniforms (`stream_blocks`), samples all of its maps at
 once (`sample_small_range_block`), checks them once (`index_map_block`),
-and passes each trial its checked row and uniform. A replay makes a
-one-row block from its seed through the same calls.
+and passes each trial its checked row and uniform. A replay takes its
+seed's row and uniform from `stream_rows`, samples the row with
+`sample_small_range`, the row sampler that the block sampler equals row by
+row, and checks it once, as a one-row `index_map_block`.
 
 The input is never touched outside step 2: no oracle over the raw input
 exists on this path, and the function table is never consulted at all (the
@@ -60,8 +62,10 @@ from .core import InputString, index_map_block
 from .distributions import (
     SmallRangeParams,
     enumerate_small_range_support,
+    sample_small_range,
     sample_small_range_block,
     stream_blocks,
+    stream_rows,
     stream_seeds,
 )
 from .oracles import ClassicalOracle, oracle_from_partial
@@ -179,12 +183,15 @@ def compile_and_run_once(
     may share it, and a shared oracle gives the same output as a fresh one.
     `draws` is the trial's `(values, uniform)`: its row of a checked block
     from `_sampled_blocks`, and its uniform, which `_run_trials` passes.
-    Without it the trial makes a one-row block from `seed` by the same calls.
+    Without it the trial samples its seed's row with the row sampler and
+    checks the values once.
     """
     params = SmallRangeParams(x.n, r)
     if draws is None:
-        block, uniforms = next(_sampled_blocks(params, [seed]))
-        draws = block[0].tolist(), float(uniforms[0])
+        row, uniform = next(stream_rows(params.bounds, [seed]))
+        values = sample_small_range(params, row)
+        index_map_block(x.n, [values])  # the values' one check
+        draws = values, uniform
     values, uniform = draws
     dist, used = compiled_distribution(alg, x, values, oracles)
     if used > r:

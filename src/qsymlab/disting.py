@@ -18,15 +18,18 @@ against the enumeration budget before it builds or simulates anything. It
 builds each permutation's oracle once, for all r, and runs it once per r;
 each r enumerates its own support.
 
-Both sweeps build their oracles a block of maps at a time: at most
-max(1, 4096 // N) maps for a state of N amplitudes, so a block's gather
-sources hold at most about 4096 ints per oracle call. A block is checked
-once by `core.index_map_block`, and `oracles.index_map_oracles` hands out
-its rows as the oracles of one stack, whose first call of each kind builds
-the gather sources of the whole block. A sampled sweep samples each row's
-values alone and checks them once, in the block it stacks them into. Every
-map is run as often, and in the same order, as a map-at-a-time loop would
-run it, so the reports do not change.
+Both sweeps build their oracles a block of maps at a time. A block is
+checked once by `core.index_map_block`, and `oracles.index_map_oracles`
+hands out its rows as the oracles of one stack, whose first call of each
+kind builds the gather sources of the whole block. An exact sweep's blocks
+hold at most max(1, 4096 // N) maps for a state of N amplitudes, so their
+sources hold at most about 4096 ints per oracle call. A sampled sweep walks
+each side's stream blocks (`distributions.stream_blocks`): it samples each
+row's values alone, with one sampler call per row, and checks and stacks a
+whole stream block at once (128 to 256 rows at n = 16), split only where
+its sources would pass 2^16 ints (512 KB) per oracle call. Every map is run
+as often, and in the same order, as a map-at-a-time loop would run it, so
+the reports do not change.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import operator
 import warnings
 from array import array
 from dataclasses import InitVar, dataclass, field
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,11 +55,14 @@ from .distributions import (
     enumeration_budget,
     sample_permutation,
     sample_small_range,
-    stream_rows,
+    stream_blocks,
     stream_seeds,
 )
 from .oracles import StandardOracle, index_map_oracles
 from .statevector import QueryAlgorithm, run
+
+# ints of gather sources per oracle call in one stack of a sampled sweep (512 KB)
+_STACK_INTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,23 @@ def _map_oracles(algorithm: QueryAlgorithm, n: int, maps) -> Iterator[StandardOr
         yield from index_map_oracles(index_map_block(n, chunk))
 
 
+def _sampled_oracles(
+    algorithm: QueryAlgorithm,
+    n: int,
+    bounds: Sequence[int],
+    seeds: np.ndarray,
+    sample: Callable[[list[int]], tuple[int, ...]],
+) -> Iterator[StandardOracle]:
+    """One oracle per seed, in order: each stream block's rows sampled one at
+    a time, then checked and built as one stack of at most `_STACK_INTS`
+    source ints per call."""
+    per_stack = max(1, _STACK_INTS // algorithm.layout.total_dim)
+    for draws, _ in stream_blocks(bounds, seeds):
+        maps = [sample(row) for row in draws.tolist()]
+        for start in range(0, len(maps), per_stack):
+            yield from index_map_oracles(index_map_block(n, maps[start : start + per_stack]))
+
+
 def _exact_reports(
     algorithm: QueryAlgorithm, params: Sequence[SmallRangeParams], algorithm_id: str
 ) -> list[AdvantageReport]:
@@ -157,16 +181,14 @@ def advantage_monte_carlo(
         raise ValueError("samples must be positive")
     params = SmallRangeParams(n, r)
     row_seeds = stream_seeds(seed, 2 * samples)
-    # each row's values are sampled alone and checked once, with their block,
-    # whose oracles are built at once
-    perm_maps = (
-        sample_permutation(n, swaps) for swaps, _ in stream_rows(range(n, 0, -1), row_seeds[:samples])
+    perm_oracles = _sampled_oracles(
+        algorithm, n, range(n, 0, -1), row_seeds[:samples], partial(sample_permutation, n)
     )
-    small_maps = (
-        sample_small_range(params, draws) for draws, _ in stream_rows(params.bounds, row_seeds[samples:])
+    small_oracles = _sampled_oracles(
+        algorithm, n, params.bounds, row_seeds[samples:], partial(sample_small_range, params)
     )
-    perm_vals = np.array([run(algorithm, o)[1] for o in _map_oracles(algorithm, n, perm_maps)])
-    small_vals = np.array([run(algorithm, o)[1] for o in _map_oracles(algorithm, n, small_maps)])
+    perm_vals = np.array([run(algorithm, o)[1] for o in perm_oracles])
+    small_vals = np.array([run(algorithm, o)[1] for o in small_oracles])
     p_perm = float(perm_vals.mean())
     p_small = float(small_vals.mean())
     if samples > 1:

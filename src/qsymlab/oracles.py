@@ -27,9 +27,10 @@ Three variants:
   which `permutes_basis = True` declares: the simulator then carries the
   state's norm across the call instead of measuring it again.
   The stack's sources are read-only and shared by its rows; each row keeps
-  a writeable copy of its own source per key, because an amplified run
-  repeats the same calls in each of its passes and numpy's `take` copies a
-  read-only index array on every call, so a hit is one dict lookup. Every call, hit
+  a view of its own source per key, because an amplified run repeats the
+  same calls in each of its passes, so a hit is one dict lookup. A row
+  gathers by fancy indexing the flat tensor, which reads a read-only index
+  in place (numpy's `take` would copy it on every call). Every call, hit
   or miss, bills one query to its row; a call that fails bills none and
   builds nothing.
 * ClassicalOracle: a counted plain lookup i -> x(i) into an input.
@@ -185,7 +186,7 @@ class StandardOracle:
         self.values = table.values[row]
         self.index_dim, self.value_dim = table.tables.shape[1], table.value_dim
         self.queries = 0
-        # this row's own copy of its stack's source per (shape, index_reg, value_reg,
+        # this row's view of its stack's source per (shape, index_reg, value_reg,
         # inverse): each pass of an amplified run repeats the calls of the first
         self._sources: dict = {}
 
@@ -203,14 +204,13 @@ class StandardOracle:
             if sources is None:
                 _check_arity(shape, index_reg, value_reg, self.index_dim, self.value_dim)
                 sign = -1 if inverse else 1
-                sources = _gather_sources(shape, index_reg, value_reg, stack.tables, sign)
-                if len(stack.values) > 1:  # a stack of one has no other row to share them with
-                    stack.sources[key] = sources
-            # a writeable copy: numpy's take copies a read-only index array on every call
-            source = self._sources[key] = sources[self._row].copy()
+                sources = stack.sources[key] = _gather_sources(
+                    shape, index_reg, value_reg, stack.tables, sign
+                )
+            source = self._sources[key] = sources[self._row]
         self.queries += 1
         # flat gather, shaped like the tensor because the source is
-        return tensor.take(source)
+        return tensor.reshape(-1)[source]
 
     def matrix(self) -> np.ndarray:
         """Permutation matrix on the (index, value) product space, index-major."""

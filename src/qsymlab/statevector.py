@@ -34,11 +34,14 @@ registers first (None when they already lead), the axes summed away, the
 flat positions of the outcomes that read 1 in the marginal, the number of
 output outcomes, and those positions' slice when the output registers lead
 and the positions form one run. When the output registers lead, only the
-rows of the outcomes that read 1 are squared and summed, taken by that
-slice when there is one and gathered otherwise; if not, the whole tensor
-is transposed and reduced to the marginal. When exactly one outcome reads
-1, on either path, its entry is returned as it is: the correctly rounded
-sum of one float is that float.
+rows of the outcomes that read 1 are squared and summed: one such row is
+reduced alone as a 1-D array, and several are taken by that slice when
+there is one and gathered otherwise. Each way sums a row's squares
+pairwise over the same contiguous values, so each gives the same float.
+If the output registers do not lead, the whole tensor is transposed and
+reduced to the marginal. When exactly one outcome reads 1, on either
+path, its entry is returned as it is: the correctly rounded sum of one
+float is that float.
 
 The step loop applies a leading-target step inline, as `_contract` would
 without its transposes; `_contract` serves the other steps and
@@ -321,12 +324,17 @@ def _output_probability_one(tensor: np.ndarray, norm_sq: float, alg: QueryAlgori
     order, summed, ones, out_side, run_slice, single = alg._output
     if order is None:
         # the output digits index the rows: square and sum only those that read 1
-        if run_slice is None:
-            rows = tensor.reshape(out_side, -1).take(ones, axis=0)
+        rows = tensor.reshape(out_side, -1)
+        if single:
+            # that row alone, as a 1-D array: its squares are contiguous whatever
+            # the tensor's strides, so they sum pairwise as a gathered row's do
+            rows = rows[run_slice.start]
+        elif run_slice is None:
+            rows = rows.take(ones, axis=0)
         else:
             # row-major like the gathered rows, so each row sums in the same order
-            rows = np.ascontiguousarray(tensor.reshape(out_side, -1)[run_slice])
-        picked = np.add.reduce(np.abs(rows) ** 2, axis=1)
+            rows = np.ascontiguousarray(rows[run_slice])
+        picked = np.add.reduce(np.abs(rows) ** 2, axis=-1)
     else:
         marginal = np.add.reduce((np.abs(tensor) ** 2).transpose(order), axis=summed)
         picked = marginal.take(ones)

@@ -267,6 +267,25 @@ class TestCompileAndRunOnce:
         assert passed.sampled_C == values
         assert passed == compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5)
 
+    def test_replay_samples_its_row_alone_and_checks_it_once(self, count_calls):
+        entry = deutsch_jozsa(4)
+        x = InputString(4, 2, (0, 1, 1, 0))
+        # rows of 8 draws: the 600 trials come in stream blocks of 512 and 88
+        est = estimate_success(entry.algorithm, x, 1, 4, 600, 9)
+        picked = est.results[509:515] + est.results[-2:]
+        counts = count_calls(
+            [
+                (compiler, "sample_small_range"),
+                (compiler, "sample_small_range_block"),
+                (compiler, "index_map_block"),
+                (compiler, "stream_blocks"),
+            ]
+        )
+        replayed = [compile_and_run_once(entry.algorithm, x, 4, seed=t.seed) for t in picked]
+        assert replayed == list(picked)
+        # one row sampler call and one check per replay, and no block sampled
+        assert counts == {"sample_small_range": 8, "index_map_block": 8}
+
     def test_constant_input_always_succeeds(self):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 0, 0, 0))

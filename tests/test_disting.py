@@ -277,17 +277,47 @@ class TestSampledMapsCheckedOnce:
         )
         n, r_values, samples = 16, [1, 4], 40
         probe = collision_sniffer(n)
-        assert disting._block_size(probe.algorithm) == 16
+        # a stack holds 2^16 source ints per call: 256 rows of 256 amplitudes
+        assert disting._STACK_INTS // probe.algorithm.layout.total_dim == 256
         sweep_r(probe.algorithm, n, r_values, samples, 3)
         # each side of each r: one sampler call and one run per row, and 40
-        # rows in ceil(40 / 16) = 3 blocks; no `__post_init__` entry, so no
-        # `IndexFunction` was built
+        # rows in one stream block, checked as one stack; no `__post_init__`
+        # entry, so no `IndexFunction` was built
         assert counts == {
             "sample_permutation": 2 * samples,
             "sample_small_range": 2 * samples,
-            "index_map_block": 2 * 2 * 3,
+            "index_map_block": 2 * 2 * 1,
             "run": 2 * 2 * samples,
         }
+
+    @pytest.mark.parametrize(
+        "stack_ints, stacks",
+        [
+            # the permutation side's 300 rows come in stream blocks of 256 and
+            # 44, the small-range side's (20 draws a row) in 204 and 96
+            (None, [256, 44, 204, 96]),
+            # stacks of at most 100 rows split each block that is longer
+            (100 * 256, [100, 100, 56, 44, 100, 100, 4, 96]),
+        ],
+        ids=["one-stack-per-block", "split-blocks"],
+    )
+    def test_a_stream_block_is_one_stack(self, monkeypatch, stack_ints, stacks):
+        if stack_ints is not None:
+            monkeypatch.setattr(disting, "_STACK_INTS", stack_ints)
+        checked, built = [], []
+        check, build = disting.index_map_block, disting.index_map_oracles
+        monkeypatch.setattr(
+            disting, "index_map_block", lambda n, rows: checked.append(len(rows)) or check(n, rows)
+        )
+        monkeypatch.setattr(
+            disting, "index_map_oracles", lambda block: built.append(len(block)) or build(block)
+        )
+        n, r, samples, seed = 16, 4, 300, 8
+        probe = collision_sniffer(n)
+        report = advantage_monte_carlo(probe.algorithm, n, r, samples, seed, algorithm_id="s")
+        # one check per stack, and each checked block built as one stack
+        assert checked == built == stacks
+        assert report == naive_monte_carlo_report(probe.algorithm, n, r, samples, seed)
 
 
 class TestSweep:

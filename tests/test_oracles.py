@@ -373,15 +373,18 @@ class TestIndexMapOracles:
         assert index_map_oracles(empty) == []
 
     def test_sources_are_read_only(self):
-        # the sources the rows share are read-only; a row's memo holds its own copy
+        # the sources the rows share are read-only, and so is the view of its
+        # row that each row's memo holds
         first, second = index_map_oracles(index_map_block(4, [(1, 1, 2, 0), (0, 3, 3, 1)]))
         first.apply_tensor(np.zeros((4, 4), dtype=complex), 0, 1)
         (shared,) = first._stack.sources.values()
         with pytest.raises(ValueError):
             shared[0, 0, 0] = 0
         (source,) = first._sources.values()
+        assert not source.flags.writeable
+        with pytest.raises(ValueError):
+            source[0, 0] = 0
         assert source.tobytes() == shared[0].tobytes()
-        assert not np.shares_memory(source, shared)
         second.apply_tensor(np.zeros((4, 4), dtype=complex), 0, 1)
         assert second._sources[((4, 4), 0, 1, False)].tobytes() == shared[1].tobytes()
 

@@ -658,3 +658,37 @@ class TestPrecomputedOutputRule:
         scaled = tensor * 1.01
         with pytest.raises(RuntimeError, match="output distribution sums to 1.020"):
             sv._output_probability_one(scaled, np.vdot(scaled, scaled).real, alg)
+
+
+class TestOneRowRead:
+    """One outcome of leading output registers is read as one 1-D row, bit for
+    bit as the general formula reads its gathered rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_the_gathered_rows(self, data):
+        dims, budget = [], 256
+        for _ in range(data.draw(st.integers(1, 4), label="registers")):
+            dims.append(data.draw(st.integers(1, min(16, budget)), label="dim"))
+            budget //= dims[-1]
+        dims = tuple(dims)
+        lead = data.draw(st.integers(1, len(dims)), label="output registers")
+        outcome = tuple(data.draw(st.integers(0, d - 1), label="digit") for d in dims[:lead])
+        alg = QueryAlgorithm(RegisterLayout(dims), (), OutputRule(tuple(range(lead)), {outcome}))
+        order, single = alg._output[0], alg._output[5]
+        assert order is None and single
+        # the tensor's axes lie in memory in a drawn order, so its rows may be strided
+        memory = data.draw(st.permutations(range(len(dims))), label="memory order")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        tensor, _ = unit_tensor(tuple(dims[a] for a in memory), rng)
+        tensor = tensor.transpose(np.argsort(memory))
+        assert tensor.shape == dims
+        norm_sq = np.vdot(tensor, tensor).real
+        out_side = math.prod(dims[:lead])
+        rows = tensor.reshape(out_side, -1).take([np.ravel_multi_index(outcome, dims[:lead])], axis=0)
+        gathered = np.add.reduce(np.abs(rows) ** 2, axis=1).item()
+        assert sv._output_probability_one(tensor, norm_sq, alg) == min(max(gathered, 0.0), 1.0)
+        # the sum-to-1 check still reads the squared norm first, NaN included
+        for bad in (float("nan"), 1.01**2 * norm_sq):
+            with pytest.raises(RuntimeError, match="output distribution sums to"):
+                sv._output_probability_one(tensor, bad, alg)
