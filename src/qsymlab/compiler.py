@@ -19,14 +19,12 @@ for every row of the support's checked blocks, with no `IndexFunction`
 and one float mass per block, and keeps one dict of oracles by composed
 table for the call. The Monte Carlo estimate (`estimate_success`) runs its
 trials through `_run_trials`, in this process or once per worker on a
-contiguous slice of the seeds, and each slice keeps such a dict only when
-`M^n` is at most its length. The rule is a worst-case memory bound, not a
-guess at how often tables repeat: within it at most `M^n` small oracles
-are kept. Beyond it only the trial count limits them: a one-hot Grover
-input at n=2048 and r=n composes 10^4 trials to 4,359 distinct tables of
-128 KB of gather sources each (about 560 MB). So each trial beyond the
-bound builds a fresh oracle, even where most trials share a table (18
-tables at r=4).
+contiguous slice of the seeds, and keeps one such dict per stream block of
+trials. The block bounds what is kept: at most `max(1, 4096 // (n + r))`
+oracles, however many distinct tables the trials compose. A one-hot Grover
+input at n=64 and r=4 has 2^64 possible tables, yet its blocks of 60
+trials compose to a few each (3 and 7 in the tests' two blocks); at n=2048
+and r=n a block is one trial.
 
 Each trial has its own seed, word t of the stream of the seed given to
 `estimate_success` (see `distributions`), and takes its sampler row and
@@ -36,10 +34,8 @@ recorded seed replays the trial alone (`compile_and_run_once(seed=s)`).
 `_run_trials` takes the trials one stream block at a time: it draws the
 block's rows and uniforms (`stream_blocks`), samples all of its maps at
 once (`sample_small_range_block`), checks them once (`index_map_block`),
-and passes each trial its checked row and uniform. A replay takes its
-seed's row and uniform from `stream_rows`, samples the row with
-`sample_small_range`, the row sampler that the block sampler equals row by
-row, and checks it once, as a one-row `index_map_block`.
+and passes each trial its checked row and uniform. A replay takes the same
+path as a block of one seed.
 
 The input is never touched outside step 2: no oracle over the raw input
 exists on this path, and the function table is never consulted at all (the
@@ -62,10 +58,8 @@ from .core import InputString, index_map_block
 from .distributions import (
     SmallRangeParams,
     enumerate_small_range_support,
-    sample_small_range,
     sample_small_range_block,
     stream_blocks,
-    stream_rows,
     stream_seeds,
 )
 from .oracles import ClassicalOracle, oracle_from_partial
@@ -183,15 +177,11 @@ def compile_and_run_once(
     may share it, and a shared oracle gives the same output as a fresh one.
     `draws` is the trial's `(values, uniform)`: its row of a checked block
     from `_sampled_blocks`, and its uniform, which `_run_trials` passes.
-    Without it the trial samples its seed's row with the row sampler and
-    checks the values once.
+    Without it the trial samples and checks its seed's block of one row.
     """
-    params = SmallRangeParams(x.n, r)
     if draws is None:
-        row, uniform = next(stream_rows(params.bounds, [seed]))
-        values = sample_small_range(params, row)
-        index_map_block(x.n, [values])  # the values' one check
-        draws = values, uniform
+        block, uniforms = next(_sampled_blocks(SmallRangeParams(x.n, r), [seed]))
+        draws = block[0].tolist(), uniforms.item(0)
     values, uniform = draws
     dist, used = compiled_distribution(alg, x, values, oracles)
     if used > r:
@@ -230,12 +220,12 @@ class SuccessEstimate:
 def _run_trials(
     alg: QueryAlgorithm, x: InputString, params: SmallRangeParams, seeds: np.ndarray
 ) -> list:
-    """One compiled trial per seed, in order, with shared oracles, a stream
-    block of trials at a time."""
-    oracles = {} if x.M**x.n <= len(seeds) else None
+    """One compiled trial per seed, in order, a stream block of trials at a
+    time; the trials of a block share one oracle per composed table."""
     trial_seeds = iter(seeds.tolist())
     results = []
     for block, uniforms in _sampled_blocks(params, seeds):
+        oracles: dict = {}
         # the shared seed iterator goes last: zip stops on the block's end
         # before it takes a seed that belongs to the next block
         results += [

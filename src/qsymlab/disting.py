@@ -18,18 +18,18 @@ against the enumeration budget before it builds or simulates anything. It
 builds each permutation's oracle once, for all r, and runs it once per r;
 each r enumerates its own support.
 
-Both sweeps build their oracles a block of maps at a time. A block is
-checked once by `core.index_map_block`, and `oracles.index_map_oracles`
-hands out its rows as the oracles of one stack, whose first call of each
-kind builds the gather sources of the whole block. An exact sweep's blocks
-hold at most max(1, 4096 // N) maps for a state of N amplitudes, so their
-sources hold at most about 4096 ints per oracle call. A sampled sweep walks
-each side's stream blocks (`distributions.stream_blocks`): it samples each
-row's values alone, with one sampler call per row, and checks and stacks a
-whole stream block at once (128 to 256 rows at n = 16), split only where
-its sources would pass 2^16 ints (512 KB) per oracle call. Every map is run
-as often, and in the same order, as a map-at-a-time loop would run it, so
-the reports do not change.
+Both sweeps build their oracles with one chunker, `_stacked_oracles`: it
+checks a stack of maps once by `core.index_map_block`, and
+`oracles.index_map_oracles` hands out its rows as the oracles of one stack,
+whose first call of each kind builds the gather sources of the whole stack.
+A stack holds at most max(1, ints // N) maps for a state of N amplitudes,
+so its sources hold at most about `ints` ints per oracle call. An exact
+sweep stacks the permutations with 4096 ints and walks each support in
+blocks of the same size. A sampled sweep samples each row's values alone, one
+sampler call per row of the side's stream (`distributions.stream_rows`),
+and stacks the rows with 2^16 ints (512 KB), 256 rows at n = 16; a stack
+may span stream blocks. Every map is run as often, and in the same order,
+as a map-at-a-time loop would run it, so the reports do not change.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ import operator
 import warnings
 from array import array
 from dataclasses import InitVar, dataclass, field
-from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .distributions import (
     enumeration_budget,
     sample_permutation,
     sample_small_range,
-    stream_blocks,
+    stream_rows,
     stream_seeds,
 )
 from .oracles import StandardOracle, index_map_oracles
@@ -102,34 +101,15 @@ def advantage_exact(
     return _exact_reports(algorithm, [SmallRangeParams(n, r)], algorithm_id)[0]
 
 
-def _block_size(algorithm: QueryAlgorithm) -> int:
-    """Maps per oracle block: a block's sources hold N ints per map and register
-    pair, N the state size."""
-    return max(1, _BLOCK_INTS // algorithm.layout.total_dim)
-
-
-def _map_oracles(algorithm: QueryAlgorithm, n: int, maps) -> Iterator[StandardOracle]:
-    """One oracle per value tuple of `maps`, in order, checked and built a block at a time."""
-    maps, size = iter(maps), _block_size(algorithm)
+def _stacked_oracles(
+    algorithm: QueryAlgorithm, n: int, maps: Iterable[Sequence[int]], stack_ints: int
+) -> Iterator[StandardOracle]:
+    """One oracle per value tuple of `maps`, in order, checked and built as
+    stacks of max(1, stack_ints // N) maps: N source ints per map and
+    register pair, N the state size."""
+    maps, size = iter(maps), max(1, stack_ints // algorithm.layout.total_dim)
     while chunk := list(itertools.islice(maps, size)):
         yield from index_map_oracles(index_map_block(n, chunk))
-
-
-def _sampled_oracles(
-    algorithm: QueryAlgorithm,
-    n: int,
-    bounds: Sequence[int],
-    seeds: np.ndarray,
-    sample: Callable[[list[int]], tuple[int, ...]],
-) -> Iterator[StandardOracle]:
-    """One oracle per seed, in order: each stream block's rows sampled one at
-    a time, then checked and built as one stack of at most `_STACK_INTS`
-    source ints per call."""
-    per_stack = max(1, _STACK_INTS // algorithm.layout.total_dim)
-    for draws, _ in stream_blocks(bounds, seeds):
-        maps = [sample(row) for row in draws.tolist()]
-        for start in range(0, len(maps), per_stack):
-            yield from index_map_oracles(index_map_block(n, maps[start : start + per_stack]))
 
 
 def _exact_reports(
@@ -148,7 +128,7 @@ def _exact_reports(
     # one oracle per permutation, run once per r (perfbench's distinguish-exact
     # law counts n! runs per r) and dropped with its block; a term takes 8 bytes
     perm_terms = [array("d") for _ in params]
-    for oracle in _map_oracles(algorithm, n, itertools.permutations(range(n))):
+    for oracle in _stacked_oracles(algorithm, n, itertools.permutations(range(n)), _BLOCK_INTS):
         for terms in perm_terms:
             terms.append(run(algorithm, oracle)[1])
     reports = []
@@ -157,7 +137,7 @@ def _exact_reports(
         p_perm = math.fsum(terms) / math.factorial(n)
         p_small = math.fsum(
             weight * run(algorithm, oracle)[1]
-            for block, mass in support.blocks(_block_size(algorithm))
+            for block, mass in support.blocks(max(1, _BLOCK_INTS // algorithm.layout.total_dim))
             for weight in [float(mass)]
             for oracle in index_map_oracles(block)
         )
@@ -181,14 +161,18 @@ def advantage_monte_carlo(
         raise ValueError("samples must be positive")
     params = SmallRangeParams(n, r)
     row_seeds = stream_seeds(seed, 2 * samples)
-    perm_oracles = _sampled_oracles(
-        algorithm, n, range(n, 0, -1), row_seeds[:samples], partial(sample_permutation, n)
+    perm_maps = (
+        sample_permutation(n, row) for row, _ in stream_rows(range(n, 0, -1), row_seeds[:samples])
     )
-    small_oracles = _sampled_oracles(
-        algorithm, n, params.bounds, row_seeds[samples:], partial(sample_small_range, params)
+    small_maps = (
+        sample_small_range(params, row) for row, _ in stream_rows(params.bounds, row_seeds[samples:])
     )
-    perm_vals = np.array([run(algorithm, o)[1] for o in perm_oracles])
-    small_vals = np.array([run(algorithm, o)[1] for o in small_oracles])
+    perm_vals = np.array(
+        [run(algorithm, o)[1] for o in _stacked_oracles(algorithm, n, perm_maps, _STACK_INTS)]
+    )
+    small_vals = np.array(
+        [run(algorithm, o)[1] for o in _stacked_oracles(algorithm, n, small_maps, _STACK_INTS)]
+    )
     p_perm = float(perm_vals.mean())
     p_small = float(small_vals.mean())
     if samples > 1:

@@ -11,7 +11,7 @@ as a tuple of ints; `sample_small_range_block` returns the maps of a block
 of rows as an array, with r vector swap steps and one gather, and equals
 the row sampler row by row. The code that holds the maps checks them once,
 in a `core.index_map_block`: a compiled run's block of trials (a replay's
-one row), or a sampled sweep's stack of a stream block's rows.
+block of one), or a sampled sweep's stack of rows.
 
 All Monte Carlo randomness comes from one stream: SplitMix64 (Steele, Lea
 and Flood 2014) keyed by a seed s in [0, 2^64), whose word j is the

@@ -8,21 +8,22 @@ Three variants:
   gather. Every oracle is row b of a stack of checked tables of one
   dimension pair: `StandardOracle(table)` is a stack of one, and
   `index_map_oracles(block)` hands out the rows of a block of index maps
-  that `core.index_map_block` checked. The first miss of a memo key (tensor
-  shape, register pair, direction) in any row checks the registers against
-  the tensor once for the stack and builds every row's source at once with
-  `_gather_sources`, the one function that computes sources: one `take` per
-  stack of a shift table, whose row v holds the sources for an index with
-  table value v, plus each index's offset. The shift tables are cached per
-  tensor shape, register pair and direction, per process and not per
-  stack. A table holds d*N/n_i entries (value dimension d, state size N,
-  index dimension n_i), so one is kept only when d <= n_i and no cache
-  outgrows the state; otherwise the sources are computed from each
-  position's digits. Each source is certified a permutation of the basis
-  where it is built: a shift table once, when it is cached, by checking
-  that each value's row holds every index-0 position once, which makes
-  every source taken from it a permutation, since the table's entries are
-  already checked; a digit-path source each time, row by row. A failed
+  that `core.index_map_block` checked. A row keeps no tuple of its table:
+  `values` reads its row of the stack when asked. The first miss of a memo
+  key (tensor shape, register pair, direction) in any row checks the
+  registers against the tensor once for the stack and builds every row's
+  source at once with `_gather_sources`, the one function that computes
+  sources: one `take` per stack of a shift table, whose row v holds the
+  sources for an index with table value v, plus each index's offset. The
+  shift tables are cached per tensor shape, register pair and direction, per
+  process and not per stack. A table holds d*N/n_i entries (value dimension
+  d, state size N, index dimension n_i), so one is kept only when d <= n_i
+  and no cache outgrows the state; otherwise the sources are computed from
+  each position's digits. Each source is certified a permutation of the
+  basis where it is built: a shift table once, when it is cached, by
+  checking that each value's row holds every index-0 position once, which
+  makes every source taken from it a permutation, since the table's entries
+  are already checked; a digit-path source each time, row by row. A failed
   certificate raises AssertionError. So every call permutes the amplitudes,
   which `permutes_basis = True` declares: the simulator then carries the
   state's norm across the call instead of measuring it again.
@@ -160,9 +161,8 @@ class _TableStack:
     """Checked tables of one dimension pair, the rows of a read-only (B, n) intp
     array, and every row's gather source per memo key, built at once."""
 
-    def __init__(self, tables: np.ndarray, value_dim: int, values: list[tuple[int, ...]]):
+    def __init__(self, tables: np.ndarray, value_dim: int):
         self.tables, self.value_dim = tables, value_dim
-        self.values = values  # row b's table as a tuple of ints
         self.sources: dict = {}
 
 
@@ -179,16 +179,20 @@ class StandardOracle:
         if isinstance(table, (InputString, IndexFunction)):
             tables = np.array([table.values], dtype=np.intp)
             tables.flags.writeable = False
-            table = _TableStack(tables, table.M, [table.values])
+            table = _TableStack(tables, table.M)
         elif not isinstance(table, _TableStack):
             raise TypeError(f"cannot build an oracle from {type(table)!r}")
         self._stack, self._row = table, row
-        self.values = table.values[row]
         self.index_dim, self.value_dim = table.tables.shape[1], table.value_dim
         self.queries = 0
         # this row's view of its stack's source per (shape, index_reg, value_reg,
         # inverse): each pass of an amplified run repeats the calls of the first
         self._sources: dict = {}
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """This row's table as a tuple of ints, read from its stack."""
+        return tuple(self._stack.tables[self._row].tolist())
 
     def apply_tensor(
         self, tensor: np.ndarray, index_reg: int, value_reg: int, inverse: bool = False
@@ -214,11 +218,11 @@ class StandardOracle:
 
     def matrix(self) -> np.ndarray:
         """Permutation matrix on the (index, value) product space, index-major."""
-        n, d = self.index_dim, self.value_dim
+        n, d, values = self.index_dim, self.value_dim, self.values
         out = np.zeros((n * d, n * d), dtype=complex)
         for i in range(n):
             for j in range(d):
-                out[i * d + (j + self.values[i]) % d, i * d + j] = 1.0
+                out[i * d + (j + values[i]) % d, i * d + j] = 1.0
         return out
 
 
@@ -294,7 +298,7 @@ def index_map_oracles(block: np.ndarray) -> list[StandardOracle]:
         and not block.flags.writeable
     ):
         raise TypeError("index_map_oracles takes a block checked by core.index_map_block")
-    stack = _TableStack(block, block.shape[1], list(map(tuple, block.tolist())))
+    stack = _TableStack(block, block.shape[1])
     return [StandardOracle(stack, b) for b in range(len(block))]
 
 

@@ -267,7 +267,7 @@ class TestCompileAndRunOnce:
         assert passed.sampled_C == values
         assert passed == compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5)
 
-    def test_replay_samples_its_row_alone_and_checks_it_once(self, count_calls):
+    def test_replay_samples_and_checks_a_block_of_one_seed(self, count_calls):
         entry = deutsch_jozsa(4)
         x = InputString(4, 2, (0, 1, 1, 0))
         # rows of 8 draws: the 600 trials come in stream blocks of 512 and 88
@@ -275,7 +275,7 @@ class TestCompileAndRunOnce:
         picked = est.results[509:515] + est.results[-2:]
         counts = count_calls(
             [
-                (compiler, "sample_small_range"),
+                (distributions, "sample_small_range"),
                 (compiler, "sample_small_range_block"),
                 (compiler, "index_map_block"),
                 (compiler, "stream_blocks"),
@@ -283,8 +283,9 @@ class TestCompileAndRunOnce:
         )
         replayed = [compile_and_run_once(entry.algorithm, x, 4, seed=t.seed) for t in picked]
         assert replayed == list(picked)
-        # one row sampler call and one check per replay, and no block sampled
-        assert counts == {"sample_small_range": 8, "index_map_block": 8}
+        # per replay one block of one seed: one draw, one block sampler pass
+        # and one check, and no row sampler
+        assert counts == {"stream_blocks": 8, "sample_small_range_block": 8, "index_map_block": 8}
 
     def test_constant_input_always_succeeds(self):
         entry = deutsch_jozsa(4)
@@ -511,8 +512,31 @@ class TestExactSuccessSharesOracles:
         assert counts == {"compiled_distribution": 7120, "lookup": 8 + 2 * 7112}
 
 
+def tables_per_block(x, r, results):
+    """The distinct composed tables of each stream block of trials, in order."""
+    per_block = max(1, distributions._BLOCK_INTS // (x.n + r))
+    tables = [composed_table(x, t.sampled_C) for t in results]
+    return [len(set(tables[start : start + per_block])) for start in range(0, len(tables), per_block)]
+
+
+def fresh_oracle_trials(alg, x, r, trials, seed):
+    """estimate_success's trials as a plain loop: each seed's row from the row
+    sampler, and a fresh oracle per trial."""
+    params = SmallRangeParams(x.n, r)
+    seeds = stream_seeds(seed, trials).tolist()
+    results = []
+    for s, (row, uniform) in zip(seeds, stream_rows(params.bounds, seeds)):
+        values = sample_small_range(params, row)
+        dist, used = compiled_distribution(alg, x, values)
+        results.append(CompiledRunResult(int(uniform < dist[1]), used, values, used == x.n, s))
+    return results
+
+
+ONE_HOT_64 = InputString(64, 2, tuple(int(i == 17) for i in range(64)))
+
+
 class TestEstimateSuccessSharesOracles:
-    def test_one_oracle_per_distinct_table(self, count_calls):
+    def test_one_oracle_per_distinct_table_of_each_block(self, count_calls):
         counts = count_calls(
             [
                 (StandardOracle, "__init__"),
@@ -527,14 +551,14 @@ class TestEstimateSuccessSharesOracles:
         )
         x = InputString(4, 2, (0, 1, 1, 0))
         est = estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, 2000, 14)
-        tables = {composed_table(x, t.sampled_C) for t in est.results}
-        assert len(tables) <= 16
+        # each of the 4 stream blocks of 512 rows composes x to its 16 tables
+        assert tables_per_block(x, 4, est.results) == [16, 16, 16, 16]
         # every trial still reads, composes and runs three passes; its map is
-        # sampled and checked with its stream block of 512 rows, in 4 blocks,
-        # and no row sampler runs and no `IndexFunction` is built
+        # sampled and checked with its stream block, and no row sampler runs
+        # and no `IndexFunction` is built
         assert counts["sample_small_range"] == counts["__post_init__"] == 0
         assert counts == {
-            "__init__": len(tables),
+            "__init__": 4 * 16,
             "apply_tensor": 6000,
             "lookup": sum(t.classical_queries_used for t in est.results),
             "oracle_from_partial": 2000,
@@ -543,23 +567,37 @@ class TestEstimateSuccessSharesOracles:
         }
 
     @pytest.mark.parametrize(
-        "entry, x, trials, built",
+        "entry, x, trials",
         [
-            (grover_unique_or(16, 3), InputString(16, 2, (0,) * 5 + (1,) + (0,) * 10), 10, 10),
-            (deutsch_jozsa(4), InputString(4, 2, (0, 1, 1, 0)), 15, 15),
-            (deutsch_jozsa(4), InputString(4, 2, (0, 1, 1, 0)), 16, None),
+            (grover_unique_or(16, 3), InputString(16, 2, (0,) * 5 + (1,) + (0,) * 10), 10),
+            (deutsch_jozsa(4), InputString(4, 2, (0, 1, 1, 0)), 15),
+            (deutsch_jozsa(4), InputString(4, 2, (0, 1, 1, 0)), 600),
+            # 2^64 possible tables; 120 trials in two stream blocks of 60
+            (grover_unique_or(64, 1), ONE_HOT_64, 120),
         ],
-        ids=["grover-16", "dj-below-M^n", "dj-at-M^n"],
+        ids=["grover-16", "dj-15", "dj-two-blocks", "grover-64"],
     )
-    def test_shared_only_when_tables_cannot_outnumber_trials(
-        self, count_calls, entry, x, trials, built
-    ):
+    def test_trials_share_within_their_stream_block(self, count_calls, entry, x, trials):
         counts = count_calls([(StandardOracle, "__init__")])
         est = estimate_success(entry.algorithm, x, 1, 4, trials, 15)
-        if built is None:  # M^n <= trials: one oracle per distinct table
-            built = len({composed_table(x, t.sampled_C) for t in est.results})
-            assert built < trials
-        assert counts["__init__"] == built
+        assert counts["__init__"] == sum(tables_per_block(x, 4, est.results)) < trials
+        assert list(est.results) == fresh_oracle_trials(entry.algorithm, x, 4, trials, 15)
+
+    def test_each_jobs_slice_shares_within_its_own_blocks(
+        self, monkeypatch, fake_pool, count_calls
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        alg, x = grover_unique_or(64, 1).algorithm, ONE_HOT_64
+        serial = estimate_success(alg, x, 1, 4, 120, 3)
+        counts = count_calls([(StandardOracle, "__init__")])
+        parallel = estimate_success(alg, x, 1, 4, 120, 3, jobs=3)
+        assert parallel == serial
+        # three slices of 40 seeds, each one block of its own
+        [pool] = fake_pool
+        assert [len(seeds) for seeds in pool.tasks] == [40, 40, 40]
+        slices = [parallel.results[start : start + 40] for start in range(0, 120, 40)]
+        assert [tables_per_block(x, 4, part) for part in slices] == [[2], [5], [4]]
+        assert counts["__init__"] == 2 + 5 + 4
 
     @pytest.mark.parametrize("trials", [16, 300, 600])  # 600 spans two blocks of 585 rows
     def test_trial_replays_alone(self, trials):
@@ -582,7 +620,7 @@ class TestCompiledTrialStaysOnImage:
     def test_lookups_are_the_image_and_off_image_entries_do_not_matter(
         self, monkeypatch, entry, x, r, trials
     ):
-        assert x.M**x.n <= trials  # the trials share oracles
+        assert x.M**x.n <= trials  # the trials must repeat tables, so they share oracles
         looked: list[list[int]] = []
         lookup = ClassicalOracle.lookup
         single_trial = compiler.compile_and_run_once

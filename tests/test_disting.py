@@ -280,8 +280,8 @@ class TestSampledMapsCheckedOnce:
         # a stack holds 2^16 source ints per call: 256 rows of 256 amplitudes
         assert disting._STACK_INTS // probe.algorithm.layout.total_dim == 256
         sweep_r(probe.algorithm, n, r_values, samples, 3)
-        # each side of each r: one sampler call and one run per row, and 40
-        # rows in one stream block, checked as one stack; no `__post_init__`
+        # each side of each r: one sampler call and one run per row, and its
+        # 40 rows checked as one stack; no `__post_init__`
         # entry, so no `IndexFunction` was built
         assert counts == {
             "sample_permutation": 2 * samples,
@@ -293,15 +293,15 @@ class TestSampledMapsCheckedOnce:
     @pytest.mark.parametrize(
         "stack_ints, stacks",
         [
-            # the permutation side's 300 rows come in stream blocks of 256 and
-            # 44, the small-range side's (20 draws a row) in 204 and 96
-            (None, [256, 44, 204, 96]),
-            # stacks of at most 100 rows split each block that is longer
-            (100 * 256, [100, 100, 56, 44, 100, 100, 4, 96]),
+            # 256 rows of 256 amplitudes a stack: each side's 300 rows, in stream
+            # blocks of 256 and 44 (permutations) or 204 and 96 (20 draws a row)
+            (None, [256, 44, 256, 44]),
+            # stacks of 100 rows cross the stream blocks of both sides
+            (100 * 256, [100, 100, 100, 100, 100, 100]),
         ],
-        ids=["one-stack-per-block", "split-blocks"],
+        ids=["default-stacks", "stacks-of-100"],
     )
-    def test_a_stream_block_is_one_stack(self, monkeypatch, stack_ints, stacks):
+    def test_stacks_cross_stream_blocks(self, monkeypatch, stack_ints, stacks):
         if stack_ints is not None:
             monkeypatch.setattr(disting, "_STACK_INTS", stack_ints)
         checked, built = [], []
@@ -315,7 +315,7 @@ class TestSampledMapsCheckedOnce:
         n, r, samples, seed = 16, 4, 300, 8
         probe = collision_sniffer(n)
         report = advantage_monte_carlo(probe.algorithm, n, r, samples, seed, algorithm_id="s")
-        # one check per stack, and each checked block built as one stack
+        # one check per stack of _STACK_INTS // N rows, each checked block built as one stack
         assert checked == built == stacks
         assert report == naive_monte_carlo_report(probe.algorithm, n, r, samples, seed)
 

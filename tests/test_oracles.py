@@ -314,6 +314,15 @@ class TestIndexMapOracles:
                 assert source.shape == fresh._sources[key].shape == dims
                 assert source.tobytes() == fresh._sources[key].tobytes()
 
+    def test_values_are_read_from_the_stack_row(self):
+        # no row and no stack keeps a tuple per table: a row reads its values when asked
+        block = index_map_block(4, self.MAPS)
+        built = index_map_oracles(block)
+        assert [oracle.values for oracle in built] == self.MAPS
+        assert not any("values" in vars(obj) for obj in (*built, built[0]._stack))
+        x = InputString(4, 3, (2, 0, 1, 2))
+        assert StandardOracle(x).values == x.values
+
     def test_unfilled_pair_takes_the_checked_miss_path(self):
         # every key's first call, in any row, checks the registers and bills nothing if they do not fit
         dims = (4, 4, 3, 4)
