@@ -31,17 +31,13 @@ plan on every call.
 
 The output rule is precomputed too: the transpose that brings the output
 registers first (None when they already lead), the axes summed away, the
-flat positions of the outcomes that read 1 in the marginal, the number of
-output outcomes, and those positions' slice when the output registers lead
-and the positions form one run. When the output registers lead, only the
-rows of the outcomes that read 1 are squared and summed: one such row is
-reduced alone as a 1-D array, and several are taken by that slice when
-there is one and gathered otherwise. Each way sums a row's squares
-pairwise over the same contiguous values, so each gives the same float.
-If the output registers do not lead, the whole tensor is transposed and
-reduced to the marginal. When exactly one outcome reads 1, on either
-path, its entry is returned as it is: the correctly rounded sum of one
-float is that float.
+flat positions of the outcomes that read 1 in the marginal, and the number
+of output outcomes. It is read by one of two rules, chosen by the layout.
+When the output registers lead, the rows of the outcomes that read 1 are
+gathered row-major and each is squared and summed. Otherwise the whole
+tensor is squared, transposed and reduced to the marginal, and the
+outcomes' entries are taken from it. Either way the picked sums are added
+by `math.fsum`, which rounds correctly whatever their order.
 
 The step loop applies a leading-target step inline, as `_contract` would
 without its transposes; `_contract` serves the other steps and
@@ -248,10 +244,8 @@ class QueryAlgorithm:
     _start_norm_sq: float = field(init=False, repr=False)
     _ops: tuple[tuple, ...] = field(init=False, repr=False)
     # transpose order bringing the output registers first (None when they
-    # lead), the axes to sum away, the flat marginal positions of `ones`,
-    # the number of output outcomes, the slice of those positions when the
-    # output registers lead and the positions form one run (else None), and
-    # whether exactly one outcome reads 1, so that its entry is the answer
+    # lead), the axes to sum away, the flat marginal positions of `ones`
+    # and the number of output outcomes
     _output: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -304,12 +298,7 @@ class QueryAlgorithm:
         object.__setattr__(self, "_start_norm_sq", norm_sq)
         object.__setattr__(self, "_ops", tuple(ops[first:]))
         out_side = math.prod(dims[reg] for reg in registers)
-        run_slice = None
-        # the positions are distinct, so this span holds exactly them
-        if order is None and ones and max(ones) - min(ones) == len(ones) - 1:
-            run_slice = slice(min(ones), max(ones) + 1)
-        output = (order, summed, np.array(ones, dtype=np.intp), out_side, run_slice, len(ones) == 1)
-        object.__setattr__(self, "_output", output)
+        object.__setattr__(self, "_output", (order, summed, np.array(ones, dtype=np.intp), out_side))
 
 
 def query_count(alg: QueryAlgorithm) -> int:
@@ -321,26 +310,16 @@ def _output_probability_one(tensor: np.ndarray, norm_sq: float, alg: QueryAlgori
     """P(output bit 1) of a final tensor whose squared norm is `norm_sq`."""
     if not abs(norm_sq - 1.0) <= VALIDITY_ATOL:  # NaN fails too
         raise RuntimeError(f"output distribution sums to {norm_sq}, not 1")
-    order, summed, ones, out_side, run_slice, single = alg._output
+    order, summed, ones, out_side = alg._output
     if order is None:
         # the output digits index the rows: square and sum only those that read 1
-        rows = tensor.reshape(out_side, -1)
-        if single:
-            # that row alone, as a 1-D array: its squares are contiguous whatever
-            # the tensor's strides, so they sum pairwise as a gathered row's do
-            rows = rows[run_slice.start]
-        elif run_slice is None:
-            rows = rows.take(ones, axis=0)
-        else:
-            # row-major like the gathered rows, so each row sums in the same order
-            rows = np.ascontiguousarray(rows[run_slice])
+        rows = tensor.reshape(out_side, -1).take(ones, axis=0)
         picked = np.add.reduce(np.abs(rows) ** 2, axis=-1)
     else:
         marginal = np.add.reduce((np.abs(tensor) ** 2).transpose(order), axis=summed)
         picked = marginal.take(ones)
-    # fsum rounds correctly, so the order of `ones` does not matter, and
-    # the fsum of one float is that float
-    p_one = picked.item() if single else math.fsum(picked.tolist())
+    # fsum rounds correctly, so the order of `ones` does not matter
+    p_one = math.fsum(picked.tolist())
     # rounding can carry a Born probability an ulp outside [0, 1]
     return min(max(p_one, 0.0), 1.0)
 
