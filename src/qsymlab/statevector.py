@@ -26,8 +26,9 @@ verifies no matrix again. It turns the steps into one tuple of plain ops
 no per-call axis bookkeeping or attribute lookups. It also applies the
 leading oracle-free steps to `|0...0>` once, with the same ops and norm
 check, and keeps the result as a read-only start state: every pass begins
-there, at the first oracle call. `apply_unitary` builds a `Unitary` and a
-plan on every call.
+there, at the first oracle call. The start is kept C-contiguous, so each
+pass's first gather reads it through a flat view and copies nothing.
+`apply_unitary` builds a `Unitary` and a plan on every call.
 
 The output rule is precomputed too: the transpose that brings the output
 registers first (None when they already lead), the axes summed away, the
@@ -41,15 +42,16 @@ by `math.fsum`, which rounds correctly whatever their order.
 
 The step loop applies a leading-target step inline, as `_contract` would
 without its transposes; `_contract` serves the other steps and
-`apply_unitary`. After every unitary step the squared norm is compared
-against `(1 +- VALIDITY_ATOL)**2`, so no square root is taken unless the
-check fails. So is it after every oracle call, unless the oracle declares
-`permutes_basis`: a `StandardOracle`'s gather source is certified a basis
-permutation where it is built, so its call leaves the squared norm as it
-was, up to the order of a sum, and the previous value is carried forward.
-The last squared norm is the total the output's sum-to-1 check reads.
-Every validity check is written so that a NaN fails it: a non-finite
-matrix or state raises.
+`apply_unitary`. Both multiply by the matrix's own `ndarray.dot`, which
+skips the dispatch `np.dot` makes on every call. After every unitary step
+the squared norm is compared against `(1 +- VALIDITY_ATOL)**2`, so no
+square root is taken unless the check fails. So is it after every oracle
+call, unless the oracle declares `permutes_basis`: a `StandardOracle`'s
+gather source is certified a basis permutation where it is built, so its
+call leaves the squared norm as it was, up to the order of a sum, and the
+previous value is carried forward. The last squared norm is the total the
+output's sum-to-1 check reads. Every validity check is written so that a
+NaN fails it: a non-finite matrix or state raises.
 
 Amplified algorithms (repeats = 3) are executed as three independent passes
 whose single-bit outcomes are combined by majority at the harness level, so
@@ -137,9 +139,9 @@ def _axis_plan(dims: tuple[int, ...], targets: tuple[int, ...]) -> AxisPlan:
 def _contract(tensor: np.ndarray, matrix: np.ndarray, plan: AxisPlan) -> np.ndarray:
     order, side, shape, inverse = plan
     if order is None:
-        return np.dot(matrix, tensor.reshape(side, -1)).reshape(shape)
+        return matrix.dot(tensor.reshape(side, -1)).reshape(shape)
     flat = tensor.transpose(order).reshape(side, -1)
-    return np.dot(matrix, flat).reshape(shape).transpose(inverse)
+    return matrix.dot(flat).reshape(shape).transpose(inverse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +196,11 @@ def _placed(dims: tuple[int, ...], step: Unitary) -> AxisPlan:
 def apply_unitary(
     tensor: np.ndarray, matrix: np.ndarray, targets: Union[int, tuple[int, ...]]
 ) -> np.ndarray:
-    """Apply a dense unitary to the targeted registers of a tensor, identity elsewhere."""
+    """Apply a dense unitary to the targeted registers of a tensor, identity elsewhere.
+
+    When the targets do not lead, the result is a transposed view, not a
+    C-contiguous array.
+    """
     step = Unitary(matrix, targets)
     return _contract(tensor, step.matrix, _placed(tensor.shape, step))
 
@@ -236,10 +242,10 @@ class QueryAlgorithm:
     steps: tuple[Step, ...]
     output_rule: OutputRule
     repeats: int = 1
-    # read-only state after the leading oracle-free steps, which are the
-    # same in every pass, and its squared norm; then one op per step left:
-    # (matrix, plan) for a unitary and (None, (index_reg, value_reg)) for an
-    # oracle call
+    # read-only C-contiguous state after the leading oracle-free steps,
+    # which are the same in every pass, and its squared norm; then one op per
+    # step left: (matrix, plan) for a unitary and (None, (index_reg,
+    # value_reg)) for an oracle call
     _start: np.ndarray = field(init=False, repr=False)
     _start_norm_sq: float = field(init=False, repr=False)
     _ops: tuple[tuple, ...] = field(init=False, repr=False)
@@ -293,6 +299,8 @@ class QueryAlgorithm:
         while first < len(ops) and ops[first][0] is not None:
             first += 1
         start, norm_sq = _evolve(basis_state(self.layout), 1.0, ops[:first], None)
+        # a last leading step with trailing targets leaves a transposed view
+        start = np.ascontiguousarray(start)
         start.flags.writeable = False
         object.__setattr__(self, "_start", start)
         object.__setattr__(self, "_start_norm_sq", norm_sq)
@@ -340,7 +348,7 @@ def _evolve(
     oracle. Returns the final tensor and its squared norm, which is
     `norm_sq`, the given tensor's, when there are no ops.
     """
-    dot, vdot, low, high = np.dot, np.vdot, _NORM_SQ_LOW, _NORM_SQ_HIGH
+    vdot, low, high = np.vdot, _NORM_SQ_LOW, _NORM_SQ_HIGH
     permutes = getattr(oracle, "permutes_basis", False)
     for matrix, plan in ops:
         if matrix is None:
@@ -350,7 +358,7 @@ def _evolve(
             if permutes:
                 continue
         elif plan[0] is None:  # the targets lead: `_contract` without its transposes
-            tensor = dot(matrix, tensor.reshape(plan[1], -1)).reshape(plan[2])
+            tensor = matrix.dot(tensor.reshape(plan[1], -1)).reshape(plan[2])
         else:
             tensor = _contract(tensor, matrix, plan)
         norm_sq = vdot(tensor, tensor).real

@@ -23,6 +23,10 @@ from qsymlab.statevector import (
     run,
 )
 from qsymlab.zoo import (
+    DISTINGUISHER_IDS,
+    ZOO_IDS,
+    build_distinguisher,
+    build_zoo_entry,
     collision_sniffer,
     constant_function,
     deutsch_jozsa,
@@ -339,6 +343,85 @@ class TestStartState:
         assert abs(run(alg)[1] - p_one) <= 1e-12
 
 
+# two sizes per catalog id
+CATALOG_SIZES = {
+    "dj": (4, 8),
+    "grover": (4, 8),
+    "const0": (3, 4),
+    "const1": (3, 4),
+    "collision-sniffer": (4, 6),
+    "zero-query": (3, 5),
+}
+CATALOG_CASES = [(i, n) for i, sizes in CATALOG_SIZES.items() for n in sizes]
+
+
+def catalog_algorithm(catalog_id, n):
+    if catalog_id in ZOO_IDS:
+        return build_zoo_entry(catalog_id, n).algorithm
+    return build_distinguisher(catalog_id, n).algorithm
+
+
+def random_table(catalog_id, n, rng):
+    """A table the catalog entry's oracle calls can read: an input string for
+    a decision algorithm, an index map for a distinguisher."""
+    if catalog_id in ZOO_IDS:
+        return InputString(n, 2, rng.integers(0, 2, n))
+    return IndexFunction(n, rng.integers(0, n, n))
+
+
+class ContiguitySpy(StandardOracle):
+    """Records whether each tensor it is given is C-contiguous."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.contiguous = []
+
+    def apply_tensor(self, tensor, *args, **kwargs):
+        self.contiguous.append(tensor.flags.c_contiguous)
+        return super().apply_tensor(tensor, *args, **kwargs)
+
+
+class TestStartLayout:
+    """The start state is stored C-contiguous, which changes its layout only."""
+
+    def test_catalog_sizes_cover_every_id(self):
+        assert set(CATALOG_SIZES) == set(ZOO_IDS + DISTINGUISHER_IDS)
+
+    @pytest.mark.parametrize("catalog_id, n", CATALOG_CASES)
+    def test_start_is_c_contiguous_and_read_only(self, catalog_id, n):
+        alg = catalog_algorithm(catalog_id, n)
+        for form in (alg, amplify_majority3(alg), with_gadget_ancilla(alg, n)[0]):
+            assert form._start.flags.c_contiguous
+            assert not form._start.flags.writeable
+
+    @pytest.mark.parametrize("catalog_id, n", [("dj", 4), ("grover", 8), ("collision-sniffer", 6)])
+    def test_every_oracle_call_gathers_from_a_contiguous_tensor(self, catalog_id, n):
+        alg = catalog_algorithm(catalog_id, n)
+        table = random_table(catalog_id, n, np.random.default_rng(15))
+        for form in (alg, amplify_majority3(alg)):
+            spy = ContiguitySpy(table)
+            run(form, spy)
+            assert len(spy.contiguous) == query_count(form)
+            assert all(spy.contiguous)
+
+    @pytest.mark.parametrize("catalog_id, n", CATALOG_CASES)
+    def test_a_strided_start_evolves_to_the_same_bits(self, catalog_id, n):
+        alg = catalog_algorithm(catalog_id, n)
+        # an equal start laid out with reversed strides
+        strided = np.empty(alg._start.shape[::-1], dtype=complex).T
+        strided[...] = alg._start
+        assert strided.flags.c_contiguous == (alg._start.ndim == 1)
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            oracle = StandardOracle(random_table(catalog_id, n, rng))
+            tensor, norm_sq = evolved(alg, oracle)
+            other, other_norm_sq = sv._evolve(strided, alg._start_norm_sq, alg._ops, oracle)
+            assert np.array_equal(tensor, other) and norm_sq == other_norm_sq
+            assert sv._output_probability_one(tensor, norm_sq, alg) == (
+                sv._output_probability_one(other, other_norm_sq, alg)
+            )
+
+
 class TestQueryCount:
     def test_zero_steps(self):
         assert query_count(constant_alg(1)) == 0
@@ -632,14 +715,16 @@ class TestPrecomputedOutputRule:
 
     @pytest.mark.parametrize("ones", [{(1,)}, {(1,), (2,)}], ids=["one", "run"])
     def test_reads_a_transposed_tensor_by_its_row_major_gather(self, ones):
-        # the last step's target trails, so the final tensor is a transposed
-        # view and its rows are not row-major; numpy sums a strided row in
-        # another order, so the read must sum each row as the gathered
-        # (row-major) rows are summed
+        # the last unitary's target trails, so the tensor is a transposed view
+        # and its rows are not row-major; numpy sums a strided row in another
+        # order, so the read must sum each row as the gathered (row-major)
+        # rows are summed
+        layout = RegisterLayout((4, 32))
+        alg = QueryAlgorithm(layout, (), OutputRule((0,), frozenset(ones)))
         for seed in range(10):
-            steps = (Unitary(haar_unitary(4, seed), (0,)), Unitary(haar_unitary(32, seed), (1,)))
-            alg = QueryAlgorithm(RegisterLayout((4, 32)), steps, OutputRule((0,), frozenset(ones)))
-            tensor, norm_sq = evolved(alg, None)
+            tensor = apply_unitary(basis_state(layout), haar_unitary(4, seed), 0)
+            tensor = apply_unitary(tensor, haar_unitary(32, seed), 1)
+            norm_sq = np.vdot(tensor, tensor).real
             assert not tensor.flags.c_contiguous
             rows = tensor.reshape(4, -1).take(sorted(o for (o,) in ones), axis=0)
             gathered = math.fsum(np.add.reduce(np.abs(rows) ** 2, axis=1).tolist())
