@@ -36,8 +36,10 @@ oracle for the samplers and for exact expectation sweeps. Its support
 stores one mass per image size and lists the maps one way only, a checked
 `core.index_map_block` block at a time as it is walked, so an exact sweep
 holds one block of maps at a time and checks each map once, with its
-block: the enumeration budget bounds the maps visited, that is time, not
-memory.
+block. The walk computes the words onto k symbols once per image size k,
+as one array decoded from base-k codes, and maps it through each k-cell
+set; so it also holds one image size's words, at most n k^n ints, which
+the enumeration budget bounds.
 """
 
 from __future__ import annotations
@@ -98,10 +100,17 @@ def _class_size(n: int, k: int) -> int:
     return math.comb(n, k) * onto
 
 
-def _onto(n: int, cells: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The words of length n over `cells` that use every cell, in lexicographic order."""
-    k = len(cells)
-    return (values for values in itertools.product(cells, repeat=n) if len(set(values)) == k)
+def _onto_words(n: int, k: int) -> np.ndarray:
+    """The words of length n over range(k) that use every symbol, in
+    lexicographic order, as one (m, n) intp array: base-k codes 0, 1, ...
+    decoded a run at a time, onto rows kept. Needs k^n < 2^63."""
+    places = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    per_run = max(1, _BLOCK_INTS // n)
+    runs = []
+    for start in range(0, k**n, per_run):
+        digits = np.arange(start, min(start + per_run, k**n), dtype=np.int64)[:, None] // places % k
+        runs.append(digits[np.bitwise_or.reduce(1 << digits, axis=1) == (1 << k) - 1])
+    return np.concatenate(runs).astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -111,10 +120,14 @@ class WeightedSupport:
     `masses[k - 1]` is the rational mass of each map with image size k. The
     support holds no maps: `blocks` lists them, in (image size, image cells,
     word) order, as checked blocks that each hold maps of one image size, so
-    it can be walked any number of times in constant memory. Construction
-    checks that the masses sum to exactly 1; each walk checks that the maps
-    onto one cell set strictly increase (maps onto distinct cells differ in
-    their image) and that each image size yields its closed-form count.
+    it can be walked any number of times. A walk computes the words of
+    length n onto range(k) once per image size k and maps them through each
+    sorted k-cell set in turn, so it holds one image size's words (at most
+    n k^n ints) and one block. Construction checks that the masses sum to
+    exactly 1; each walk checks, once per image size, that the words
+    strictly increase (mapping through a sorted cell set keeps their order,
+    and maps onto distinct cells differ in their image) and that the cell
+    sets times the words give the closed-form count.
     """
 
     params: SmallRangeParams
@@ -139,31 +152,37 @@ class WeightedSupport:
         """The maps in walk order as `core.index_map_block` blocks of at most
         `maps_per_block` rows (by default as many as hold `_BLOCK_INTS` ints),
         all of one image size, each with the exact mass of each of its maps."""
-        n = self.params.n
+        n, r = self.params.n, self.params.r
+        if r**n >= 2**63:  # checked before any word is decoded
+            raise ValueError(
+                f"the support walk codes words as int64, so it needs r^n < 2^63, got {r}^{n}"
+            )
         per_block = maps_per_block or max(1, _BLOCK_INTS // n)
         for k, (mass, size) in enumerate(zip(self.masses, self._sizes), start=1):
-            words = _ordered_words(n, k)
-            made = 0
-            while chunk := list(itertools.islice(words, per_block)):
-                made += len(chunk)
-                yield index_map_block(n, chunk), mass
+            words = _onto_words(n, k)
+            m = len(words)
+            # digits below k increase as rows exactly when their base-k codes increase
+            codes = words @ k ** np.arange(n - 1, -1, -1)
+            if m and not (0 <= words.min() and words.max() < k and (np.diff(codes) > 0).all()):
+                raise ValueError(
+                    f"onto words of image size {k} repeat, fall out of order or leave range({k})"
+                )
+            cell_sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+            made = len(cell_sets) * m
             if made != size:
                 raise ValueError(f"image size {k} yielded {made} maps, not {size}")
+            # map i is word i % m onto cell set i // m: a sorted cell set keeps the words' order
+            for start in range(0, made, per_block):
+                stop = min(start + per_block, made)
+                pieces = [
+                    cell_sets[c].take(words[max(start - c * m, 0) : stop - c * m])
+                    for c in range(start // m, (stop - 1) // m + 1)
+                ]
+                yield index_map_block(n, np.concatenate(pieces)), mass
 
     def probability_of(self, g: IndexFunction) -> Fraction:
         k = len(set(g.values))
         return self.masses[k - 1] if g.n == self.params.n and k <= self.params.r else Fraction(0)
-
-
-def _ordered_words(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The words onto each k-cell set in turn; raises unless each set's words strictly increase."""
-    for cells in itertools.combinations(range(n), k):
-        last: tuple[int, ...] = ()  # below every word
-        for values in _onto(n, cells):
-            if values <= last:
-                raise ValueError(f"maps onto {cells} repeat or fall out of order at {values}")
-            last = values
-            yield values
 
 
 def _words(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -304,8 +323,13 @@ def sample_permutation(n: int, swaps: list[int]) -> tuple[int, ...]:
 
 
 def check_support_budget(params: SmallRangeParams) -> None:
-    """Fail unless the enumerator's visits for `params` fit the budget; the
-    visits, one per map with image size <= r, grow with r."""
+    """Fail unless the enumerator's visits for `params` fit the budget.
+
+    The count, sum over k <= r of C(n, k) k^n, is the words the first
+    support walk filtered: every word over each k-cell set. It stays the
+    bound so that the same requests pass; it also bounds k^n, so one image
+    size's words take at most n times the budget in ints.
+    """
     n, r = params.n, params.r
     visited = sum(math.comb(n, k) * k**n for k in range(1, r + 1))
     budget = enumeration_budget()

@@ -36,8 +36,9 @@ flat positions of the outcomes that read 1 in the marginal, and the number
 of output outcomes. It is read by one of two rules, chosen by the layout.
 When the output registers lead, the rows of the outcomes that read 1 are
 gathered row-major and each is squared and summed. Otherwise the whole
-tensor is squared, transposed and reduced to the marginal, and the
-outcomes' entries are taken from it. Either way the picked sums are added
+tensor is squared into a C-ordered array, transposed and reduced to the
+marginal, and the outcomes' entries are taken from it; so equal amplitudes
+read the same P(1) in any memory layout. Either way the picked sums are added
 by `math.fsum`, which rounds correctly whatever their order.
 
 The step loop applies a leading-target step inline, as `_contract` would
@@ -324,7 +325,8 @@ def _output_probability_one(tensor: np.ndarray, norm_sq: float, alg: QueryAlgori
         rows = tensor.reshape(out_side, -1).take(ones, axis=0)
         picked = np.add.reduce(np.abs(rows) ** 2, axis=-1)
     else:
-        marginal = np.add.reduce((np.abs(tensor) ** 2).transpose(order), axis=summed)
+        # squared in C order, so the sum's order does not follow the tensor's layout
+        marginal = np.add.reduce((np.abs(tensor, order="C") ** 2).transpose(order), axis=summed)
         picked = marginal.take(ones)
     # fsum rounds correctly, so the order of `ones` does not matter
     p_one = math.fsum(picked.tolist())

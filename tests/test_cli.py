@@ -623,6 +623,15 @@ class TestCompileRun:
         assert code == 2
         assert capsys.readouterr().err == "error: --n 5: const0 table exceeds the budget of 100 entries\n"
 
+    def test_exact_support_past_int64_codes_is_usage_error(self, monkeypatch, capsys):
+        # the budget admits the 2016 * 2^64 maps, but their words' codes overflow int64
+        monkeypatch.setenv("QSYMLAB_BUDGET", str(10**23))
+        argv = ["compile-run", "--zoo", "grover", "--n", "64", "--input", "one-hot:0", "--r", "2"]
+        assert cli.main(argv + ["--exact", "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the support walk codes words as int64, so it needs r^n < 2^63, got 2^64\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "target, message",
         [

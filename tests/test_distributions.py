@@ -38,6 +38,22 @@ def _pair_walk(n, r):
     return [(values, acc[values]) for values in sorted(acc)]
 
 
+def _product_walk(support, per_block):
+    """The walk as first written: per image size k, `itertools.product` over the
+    k^n words of each k-cell set in turn, the words that miss a cell filtered
+    out, cut into blocks of `per_block` maps."""
+    n = support.params.n
+    for k, mass in enumerate(support.masses, start=1):
+        words = (
+            values
+            for cells in itertools.combinations(range(n), k)
+            for values in itertools.product(cells, repeat=n)
+            if len(set(values)) == k
+        )
+        while chunk := list(itertools.islice(words, per_block)):
+            yield [list(values) for values in chunk], mass
+
+
 def _walked(support, maps_per_block=None):
     """The support's `(values, mass)` pairs, in walk order, read from its blocks."""
     return [
@@ -515,6 +531,42 @@ class TestStreamedSupport:
         assert walked == len(support) == 11_736
         assert peak < 2**20
 
+    def test_walk_holds_one_image_size_of_words(self):
+        # 1,490,776 maps onto 16,382 words of image size 2: the words take 1.8 MB
+        words = distributions._onto_words(14, 2)
+        support = enumerate_small_range_support(SmallRangeParams(14, 2))
+        tracemalloc.start()
+        try:
+            walked = sum(len(block) for block, _ in support.blocks())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert walked == len(support) == 1_490_776
+        assert peak <= 2 * words.nbytes + 2**20
+
+    @pytest.mark.parametrize(
+        "n, r, per_block", [(1, 1, None), (4, 3, 1), (6, 3, 113), (5, 3, 64), (4, 4, 50), (8, 2, None)]
+    )
+    def test_blocks_are_the_product_walk(self, n, r, per_block):
+        # (6, 3, 113), (5, 3, 64) and (4, 4, 50) cut blocks across cell sets
+        support = enumerate_small_range_support(SmallRangeParams(n, r))
+        walked = [(block.tolist(), mass) for block, mass in support.blocks(per_block)]
+        assert walked == list(_product_walk(support, per_block or max(1, 4096 // n)))
+
+    def test_walk_refuses_codes_past_int64_before_decoding(self, monkeypatch):
+        monkeypatch.setenv("QSYMLAB_BUDGET", str(10**23))
+        decoded = []
+        onto = distributions._onto_words
+        monkeypatch.setattr(distributions, "_onto_words", lambda n, k: decoded.append(k) or onto(n, k))
+        support = enumerate_small_range_support(SmallRangeParams(63, 2))
+        with pytest.raises(ValueError, match=r"needs r\^n < 2\^63, got 2\^63"):
+            next(support.blocks())
+        assert decoded == []
+        # one below: the first block, image size 1, comes out
+        below = enumerate_small_range_support(SmallRangeParams(62, 2))
+        block, mass = next(below.blocks())
+        assert decoded == [1] and block.shape == (62, 62) and mass == below.masses[0]
+
     @pytest.mark.parametrize("n, r", [(1, 1), (4, 2), (5, 5), (6, 3)])
     def test_len_is_the_closed_form_count(self, n, r):
         support = enumerate_small_range_support(SmallRangeParams(n, r))
@@ -528,22 +580,22 @@ class TestStreamedSupport:
         assert _walked(support) == first
 
     def test_count_check_fires(self, monkeypatch):
-        onto = distributions._onto
-        monkeypatch.setattr(distributions, "_onto", lambda n, cells: itertools.islice(onto(n, cells), 1, None))
+        onto = distributions._onto_words
+        monkeypatch.setattr(distributions, "_onto_words", lambda n, k: onto(n, k)[1:])
         support = enumerate_small_range_support(SmallRangeParams(3, 2))
         with pytest.raises(ValueError, match="image size 1 yielded 0 maps, not 3"):
             list(support.blocks())
 
     @pytest.mark.parametrize(
         "broken",
-        [lambda words: (w for w in words for _ in range(2)), lambda words: reversed(list(words))],
-        ids=["repeated", "reversed"],
+        [lambda words: np.repeat(words, 2, axis=0), lambda words: words[::-1], lambda words: words + 1],
+        ids=["repeated", "reversed", "shifted"],
     )
     def test_order_check_fires(self, monkeypatch, broken):
-        onto = distributions._onto
-        monkeypatch.setattr(distributions, "_onto", lambda n, cells: broken(onto(n, cells)))
+        onto = distributions._onto_words
+        monkeypatch.setattr(distributions, "_onto_words", lambda n, k: broken(onto(n, k)))
         support = enumerate_small_range_support(SmallRangeParams(3, 2))
-        with pytest.raises(ValueError, match=r"maps onto \(0,.*\) repeat or fall out of order"):
+        with pytest.raises(ValueError, match=r"onto words of image size \d repeat, fall out of order"):
             list(support.blocks())
 
     @pytest.mark.parametrize("n, r, per_block", [(4, 3, 7), (5, 2, 1), (6, 3, 113), (3, 3, 1000)])
@@ -570,15 +622,13 @@ class TestStreamedSupport:
         assert sorted(_walked(support, per_block)) == _pair_walk(n, r)
 
     def test_blocks_keep_the_count_and_order_checks(self, monkeypatch):
-        onto = distributions._onto
+        onto = distributions._onto_words
         support = enumerate_small_range_support(SmallRangeParams(3, 2))
-        monkeypatch.setattr(
-            distributions, "_onto", lambda n, cells: itertools.islice(onto(n, cells), 1, None)
-        )
+        monkeypatch.setattr(distributions, "_onto_words", lambda n, k: onto(n, k)[1:])
         with pytest.raises(ValueError, match="image size 1 yielded 0 maps, not 3"):
             list(support.blocks(4))
-        monkeypatch.setattr(distributions, "_onto", lambda n, cells: reversed(list(onto(n, cells))))
-        with pytest.raises(ValueError, match=r"maps onto \(0, 1\) repeat or fall out of order"):
+        monkeypatch.setattr(distributions, "_onto_words", lambda n, k: onto(n, k)[::-1])
+        with pytest.raises(ValueError, match="onto words of image size 2 repeat, fall out of order"):
             list(support.blocks(4))
 
     def test_probability_of_is_the_closed_form(self):

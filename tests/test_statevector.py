@@ -421,6 +421,26 @@ class TestStartLayout:
                 sv._output_probability_one(other, other_norm_sq, alg)
             )
 
+    @pytest.mark.parametrize("registers", [(1,), (2,), (1, 2), (2, 0)])
+    def test_an_oracle_free_start_reads_the_same_bits_in_any_layout(self, registers):
+        # `run` reads such an algorithm's output from its start; the last
+        # leading step trails, so `_contract` left it a transposed view
+        rng = np.random.default_rng(16)
+        for seed in range(60):
+            dims = tuple(int(d) for d in rng.integers(2, 10, size=3))
+            steps = [Unitary(haar_unitary(dims[0], seed), (0,))]
+            last = [(1,), (2,), (2, 1)][seed % 3]
+            steps.append(Unitary(haar_unitary(math.prod(dims[t] for t in last), seed + 1), last))
+            outcomes = list(itertools.product(*(range(dims[r]) for r in registers)))
+            ones = frozenset(o for o in outcomes if rng.random() < 0.5)
+            alg = QueryAlgorithm(RegisterLayout(dims), tuple(steps), OutputRule(registers, ones))
+            assert alg._ops == () and alg._output[0] is not None
+            p_one = sv._output_probability_one(alg._start, alg._start_norm_sq, alg)
+            for memory in itertools.permutations(range(3)):
+                copy = np.ascontiguousarray(alg._start.transpose(memory)).transpose(np.argsort(memory))
+                assert sv._output_probability_one(copy, alg._start_norm_sq, alg) == p_one
+            assert run(alg)[1] == p_one
+
 
 class TestQueryCount:
     def test_zero_steps(self):
