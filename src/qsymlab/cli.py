@@ -1,9 +1,10 @@
 """Experiment runner: compiled-pipeline estimates, distinguishing sweeps, a
 one-shot invariant suite, and the algorithm catalog.
 
-Exit codes: 0 success, 1 failed property or assertion, 2 usage error; `main`
-turns any ValueError, IndexError or MemoryError into exit 2 and one `error:`
-line. This module alone owns the report format: JSON (plus CSV with `--csv`)
+Exit codes: 0 success, 1 failed property or assertion, 2 usage error. Checks
+raise where they find the problem; `main` alone turns a ValueError, IndexError
+or MemoryError into exit 2 and one `error:` line, as the parser does its own.
+This module alone owns the report format: JSON (plus CSV with `--csv`)
 built from the plain records of `compiler` and `disting`, whose `params`
 echo the flags; rerunning a command with the same flags and seed reproduces
 the results payload byte for byte (timestamps live outside the payload).
@@ -60,7 +61,7 @@ def _emit_report(kind: str, args, results: dict, csv_rows=None) -> int:
         else:
             print(text)
     except OSError as exc:
-        return _usage_error(f"cannot write {path}: {exc.strerror}")
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
     return 0
 
 
@@ -95,11 +96,11 @@ def _reason(exc: Exception) -> str:
     return str(exc)
 
 
-def _unwritable(args) -> str | None:
-    """Why the `--out` and `--csv` paths cannot both be written, checked before
-    any work; the write itself still catches what this cannot see."""
+def _check_writable(args) -> None:
+    """Raise if the `--out` and `--csv` paths cannot both be written, checked
+    before any work; the write itself still catches what this cannot see."""
     if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
-        return f"--out and --csv name the same file {args.csv}"
+        raise ValueError(f"--out and --csv name the same file {args.csv}")
     for path in filter(None, (args.out, args.csv)):
         parent = os.path.dirname(path) or "."
         if not os.path.exists(parent):
@@ -112,8 +113,7 @@ def _unwritable(args) -> str | None:
             code = errno.EACCES
         else:
             continue
-        return f"cannot write {path}: {os.strerror(code)}"
-    return None
+        raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _parse_input_spec(spec: str, entry: zoo.ZooEntry, seed: int) -> core.InputString:
@@ -148,29 +148,26 @@ def _parse_input_spec(spec: str, entry: zoo.ZooEntry, seed: int) -> core.InputSt
         raise ValueError(f"--input {spec!r}: {exc}") from None
 
 
-def _bad_seed(seed: int) -> str | None:
-    """Why `--seed` cannot key a stream, or None."""
+def _check_seed(seed: int) -> None:
+    """Raise if `--seed` cannot key a stream."""
     if seed < 0:
-        return "--seed must be >= 0"
+        raise ValueError("--seed must be >= 0")
     if seed >= 2**64:
-        return f"a stream seed must lie in [0, 2^64), got {seed}"
-    return None
+        raise ValueError(f"a stream seed must lie in [0, 2^64), got {seed}")
 
 
 def _cmd_compile_run(args) -> int:
-    bad_seed = _bad_seed(args.seed)
-    if bad_seed:
-        return _usage_error(bad_seed)
+    _check_seed(args.seed)
     if args.iterations is not None and args.zoo != "grover":
-        return _usage_error("--iterations applies to grover only")
+        raise ValueError("--iterations applies to grover only")
     if args.iterations is not None and args.iterations < 0:
-        return _usage_error("--iterations must be >= 0")
+        raise ValueError("--iterations must be >= 0")
     if args.trials < 0:
-        return _usage_error("--trials must be >= 0")
+        raise ValueError("--trials must be >= 0")
     if args.jobs < 1:
-        return _usage_error("--jobs must be >= 1")
+        raise ValueError("--jobs must be >= 1")
     if args.csv and args.trials == 0:
-        return _usage_error("--csv has no trials to write with --trials 0")
+        raise ValueError("--csv has no trials to write with --trials 0")
     # words 0 and 1 of the --seed stream key the random-promise choice and the trials
     choice_seed, trials_seed = distributions.stream_seeds(args.seed, 2).tolist()
     try:
@@ -182,12 +179,10 @@ def _cmd_compile_run(args) -> int:
         raise ValueError(f"{flag}: {exc}") from None
     x = _parse_input_spec(args.input, entry, choice_seed)
     if x not in entry.function:
-        return _usage_error(f"input {x.values} is outside the promise domain of {args.zoo}")
+        raise ValueError(f"input {x.values} is outside the promise domain of {args.zoo}")
     if not 1 <= args.r <= args.n:
-        return _usage_error(f"--r must lie in [1, {args.n}]")
-    unwritable = _unwritable(args)
-    if unwritable:
-        return _usage_error(unwritable)
+        raise ValueError(f"--r must lie in [1, {args.n}]")
+    _check_writable(args)
     expected = entry.function.value(x)
 
     results: dict = {
@@ -240,22 +235,18 @@ def _cmd_compile_run(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    bad_seed = _bad_seed(args.seed)
-    if bad_seed:
-        return _usage_error(bad_seed)
+    _check_seed(args.seed)
     if args.exact and args.samples is not None:
-        return _usage_error("--samples does not apply to --exact")
+        raise ValueError("--samples does not apply to --exact")
     if args.samples is not None and args.samples < 1:
-        return _usage_error("--samples must be >= 1")
+        raise ValueError("--samples must be >= 1")
     if not args.exact and args.samples is None:
         args.samples = DEFAULT_SAMPLES
     try:
         r_values = [int(v) for v in args.r_list.split(",")]
     except ValueError:
-        return _usage_error(f"--r-list must be comma-separated integers, got {args.r_list!r}")
-    unwritable = _unwritable(args)
-    if unwritable:
-        return _usage_error(unwritable)
+        raise ValueError(f"--r-list must be comma-separated integers, got {args.r_list!r}") from None
+    _check_writable(args)
     try:
         probe = zoo.build_distinguisher(args.algo, args.n)
     except ValueError as exc:  # a probe's only parameter is --n
@@ -583,8 +574,16 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints its errors as `main` does, one `error:` line and exit 2; the
+    usage block prints only with `--help`. Its subparsers share the class."""
+
+    def error(self, message):
+        sys.exit(_usage_error(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsymlab",
         description="Exact query-algorithm simulation and small-range classical compilation",
     )

@@ -452,6 +452,18 @@ class TestCompileRun:
         assert captured.err == f"error: cannot write {out}: {os.strerror(code)}\n"
         assert captured.out == ""
 
+    def test_out_without_write_permission_names_the_reason(self, tmp_path, monkeypatch, capsys):
+        # root may write anywhere, so the permission bit is read through os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        out = tmp_path / "report.json"
+        argv = ["compile-run", "--zoo", "dj", "--n", "4", "--input", "balanced", "--r", "2",
+                "--trials", "5", "--out", str(out)]  # fmt: skip
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {os.strerror(errno.EACCES)}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
         code = cli.main(
@@ -1342,3 +1354,39 @@ class TestZooListing:
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "compile-run"
         assert report["results"]["estimate"]["estimate"] == 1.0
+
+
+class TestParserErrors:
+    """Argparse's own errors print as every other usage error: one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compile-run", "--zoo", "nope", "--n", "4", "--input", "balanced", "--r", "2"],
+             "argument --zoo: invalid choice: 'nope'"),
+            (["compile-run", "--zoo", "dj", "--n", "four", "--input", "balanced", "--r", "2"],
+             "argument --n: invalid int value: 'four'"),
+            (["distinguish", "--algo", "collision-sniffer", "--n", "4"],
+             "the following arguments are required: --r-list"),
+            ([], "the following arguments are required: command"),
+            (["zoo", "list", "--bogus"], "unrecognized arguments: --bogus"),
+            (["zoo", "bad"], "argument action: invalid choice: 'bad'"),
+        ],
+        ids=["unknown-zoo", "non-integer-n", "missing-r-list", "no-command", "unknown-flag", "bad-zoo-action"],
+    )  # fmt: skip
+    def test_one_error_line_and_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {message}")
+
+    def test_help_still_prints_the_usage_block(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compile-run", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: qsymlab compile-run")
+        assert "--zoo" in captured.out and captured.err == ""

@@ -379,6 +379,12 @@ class TestEstimateSuccess:
         with pytest.raises(ValueError, match="jobs must be positive"):
             estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, 3, 8, jobs=jobs)
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trials_below_one_rejected(self, trials):
+        x = InputString(4, 2, (0, 1, 1, 0))
+        with pytest.raises(ValueError, match="^trials must be positive$"):
+            estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, trials, 8)
+
     @pytest.mark.parametrize("trials", [1, 2, 2000])
     def test_trial_seeds_are_the_words_of_the_seed_stream(self, monkeypatch, trials):
         def record_seed(alg, x, r, *, seed, oracles=None, draws=None):

@@ -149,6 +149,21 @@ class TestValidation:
             BooleanFunctionTable(1, 2, {(0,): 2})
 
     @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: InputString(2, 0, (0, 0)), "^M must be positive$"),
+            (lambda: BooleanFunctionTable(0, 2, {}), "^n and M must be positive$"),
+            (lambda: BooleanFunctionTable(2, 0, {}), "^n and M must be positive$"),
+            (lambda: or_table(2).value(InputString(3, 2, (0, 1, 0))), "^input shape does not match"),
+            (lambda: or_table(2).value(InputString(2, 3, (0, 1))), "^input shape does not match"),
+        ],
+        ids=["input-M", "table-n", "table-M", "value-n", "value-M"],
+    )
+    def test_sizes_and_shapes_checked(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize(
         "key, message",
         [
             ((0.7, 1), r"^entry 0\.7 is not an integer$"),

@@ -91,6 +91,11 @@ class TestAdvantageExact:
 
 
 class TestAdvantageMonteCarlo:
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="^samples must be positive$"):
+            advantage_monte_carlo(collision_sniffer(4).algorithm, 4, 2, samples, 11)
+
     def test_matches_exact_within_four_sigma(self):
         probe = collision_sniffer(4)
         exact = advantage_exact(probe.algorithm, 4, 2)

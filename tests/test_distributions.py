@@ -425,6 +425,8 @@ class TestSampleSmallRange:
             SmallRangeParams(4, 5)
         with pytest.raises(ValueError):
             SmallRangeParams(4, 0)
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            SmallRangeParams(0, 1)
 
 
 class TestSamplePermutation:

@@ -565,6 +565,22 @@ class TestComposedOracle:
         with pytest.raises(ValueError, match="ancilla"):
             comp.apply_tensor(basis_state(bad_layout, (0, 0, 0)), 0, 1)
 
+    @pytest.mark.parametrize(
+        "ancilla, message",
+        [
+            (0, "^ancilla register collides with the oracle-call registers$"),
+            (1, "^ancilla register collides with the oracle-call registers$"),
+            (3, "^ancilla register 3 outside layout$"),
+        ],
+        ids=["index-reg", "value-reg", "outside"],
+    )
+    def test_misplaced_ancilla_rejected(self, ancilla, message):
+        x = InputString(4, 3, (0, 2, 2, 1))
+        g = IndexFunction(4, (0, 3, 2, 1))
+        comp = ComposedOracle(StandardOracle(x), StandardOracle(g), ancilla)
+        with pytest.raises(ValueError, match=message):
+            comp.apply_tensor(basis_state(gadget_layout(4, 3)), 0, 1)
+
     def test_inner_oracles_must_chain(self):
         x = InputString(3, 2, (0, 1, 1))
         g = IndexFunction(4, (0, 3, 2, 1))

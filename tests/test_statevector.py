@@ -482,10 +482,36 @@ class TestAlgorithmValidation:
             (lambda: Unitary(np.eye(2), ()), "^a unitary step needs at least one target register$"),
             (lambda: Unitary(np.eye(4), (1, 1)), r"^duplicate target registers: \(1, 1\)$"),
             (lambda: OracleCall(1, 1), "^oracle call needs two distinct registers$"),
+            (lambda: Unitary([[1, 0, 0]], (0,)), r"^expected a square matrix, got shape \(1, 3\)$"),
         ],
-        ids=["non-unitary", "no-targets", "duplicate-targets", "oracle-call"],
+        ids=["non-unitary", "no-targets", "duplicate-targets", "oracle-call", "non-square"],
     )
     def test_step_checks_itself_at_construction(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: RegisterLayout((2, 0)), r"^register dimensions must be >= 1, got \(2, 0\)$"),
+            (lambda: OutputRule((0, 0), frozenset()), "^output registers must be distinct$"),
+            (lambda: OutputRule((0,), frozenset({(0, 1)})), r"^outcome \(0, 1\) has wrong arity$"),
+            (
+                lambda: apply_unitary(basis_state(RegisterLayout((2,))), np.eye(2), 1),
+                "^target register 1 outside layout of 1 registers$",
+            ),
+            (
+                lambda: QueryAlgorithm(RegisterLayout((2, 2)), (OracleCall(0, 2),), OutputRule((0,), frozenset())),
+                "^oracle call register 2 outside layout$",
+            ),
+            (
+                lambda: QueryAlgorithm(RegisterLayout((2, 2)), (), OutputRule((2,), frozenset())),
+                "^output register 2 outside layout$",
+            ),
+        ],
+        ids=["layout-dim", "output-duplicate", "outcome-arity", "target", "oracle-register", "output-register"],
+    )
+    def test_layout_and_registers_checked(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
 

@@ -213,6 +213,11 @@ class TestConstant:
     def test_zero_queries(self):
         assert query_count(constant_function(1).algorithm) == 0
 
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_bad_bit_rejected(self, bit):
+        with pytest.raises(ValueError, match="^bit must be 0 or 1$"):
+            constant_function(bit)
+
     def test_function_is_symmetric(self):
         assert is_symmetric_first_type(constant_function(0, n=3).function)
 
