@@ -2,8 +2,9 @@
 one-shot invariant suite, and the algorithm catalog.
 
 Exit codes: 0 success, 1 failed property or assertion, 2 usage error. Checks
-raise where they find the problem; `main` alone turns a ValueError, IndexError
-or MemoryError into exit 2 and one `error:` line, as the parser does its own.
+raise or warn where they find the problem; `main` alone prints both: a
+ValueError, IndexError, MemoryError or closed stdout as exit 2 and one `error:`
+line, as the parser does its own, and each warning shown as one `warning:` line.
 This module alone owns the report format: JSON (plus CSV with `--csv`)
 built from the plain records of `compiler` and `disting`, whose `params`
 echo the flags; rerunning a command with the same flags and seed reproduces
@@ -22,6 +23,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -256,17 +258,10 @@ def _cmd_distinguish(args) -> int:
             distributions.SmallRangeParams(args.n, r)
         except ValueError as exc:
             raise ValueError(f"--r-list {r}: {exc}") from None
-    deduped = []
-    for r in r_values:
-        if r in deduped:
-            # one line, not a warning with its source line; `sweep_r` warns library callers
-            print(f"warning: duplicate r value {r} dropped", file=sys.stderr)
-        else:
-            deduped.append(r)
     reports = disting.sweep_r(
         probe.algorithm,
         args.n,
-        deduped,
+        r_values,
         args.samples,
         args.seed,
         exact=args.exact,
@@ -633,11 +628,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # read once before any work, so a malformed value is not blamed on a flag
-        distributions.enumeration_budget()
-        return args.func(args)
+        with warnings.catch_warnings():  # each shown warning is one line, repeats too
+            warnings.filterwarnings("always", category=UserWarning)
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            # read once before any work, so a malformed value is not blamed on a flag
+            distributions.enumeration_budget()
+            return args.func(args)
     except (ValueError, IndexError, MemoryError) as exc:  # bad input or no memory
         return _usage_error(_reason(exc))
+    except BrokenPipeError as exc:  # a reader such as `head` closed stdout early
+        # the flush at exit then writes to devnull, not to the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _usage_error(f"cannot write <stdout>: {exc.strerror}")
 
 
 if __name__ == "__main__":

@@ -193,9 +193,10 @@ def sweep_r(
     exact: bool = False,
     algorithm_id: str = "anonymous",
 ) -> list[AdvantageReport]:
-    """One report per r; duplicates are dropped with a warning. An exact sweep
-    builds its permutation oracles once for all r; a sampled one seeds report
-    k with word k of `seed`'s stream."""
+    """One report per r. This is the one place a duplicate r is dropped, each
+    with a UserWarning, which the CLI prints as one `warning:` line. An exact
+    sweep builds its permutation oracles once for all r; a sampled one seeds
+    report k with word k of `seed`'s stream."""
     deduped: list[int] = []
     for r in r_values:
         if r in deduped:

@@ -3,6 +3,10 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1319,6 +1323,21 @@ class TestVerify:
         monkeypatch.setattr(oracles.ComposedOracle, "apply_tensor", skip_uncompute)
         assert cli.main(["verify"]) == 1
 
+    def test_closed_stdout_is_one_error_line(self):
+        # unbuffered, so each check's line is written as it prints, and the
+        # first write after the reader closes the pipe fails inside the suite
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"}
+        with subprocess.Popen(
+            [sys.executable, "-m", "qsymlab", "verify"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            assert proc.stdout.readline().startswith("PASS  gadget exactness")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+            assert proc.stderr.read() == "error: cannot write <stdout>: Broken pipe\n"
+
 
 class TestZooListing:
     def test_lists_all_ids(self, capsys):
@@ -1354,6 +1373,34 @@ class TestZooListing:
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "compile-run"
         assert report["results"]["estimate"]["estimate"] == 1.0
+
+
+class TestWarnings:
+    """`main` prints each warning it shows as one `warning:` line, and adds a
+    filter for UserWarning only."""
+
+    def warn_in_zoo(self, monkeypatch, category):
+        def command(args):
+            warnings.warn("from inside the command", category)
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_zoo", command)
+
+    def test_deprecation_still_raises_under_an_error_filter(self, monkeypatch):
+        self.warn_in_zoo(monkeypatch, DeprecationWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeprecationWarning, match="from inside the command"):
+                cli.main(["zoo", "list"])
+
+    def test_runtime_warning_is_one_line(self, monkeypatch, capsys):
+        self.warn_in_zoo(monkeypatch, RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            shown = warnings.showwarning
+            assert cli.main(["zoo", "list"]) == 0
+            assert warnings.showwarning is shown
+        assert capsys.readouterr().err == "warning: from inside the command\n"
 
 
 class TestParserErrors:

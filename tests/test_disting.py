@@ -395,9 +395,13 @@ class TestSweep:
         assert [p for p in products if p > 10**7] == [39_916_800]
 
     def test_duplicates_warn_and_dedupe(self):
+        # one warning per dropped r, the first of each kept
         probe = collision_sniffer(4)
-        with pytest.warns(UserWarning, match="duplicate"):
-            reports = sweep_r(probe.algorithm, 4, [2, 2, 3], 20, 1)
+        with pytest.warns(UserWarning) as record:
+            reports = sweep_r(probe.algorithm, 4, [2, 2, 3, 2, 3], 20, 1)
+        assert [str(w.message) for w in record] == [
+            "duplicate r value 2 dropped", "duplicate r value 2 dropped", "duplicate r value 3 dropped",
+        ]  # fmt: skip
         assert [rep.r for rep in reports] == [2, 3]
 
     def test_report_k_is_seeded_by_word_k_and_replays(self):
