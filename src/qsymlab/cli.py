@@ -417,7 +417,7 @@ def _check_compiled_equals_direct() -> None:
     )
     if dist != direct:
         raise AssertionError("compiled path deviates from direct simulation")
-    if used > 4 or used != len(core.image(fixed)):
+    if used > 4 or used != len(set(fixed.values)):
         raise AssertionError("classical lookup accounting is off")
 
 

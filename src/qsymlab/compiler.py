@@ -235,6 +235,11 @@ def _run_trials(
     return results
 
 
+def _check_expected_bit(expected_bit: int) -> None:
+    if expected_bit not in (0, 1):
+        raise ValueError(f"expected_bit must be 0 or 1, got {expected_bit}")
+
+
 def estimate_success(
     alg: QueryAlgorithm,
     x: InputString,
@@ -252,6 +257,7 @@ def estimate_success(
     otherwise `_run_trials` runs in this process.
     A trial depends on its seed alone, so the results do not depend on `jobs`.
     """
+    _check_expected_bit(expected_bit)
     params = SmallRangeParams(x.n, r)
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -289,6 +295,7 @@ def exact_success(alg: QueryAlgorithm, x: InputString, expected_bit: int, r: int
     Maps that compose x to the same table share one oracle; the support
     holds at least one map per table, so the oracles never outnumber it.
     """
+    _check_expected_bit(expected_bit)
     support = enumerate_small_range_support(SmallRangeParams(x.n, r))
     alg = _amplified(alg)
     oracles: dict = {}

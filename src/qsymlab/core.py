@@ -162,11 +162,6 @@ def compose_input(x: InputString, g: IndexFunction) -> InputString:
     return InputString(x.n, x.M, tuple(x.values[g.values[i]] for i in range(x.n)))
 
 
-def image(g: IndexFunction) -> frozenset[int]:
-    """The set of values g attains."""
-    return frozenset(g.values)
-
-
 def _swap(size: int, k: int) -> tuple[int, ...]:
     """The permutation of range(size) that swaps k and k + 1."""
     return (*range(k), k + 1, k, *range(k + 2, size))

@@ -54,7 +54,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import IndexFunction, index_map_block
+from .core import IndexFunction, _as_ints, index_map_block
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 # ints per block, unless one row is wider: the row ints `stream_blocks` draws, the
@@ -76,12 +76,15 @@ def enumeration_budget() -> int:
 
 @dataclass(frozen=True)
 class SmallRangeParams:
-    """Map size n and image budget r; the library's one check that r lies in [1, n]."""
+    """Map size n and image budget r, as ints; the library's one check that r lies in [1, n]."""
 
     n: int
     r: int
 
     def __post_init__(self) -> None:
+        n, r = _as_ints((self.n, self.r), "n or r value")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
         if self.n < 1:
             raise ValueError("n must be positive")
         if not 1 <= self.r <= self.n:
@@ -157,7 +160,10 @@ class WeightedSupport:
             raise ValueError(
                 f"the support walk codes words as int64, so it needs r^n < 2^63, got {r}^{n}"
             )
-        per_block = maps_per_block or max(1, _BLOCK_INTS // n)
+        if maps_per_block is None:
+            maps_per_block = max(1, _BLOCK_INTS // n)
+        elif maps_per_block < 1:
+            raise ValueError(f"maps_per_block must be positive, got {maps_per_block}")
         for k, (mass, size) in enumerate(zip(self.masses, self._sizes), start=1):
             words = _onto_words(n, k)
             m = len(words)
@@ -172,8 +178,8 @@ class WeightedSupport:
             if made != size:
                 raise ValueError(f"image size {k} yielded {made} maps, not {size}")
             # map i is word i % m onto cell set i // m: a sorted cell set keeps the words' order
-            for start in range(0, made, per_block):
-                stop = min(start + per_block, made)
+            for start in range(0, made, maps_per_block):
+                stop = min(start + maps_per_block, made)
                 pieces = [
                     cell_sets[c].take(words[max(start - c * m, 0) : stop - c * m])
                     for c in range(start // m, (stop - 1) // m + 1)
@@ -347,7 +353,3 @@ def enumerate_small_range_support(params: SmallRangeParams) -> WeightedSupport:
         for k in range(1, r + 1)
     )
     return WeightedSupport(params, tuple(masses))
-
-
-def is_injective(g: IndexFunction) -> bool:
-    return len(set(g.values)) == g.n

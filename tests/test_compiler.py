@@ -22,7 +22,7 @@ from qsymlab.compiler import (
     wilson_interval,
     with_gadget_ancilla,
 )
-from qsymlab.core import IndexFunction, InputString, compose_input, image
+from qsymlab.core import IndexFunction, InputString, compose_input
 from qsymlab.distributions import (
     SmallRangeParams,
     enumerate_small_range_support,
@@ -193,7 +193,7 @@ class TestCompiledDistribution:
                 StandardOracle(compose_input(x, fixed)),
             )
             assert dist == direct
-            assert used == len(image(fixed))
+            assert used == len(set(fixed.values))
 
     def test_lookup_counter_is_image_size(self):
         entry = deutsch_jozsa(8)
@@ -447,6 +447,25 @@ class TestExactSuccess:
         est = estimate_success(entry.algorithm, x, 1, n, 2000, 10)
         sigma = math.sqrt(expected * (1 - expected) / 2000)
         assert abs(est.estimate - expected) <= 4 * sigma
+
+
+@pytest.mark.parametrize(
+    "success",
+    [
+        lambda alg, x, bit: estimate_success(alg, x, bit, 2, 50, 1),
+        lambda alg, x, bit: exact_success(alg, x, bit, 2),
+    ],
+    ids=["estimate", "exact"],
+)
+@pytest.mark.parametrize("expected_bit", [2, -1])
+def test_bad_expected_bit_rejected_before_any_work(monkeypatch, success, expected_bit):
+    calls = []
+    for name in ("run", "stream_seeds", "enumerate_small_range_support"):
+        monkeypatch.setattr(compiler, name, lambda *args, name=name: calls.append(name))
+    x = InputString(4, 2, (0, 1, 1, 0))
+    with pytest.raises(ValueError, match=f"^expected_bit must be 0 or 1, got {expected_bit}$"):
+        success(deutsch_jozsa(4).algorithm, x, expected_bit)
+    assert calls == []  # no seed drawn, no support walked, no run
 
 
 def per_map_exact_success(alg, x, expected_bit, r):

@@ -14,7 +14,6 @@ from qsymlab.core import (
     InputString,
     compose_input,
     first_type_asymmetry_witness,
-    image,
     index_map_block,
     is_symmetric_first_type,
     is_symmetric_second_type,
@@ -61,22 +60,6 @@ class TestCompose:
         h = IndexFunction(n, tuple(data.draw(st.integers(0, n - 1)) for _ in range(n)))
         g_after_h = IndexFunction(n, tuple(g.values[v] for v in h.values))
         assert compose_input(compose_input(x, g), h) == compose_input(x, g_after_h)
-
-
-class TestImage:
-    def test_small_range(self):
-        assert image(IndexFunction(4, (1, 1, 3, 3))) == {1, 3}
-
-    def test_identity_is_full(self):
-        assert image(IndexFunction.identity(4)) == {0, 1, 2, 3}
-
-    def test_constant(self):
-        assert image(IndexFunction(5, (0, 0, 0, 0, 0))) == {0}
-
-    def test_full_image_iff_injective(self):
-        for values in itertools.product(range(3), repeat=3):
-            g = IndexFunction(3, values)
-            assert (len(image(g)) == 3) == (len(set(values)) == 3)
 
 
 class TestValidation:

@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsymlab import distributions
-from qsymlab.core import IndexFunction, image, index_map_block
+from qsymlab.core import IndexFunction, index_map_block
 from qsymlab.distributions import (
     SmallRangeParams,
     WeightedSupport,
     enumerate_small_range_support,
     enumeration_budget,
-    is_injective,
     sample_permutation,
     sample_small_range,
     sample_small_range_block,
@@ -393,7 +392,7 @@ class TestSampleSmallRange:
     def test_r_one_is_constant(self):
         params = SmallRangeParams(6, 1)
         for draws, _ in stream_rows(params.bounds, stream_seeds(0, 50)):
-            assert len(image(IndexFunction(6, sample_small_range(params, draws)))) == 1
+            assert len(set(IndexFunction(6, sample_small_range(params, draws)).values)) == 1
 
     def test_identity_frequency_at_two(self):
         # exact mass of the identity at n=2, r=2 is 1/4
@@ -409,7 +408,7 @@ class TestSampleSmallRange:
     def test_image_bound_large_n(self):
         params = SmallRangeParams(16, 4)
         for draws, _ in stream_rows(params.bounds, stream_seeds(2, 10_000)):
-            assert len(image(IndexFunction(16, sample_small_range(params, draws)))) <= 4
+            assert len(set(IndexFunction(16, sample_small_range(params, draws)).values)) <= 4
 
     @settings(max_examples=40)
     @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**64 - 1))
@@ -418,7 +417,7 @@ class TestSampleSmallRange:
             r = n
         params = SmallRangeParams(n, r)
         ((draws, _),) = stream_rows(params.bounds, [seed])
-        assert len(image(IndexFunction(n, sample_small_range(params, draws)))) <= r
+        assert len(set(IndexFunction(n, sample_small_range(params, draws)).values)) <= r
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -427,6 +426,13 @@ class TestSampleSmallRange:
             SmallRangeParams(4, 0)
         with pytest.raises(ValueError, match="^n must be positive$"):
             SmallRangeParams(0, 1)
+        with pytest.raises(ValueError, match="^n or r value 2.5 is not an integer$"):
+            SmallRangeParams(4, 2.5)
+        with pytest.raises(ValueError, match="^n or r value 4.5 is not an integer$"):
+            SmallRangeParams(4.5, 2)
+        params = SmallRangeParams(4.0, 2.0)
+        assert (params.n, params.r) == (4, 2) and type(params.n) is type(params.r) is int
+        assert params.bounds == (2, 2, 2, 2, 4, 3)
 
 
 class TestSamplePermutation:
@@ -436,7 +442,7 @@ class TestSamplePermutation:
 
     def test_always_injective(self):
         for swaps, _ in stream_rows(range(5, 0, -1), stream_seeds(4, 200)):
-            assert is_injective(IndexFunction(5, sample_permutation(5, swaps)))
+            assert len(set(IndexFunction(5, sample_permutation(5, swaps)).values)) == 5
 
     def test_uniform_at_three(self):
         draws = 60_000
@@ -476,7 +482,7 @@ class TestEnumerator:
         # at r = n the distribution still puts half its mass on collisions
         support = enumerate_small_range_support(SmallRangeParams(2, 2))
         non_injective = sum(
-            (p for g, p in _walked(support) if not is_injective(IndexFunction(2, g))), Fraction(0)
+            (p for g, p in _walked(support) if len(set(g)) < 2), Fraction(0)
         )
         assert non_injective == Fraction(1, 2)
 
@@ -554,6 +560,13 @@ class TestStreamedSupport:
         support = enumerate_small_range_support(SmallRangeParams(n, r))
         walked = [(block.tolist(), mass) for block, mass in support.blocks(per_block)]
         assert walked == list(_product_walk(support, per_block or max(1, 4096 // n)))
+
+    @pytest.mark.parametrize("per_block", [0, -1])
+    def test_blocks_below_one_map_rejected(self, per_block):
+        support = enumerate_small_range_support(SmallRangeParams(3, 2))
+        message = f"^maps_per_block must be positive, got {per_block}$"
+        with pytest.raises(ValueError, match=message):
+            next(support.blocks(per_block))
 
     def test_walk_refuses_codes_past_int64_before_decoding(self, monkeypatch):
         monkeypatch.setenv("QSYMLAB_BUDGET", str(10**23))
@@ -642,11 +655,3 @@ class TestStreamedSupport:
     def test_one_mass_per_image_size(self):
         with pytest.raises(ValueError, match="one mass per image size 1..2, got 1"):
             WeightedSupport(SmallRangeParams(2, 2), (Fraction(1, 2),))
-
-
-class TestIsInjective:
-    def test_identity(self):
-        assert is_injective(IndexFunction.identity(4))
-
-    def test_constant(self):
-        assert not is_injective(IndexFunction(3, (1, 1, 1)))
