@@ -158,6 +158,14 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"a stream seed must lie in [0, 2^64), got {seed}")
 
 
+def _check_r(flag: str, n: int, r: int) -> None:
+    """Raise unless `SmallRangeParams` takes (n, r), naming the flag and the value."""
+    try:
+        distributions.SmallRangeParams(n, r)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {r}: {exc}") from None
+
+
 def _cmd_compile_run(args) -> int:
     _check_seed(args.seed)
     if args.iterations is not None and args.zoo != "grover":
@@ -182,8 +190,7 @@ def _cmd_compile_run(args) -> int:
     x = _parse_input_spec(args.input, entry, choice_seed)
     if x not in entry.function:
         raise ValueError(f"input {x.values} is outside the promise domain of {args.zoo}")
-    if not 1 <= args.r <= args.n:
-        raise ValueError(f"--r must lie in [1, {args.n}]")
+    _check_r("--r", args.n, args.r)
     _check_writable(args)
     expected = entry.function.value(x)
 
@@ -254,10 +261,7 @@ def _cmd_distinguish(args) -> int:
     except ValueError as exc:  # a probe's only parameter is --n
         raise ValueError(f"--n {args.n}: {exc}") from None
     for r in r_values:
-        try:
-            distributions.SmallRangeParams(args.n, r)
-        except ValueError as exc:
-            raise ValueError(f"--r-list {r}: {exc}") from None
+        _check_r("--r-list", args.n, r)
     reports = disting.sweep_r(
         probe.algorithm,
         args.n,

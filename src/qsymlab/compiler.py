@@ -54,7 +54,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import InputString, index_map_block
+from .core import InputString, _as_ints, index_map_block
 from .distributions import (
     SmallRangeParams,
     enumerate_small_range_support,
@@ -259,8 +259,10 @@ def estimate_success(
     """
     _check_expected_bit(expected_bit)
     params = SmallRangeParams(x.n, r)
+    (trials,) = _as_ints([trials], "trials value")
     if trials < 1:
         raise ValueError("trials must be positive")
+    (jobs,) = _as_ints([jobs], "jobs value")
     if jobs < 1:
         raise ValueError("jobs must be positive")
     alg = _amplified(alg)

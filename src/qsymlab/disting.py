@@ -13,23 +13,23 @@ seed keys its rows: word i of its stream seeds permutation row i and word
 samples + i seeds small-range row i, so no two rows share a word and
 `advantage_monte_carlo(..., seed=report.seed)` replays the report alone.
 
-An exact sweep checks the n! permutations and the largest r's support
-against the enumeration budget before it builds or simulates anything. It
-builds each permutation's oracle once, for all r, and runs it once per r;
-each r enumerates its own support.
+The exact sweep is one `advantage_exact` call for all r. It checks every r,
+the n! permutations and the largest r's support against the enumeration
+budget before any build or run, builds each permutation's oracle once and
+runs it once per r; each r enumerates its own support.
 
-Both sweeps build their oracles with one chunker, `_stacked_oracles`: it
-checks a stack of maps once by `core.index_map_block`, and
-`oracles.index_map_oracles` hands out its rows as the oracles of one stack,
-whose first call of each kind builds the gather sources of the whole stack.
-A stack holds at most max(1, ints // N) maps for a state of N amplitudes,
-so its sources hold at most about `ints` ints per oracle call. An exact
-sweep stacks the permutations with 4096 ints and walks each support in
-blocks of the same size. A sampled sweep samples each row's values alone, one
-sampler call per row of the side's stream (`distributions.stream_rows`),
-and stacks the rows with 2^16 ints (512 KB), 256 rows at n = 16; a stack
-may span stream blocks. Every map is run as often, and in the same order,
-as a map-at-a-time loop would run it, so the reports do not change.
+Each oracle is a row of a stack that `oracles.index_map_oracles` builds
+from one checked `core.index_map_block`; its first call of each kind builds
+the gather sources of the whole stack. A stack holds at most
+max(1, ints // N) maps for a state of N amplitudes, so its sources hold at
+most about `ints` ints per oracle call. The chunker `_stacked_oracles`
+checks and stacks maps that come one at a time: the exact permutations
+with 4096 ints, and a sampled sweep's rows, one sampler call per row of
+the side's stream (`distributions.stream_rows`), with 2^16 ints (512 KB),
+256 rows at n = 16; a stack may span stream blocks. Each exact support
+block of max(1, 4096 // N) maps, from `WeightedSupport.blocks`, is one
+stack. Every map is run as often, and in the same order, as a
+map-at-a-time loop would run it, so the reports do not change.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .compiler import Z_95
-from .core import index_map_block
+from .core import _as_ints, index_map_block
 from .distributions import (
     _BLOCK_INTS,
     SmallRangeParams,
@@ -94,13 +94,6 @@ class AdvantageReport:
         object.__setattr__(self, "advantage", advantage)
 
 
-def advantage_exact(
-    algorithm: QueryAlgorithm, n: int, r: int, algorithm_id: str = "anonymous"
-) -> AdvantageReport:
-    """Exact advantage: enumerate all permutations and the full support."""
-    return _exact_reports(algorithm, [SmallRangeParams(n, r)], algorithm_id)[0]
-
-
 def _stacked_oracles(
     algorithm: QueryAlgorithm, n: int, maps: Iterable[Sequence[int]], stack_ints: int
 ) -> Iterator[StandardOracle]:
@@ -112,9 +105,11 @@ def _stacked_oracles(
         yield from index_map_oracles(index_map_block(n, chunk))
 
 
-def _exact_reports(
-    algorithm: QueryAlgorithm, params: Sequence[SmallRangeParams], algorithm_id: str
+def advantage_exact(
+    algorithm: QueryAlgorithm, n: int, r_values: Sequence[int], algorithm_id: str = "anonymous"
 ) -> list[AdvantageReport]:
+    """Exact advantage at each r, in order: all n! permutations against each r's support."""
+    params = [SmallRangeParams(n, r) for r in r_values]  # every r is checked before any work
     if not params:
         return []
     n = params[0].n
@@ -157,6 +152,7 @@ def advantage_monte_carlo(
     algorithm_id: str = "anonymous",
 ) -> AdvantageReport:
     """Sampled advantage; randomness is over the oracle draws only."""
+    (samples,) = _as_ints([samples], "samples value")
     if samples < 1:
         raise ValueError("samples must be positive")
     params = SmallRangeParams(n, r)
@@ -195,17 +191,18 @@ def sweep_r(
 ) -> list[AdvantageReport]:
     """One report per r. This is the one place a duplicate r is dropped, each
     with a UserWarning, which the CLI prints as one `warning:` line. An exact
-    sweep builds its permutation oracles once for all r; a sampled one seeds
-    report k with word k of `seed`'s stream."""
+    sweep is one `advantage_exact` call on the kept r values; a sampled one
+    seeds report k with word k of `seed`'s stream."""
     deduped: list[int] = []
     for r in r_values:
         if r in deduped:
             warnings.warn(f"duplicate r value {r} dropped", stacklevel=2)
             continue
         deduped.append(r)
-    params = [SmallRangeParams(n, r) for r in deduped]  # every r is checked before any work
     if exact:
-        return _exact_reports(algorithm, params, algorithm_id)
+        return advantage_exact(algorithm, n, deduped, algorithm_id)
+    for r in deduped:  # every r is checked before any work
+        SmallRangeParams(n, r)
     for name, value in (("samples", samples), ("seed", seed)):
         if value is None:
             raise ValueError(f"a sampled sweep needs {name}")

@@ -154,7 +154,8 @@ class WeightedSupport:
     def blocks(self, maps_per_block: Optional[int] = None) -> Iterator[tuple[np.ndarray, Fraction]]:
         """The maps in walk order as `core.index_map_block` blocks of at most
         `maps_per_block` rows (by default as many as hold `_BLOCK_INTS` ints),
-        all of one image size, each with the exact mass of each of its maps."""
+        all of one image size, each with the exact mass of each of its maps.
+        The arguments are checked when it is called, not at the first block."""
         n, r = self.params.n, self.params.r
         if r**n >= 2**63:  # checked before any word is decoded
             raise ValueError(
@@ -164,6 +165,11 @@ class WeightedSupport:
             maps_per_block = max(1, _BLOCK_INTS // n)
         elif maps_per_block < 1:
             raise ValueError(f"maps_per_block must be positive, got {maps_per_block}")
+        return self._blocks(maps_per_block)
+
+    def _blocks(self, maps_per_block: int) -> Iterator[tuple[np.ndarray, Fraction]]:
+        """The walk of `blocks`, after its checks."""
+        n = self.params.n
         for k, (mass, size) in enumerate(zip(self.masses, self._sizes), start=1):
             words = _onto_words(n, k)
             m = len(words)
@@ -234,15 +240,20 @@ def stream_blocks(bounds: Sequence[int], seeds) -> Iterator[tuple[np.ndarray, np
     (B, len(bounds)) intp array, and its B uniforms in [0, 1) as float64.
 
     The words each seed takes are in the module docstring. A block holds at
-    most `_BLOCK_INTS` row ints, unless one row is wider.
+    most `_BLOCK_INTS` row ints, unless one row is wider. The bounds and
+    seeds are checked when it is called, not at the first block.
     """
     b = np.array(bounds, dtype=np.uint64)
-    width = len(b)
-    if width == 0 or not 1 <= int(b.min()) <= int(b.max()) <= 2**32:
+    if len(b) == 0 or not 1 <= int(b.min()) <= int(b.max()) <= 2**32:
         raise ValueError(f"row bounds must be a non-empty list in [1, 2^32], got {list(bounds)}")
+    return _stream_blocks(b, _as_seeds(seeds))
+
+
+def _stream_blocks(b: np.ndarray, seeds: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The draws of `stream_blocks`, after its checks."""
+    width = len(b)
     threshold = (2**32 - b) % b
     lanes = np.arange(1, width + 1, dtype=np.uint64)
-    seeds = _as_seeds(seeds)
     per_block = max(1, _BLOCK_INTS // width)
     for start in range(0, len(seeds), per_block):
         block = seeds[start : start + per_block, None]
@@ -262,8 +273,8 @@ def stream_blocks(bounds: Sequence[int], seeds) -> Iterator[tuple[np.ndarray, np
 
 def stream_rows(bounds: Sequence[int], seeds) -> Iterator[tuple[list[int], float]]:
     """Each seed's `(row, uniform)` as Python ints and a float: `stream_blocks`, one row at a time."""
-    for rows, uniforms in stream_blocks(bounds, seeds):
-        yield from zip(rows.tolist(), uniforms.tolist())
+    blocks = stream_blocks(bounds, seeds)  # checks now, not at the first row
+    return (pair for rows, uniforms in blocks for pair in zip(rows.tolist(), uniforms.tolist()))
 
 
 def _check_row(draws: list[int], width: int, kind: str) -> None:

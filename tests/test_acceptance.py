@@ -219,15 +219,15 @@ def test_criterion_7_distinguisher_sanity(tmp_path):
     from qsymlab.disting import advantage_exact, advantage_monte_carlo
 
     zero = zero_query_probe(8)
-    assert advantage_exact(zero.algorithm, 8, 1).advantage == 0.0
-    assert advantage_exact(zero_query_probe(4).algorithm, 4, 4).advantage == 0.0
+    assert advantage_exact(zero.algorithm, 8, [1])[0].advantage == 0.0
+    assert advantage_exact(zero_query_probe(4).algorithm, 4, [4])[0].advantage == 0.0
     # full-range support at n=8 is not enumerable; sampling is still exact
     # for a 0-query circuit because every per-oracle probability coincides
     mc_zero = advantage_monte_carlo(zero.algorithm, 8, 8, 200, 44)
     assert mc_zero.advantage == 0.0
 
     probe = collision_sniffer(4)
-    exact = advantage_exact(probe.algorithm, 4, 2, algorithm_id=probe.id)
+    exact = advantage_exact(probe.algorithm, 4, [2], algorithm_id=probe.id)[0]
     sampled = advantage_monte_carlo(
         probe.algorithm, 4, 2, 3000, 13, algorithm_id=probe.id
     )

@@ -233,6 +233,15 @@ class TestCompileRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("r", ["9", "0", "-1"])
+    def test_r_out_of_range_names_the_flag(self, tmp_path, capsys, r):
+        # the same rule and message as each entry of distinguish's --r-list
+        out = tmp_path / "r.json"
+        argv = ["compile-run", "--zoo", "dj", "--n", "4", "--input", "balanced", "--r", r]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: --r {r}: r outside [1, 4]: {r}\n")
+        assert not out.exists()
+
     def test_exact_over_budget_is_usage_error(self, capsys):
         code = cli.main(
             [

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -466,6 +467,24 @@ def test_bad_expected_bit_rejected_before_any_work(monkeypatch, success, expecte
     with pytest.raises(ValueError, match=f"^expected_bit must be 0 or 1, got {expected_bit}$"):
         success(deutsch_jozsa(4).algorithm, x, expected_bit)
     assert calls == []  # no seed drawn, no support walked, no run
+
+
+@pytest.mark.parametrize("trials, jobs, bad", [(2.5, 1, "trials value 2.5"), (2, 1.5, "jobs value 1.5")])
+def test_non_integral_trials_or_jobs_rejected_before_any_seed(monkeypatch, trials, jobs, bad):
+    calls = []
+    for name in ("run", "stream_seeds"):
+        monkeypatch.setattr(compiler, name, lambda *args, name=name: calls.append(name))
+    x = InputString(4, 2, (1, 1, 1, 1))
+    with pytest.raises(ValueError, match=f"^{re.escape(bad)} is not an integer$"):
+        estimate_success(deutsch_jozsa(4).algorithm, x, 0, 2, trials, 1, jobs=jobs)
+    assert calls == []
+
+
+def test_integral_float_trials_and_jobs_run_as_ints():
+    x = InputString(4, 2, (1, 1, 1, 1))
+    est = estimate_success(deutsch_jozsa(4).algorithm, x, 0, 2, 2.0, 1, jobs=1.0)
+    assert type(est.trials) is int and est.trials == 2 and len(est.results) == 2
+    assert est == estimate_success(deutsch_jozsa(4).algorithm, x, 0, 2, 2, 1)
 
 
 def per_map_exact_success(alg, x, expected_bit, r):

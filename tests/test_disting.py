@@ -27,39 +27,39 @@ from qsymlab.zoo import collision_sniffer, deutsch_jozsa, zero_query_probe
 class TestAdvantageExact:
     def test_zero_query_is_exactly_zero(self):
         probe = zero_query_probe(4)
-        report = advantage_exact(probe.algorithm, 4, 2, algorithm_id=probe.id)
+        report = advantage_exact(probe.algorithm, 4, [2], algorithm_id=probe.id)[0]
         assert report.advantage == 0.0
 
     def test_constant_output_rule_is_zero(self):
         # the zero-query probe outputs 1 on every oracle, so both sides agree
         probe = zero_query_probe(4)
-        report = advantage_exact(probe.algorithm, 4, 2)
+        report = advantage_exact(probe.algorithm, 4, [2])[0]
         assert report.perm_prob[1] == report.smallrange_prob[1] == pytest.approx(1.0, abs=1e-12)
         assert report.advantage == 0.0
 
     def test_sniffer_regression_value(self):
         # permutations: 1/n = 1/4; image-2 maps: E[k^2 + (n-k)^2]/n^2 = 5/8
         probe = collision_sniffer(4)
-        report = advantage_exact(probe.algorithm, 4, 2, algorithm_id=probe.id)
+        report = advantage_exact(probe.algorithm, 4, [2], algorithm_id=probe.id)[0]
         assert report.perm_prob[1] == pytest.approx(0.25, abs=1e-12)
         assert report.smallrange_prob[1] == pytest.approx(0.625, abs=1e-12)
         assert report.advantage == pytest.approx(0.375, abs=1e-12)
 
     def test_full_range_still_distinguishable(self):
         probe = collision_sniffer(4)
-        report = advantage_exact(probe.algorithm, 4, 4)
+        report = advantage_exact(probe.algorithm, 4, [4])[0]
         assert report.advantage > 0.1
 
     def test_deterministic_and_seedless(self):
         probe = collision_sniffer(4)
-        a = advantage_exact(probe.algorithm, 4, 2)
-        b = advantage_exact(probe.algorithm, 4, 2)
+        a = advantage_exact(probe.algorithm, 4, [2])[0]
+        b = advantage_exact(probe.algorithm, 4, [2])[0]
         assert a == b
         assert a.seed is None
 
     def test_per_bit_magnitudes_coincide(self):
         probe = collision_sniffer(4)
-        rep = advantage_exact(probe.algorithm, 4, 3)
+        rep = advantage_exact(probe.algorithm, 4, [3])[0]
         diff1 = abs(rep.perm_prob[1] - rep.smallrange_prob[1])
         diff0 = abs(rep.perm_prob[0] - rep.smallrange_prob[0])
         assert diff1 == diff0
@@ -68,7 +68,7 @@ class TestAdvantageExact:
         monkeypatch.setenv("QSYMLAB_BUDGET", "5")
         probe = collision_sniffer(4)
         with pytest.raises(ValueError, match="budget"):
-            advantage_exact(probe.algorithm, 4, 2)
+            advantage_exact(probe.algorithm, 4, [2])[0]
 
     def test_over_budget_support_fails_before_simulating(self, monkeypatch):
         # 4! = 24 permutations fit in 100, the 424 maps of image size <= 3 do not
@@ -77,7 +77,7 @@ class TestAdvantageExact:
         monkeypatch.setattr(disting, "run", lambda *args: calls.append(args) or {0: 0.0, 1: 1.0})
         probe = collision_sniffer(4)
         with pytest.raises(ValueError, match="budget"):
-            advantage_exact(probe.algorithm, 4, 3)
+            advantage_exact(probe.algorithm, 4, [3])[0]
         assert calls == []
 
     def test_full_range_within_small_budget(self, monkeypatch):
@@ -85,7 +85,7 @@ class TestAdvantageExact:
         # squared preimage sizes]/n^2 is 7/16 against 1/4 for permutations
         monkeypatch.setenv("QSYMLAB_BUDGET", "1000")
         probe = collision_sniffer(4)
-        report = advantage_exact(probe.algorithm, 4, 4)
+        report = advantage_exact(probe.algorithm, 4, [4])[0]
         assert report.smallrange_prob[1] == pytest.approx(7 / 16, abs=1e-12)
         assert report.advantage == pytest.approx(3 / 16, abs=1e-12)
 
@@ -96,9 +96,21 @@ class TestAdvantageMonteCarlo:
         with pytest.raises(ValueError, match="^samples must be positive$"):
             advantage_monte_carlo(collision_sniffer(4).algorithm, 4, 2, samples, 11)
 
+    def test_non_integral_samples_rejected_before_any_row(self, monkeypatch):
+        calls = []
+        for name in ("run", "stream_rows"):
+            monkeypatch.setattr(disting, name, lambda *args, name=name: calls.append(name))
+        probe = collision_sniffer(4)
+        message = "^samples value 2.5 is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            advantage_monte_carlo(probe.algorithm, 4, 2, 2.5, 11)
+        with pytest.raises(ValueError, match=message):
+            sweep_r(probe.algorithm, 4, [1, 2], 2.5, 11)
+        assert calls == []
+
     def test_matches_exact_within_four_sigma(self):
         probe = collision_sniffer(4)
-        exact = advantage_exact(probe.algorithm, 4, 2)
+        exact = advantage_exact(probe.algorithm, 4, [2])[0]
         sampled = advantage_monte_carlo(probe.algorithm, 4, 2, 3000, 11)
         se = (sampled.ci_high - sampled.ci_low) / (2 * 1.959963984540054)
         assert abs(sampled.advantage - exact.advantage) <= max(4 * se, 1e-12)
@@ -238,7 +250,7 @@ class TestBlockSweepsEqualNaiveLoops:
         probe = collision_sniffer(6)
         tracemalloc.start()
         try:
-            report = advantage_exact(probe.algorithm, 6, 3)
+            report = advantage_exact(probe.algorithm, 6, [3])[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -354,10 +366,35 @@ class TestSweep:
         ] + [id(oracle) for oracle in built[24:]]
         assert [rep.r for rep in reports] == [3, 1, 2]
 
+    def test_exact_sweep_is_one_advantage_exact_call(self, monkeypatch):
+        # the one exact entry: a traced sweep counts one `advantage_exact` call
+        calls = []
+        exact = disting.advantage_exact
+        monkeypatch.setattr(
+            disting, "advantage_exact", lambda *args: calls.append(args[1:]) or exact(*args)
+        )
+        probe = collision_sniffer(4)
+        with pytest.warns(UserWarning, match="duplicate r value 1 dropped"):
+            reports = sweep_r(probe.algorithm, 4, [3, 1, 1, 2], None, None, exact=True, algorithm_id="s")
+        assert calls == [(4, [3, 1, 2], "s")]
+        assert [rep.r for rep in reports] == [3, 1, 2]
+        sweep_r(probe.algorithm, 4, [3, 1, 2], 5, 1)  # a sampled sweep never calls it
+        assert len(calls) == 1
+
+    def test_advantage_exact_checks_every_r_before_any_build(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(disting, "run", lambda *args: calls.append(args))
+        monkeypatch.setattr(disting, "index_map_oracles", lambda *args: calls.append(args))
+        probe = collision_sniffer(4)
+        with pytest.raises(ValueError, match=r"^r outside \[1, 4\]: 5$"):
+            advantage_exact(probe.algorithm, 4, [2, 5])
+        assert calls == []
+        assert advantage_exact(probe.algorithm, 4, []) == []
+
     def test_exact_sweep_equals_per_r_reports(self):
         probe = collision_sniffer(4)
         reports = sweep_r(probe.algorithm, 4, [3, 1, 2], None, None, exact=True, algorithm_id="s")
-        singles = [advantage_exact(probe.algorithm, 4, r, algorithm_id="s") for r in (3, 1, 2)]
+        singles = [advantage_exact(probe.algorithm, 4, [r], algorithm_id="s")[0] for r in (3, 1, 2)]
         assert [dataclasses.asdict(rep) for rep in reports] == [
             dataclasses.asdict(rep) for rep in singles
         ]

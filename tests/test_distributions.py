@@ -249,6 +249,17 @@ class TestStream:
         with pytest.raises(ValueError, match="integer"):
             next(stream_blocks([4, 4], seeds))
 
+    @pytest.mark.parametrize(
+        "bounds, seeds, message",
+        [([], [0], "bounds"), ([2, 0], [0], "bounds"), ([2], [-1], "integer"), ([2], [1.7], "integer")],
+    )
+    def test_stream_checks_its_arguments_when_called(self, bounds, seeds, message):
+        # the call raises, before any row is asked for
+        with pytest.raises(ValueError, match=message):
+            stream_blocks(bounds, seeds)
+        with pytest.raises(ValueError, match=message):
+            stream_rows(bounds, seeds)
+
     def test_integer_arrays_are_their_seeds(self):
         seeds = [0, 5, 2**63 - 1]
         want = [reference_row([4, 3], s) for s in seeds]
@@ -567,6 +578,15 @@ class TestStreamedSupport:
         message = f"^maps_per_block must be positive, got {per_block}$"
         with pytest.raises(ValueError, match=message):
             next(support.blocks(per_block))
+
+    def test_blocks_checks_its_arguments_when_called(self, monkeypatch):
+        support = enumerate_small_range_support(SmallRangeParams(3, 2))
+        with pytest.raises(ValueError, match="^maps_per_block must be positive, got 0$"):
+            support.blocks(0)
+        monkeypatch.setenv("QSYMLAB_BUDGET", str(10**23))
+        wide = enumerate_small_range_support(SmallRangeParams(63, 2))
+        with pytest.raises(ValueError, match=r"needs r\^n < 2\^63, got 2\^63"):
+            wide.blocks()
 
     def test_walk_refuses_codes_past_int64_before_decoding(self, monkeypatch):
         monkeypatch.setenv("QSYMLAB_BUDGET", str(10**23))
