@@ -31,11 +31,11 @@ Each trial has its own seed, word t of the stream of the seed given to
 the output bit's uniform from its own stream: words 1 onwards give the
 row and word 0 the uniform, so no two quantities share a word and the
 recorded seed replays the trial alone (`compile_and_run_once(seed=s)`).
-`_run_trials` takes the trials one stream block at a time: it draws the
-block's rows and uniforms (`stream_blocks`), samples all of its maps at
-once (`sample_small_range_block`), checks them once (`index_map_block`),
-and passes each trial its checked row and uniform. A replay takes the same
-path as a block of one seed.
+Every trial runs in one loop, `_run_trials`, a stream block of seeds at a
+time: it draws the block's rows and uniforms (`stream_blocks`), samples
+all of its maps at once (`sample_small_range_block`) and checks them once
+(`index_map_block`); then, for each row, it runs steps 2-4 with the
+block's oracles and draws the bit. A replay is that loop on one seed.
 
 The input is never touched outside step 2: no oracle over the raw input
 exists on this path, and the function table is never consulted at all (the
@@ -50,13 +50,14 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import InputString, _as_ints, index_map_block
 from .distributions import (
     SmallRangeParams,
+    _as_seeds,
     enumerate_small_range_support,
     sample_small_range_block,
     stream_blocks,
@@ -121,12 +122,17 @@ class CompiledRunResult:
     output_bit: int
     classical_queries_used: int
     sampled_C: tuple[int, ...]
-    C_was_injective: bool
     seed: int
 
     def __post_init__(self) -> None:
         if self.output_bit not in (0, 1):
             raise ValueError("output bit must be 0 or 1")
+
+    @property
+    def C_was_injective(self) -> bool:
+        """Whether the map is injective: its lookup count, which
+        `compiled_distribution` checks is the image size, equals n."""
+        return self.classical_queries_used == len(self.sampled_C)
 
 
 def compiled_distribution(
@@ -155,40 +161,15 @@ def compiled_distribution(
     return run(_amplified(alg), oracle), reader.queries
 
 
-def _sampled_blocks(params: SmallRangeParams, seeds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each stream block of the seeds as its checked (B, n) block of index
-    maps and its B uniforms: one block sampler pass and one check per block."""
-    for draws, uniforms in stream_blocks(params.bounds, seeds):
-        yield index_map_block(params.n, sample_small_range_block(params, draws)), uniforms
-
-
 def compile_and_run_once(
-    alg: QueryAlgorithm,
-    x: InputString,
-    r: int,
-    *,
-    seed: int,
-    oracles: Optional[dict] = None,
-    draws: Optional[tuple[Sequence[int], float]] = None,
+    alg: QueryAlgorithm, x: InputString, r: int, *, seed: int
 ) -> CompiledRunResult:
     """One full compiled trial; the recorded seed replays it exactly.
 
-    `oracles` is passed to `compiled_distribution`: trials on the same x
-    may share it, and a shared oracle gives the same output as a fresh one.
-    `draws` is the trial's `(values, uniform)`: its row of a checked block
-    from `_sampled_blocks`, and its uniform, which `_run_trials` passes.
-    Without it the trial samples and checks its seed's block of one row.
+    It is `_run_trials` on the one seed: a stream block of one row.
     """
-    if draws is None:
-        block, uniforms = next(_sampled_blocks(SmallRangeParams(x.n, r), [seed]))
-        draws = block[0].tolist(), uniforms.item(0)
-    values, uniform = draws
-    dist, used = compiled_distribution(alg, x, values, oracles)
-    if used > r:
-        raise AssertionError(f"classical lookups {used} exceeded budget {r}")
-    bit = 1 if uniform < dist[1] else 0
-    # `used` is the image size (compiled_distribution checks it)
-    return CompiledRunResult(bit, used, tuple(values), used == x.n, seed)
+    [result] = _run_trials(_amplified(alg), x, SmallRangeParams(x.n, r), [seed])
+    return result
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -217,21 +198,22 @@ class SuccessEstimate:
     results: tuple[CompiledRunResult, ...]
 
 
-def _run_trials(
-    alg: QueryAlgorithm, x: InputString, params: SmallRangeParams, seeds: np.ndarray
-) -> list:
+def _run_trials(alg: QueryAlgorithm, x: InputString, params: SmallRangeParams, seeds) -> list:
     """One compiled trial per seed, in order, a stream block of trials at a
     time; the trials of a block share one oracle per composed table."""
-    trial_seeds = iter(seeds.tolist())
+    seeds = _as_seeds(seeds)
+    trial_seeds = iter(seeds.tolist())  # Python ints, whatever integers were passed
     results = []
-    for block, uniforms in _sampled_blocks(params, seeds):
+    for draws, uniforms in stream_blocks(params.bounds, seeds):
+        block = index_map_block(params.n, sample_small_range_block(params, draws))
         oracles: dict = {}
         # the shared seed iterator goes last: zip stops on the block's end
         # before it takes a seed that belongs to the next block
-        results += [
-            compile_and_run_once(alg, x, params.r, seed=seed, oracles=oracles, draws=(values, u))
-            for values, u, seed in zip(block.tolist(), uniforms.tolist(), trial_seeds)
-        ]
+        for values, u, seed in zip(block.tolist(), uniforms.tolist(), trial_seeds):
+            dist, used = compiled_distribution(alg, x, values, oracles)
+            if used > params.r:
+                raise AssertionError(f"classical lookups {used} exceeded budget {params.r}")
+            results.append(CompiledRunResult(1 if u < dist[1] else 0, used, tuple(values), seed))
     return results
 
 

@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import json
 import math
 import os
 import pickle
@@ -8,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qsymlab import compiler, distributions, oracles, statevector
@@ -256,17 +259,23 @@ class TestCompileAndRunOnce:
         with pytest.raises(TypeError, match="seed"):
             compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2)
 
-    def test_passed_draws_are_the_seeds_own(self):
-        # the checked row and uniform a trial is passed, made by the row sampler
-        params = SmallRangeParams(4, 2)
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    def test_numpy_seed_records_an_int(self, kind):
         x = InputString(4, 2, (0, 1, 1, 0))
-        row, uniform = next(stream_rows(params.bounds, [5]))
-        values = sample_small_range(params, row)
-        passed = compile_and_run_once(
-            deutsch_jozsa(4).algorithm, x, 2, seed=5, draws=(values, uniform)
-        )
-        assert passed.sampled_C == values
-        assert passed == compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5)
+        replay = compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=kind(5))
+        assert type(replay.seed) is int
+        assert replay == compile_and_run_once(deutsch_jozsa(4).algorithm, x, 2, seed=5)
+        assert json.loads(json.dumps(dataclasses.asdict(replay)))["seed"] == 5
+
+    def test_injective_is_read_off_the_lookups(self):
+        x = InputString(4, 2, (0, 1, 1, 0))
+        alg = deutsch_jozsa(4).algorithm
+        results = [compile_and_run_once(alg, x, 4, seed=s) for s in range(40)]
+        assert {t.C_was_injective for t in results} == {False, True}
+        for t in results:
+            assert t.C_was_injective == (len(set(t.sampled_C)) == 4)
+        with pytest.raises(AttributeError):
+            results[0].C_was_injective = True
 
     def test_replay_samples_and_checks_a_block_of_one_seed(self, count_calls):
         entry = deutsch_jozsa(4)
@@ -387,11 +396,7 @@ class TestEstimateSuccess:
             estimate_success(deutsch_jozsa(4).algorithm, x, 1, 4, trials, 8)
 
     @pytest.mark.parametrize("trials", [1, 2, 2000])
-    def test_trial_seeds_are_the_words_of_the_seed_stream(self, monkeypatch, trials):
-        def record_seed(alg, x, r, *, seed, oracles=None, draws=None):
-            return CompiledRunResult(0, 1, (0, 0, 0, 0), False, seed)
-
-        monkeypatch.setattr(compiler, "compile_and_run_once", record_seed)
+    def test_trial_seeds_are_the_words_of_the_seed_stream(self, trials):
         x = InputString(4, 2, (0, 1, 1, 0))
         for seed in (0, 1, 8, 2**32 + 5, 2**64 - 1):
             est = estimate_success(deutsch_jozsa(4).algorithm, x, 0, 4, trials, seed)
@@ -572,7 +577,7 @@ def fresh_oracle_trials(alg, x, r, trials, seed):
     for s, (row, uniform) in zip(seeds, stream_rows(params.bounds, seeds)):
         values = sample_small_range(params, row)
         dist, used = compiled_distribution(alg, x, values)
-        results.append(CompiledRunResult(int(uniform < dist[1]), used, values, used == x.n, s))
+        results.append(CompiledRunResult(int(uniform < dist[1]), used, values, s))
     return results
 
 
@@ -667,7 +672,7 @@ class TestCompiledTrialStaysOnImage:
         assert x.M**x.n <= trials  # the trials must repeat tables, so they share oracles
         looked: list[list[int]] = []
         lookup = ClassicalOracle.lookup
-        single_trial = compiler.compile_and_run_once
+        single_trial = compiler.compiled_distribution
 
         def recording_lookup(self, i):
             looked[-1].append(i)
@@ -678,7 +683,7 @@ class TestCompiledTrialStaysOnImage:
             return single_trial(*args, **kwargs)
 
         monkeypatch.setattr(ClassicalOracle, "lookup", recording_lookup)
-        monkeypatch.setattr(compiler, "compile_and_run_once", recording_trial)
+        monkeypatch.setattr(compiler, "compiled_distribution", recording_trial)
         est = estimate_success(entry.algorithm, x, 1, r, trials, 17)
         monkeypatch.undo()
         assert len(looked) == trials
